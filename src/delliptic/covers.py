@@ -14,9 +14,16 @@ before freezing):
   * "connected" means exactly: the subgroup generated by the tuple acts
     transitively on {1..d}.
 
-The isogeny counts are likewise enumerated structurally: degree-d isogenies
-from a fixed elliptic curve correspond to index-d sublattices of Z^2, and
-order-d subgroups of the d-torsion (Z/d)^2 classify kernels.
+The isogeny counts come from lattices: degree-d isogenies onto a fixed
+elliptic curve correspond to index-d sublattices of Z^2, each with a unique
+Hermite normal form basis (a, 0), (b, c) with ac = d and 0 <= b < a, and the
+order-d subgroups of the d-torsion (Z/d)^2 are their images mod d.
+count_pointed_isogenies walks the HNF triples, closes each pair of
+generators into its subgroup, and reads the triple back from the subgroup's
+elements, so a wrong or repeated subgroup raises instead of being counted.
+The brute-force enumeration of all order-d subgroups is kept as an
+independent reference, count_pointed_isogenies_enumerated, within
+SUBGROUP_ENUMERATION_BUDGET.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ from .errors import CrossCheckError
 __all__ = [
     "Partition",
     "ENUMERATION_BUDGET",
+    "ISOGENY_DEGREE_CEILING",
+    "SUBGROUP_ENUMERATION_BUDGET",
     "cycle_type",
     "compose",
     "inverse",
@@ -43,12 +52,21 @@ __all__ = [
     "hurwitz_number",
     "count_sublattices",
     "count_pointed_isogenies",
+    "count_pointed_isogenies_enumerated",
     "count_dd22",
     "count_dd2222",
 ]
 
 #: largest cover degree hurwitz_number will enumerate (8! tuples per class)
 ENUMERATION_BUDGET = 8
+
+#: largest d count_pointed_isogenies accepts; its work is O(d * sigma_1(d)),
+#: a few seconds at the ceiling
+ISOGENY_DEGREE_CEILING = 1000
+
+#: largest d whose order-d subgroups of (Z/d)^2 are enumerated by brute force
+#: (every cyclic subgroup and every pair of them), the range verify checks
+SUBGROUP_ENUMERATION_BUDGET = 30
 
 
 class Partition:
@@ -259,13 +277,69 @@ def _order_d_subgroups(d: int) -> list[frozenset]:
     return sorted(found, key=sorted)
 
 
+def _check_isogeny_degree(d: int, limit: int, name: str) -> None:
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if d > limit:
+        raise ValueError(f"d = {d} exceeds the {name} {limit}")
+
+
+def _closure(generators: Sequence[tuple[int, int]], d: int) -> set[tuple[int, int]]:
+    """The subgroup of (Z/d)^2 generated by `generators`, by breadth-first search."""
+    members = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        x, y = frontier.pop()
+        for gx, gy in generators:
+            nxt = ((x + gx) % d, (y + gy) % d)
+            if nxt not in members:
+                members.add(nxt)
+                frontier.append(nxt)
+    return members
+
+
+def _hermite_form(group: set[tuple[int, int]], d: int) -> tuple[int, int, int]:
+    """(a, b, c) of the index-d lattice whose image mod d is `group`.
+
+    c is the smallest nonzero y in the group (d if there is none), a the
+    smallest nonzero x on the row y = 0 (d if none), b the smallest x on the
+    row y = c mod d.
+    """
+    c = min((y for _, y in group if y), default=d)
+    a = min((x for x, y in group if y == 0 and x), default=d)
+    b = min(x for x, y in group if y == c % d)
+    return a, b, c
+
+
 def count_pointed_isogenies(d: int) -> int:
     """Pairs (order-d subgroup G of (Z/d)^2, nonzero element of G).
 
-    Direct subgroup enumeration; the closed form is (d-1)*sigma_1(d).
+    One subgroup per Hermite normal form (a, b, c) of an index-d sublattice
+    of Z^2: the closure of (a, 0) and (b, c) mod d. Each closure must have
+    order d and give back its own (a, b, c), which makes the subgroups
+    pairwise distinct; any failure raises CrossCheckError. O(d sigma_1(d))
+    time, O(d) memory, d <= ISOGENY_DEGREE_CEILING. The closed form is
+    (d-1)*sigma_1(d).
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    _check_isogeny_degree(d, ISOGENY_DEGREE_CEILING, "structural isogeny ceiling")
+    total = 0
+    for a in divisors(d):
+        c = d // a
+        for b in range(a):
+            group = _closure(((a, 0), (b, c)), d)
+            if len(group) != d or _hermite_form(group, d) != (a, b, c):
+                raise CrossCheckError(
+                    f"count_pointed_isogenies({d}): HNF ({a}, {b}, {c}) closes to "
+                    f"{len(group)} elements with form {_hermite_form(group, d)}"
+                )
+            total += len(group) - 1
+    return total
+
+
+def count_pointed_isogenies_enumerated(d: int) -> int:
+    """count_pointed_isogenies by enumerating every order-d subgroup of
+    (Z/d)^2; the reference route, for d <= SUBGROUP_ENUMERATION_BUDGET."""
+    _check_isogeny_degree(d, SUBGROUP_ENUMERATION_BUDGET, "subgroup enumeration budget")
     return sum(len(g) - 1 for g in _order_d_subgroups(d))
 
 

@@ -279,7 +279,8 @@ def fixed_target_profile_m2(d: int) -> IntersectionProfile:
     curves covering one fixed general elliptic curve.
 
     The contribution route counts covers structurally: the irreducible-nodal
-    divisor meets the locus in pointed isogenies (subgroup enumeration), and
+    divisor meets the locus in pointed isogenies (order-d subgroups of the
+    d-torsion, one per Hermite normal form of an index-d lattice), and
     the reducible divisor in ordered pairs of isogenies (sublattice counts),
     each cover with multiplicity 2.
     """

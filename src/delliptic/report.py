@@ -16,9 +16,11 @@ from typing import Callable
 
 from . import chow, loci
 from .covers import (
+    SUBGROUP_ENUMERATION_BUDGET,
     Partition,
     count_dd2222,
     count_pointed_isogenies,
+    count_pointed_isogenies_enumerated,
     count_sublattices,
     hurwitz_number,
 )
@@ -111,10 +113,22 @@ def _check_sublattices() -> str:
 
 
 def _check_pointed_isogenies() -> str:
-    for d in range(1, 31):
-        if count_pointed_isogenies(d) != (d - 1) * sigma(1, d):
-            raise CrossCheckError(f"pointed isogeny count at d={d}")
-    return "count equals (d-1)sigma_1(d) for d <= 30"
+    top = SUBGROUP_ENUMERATION_BUDGET
+    for d in range(1, top + 1):
+        routes = {
+            "brute-force": count_pointed_isogenies_enumerated(d),
+            "structural": count_pointed_isogenies(d),
+            "closed-form": (d - 1) * sigma(1, d),
+        }
+        values = list(routes.values())
+        if len(set(values)) > 1:
+            # the route outvoted by the other two; all three if none agree
+            odd = [name for name, value in routes.items() if values.count(value) == 1]
+            raise CrossCheckError(
+                f"pointed isogeny count at d={d}: {', '.join(odd)} disagrees "
+                f"({', '.join(f'{n} {v}' for n, v in routes.items())})"
+            )
+    return f"brute force, HNF route and (d-1)sigma_1(d) agree for d <= {top}"
 
 
 def _check_degeneration_identity() -> str:

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from delliptic import chow, report
+from delliptic import chow, covers, report
 from delliptic.cli import main
+from delliptic.divisors import sigma
+from delliptic.errors import CrossCheckError
 
 
 def run(capsys, *argv):
@@ -127,6 +129,7 @@ class TestCountCommand:
         [
             ("sublattices", 6, "12"),
             ("pointed-isogenies", 4, "21"),
+            ("pointed-isogenies", 200, str(199 * sigma(1, 200))),
             ("dd22", 2, "6"),
             ("dd2222", 2, "720"),
         ],
@@ -135,6 +138,17 @@ class TestCountCommand:
         code, out, _ = run(capsys, "count", kind, "--d", str(d))
         assert code == 0
         assert out.strip() == expected
+
+    def test_pointed_isogenies_above_ceiling(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated above the ceiling")
+
+        monkeypatch.setattr(covers, "_closure", refuse)
+        d = covers.ISOGENY_DEGREE_CEILING + 1
+        code, out, err = run(capsys, "count", "pointed-isogenies", "--d", str(d))
+        assert code == 2
+        assert out == ""
+        assert str(covers.ISOGENY_DEGREE_CEILING) in err
 
 
 class TestVerifyCommand:
@@ -185,6 +199,32 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL pairing-tables" in out
         assert "FIRST FAILURE: pairing-tables" in out
+
+    @pytest.mark.parametrize(
+        "attr,route",
+        [
+            ("count_pointed_isogenies_enumerated", "brute-force"),
+            ("count_pointed_isogenies", "structural"),
+            ("sigma", "closed-form"),
+        ],
+    )
+    def test_wrong_isogeny_route_is_named(self, monkeypatch, attr, route):
+        original = getattr(report, attr)
+        monkeypatch.setattr(report, attr, lambda *args: original(*args) + 1)
+        with pytest.raises(CrossCheckError) as exc:
+            report._check_pointed_isogenies()
+        assert f": {route} disagrees" in str(exc.value)
+
+    def test_wrong_brute_force_fails_named_check(self, monkeypatch):
+        original = report.count_pointed_isogenies_enumerated
+        monkeypatch.setattr(
+            report, "count_pointed_isogenies_enumerated", lambda d: original(d) + 1
+        )
+        result = report.run_verification(max_d=2, order=10)
+        assert len(result["checks"]) == 14
+        assert result["first_failure"] == "pointed-isogeny-count"
+        by_name = {c["check"]: c for c in result["checks"]}
+        assert "brute-force disagrees" in by_name["pointed-isogeny-count"]["detail"]
 
     def test_corrupted_table_fails_class_command(self, capsys, monkeypatch):
         table = chow.SPACES["M21"].pairings[(2, 2)]

@@ -6,7 +6,9 @@ from math import factorial
 
 import pytest
 
+from delliptic import covers
 from delliptic.covers import (
+    SUBGROUP_ENUMERATION_BUDGET,
     Partition,
     compose,
     conjugacy_class,
@@ -14,6 +16,7 @@ from delliptic.covers import (
     count_dd22,
     count_dd2222,
     count_pointed_isogenies,
+    count_pointed_isogenies_enumerated,
     count_sublattices,
     cycle_type,
     hurwitz_number,
@@ -22,6 +25,7 @@ from delliptic.covers import (
     is_transitive,
 )
 from delliptic.divisors import sigma
+from delliptic.errors import CrossCheckError
 
 
 class TestPartition:
@@ -159,8 +163,27 @@ class TestCountingOracles:
         assert count_pointed_isogenies(4) == 21 == 3 * sigma(1, 4)
 
     def test_pointed_isogenies_closed_form(self):
-        for d in range(1, 21):
+        for d in range(1, 201):
             assert count_pointed_isogenies(d) == (d - 1) * sigma(1, d)
+
+    def test_structural_route_equals_brute_force(self):
+        for d in range(1, SUBGROUP_ENUMERATION_BUDGET + 1):
+            assert count_pointed_isogenies(d) == count_pointed_isogenies_enumerated(d)
+
+    def test_structural_route_rejects_wrong_subgroup(self, monkeypatch):
+        # a closure that loses the second generator yields the wrong subgroup
+        real = covers._closure
+        monkeypatch.setattr(covers, "_closure", lambda gens, d: real(gens[:1], d))
+        with pytest.raises(CrossCheckError, match=r"count_pointed_isogenies\(6\)"):
+            count_pointed_isogenies(6)
+
+    def test_brute_force_budget(self, monkeypatch):
+        def refuse(d):
+            raise AssertionError("enumerated above the budget")
+
+        monkeypatch.setattr(covers, "_order_d_subgroups", refuse)
+        with pytest.raises(ValueError, match="budget"):
+            count_pointed_isogenies_enumerated(SUBGROUP_ENUMERATION_BUDGET + 1)
 
     def test_pointed_isogenies_against_exhaustive_subgroups(self):
         # independent oracle: close every generating pair of the full group
@@ -181,6 +204,7 @@ class TestCountingOracles:
                     subgroups.add(frozenset(members))
             expected = sum(len(h) - 1 for h in subgroups if len(h) == d)
             assert count_pointed_isogenies(d) == expected
+            assert count_pointed_isogenies_enumerated(d) == expected
 
     def test_dd22(self):
         assert count_dd22(1) == 0
@@ -195,6 +219,12 @@ class TestCountingOracles:
         assert count_dd2222(3) == 3840
 
     def test_validation(self):
-        for fn in (count_sublattices, count_pointed_isogenies, count_dd22, count_dd2222):
+        for fn in (
+            count_sublattices,
+            count_pointed_isogenies,
+            count_pointed_isogenies_enumerated,
+            count_dd22,
+            count_dd2222,
+        ):
             with pytest.raises(ValueError):
                 fn(0)

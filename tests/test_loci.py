@@ -5,7 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from delliptic import loci
 from delliptic.divisors import conv3, divisors, sigma
+from delliptic.errors import CrossCheckError
 from delliptic.loci import (
     boundary_profile_m2,
     boundary_profile_m21,
@@ -89,6 +91,18 @@ class TestFixedTarget:
     def test_class_matches_closed_form_sweep(self):
         for d in range(1, 31):
             fixed_target_class_m2(d)  # raises on any route disagreement
+
+    def test_wrong_isogeny_count_is_caught(self, monkeypatch):
+        original = loci.count_pointed_isogenies
+        monkeypatch.setattr(loci, "count_pointed_isogenies", lambda d: original(d) + 1)
+        fixed_target_profile_m2.cache_clear()
+        try:
+            with pytest.raises(CrossCheckError, match=r"fixed_target_profile_m2\[Delta_0\]"):
+                fixed_target_profile_m2(5)
+        finally:
+            monkeypatch.undo()
+            fixed_target_profile_m2.cache_clear()
+        assert loci.count_pointed_isogenies is original
 
 
 class TestPointedGenus2:
