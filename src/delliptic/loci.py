@@ -150,28 +150,29 @@ def total_ramification_profile_m13(a: int) -> IntersectionProfile:
     return IntersectionProfile.from_dict("M13", values)
 
 
-@lru_cache(maxsize=None)
+_DOUBLE_PAIR_PROFILE_M13 = IntersectionProfile.from_dict(
+    "M13",
+    {
+        "Delta_0": 0,
+        "Delta_1_{2,3}": 1,
+        "Delta_1_{1,2,3}": 1,
+        "Delta_1_{1,2}": 0,
+        "Delta_1_{1,3}": 0,
+    },
+)
+
+
 def double_pair_profile_m13(a: int, b: int) -> IntersectionProfile:
     """Intersection numbers on M13 of the glued genus-0 double-pair cover
     locus (two pairs of points with equal images, ramified to orders a and b,
-    one pair identified to a node).
-
-    The numbers are independent of (a, b): the locus meets exactly the two
-    reducible divisors that keep the simple branch point on the genus-1 part,
-    each once, and misses the rest.
+    one pair identified to a node). It meets the two reducible divisors that
+    keep the simple branch point on the genus-1 part, once each, whatever
+    (a, b): every pair gets one module-level profile, and the double-chain
+    sums reduce to one integer splitting weight per d (_splitting_weights).
     """
     _require_positive(a)
     _require_positive(b)
-    return IntersectionProfile.from_dict(
-        "M13",
-        {
-            "Delta_0": 0,
-            "Delta_1_{2,3}": 1,
-            "Delta_1_{1,2,3}": 1,
-            "Delta_1_{1,2}": 0,
-            "Delta_1_{1,3}": 0,
-        },
-    )
+    return _DOUBLE_PAIR_PROFILE_M13
 
 
 # ---------------------------------------------------------------------------
@@ -342,19 +343,25 @@ _M21_DUAL_IN_M13 = {
 }
 
 
-def _double_chain_term(d: int, m13_label: str) -> Fraction:
-    """Type (Delta_00, Delta_0) contribution: two chains of rational curves
-    wound a and b times, weight m*b per splitting a*m + b*n = d."""
-    total = F(0)
-    for a in range(1, d + 1):
-        for m in range(1, d // a + 1):
-            rest = d - a * m
-            if rest <= 0:
-                continue
-            for b in divisors(rest):
-                profile = double_pair_profile_m13(a, b).as_dict()
-                total += m * b * profile[m13_label]
-    return total
+def _splitting_weights(d: int) -> tuple[int, int]:
+    """(total, diagonal): m*b summed over the splittings a*m + b*n = d (all
+    >= 1), and over those with a = b, in one plain-int walk over (a, m, b)
+    with b | d - a*m; total = conv2(d), reached without summing sigma_1."""
+    total = diagonal = 0
+    for a in range(1, d):
+        for m in range(1, (d - 1) // a + 1):
+            for b in divisors(d - a * m):
+                total += m * b
+                if b == a:
+                    diagonal += m * b
+    return total, diagonal
+
+
+def _double_chain_term(d: int) -> dict[str, Fraction]:
+    """Type (Delta_00, Delta_0) contribution per M13 divisor: two chains wound
+    a and b times, the splitting weight of d times the double-pair profile."""
+    total, _ = _splitting_weights(d)
+    return {label: total * value for label, value in _DOUBLE_PAIR_PROFILE_M13.values}
 
 
 @lru_cache(maxsize=None)
@@ -391,11 +398,9 @@ def boundary_profile_m21(d: int) -> IntersectionProfile:
             total += y * pairing_number("M13", f"Delta_11_{s}", 2, m13_label, 1)
         return total
 
-    def chain_term(m13_label: str) -> Fraction:
-        return _chain_cover_term(d, (m13_label,))
-
+    double_chain = _double_chain_term(d)
     from_nodal = {
-        dual: bridge_term(label) + chain_term(label) + _double_chain_term(d, label)
+        dual: bridge_term(label) + _chain_cover_term(d, (label,)) + double_chain[label]
         for dual, label in _M21_DUAL_IN_M13.items()
     }
 
@@ -686,20 +691,13 @@ def triple_branch_split_sum(d: int) -> Fraction:
     a*m + b*n = d with distinct windings a != b (equal windings admit no
     connected cover).
 
-    Brute-force enumeration, checked against
-    conv2(d) - d sigma_1(d)/2 + d tau(d)/2; the opposite divisor-count term
-    cancels the one in the single-chain sum.
+    All splitting weights less the equal-winding ones (_splitting_weights),
+    checked against conv2(d) - d sigma_1(d)/2 + d tau(d)/2; the opposite
+    divisor-count term cancels the one in the single-chain sum.
     """
     _require_positive(d)
-    direct = 0
-    for a in range(1, d + 1):
-        for m in range(1, d // a + 1):
-            rest = d - a * m
-            if rest <= 0:
-                continue
-            for b in divisors(rest):
-                if b != a:
-                    direct += m * b
+    total, diagonal = _splitting_weights(d)
+    direct = total - diagonal
     closed = _c2(d) - F(d, 2) * sigma(1, d) + F(d, 2) * tau(d)
     if direct != closed:
         raise _mismatch("triple_branch_split_sum", d, direct, closed)

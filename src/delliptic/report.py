@@ -184,8 +184,7 @@ def _check_cancellation(order: int) -> str:
     return f"parts refuse and sum fits at weight 6, order {order}"
 
 
-def _check_certification(order: int) -> str:
-    report = loci.certify_quasimodularity(order)
+def _check_certification(report: dict, order: int) -> str:
     failures = [
         f"{family}/{label}"
         for family, fits in report.items()
@@ -227,14 +226,14 @@ def class_report(family: str, d: int) -> dict:
     }
 
 
-def _detailed_sections(max_d: int, order: int) -> tuple[dict, dict]:
+def _detailed_sections(max_d: int, certification: dict) -> tuple[dict, dict]:
     classes = {
         family: [class_report(family, d) for d in range(1, max_d + 1)]
         for family in sorted(loci.FAMILIES)
     }
     series = {
         family: {label: fit.to_json_dict() for label, fit in fits.items()}
-        for family, fits in loci.certify_quasimodularity(order).items()
+        for family, fits in certification.items()
     }
     return classes, series
 
@@ -245,6 +244,14 @@ def run_verification(max_d: int = 30, order: int = 30) -> dict:
         raise ValueError(f"max_d must be >= 1, got {max_d}")
     if order < 8:
         raise ValueError(f"order must be >= 8 (overdetermined fits), got {order}")
+    # fitted once: the certification check and the series section share it;
+    # it stays empty when certification raises
+    certification: dict = {}
+
+    def certify() -> str:
+        certification.update(loci.certify_quasimodularity(order))
+        return _check_certification(certification, order)
+
     checks: list[tuple[str, Callable[[], str]]] = [
         ("pairing-tables", _check_pairing_tables),
         ("convolution-identities", _check_convolutions),
@@ -259,7 +266,7 @@ def run_verification(max_d: int = 30, order: int = 30) -> dict:
         ("genus3-classes", lambda: _check_genus3(max_d)),
         ("triple-branch-sums", _check_triple_branch_sums),
         ("triple-branch-cancellation", lambda: _check_cancellation(order)),
-        ("quasimodularity-certification", lambda: _check_certification(order)),
+        ("quasimodularity-certification", certify),
     ]
     results = []
     first_failure = None
@@ -274,7 +281,7 @@ def run_verification(max_d: int = 30, order: int = 30) -> dict:
                 first_failure = name
         results.append({"check": name, "passed": passed, "detail": detail})
     try:
-        classes, series = _detailed_sections(max_d, order)
+        classes, series = _detailed_sections(max_d, certification)
     except Exception as exc:
         classes, series = {}, {}
         if first_failure is None:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from delliptic import chow, covers, report
+from delliptic import chow, covers, loci, report
 from delliptic.cli import main
 from delliptic.divisors import sigma
 from delliptic.errors import CrossCheckError
@@ -225,6 +225,35 @@ class TestVerifyCommand:
         assert result["first_failure"] == "pointed-isogeny-count"
         by_name = {c["check"]: c for c in result["checks"]}
         assert "brute-force disagrees" in by_name["pointed-isogeny-count"]["detail"]
+
+    def test_certification_runs_once(self, monkeypatch):
+        calls = []
+        original = loci.certify_quasimodularity
+
+        def counted(order, *args):
+            calls.append(order)
+            return original(order, *args)
+
+        monkeypatch.setattr(loci, "certify_quasimodularity", counted)
+        result = report.run_verification(max_d=2, order=10)
+        assert result["passed"] is True
+        assert calls == [10]
+        assert sorted(result["series"]) == ["m2", "m21", "m2e", "m3"]
+
+    def test_raising_certification_fails_named_check(self, monkeypatch):
+        def refuse(order, *args):
+            raise CrossCheckError("planted certification failure")
+
+        monkeypatch.setattr(loci, "certify_quasimodularity", refuse)
+        result = report.run_verification(max_d=2, order=10)
+        assert len(result["checks"]) == 14
+        assert result["passed"] is False
+        assert result["first_failure"] == "quasimodularity-certification"
+        by_name = {c["check"]: c for c in result["checks"]}
+        assert "planted certification failure" in (
+            by_name["quasimodularity-certification"]["detail"]
+        )
+        assert result["series"] == {}
 
     def test_corrupted_table_fails_class_command(self, capsys, monkeypatch):
         table = chow.SPACES["M21"].pairings[(2, 2)]

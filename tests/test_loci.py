@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from delliptic import loci
-from delliptic.divisors import conv3, divisors, sigma
+from delliptic.divisors import conv2, conv3, divisors, sigma
 from delliptic.errors import CrossCheckError
 from delliptic.loci import (
     boundary_profile_m2,
@@ -27,7 +27,7 @@ from delliptic.loci import (
     triple_branch_chain_sum,
     triple_branch_split_sum,
 )
-from delliptic.chow import pushforward_m21_to_m2
+from delliptic.chow import IntersectionProfile, pushforward_m21_to_m2
 from delliptic.quasimodular import NotQuasimodular, QuasimodularFit
 
 
@@ -58,6 +58,12 @@ class TestAuxiliaryLoci:
         assert profile["Delta_1_{1,2}"] == 0
         # no dependence on the winding pair
         assert double_pair_profile_m13(3, 5).values == double_pair_profile_m13(1, 2).values
+
+    def test_double_pair_profile_is_shared_and_validated(self):
+        assert double_pair_profile_m13(7, 2) is double_pair_profile_m13(1, 1)
+        for a, b in ((0, 1), (1, 0), (-2, 3)):
+            with pytest.raises(ValueError):
+                double_pair_profile_m13(a, b)
 
 
 class TestGenus2:
@@ -136,6 +142,59 @@ class TestPointedGenus2:
     def test_pushforward_recovers_unpointed(self):
         for d in range(1, 11):
             assert pushforward_m21_to_m2(delliptic_class_m21(d)) == delliptic_class_m2(d)
+
+
+class TestSplittingWeights:
+    def test_against_four_loop_oracle(self):
+        # every (a, m, b, n) >= 1 with a*m + b*n = d; the bounds drop only
+        # tuples whose sum already exceeds d
+        for d in range(1, 41):
+            total = diagonal = 0
+            for a in range(1, d):
+                for m in range(1, d // a + 1):
+                    for b in range(1, d):
+                        for n in range(1, d // b + 1):
+                            if a * m + b * n == d:
+                                total += m * b
+                                if a == b:
+                                    diagonal += m * b
+            assert loci._splitting_weights(d) == (total, diagonal)
+
+    def test_total_is_conv2(self):
+        for d in range(2, 201):
+            assert loci._splitting_weights(d)[0] == conv2(d)
+
+    @pytest.fixture
+    def fresh_caches(self, monkeypatch):
+        cached = (boundary_profile_m21, triple_branch_split_sum)
+        originals = (loci._splitting_weights, loci._DOUBLE_PAIR_PROFILE_M13)
+        for fn in cached:
+            fn.cache_clear()
+        yield monkeypatch
+        monkeypatch.undo()
+        for fn in cached:
+            fn.cache_clear()
+        assert (loci._splitting_weights, loci._DOUBLE_PAIR_PROFILE_M13) == originals
+        assert boundary_profile_m21(5).as_dict()["Delta_01a"] == conv2(5)
+
+    def test_wrong_splitting_total_is_caught(self, fresh_caches):
+        original = loci._splitting_weights
+        fresh_caches.setattr(
+            loci, "_splitting_weights", lambda d: (original(d)[0] + 1, original(d)[1])
+        )
+        with pytest.raises(CrossCheckError, match=r"boundary_profile_m21\[Delta_01a\]"):
+            boundary_profile_m21(5)
+        with pytest.raises(CrossCheckError, match=r"triple_branch_split_sum"):
+            triple_branch_split_sum(5)
+
+    def test_wrong_double_pair_entry_is_caught(self, fresh_caches):
+        bumped = dict(loci._DOUBLE_PAIR_PROFILE_M13.values)
+        bumped["Delta_1_{2,3}"] += 1
+        fresh_caches.setattr(
+            loci, "_DOUBLE_PAIR_PROFILE_M13", IntersectionProfile.from_dict("M13", bumped)
+        )
+        with pytest.raises(CrossCheckError, match=r"boundary_profile_m21\[Delta_01a\]"):
+            boundary_profile_m21(5)
 
 
 class TestGenus3:
