@@ -3,7 +3,9 @@
 Subcommands: class, series, qmod-fit, hurwitz, count, verify. Every number
 is printed exactly ("p/q" strings in JSON, never floats), output is
 deterministic, and exit codes are 0 (success), 1 (verification failure),
-2 (usage error).
+2 (usage error). `class --d` and `series --N` are bounded by
+CLASS_DEGREE_CEILING and SERIES_ORDER_CEILING; above them the command exits 2
+before computing anything.
 """
 
 from __future__ import annotations
@@ -26,6 +28,14 @@ from .quasimodular import fit_quasimodular
 from .series import QSeries, format_rational
 
 SCHEMA = report.SCHEMA
+
+#: largest d `class` accepts; the genus-3 class, the slowest family (its
+#: profile counts pointed isogenies for every d1 < d), takes a few seconds here
+CLASS_DEGREE_CEILING = 200
+
+#: largest N `series` accepts; it solves every class d <= N of the family and
+#: fits an (N + 1)-row system, a few seconds at the ceiling
+SERIES_ORDER_CEILING = 200
 
 _COUNTS = {
     "sublattices": count_sublattices,
@@ -55,6 +65,11 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+def _check_ceiling(name: str, value: int, ceiling: int) -> None:
+    if value > ceiling:
+        raise ValueError(f"{name} = {value} exceeds the ceiling {ceiling}")
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -80,6 +95,7 @@ def _format_class(cls) -> str:
 
 
 def _cmd_class(args) -> int:
+    _check_ceiling("d", args.d, CLASS_DEGREE_CEILING)
     cls = loci.class_in_family(args.space, args.d)
     payload = {
         "schema": SCHEMA,
@@ -92,6 +108,7 @@ def _cmd_class(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    _check_ceiling("N", args.N, SERIES_ORDER_CEILING)
     series = loci.coefficient_series(args.space, args.label, args.N)
     fit = fit_quasimodular(series, args.weight, args.N)
     payload = {

@@ -11,8 +11,10 @@ admit closed forms in sigma_1, sigma_3, sigma_5:
 
 These identities carry the whole assembly downstream, so every convolution is
 evaluated BOTH by direct summation and by its closed form, and the two must
-agree exactly (CrossCheckError otherwise). Divisor enumeration is trial
-division up to sqrt(d); inputs stay in the low thousands.
+agree exactly (CrossCheckError otherwise). The direct sums are the int
+coefficients of A^2, (DA)A and A^3 (A = sum s1(m)q^m, DA = sum m s1(m)q^m),
+built to the next power of two >= d and cached: O(D^2) per sweep to D, not
+O(D^3). Divisor enumeration is trial division up to sqrt(d).
 """
 
 from __future__ import annotations
@@ -61,11 +63,26 @@ def _check(name: str, d: int, direct: int, closed: Fraction) -> int:
 
 
 @lru_cache(maxsize=None)
+def _coefficients(name: str, n: int) -> tuple[int, ...]:
+    """q^0..q^n of the product ``name`` sums: A*A, DA*A or (A*A)*A."""
+    a = [0] + [sigma(1, m) for m in range(1, n + 1)]
+    if name == "conv3":
+        left = _coefficients("conv2", n)
+    else:
+        left = [m * s if name == "conv2_weighted" else s for m, s in enumerate(a)]
+    return tuple(sum(left[i] * a[k - i] for i in range(k)) for k in range(n + 1))
+
+
+def _direct(name: str, d: int) -> int:
+    return _coefficients(name, 1 << (d - 1).bit_length())[d]
+
+
+@lru_cache(maxsize=None)
 def conv2(d: int) -> int:
     """sum over d1+d2=d (d1,d2 >= 1) of sigma_1(d1)sigma_1(d2)."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    direct = sum(sigma(1, d1) * sigma(1, d - d1) for d1 in range(1, d))
+    direct = _direct("conv2", d)
     closed = (Fraction(-d, 2) + Fraction(1, 12)) * sigma(1, d) + Fraction(5, 12) * sigma(3, d)
     return _check("conv2", d, direct, closed)
 
@@ -75,7 +92,7 @@ def conv2_weighted(d: int) -> int:
     """sum over d1+d2=d of d1*sigma_1(d1)sigma_1(d2)."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    direct = sum(d1 * sigma(1, d1) * sigma(1, d - d1) for d1 in range(1, d))
+    direct = _direct("conv2_weighted", d)
     closed = (Fraction(-d * d, 4) + Fraction(d, 24)) * sigma(1, d) + Fraction(5, 24) * d * sigma(3, d)
     return _check("conv2_weighted", d, direct, closed)
 
@@ -85,11 +102,7 @@ def conv3(d: int) -> int:
     """sum over d1+d2+d3=d (all >= 1) of sigma_1(d1)sigma_1(d2)sigma_1(d3)."""
     if d < 3:
         raise ValueError(f"d must be >= 3, got {d}")
-    direct = sum(
-        sigma(1, d1) * sigma(1, d2) * sigma(1, d - d1 - d2)
-        for d1 in range(1, d - 1)
-        for d2 in range(1, d - d1)
-    )
+    direct = _direct("conv3", d)
     closed = (
         (Fraction(d * d, 8) - Fraction(d, 16) + Fraction(1, 192)) * sigma(1, d)
         + (Fraction(-5 * d, 32) + Fraction(5, 96)) * sigma(3, d)

@@ -213,9 +213,8 @@ _CLOSED_FNS = {
 
 def class_report(family: str, d: int) -> dict:
     """Profile, solved class, closed-form class and agreement flag at one d."""
-    space_id, degree, _ = loci.FAMILIES[family]
     profile = _PROFILE_FNS[family](d)
-    solved = chow.to_q_class_basis(chow.solve_class(space_id, degree, profile))
+    solved = loci.class_in_family(family, d)  # cached, solved once by the checks
     closed = _CLOSED_FNS[family](d)
     return {
         "d": d,

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from delliptic import chow, covers, loci, report
+from delliptic import chow, cli, covers, loci, report
 from delliptic.cli import main
 from delliptic.divisors import sigma
 from delliptic.errors import CrossCheckError
@@ -45,6 +45,24 @@ class TestClassCommand:
             main(["class", "m9", "--d", "2"])
         assert exc.value.code == 2
 
+    def test_at_ceiling(self, capsys):
+        d = cli.CLASS_DEGREE_CEILING
+        code, out, _ = run(capsys, "class", "m2", "--d", str(d), "--json")
+        assert code == 0
+        coeffs = json.loads(out)["class"]["coeffs"]
+        assert coeffs["delta_1"] == str(4 * sigma(3, d) - 4 * sigma(1, d))
+
+    def test_above_ceiling(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("solved above the ceiling")
+
+        monkeypatch.setattr(loci, "class_in_family", refuse)
+        d = cli.CLASS_DEGREE_CEILING + 1
+        code, out, err = run(capsys, "class", "m3", "--d", str(d))
+        assert code == 2
+        assert out == ""
+        assert str(cli.CLASS_DEGREE_CEILING) in err
+
 
 class TestSeriesCommand:
     def test_series_values_and_fit(self, capsys):
@@ -63,6 +81,25 @@ class TestSeriesCommand:
         code, _, err = run(capsys, "series", "m2", "delta_9", "--N", "10")
         assert code == 2
         assert "delta_9" in err
+
+    def test_at_ceiling(self, capsys):
+        n = cli.SERIES_ORDER_CEILING
+        code, out, _ = run(capsys, "series", "m2", "delta_0", "--N", str(n), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["coefficients"][n] == str(2 * sigma(3, n) - 2 * n * sigma(1, n))
+        assert "monomials" in payload["fit"]
+
+    def test_above_ceiling(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("summed above the ceiling")
+
+        monkeypatch.setattr(loci, "coefficient_series", refuse)
+        n = cli.SERIES_ORDER_CEILING + 1
+        code, out, err = run(capsys, "series", "m3", "kappa_2", "--N", str(n))
+        assert code == 2
+        assert out == ""
+        assert str(cli.SERIES_ORDER_CEILING) in err
 
 
 class TestQmodFitCommand:
@@ -239,6 +276,16 @@ class TestVerifyCommand:
         assert result["passed"] is True
         assert calls == [10]
         assert sorted(result["series"]) == ["m2", "m21", "m2e", "m3"]
+
+    def test_report_reuses_solved_classes(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("class solved a second time")
+
+        monkeypatch.setattr(report.chow, "solve_class", refuse)
+        result = report.run_verification(max_d=3, order=10)
+        assert result["passed"] is True
+        assert [e["d"] for e in result["classes"]["m3"]] == [1, 2, 3]
+        assert all(e["agree"] for entries in result["classes"].values() for e in entries)
 
     def test_raising_certification_fails_named_check(self, monkeypatch):
         def refuse(order, *args):

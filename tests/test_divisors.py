@@ -1,16 +1,39 @@
 """Divisor-power sums and convolution closed forms."""
 
+import importlib
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from delliptic import report
 from delliptic.divisors import conv2, conv2_weighted, conv3, divisors, sigma, tau
+from delliptic.errors import CrossCheckError
+
+# the package re-exports the function `divisors`, which shadows the module
+divisors_module = importlib.import_module("delliptic.divisors")
 
 
 def brute_sigma(k, d):
     return sum(a**k for a in range(1, d + 1) if d % a == 0)
+
+
+# independent brute-force oracles: literal sums over the compositions of d
+def naive_conv2(d):
+    return sum(brute_sigma(1, d1) * brute_sigma(1, d - d1) for d1 in range(1, d))
+
+
+def naive_conv2_weighted(d):
+    return sum(d1 * brute_sigma(1, d1) * brute_sigma(1, d - d1) for d1 in range(1, d))
+
+
+def naive_conv3(d):
+    return sum(
+        brute_sigma(1, a) * brute_sigma(1, b) * brute_sigma(1, d - a - b)
+        for a in range(1, d)
+        for b in range(1, d - a)
+    )
 
 
 class TestSigmaTau:
@@ -78,24 +101,11 @@ class TestConvolutions:
         assert F(2359 - 8030 + 7399, 192) == 9  # closed form at d = 4
 
     def test_direct_sums_match_functions(self):
-        # independent brute-force oracle, recomputed here
         for d in range(2, 41):
-            direct2 = sum(
-                brute_sigma(1, d1) * brute_sigma(1, d - d1) for d1 in range(1, d)
-            )
-            assert conv2(d) == direct2
-            directw = sum(
-                d1 * brute_sigma(1, d1) * brute_sigma(1, d - d1)
-                for d1 in range(1, d)
-            )
-            assert conv2_weighted(d) == directw
+            assert conv2(d) == naive_conv2(d)
+            assert conv2_weighted(d) == naive_conv2_weighted(d)
         for d in range(3, 41):
-            direct3 = sum(
-                brute_sigma(1, a) * brute_sigma(1, b) * brute_sigma(1, d - a - b)
-                for a in range(1, d)
-                for b in range(1, d - a)
-            )
-            assert conv3(d) == direct3
+            assert conv3(d) == naive_conv3(d)
 
     def test_closed_forms_to_200(self):
         # the functions cross-check direct vs closed internally
@@ -112,3 +122,56 @@ class TestConvolutions:
             conv2_weighted(1)
         with pytest.raises(ValueError):
             conv3(2)
+
+
+CONVOLUTIONS = {"conv2": conv2, "conv2_weighted": conv2_weighted, "conv3": conv3}
+NAIVE = {"conv2": naive_conv2, "conv2_weighted": naive_conv2_weighted, "conv3": naive_conv3}
+
+
+@pytest.fixture
+def cold_convolutions(monkeypatch):
+    """Empty convolution caches; the builder and the caches are restored after."""
+    original = divisors_module._coefficients
+    cached = (original, *CONVOLUTIONS.values())
+    for fn in cached:
+        fn.cache_clear()
+    yield monkeypatch
+    monkeypatch.undo()
+    for fn in cached:
+        fn.cache_clear()
+    assert divisors_module._coefficients is original
+    assert conv3(150) == naive_conv3(150)
+
+
+class TestConvolutionTables:
+    def test_table_size_and_call_order_do_not_change_values(self, cold_convolutions):
+        assert conv3(200) == naive_conv3(200)
+        for d in range(60, 1, -1):
+            assert conv2(d) == naive_conv2(d)
+            assert conv2_weighted(d) == naive_conv2_weighted(d)
+            if d >= 3:
+                assert conv3(d) == naive_conv3(d)
+
+    @pytest.mark.parametrize("name", sorted(CONVOLUTIONS))
+    def test_perturbed_coefficient_is_caught(self, cold_convolutions, name):
+        d = 150
+        original = divisors_module._coefficients
+
+        def bumped(table_name, n):
+            table = original(table_name, n)
+            if table_name != name or n < d:
+                return table
+            return table[:d] + (table[d] + 1,) + table[d + 1 :]
+
+        cold_convolutions.setattr(divisors_module, "_coefficients", bumped)
+        assert CONVOLUTIONS[name](d - 1) == NAIVE[name](d - 1)  # same table, untouched entry
+        with pytest.raises(CrossCheckError, match=rf"^{name}\({d}\): direct sum"):
+            CONVOLUTIONS[name](d)
+
+        result = report.run_verification(max_d=2, order=10)
+        assert len(result["checks"]) == 14
+        assert result["passed"] is False
+        assert result["first_failure"] == "convolution-identities"
+        failed = [c for c in result["checks"] if not c["passed"]]
+        assert [c["check"] for c in failed] == ["convolution-identities"]
+        assert f"{name}({d})" in failed[0]["detail"]
