@@ -23,7 +23,9 @@ boundary divisors; M21 carries the single divisor Delta_1 against three
 curve classes Gamma_(i)). The solver refuses anything not resolvable from
 the stored numbers: unlisted intersection numbers are never fabricated.
 
-The registry is immutable after import and every operation is pure.
+Every operation is pure, but the registry is not frozen yet: a plain
+setitem on SPACES or on a space's pairings changes it, and the lru_caches
+downstream keep whatever they computed before.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "pairing_number",
     "solve_class",
     "to_q_class_basis",
+    "FORGET_M21_TO_M2",
     "pushforward_m21_to_m2",
 ]
 
@@ -490,15 +493,9 @@ def to_q_class_basis(c: ChowClass) -> ChowClass:
 
 # The point-forgetting map contracts the three boundary surfaces whose generic
 # member has the marked point on a collapsing component, and carries the other
-# two onto the boundary divisors (with degree 1 on substacks).
-_PUSH_M21_TO_M2 = {
-    "delta_00": None,
-    "delta_01a": None,
-    "delta_01b": None,
-    "xi_1": "delta_0",
-    "delta_11": "delta_1",
-}
-_PUSH_M21_TO_M2_UPPER = {
+# two onto the boundary divisors with degree 1. The one M21 -> M2 forget map:
+# the pushforward and the genus-3 bridge contributions both read it.
+FORGET_M21_TO_M2 = {
     "Delta_00": None,
     "Delta_01a": None,
     "Delta_01b": None,
@@ -515,18 +512,19 @@ def pushforward_m21_to_m2(c: ChowClass) -> ChowClass:
     """
     if c.space_id != "M21" or c.degree != 2:
         raise ValueError("pushforward is defined for M21 degree-2 classes")
-    sp = space("M21")
-    if c.labels == sp.bases[2]:
-        mapping, target_labels = _PUSH_M21_TO_M2_UPPER, basis_labels("M2", 1)
+    source, target = space("M21"), space("M2")
+    if c.labels == source.bases[2]:
+        rename = {label: label for label in target.bases[1]}
     elif c.labels == q_basis_labels("M21", 2):
-        mapping, target_labels = _PUSH_M21_TO_M2, q_basis_labels("M2", 1)
+        # every surface the map keeps (Xi_1, Delta_11) and its image divisor
+        # (Delta_0, Delta_1) have automorphism order 2, so on substack classes
+        # the map still has degree 1: only the labels change
+        rename = target.q_labels
     else:
         raise ValueError("class is not on a recognized M21 degree-2 basis")
-    totals = {label: F(0) for label in target_labels}
-    for label, coeff in zip(c.labels, c.coefficients):
-        target = mapping[label]
-        if target is not None:
-            totals[target] += coeff
-    return ChowClass(
-        "M2", 1, target_labels, tuple(totals[label] for label in target_labels)
-    )
+    totals = {rename[label]: F(0) for label in target.bases[1]}
+    for label, coeff in zip(source.bases[2], c.coefficients):
+        image = FORGET_M21_TO_M2[label]
+        if image is not None:
+            totals[rename[image]] += coeff
+    return ChowClass("M2", 1, tuple(totals), tuple(totals.values()))

@@ -3,9 +3,9 @@
 Subcommands: class, series, qmod-fit, hurwitz, count, verify. Every number
 is printed exactly ("p/q" strings in JSON, never floats), output is
 deterministic, and exit codes are 0 (success), 1 (verification failure),
-2 (usage error). `class --d` and `series --N` are bounded by
-CLASS_DEGREE_CEILING and SERIES_ORDER_CEILING; above them the command exits 2
-before computing anything.
+2 (usage error). `class --d` and `verify --max-d` are bounded by
+CLASS_DEGREE_CEILING, `series --N` and `verify --N` by SERIES_ORDER_CEILING;
+above them the command exits 2 before computing anything.
 """
 
 from __future__ import annotations
@@ -169,6 +169,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_ceiling("max-d", args.max_d, CLASS_DEGREE_CEILING)
+    _check_ceiling("N", args.N, SERIES_ORDER_CEILING)
     result = report.run_verification(max_d=args.max_d, order=args.N)
     lines = [
         f"{'PASS' if c['passed'] else 'FAIL'} {c['check']}: {c['detail']}"

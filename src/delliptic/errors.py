@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types and the one cross-check every route comparison uses."""
 
 from __future__ import annotations
 
@@ -10,3 +10,25 @@ class CrossCheckError(Exception):
     check failure means transcribed data or a formula is wrong, never that an
     input was invalid.
     """
+
+
+def crosscheck(name: str, d: int, /, **routes):
+    """The value every route computed for `name` at `d` (the first route's).
+
+    Values are compared with ==. On disagreement raises CrossCheckError
+    naming the outvoted routes, those whose value fewer routes share than the
+    best-supported value; when every value has equal support (two routes that
+    differ, or three that all differ) it names every route.
+    """
+    if len(routes) < 2:
+        raise ValueError(f"{name}: a cross-check needs two routes, got {len(routes)}")
+    values = list(routes.values())
+    if values.count(values[0]) == len(values):
+        return values[0]
+    counts = [values.count(value) for value in values]
+    odd = [route for route, n in zip(routes, counts) if n < max(counts)] or list(routes)
+    verb = "disagrees" if len(odd) == 1 else "disagree"
+    raise CrossCheckError(
+        f"{name}(d={d}): {', '.join(odd)} {verb} "
+        f"({', '.join(f'{route} {value}' for route, value in routes.items())})"
+    )

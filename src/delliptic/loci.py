@@ -12,9 +12,10 @@ multiplicity.
 Every assembled profile is computed twice, once from per-topology
 contribution sums over the counting oracles and once from its closed form
 in sigma_1/sigma_3/sigma_5, and the two must agree exactly. Every solved class
-is compared against its closed-form expression in the substack basis. Any
-disagreement raises CrossCheckError; these checks are the package's defense
-against transcription errors in the pairing tables.
+is compared against its closed-form expression in the substack basis. Each
+comparison goes through errors.crosscheck, which raises CrossCheckError naming
+the route that disagrees; these checks are the package's defense against
+transcription errors in the pairing tables.
 
 Cover topologies are labelled by the pair of boundary strata containing the
 stabilized source and the marked target; the three types feeding the genus-3
@@ -31,6 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chow import (
+    FORGET_M21_TO_M2,
     ChowClass,
     IntersectionProfile,
     pairing_number,
@@ -39,9 +41,9 @@ from .chow import (
     solve_class,
     to_q_class_basis,
 )
-from .covers import count_pointed_isogenies, count_sublattices
+from .covers import count_dd22, count_dd2222, count_pointed_isogenies, count_sublattices
 from .divisors import conv2, conv2_weighted, conv3, divisors, sigma, tau
-from .errors import CrossCheckError
+from .errors import crosscheck
 from .quasimodular import FitResult, fit_quasimodular
 from .series import QSeries
 
@@ -96,8 +98,12 @@ def _c3(d: int) -> int:
     return conv3(d) if d >= 3 else 0
 
 
-def _mismatch(name: str, d: int, got, want) -> CrossCheckError:
-    return CrossCheckError(f"{name}(d={d}): contribution route {got} != closed form {want}")
+def _solved_class(family: str, d: int) -> ChowClass:
+    """One family's class at d: its profile solved against the pairing
+    table, in the substack basis, and equal to its closed form."""
+    space_id, degree, _, profile, closed = FAMILIES[family]
+    solved = to_q_class_basis(solve_class(space_id, degree, profile(d)))
+    return crosscheck(f"class[{family}]", d, solver=solved, closed=closed(d))
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +136,7 @@ def pointed_cover_class_m12(d: int) -> ChowClass:
     closed = ChowClass.from_coefficients(
         "M12", 1, {"Delta_0": factor / 24, "Delta_1": factor}
     )
-    if solved != closed:
-        raise _mismatch("pointed_cover_class_m12", d, solved, closed)
-    return solved
+    return crosscheck("pointed_cover_class_m12", d, solver=solved, closed=closed)
 
 
 @lru_cache(maxsize=None)
@@ -140,11 +144,11 @@ def total_ramification_profile_m13(a: int) -> IntersectionProfile:
     """Intersection numbers on M13 of the locus of genus-1 covers of a line,
     totally ramified at two marked points and simply at a third.
 
-    Meets the irreducible-nodal divisor in 2(a^2 - 1) points (the doubly
-    totally ramified pencils) and misses every reducible divisor.
+    Meets the irreducible-nodal divisor in the 2(a^2 - 1) doubly totally
+    ramified pencils (count_dd22) and misses every reducible divisor.
     """
     _require_positive(a)
-    values = {"Delta_0": 2 * (a * a - 1)}
+    values = {"Delta_0": count_dd22(a)}
     for s in ("{1,2}", "{1,3}", "{2,3}", "{1,2,3}"):
         values[f"Delta_1_{s}"] = 0
     return IntersectionProfile.from_dict("M13", values)
@@ -204,10 +208,9 @@ def boundary_profile_m2(d: int) -> IntersectionProfile:
     """Intersection numbers of the genus-2 d-elliptic locus with the two
     boundary curve classes of M2.
 
-    Assembled from the per-topology contributions and checked against the
-    closed forms 4(d-1)sigma_1(d) and 2*conv2(d); the reducible dual is also
-    recomputed through the separating-node boundary as an extra consistency
-    route.
+    Assembled from the per-topology contributions, both duals realized in
+    the irreducible-nodal boundary, and checked against the closed forms
+    4(d-1)sigma_1(d) and 2*conv2(d).
     """
     _require_positive(d)
     closed_00 = F(4 * (d - 1) * sigma(1, d))
@@ -223,24 +226,14 @@ def boundary_profile_m2(d: int) -> IntersectionProfile:
         + _chain_cover_term(d, _M12_DIVISOR_PULLBACK["Delta_0"])
         + 2 * _c2(d) * pair12("Delta_0", "Delta_0")
     )
-    # dual Delta_01 through the product boundary: [point x moduli] paired
-    # with the diagonal decomposition gives 1
-    from_01_product = F(2 * _c2(d))
-    # dual Delta_01 through the irreducible-nodal boundary
-    from_01_boundary = (
+    # dual Delta_01, realized in the irreducible-nodal boundary as well
+    from_01 = (
         2 * m12["Delta_1"]
         + _chain_cover_term(d, _M12_DIVISOR_PULLBACK["Delta_1"])
         + 2 * _c2(d) * pair12("Delta_1", "Delta_0")
     )
-
-    if from_00 != closed_00:
-        raise _mismatch("boundary_profile_m2[Delta_00]", d, from_00, closed_00)
-    if from_01_product != closed_01:
-        raise _mismatch("boundary_profile_m2[Delta_01]", d, from_01_product, closed_01)
-    if from_01_boundary != closed_01:
-        raise _mismatch(
-            "boundary_profile_m2[Delta_01/boundary]", d, from_01_boundary, closed_01
-        )
+    crosscheck("boundary_profile_m2[Delta_00]", d, topologies=from_00, closed=closed_00)
+    crosscheck("boundary_profile_m2[Delta_01]", d, topologies=from_01, closed=closed_01)
     return IntersectionProfile.from_dict(
         "M2", {"Delta_00": closed_00, "Delta_01": closed_01}
     )
@@ -262,11 +255,7 @@ def delliptic_class_m2_closed(d: int) -> ChowClass:
 def delliptic_class_m2(d: int) -> ChowClass:
     """The genus-2 d-elliptic divisor class, solved from its boundary profile
     and verified against the closed form. Zero at d = 1."""
-    solved = to_q_class_basis(solve_class("M2", 1, boundary_profile_m2(d)))
-    closed = delliptic_class_m2_closed(d)
-    if solved != closed:
-        raise _mismatch("delliptic_class_m2", d, solved, closed)
-    return solved
+    return _solved_class("m2", d)
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +284,10 @@ def fixed_target_profile_m2(d: int) -> IntersectionProfile:
     from_pairs = 2 * sum(
         F(count_sublattices(d1) * count_sublattices(d - d1)) for d1 in range(1, d)
     )
-    if from_isogenies != closed_0:
-        raise _mismatch("fixed_target_profile_m2[Delta_0]", d, from_isogenies, closed_0)
-    if from_pairs != closed_1:
-        raise _mismatch("fixed_target_profile_m2[Delta_1]", d, from_pairs, closed_1)
+    crosscheck(
+        "fixed_target_profile_m2[Delta_0]", d, isogenies=from_isogenies, closed=closed_0
+    )
+    crosscheck("fixed_target_profile_m2[Delta_1]", d, pairs=from_pairs, closed=closed_1)
     return IntersectionProfile.from_dict(
         "M2", {"Delta_0": closed_0, "Delta_1": closed_1}
     )
@@ -322,11 +311,7 @@ def fixed_target_class_m2_closed(d: int) -> ChowClass:
 @lru_cache(maxsize=None)
 def fixed_target_class_m2(d: int) -> ChowClass:
     """Class of genus-2 covers of a fixed elliptic curve, solved and verified."""
-    solved = to_q_class_basis(solve_class("M2", 2, fixed_target_profile_m2(d)))
-    closed = fixed_target_class_m2_closed(d)
-    if solved != closed:
-        raise _mismatch("fixed_target_class_m2", d, solved, closed)
-    return solved
+    return _solved_class("m2e", d)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +357,8 @@ def boundary_profile_m21(d: int) -> IntersectionProfile:
     Duals realized in the irreducible-nodal boundary collect bridge, chain
     and double-chain cover contributions; duals realized in the separating
     boundary collect the isogeny-pair contribution against the diagonal
-    decomposition. The two surfaces visible from both boundaries are computed
-    both ways and must agree, and every entry must match its closed form.
+    decomposition. Every entry must match its closed form, and the two
+    surfaces visible from both boundaries are computed both ways as well.
     """
     _require_positive(d)
     s1 = sigma(1, d)
@@ -417,23 +402,12 @@ def boundary_profile_m21(d: int) -> IntersectionProfile:
         dual: _c2(d) * value for dual, value in diagonal_numbers.items()
     }
 
-    for dual in ("Delta_01a", "Delta_01b"):
-        if from_nodal[dual] != from_separating[dual]:
-            raise CrossCheckError(
-                f"boundary_profile_m21[{dual}](d={d}): nodal route "
-                f"{from_nodal[dual]} != separating route {from_separating[dual]}"
-            )
-
-    assembled = {
-        "Delta_00": from_nodal["Delta_00"],
-        "Delta_01a": from_nodal["Delta_01a"],
-        "Delta_01b": from_nodal["Delta_01b"],
-        "Xi_1": from_nodal["Xi_1"],
-        "Delta_11": from_separating["Delta_11"],
-    }
-    for dual, value in assembled.items():
-        if value != closed[dual]:
-            raise _mismatch(f"boundary_profile_m21[{dual}]", d, value, closed[dual])
+    routes = {dual: {"closed": value} for dual, value in closed.items()}
+    for route, values in (("nodal", from_nodal), ("separating", from_separating)):
+        for dual, value in values.items():
+            routes[dual][route] = value
+    for dual, by_route in routes.items():
+        crosscheck(f"boundary_profile_m21[{dual}]", d, **by_route)
     return IntersectionProfile.from_dict("M21", closed)
 
 
@@ -460,17 +434,13 @@ def delliptic_class_m21(d: int) -> ChowClass:
     """The marked genus-2 d-elliptic class, solved through the middle pairing
     and verified against the closed form; forgetting the marked point must
     recover the unpointed class."""
-    solved = to_q_class_basis(solve_class("M21", 2, boundary_profile_m21(d)))
-    closed = delliptic_class_m21_closed(d)
-    if solved != closed:
-        raise _mismatch("delliptic_class_m21", d, solved, closed)
-    pushed = pushforward_m21_to_m2(solved)
-    unpointed = delliptic_class_m2(d)
-    if pushed != unpointed:
-        raise CrossCheckError(
-            f"delliptic_class_m21(d={d}): pushforward {pushed} != "
-            f"unpointed class {unpointed}"
-        )
+    solved = _solved_class("m21", d)
+    crosscheck(
+        "pushforward[m21]",
+        d,
+        pushforward=pushforward_m21_to_m2(solved),
+        unpointed=delliptic_class_m2(d),
+    )
     return solved
 
 
@@ -498,17 +468,10 @@ _CURVE_X_MODULI = {
 SURFACE_LABELS_M3 = tuple(sorted(_SURFACE_X_POINT) + sorted(_CURVE_X_MODULI))
 
 # Point-forgetting pushforwards feeding the bridge-type contribution.
-# The surface-class pushforwards follow from the M21 -> M2 pushforward; the
-# curve-class pushforwards are registered data validated by the closed-form
-# checks on every assembled row (the per-surface map degrees have no other
-# in-package derivation).
-_FORGET_SURFACE = {
-    "Delta_00": None,
-    "Delta_01a": None,
-    "Delta_01b": None,
-    "Xi_1": "Delta_0",
-    "Delta_11": "Delta_1",
-}
+# The surface classes are carried by the M21 -> M2 forget map
+# (chow.FORGET_M21_TO_M2); the curve-class pushforwards are registered data
+# validated by the closed-form checks on every assembled row (the per-surface
+# map degrees have no other in-package derivation).
 _FORGET_CURVE = {
     "Gamma_(5)": "Delta_00",
     "Gamma_(6)": None,
@@ -551,7 +514,7 @@ def surface_contribution_m3(d: int, cover_type: str, surface_label: str) -> Frac
     for d1 in range(1, d):
         d2 = d - d1
         if is_surface:
-            target = _FORGET_SURFACE[m21_label]
+            target = FORGET_M21_TO_M2[m21_label]
             if target is not None:
                 total += sigma(1, d2) * fixed_target_profile_m2(d1).as_dict()[target]
         else:
@@ -574,9 +537,9 @@ def boundary_profile_m3(d: int) -> IntersectionProfile:
 
     Six rows are per-topology sums over the separating-boundary surfaces;
     the last surface class is recovered from the square of a fixed genus-2
-    curve, whose total is the doubly-totally-ramified count summed over
-    chain windings, 48(d sigma_3 - sigma_1), and which decomposes as
-    2(Delta_[1] + Delta_[4]).
+    curve, whose total is the doubly-totally-ramified count (count_dd2222)
+    summed over chain windings, 48(d sigma_3 - sigma_1), and which decomposes
+    as 2(Delta_[1] + Delta_[4]).
 
     Built-in consistency: the two product presentations of Delta_[11] must
     agree; the contributions to Delta_[7] (a class rationally equivalent to
@@ -585,36 +548,16 @@ def boundary_profile_m3(d: int) -> IntersectionProfile:
     """
     _require_positive(d)
     s1, s3 = sigma(1, d), sigma(3, d)
+    windings = sum(count_dd2222(a) * (d // a) for a in divisors(d))
+    squared = 48 * (d * s3 - s1)
+    crosscheck("boundary_profile_m3[windings]", d, windings=windings, closed=squared)
+    vanishing = _surface_total(d, "Delta_[7]")
+    crosscheck("boundary_profile_m3[Delta_[7]]", d, topologies=vanishing, vanishing=0)
 
     rows: dict[str, Fraction] = {}
     for label in ("Delta_[1]", "Delta_[5]", "Delta_[6]", "Delta_[8]", "Delta_[10]"):
         rows[label] = _surface_total(d, label)
-
-    route_a = _surface_total(d, "Delta_[11]a")
-    route_b = _surface_total(d, "Delta_[11]b")
-    if route_a != route_b:
-        raise CrossCheckError(
-            f"boundary_profile_m3(d={d}): Delta_[11] routes disagree "
-            f"({route_a} vs {route_b})"
-        )
-    rows["Delta_[11]"] = route_a
-
-    vanishing = _surface_total(d, "Delta_[7]")
-    if vanishing != 0:
-        raise CrossCheckError(
-            f"boundary_profile_m3(d={d}): Delta_[7] total {vanishing} != 0"
-        )
-
-    squared_curve_direct = sum(
-        48 * (a**4 - 1) * (d // a) for a in divisors(d)
-    )
-    squared_curve_closed = 48 * (d * s3 - s1)
-    if squared_curve_direct != squared_curve_closed:
-        raise CrossCheckError(
-            f"boundary_profile_m3(d={d}): chain-winding sum "
-            f"{squared_curve_direct} != {squared_curve_closed}"
-        )
-    rows["Delta_[4]"] = F(squared_curve_closed, 2) - rows["Delta_[1]"]
+    rows["Delta_[4]"] = F(squared, 2) - rows["Delta_[1]"]
 
     closed = {
         "Delta_[1]": F(96 * (d - 1) * s1),
@@ -626,8 +569,15 @@ def boundary_profile_m3(d: int) -> IntersectionProfile:
         "Delta_[11]": F(24 * _c3(d) - _c2(d)),
     }
     for label, value in rows.items():
-        if value != closed[label]:
-            raise _mismatch(f"boundary_profile_m3[{label}]", d, value, closed[label])
+        name = f"boundary_profile_m3[{label}]"
+        crosscheck(name, d, topologies=value, closed=closed[label])
+    crosscheck(
+        "boundary_profile_m3[Delta_[11]]",
+        d,
+        surface_x_point=_surface_total(d, "Delta_[11]a"),
+        curve_x_moduli=_surface_total(d, "Delta_[11]b"),
+        closed=closed["Delta_[11]"],
+    )
     return IntersectionProfile.from_dict("M3", closed)
 
 
@@ -657,11 +607,7 @@ def delliptic_class_m3_closed(d: int) -> ChowClass:
 def delliptic_class_m3(d: int) -> ChowClass:
     """The genus-3 d-elliptic class: the exact 7x7 solve of the boundary
     profile, verified coefficient by coefficient against the closed form."""
-    solved = to_q_class_basis(solve_class("M3", 2, boundary_profile_m3(d)))
-    closed = delliptic_class_m3_closed(d)
-    if solved != closed:
-        raise _mismatch("delliptic_class_m3", d, solved, closed)
-    return solved
+    return _solved_class("m3", d)
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +626,7 @@ def triple_branch_chain_sum(d: int) -> Fraction:
     _require_positive(d)
     direct = sum(F((a - 1) * (a - 2), 6) * (d // a) for a in divisors(d))
     closed = (F(d, 6) + F(1, 3)) * sigma(1, d) - F(d, 2) * tau(d)
-    if direct != closed:
-        raise _mismatch("triple_branch_chain_sum", d, direct, closed)
-    return direct
+    return crosscheck("triple_branch_chain_sum", d, direct=direct, closed=closed)
 
 
 @lru_cache(maxsize=None)
@@ -699,9 +643,7 @@ def triple_branch_split_sum(d: int) -> Fraction:
     total, diagonal = _splitting_weights(d)
     direct = total - diagonal
     closed = _c2(d) - F(d, 2) * sigma(1, d) + F(d, 2) * tau(d)
-    if direct != closed:
-        raise _mismatch("triple_branch_split_sum", d, direct, closed)
-    return F(direct)
+    return crosscheck("triple_branch_split_sum", d, closed=closed, direct=direct)
 
 
 def triple_branch_cancellation(
@@ -729,11 +671,17 @@ def triple_branch_cancellation(
 # quasimodularity certification
 # ---------------------------------------------------------------------------
 
+#: family -> (space, degree, class fn, profile fn, closed-form class fn), the
+#: one declaration of each family that every caller reads
 FAMILIES = {
-    "m2": ("M2", 1, delliptic_class_m2),
-    "m2e": ("M2", 2, fixed_target_class_m2),
-    "m21": ("M21", 2, delliptic_class_m21),
-    "m3": ("M3", 2, delliptic_class_m3),
+    "m2": ("M2", 1, delliptic_class_m2, boundary_profile_m2,
+           delliptic_class_m2_closed),
+    "m2e": ("M2", 2, fixed_target_class_m2, fixed_target_profile_m2,
+            fixed_target_class_m2_closed),
+    "m21": ("M21", 2, delliptic_class_m21, boundary_profile_m21,
+            delliptic_class_m21_closed),
+    "m3": ("M3", 2, delliptic_class_m3, boundary_profile_m3,
+           delliptic_class_m3_closed),
 }
 
 
@@ -741,7 +689,7 @@ def family_labels(family: str) -> tuple[str, ...]:
     """Substack coefficient labels of one class family."""
     if family not in FAMILIES:
         raise ValueError(f"unknown class family {family!r}")
-    space_id, degree, _ = FAMILIES[family]
+    space_id, degree = FAMILIES[family][:2]
     return q_basis_labels(space_id, degree)
 
 

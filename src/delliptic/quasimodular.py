@@ -113,8 +113,15 @@ def quasimodular_basis(max_weight: int, order: int) -> list[tuple[QModMonomial, 
     """All monomials E2^a E4^b E6^c of weight <= max_weight, expanded to `order`.
 
     Requires order >= number of monomials, so downstream fits are
-    overdetermined.
+    overdetermined. The max_weight // 2 + 1 powers of E2 are among them, so an
+    order below that many is refused before the ~max_weight^3 / 48 monomials
+    are listed.
     """
+    if max_weight // 2 + 1 > order:
+        raise ValueError(
+            f"order {order} is below the {max_weight // 2 + 1} powers of E2 "
+            f"at weight {max_weight}"
+        )
     monomials = _monomials_up_to(max_weight)
     if order < len(monomials):
         raise ValueError(

@@ -12,12 +12,14 @@ the offending check named.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from . import chow, loci
 from .covers import (
     SUBGROUP_ENUMERATION_BUDGET,
     Partition,
+    count_dd22,
     count_dd2222,
     count_pointed_isogenies,
     count_pointed_isogenies_enumerated,
@@ -25,7 +27,7 @@ from .covers import (
     hurwitz_number,
 )
 from .divisors import conv2, conv2_weighted, conv3, sigma
-from .errors import CrossCheckError
+from .errors import CrossCheckError, crosscheck
 from .linalg import solve_unique
 from .quasimodular import NotQuasimodular, QuasimodularFit, eisenstein, q_derivative
 
@@ -87,8 +89,7 @@ def _check_hurwitz() -> str:
         third = Partition([3] + [1] * (d - 3))
         expected = F((d - 1) * (d - 2), 6)
         got = hurwitz_number(d, [profile, profile, third])
-        if got != expected:
-            raise CrossCheckError(f"one-part profile count at d={d}: {got} != {expected}")
+        crosscheck("one-part profile count", d, brute_force=got, closed=expected)
     for a in range(1, 7):
         for b in range(a, 8 - a):
             d = a + b
@@ -96,19 +97,17 @@ def _check_hurwitz() -> str:
                 continue
             pair = Partition([a, b])
             third = Partition([3] + [1] * (d - 3))
-            expected = F(0) if a == b else F(1)
             got = hurwitz_number(d, [pair, pair, third])
-            if got != expected:
-                raise CrossCheckError(
-                    f"two-part profile count at (a,b)=({a},{b}): {got} != {expected}"
-                )
+            name = f"two-part profile count at (a,b)=({a},{b})"
+            crosscheck(name, d, brute_force=got, closed=F(0) if a == b else F(1))
     return "one-part and two-part triple-branch counts match closed forms"
 
 
 def _check_sublattices() -> str:
     for d in range(1, 51):
-        if count_sublattices(d) != sigma(1, d):
-            raise CrossCheckError(f"sublattice count at d={d}")
+        crosscheck(
+            "sublattice-count", d, enumerated=count_sublattices(d), closed=sigma(1, d)
+        )
     return "count equals sigma_1(d) for d <= 50"
 
 
@@ -120,50 +119,40 @@ def _check_pointed_isogenies() -> str:
             "structural": count_pointed_isogenies(d),
             "closed-form": (d - 1) * sigma(1, d),
         }
-        values = list(routes.values())
-        if len(set(values)) > 1:
-            # the route outvoted by the other two; all three if none agree
-            odd = [name for name, value in routes.items() if values.count(value) == 1]
-            raise CrossCheckError(
-                f"pointed isogeny count at d={d}: {', '.join(odd)} disagrees "
-                f"({', '.join(f'{n} {v}' for n, v in routes.items())})"
-            )
+        crosscheck("pointed-isogeny-count", d, **routes)
     return f"brute force, HNF route and (d-1)sigma_1(d) agree for d <= {top}"
 
 
 def _check_degeneration_identity() -> str:
+    # count_dd2222 through count_dd22: of the 20 ways to distribute six points
+    # onto two elliptic bridge components, 12 split the total ramification
+    # points and 8 keep them together
     for d in range(1, 21):
-        count_dd2222(d)  # raises on internal mismatch
+        pair = count_dd22(d)
+        crosscheck(
+            "degeneration-identity",
+            d,
+            genus2=count_dd2222(d),
+            degenerated=12 * pair * pair + 8 * 6 * pair,
+        )
     return "six-point degeneration identity holds for d <= 20"
 
 
-def _sweep(max_d: int, fn: Callable[[int], object]) -> None:
+#: (check, family, what agrees): one class sweep per family, in report order
+_CLASS_CHECKS = (
+    ("genus2-classes", "m2", "dual routes and closed form agree"),
+    ("fixed-target-classes", "m2e", "oracle routes and closed form agree"),
+    # the m21 class also compares its pushforward with the unpointed class
+    ("pointed-genus2-classes", "m21", "routes, closed form and pushforward agree"),
+    ("genus3-classes", "m3", "contribution table, vanishing total, product routes "
+     "and closed form agree"),
+)
+
+
+def _check_classes(family: str, agreed: str, max_d: int) -> str:
     for d in range(1, max_d + 1):
-        fn(d)
-
-
-def _check_genus2(max_d: int) -> str:
-    _sweep(max_d, loci.delliptic_class_m2)
-    return f"dual routes and closed form agree for d <= {max_d}"
-
-
-def _check_fixed_target(max_d: int) -> str:
-    _sweep(max_d, loci.fixed_target_class_m2)
-    return f"oracle routes and closed form agree for d <= {max_d}"
-
-
-def _check_pointed_genus2(max_d: int) -> str:
-    # includes the pushforward comparison against the unpointed class
-    _sweep(max_d, loci.delliptic_class_m21)
-    return f"routes, closed form and pushforward agree for d <= {max_d}"
-
-
-def _check_genus3(max_d: int) -> str:
-    _sweep(max_d, loci.delliptic_class_m3)
-    return (
-        f"contribution table, vanishing total, product routes and closed "
-        f"form agree for d <= {max_d}"
-    )
+        loci.class_in_family(family, d)
+    return f"{agreed} for d <= {max_d}"
 
 
 def _check_triple_branch_sums() -> str:
@@ -197,25 +186,12 @@ def _check_certification(report: dict, order: int) -> str:
     return f"all {total} coefficient series fit at weight 6, order {order}"
 
 
-_PROFILE_FNS = {
-    "m2": loci.boundary_profile_m2,
-    "m2e": loci.fixed_target_profile_m2,
-    "m21": loci.boundary_profile_m21,
-    "m3": loci.boundary_profile_m3,
-}
-_CLOSED_FNS = {
-    "m2": loci.delliptic_class_m2_closed,
-    "m2e": loci.fixed_target_class_m2_closed,
-    "m21": loci.delliptic_class_m21_closed,
-    "m3": loci.delliptic_class_m3_closed,
-}
-
-
 def class_report(family: str, d: int) -> dict:
     """Profile, solved class, closed-form class and agreement flag at one d."""
-    profile = _PROFILE_FNS[family](d)
+    _, _, _, profile_fn, closed_fn = loci.FAMILIES[family]
+    profile = profile_fn(d)
     solved = loci.class_in_family(family, d)  # cached, solved once by the checks
-    closed = _CLOSED_FNS[family](d)
+    closed = closed_fn(d)
     return {
         "d": d,
         "profile": profile.to_json_dict(),
@@ -259,10 +235,10 @@ def run_verification(max_d: int = 30, order: int = 30) -> dict:
         ("sublattice-count", _check_sublattices),
         ("pointed-isogeny-count", _check_pointed_isogenies),
         ("degeneration-identity", _check_degeneration_identity),
-        ("genus2-classes", lambda: _check_genus2(max_d)),
-        ("fixed-target-classes", lambda: _check_fixed_target(max_d)),
-        ("pointed-genus2-classes", lambda: _check_pointed_genus2(max_d)),
-        ("genus3-classes", lambda: _check_genus3(max_d)),
+        *(
+            (name, partial(_check_classes, family, agreed, max_d))
+            for name, family, agreed in _CLASS_CHECKS
+        ),
         ("triple-branch-sums", _check_triple_branch_sums),
         ("triple-branch-cancellation", lambda: _check_cancellation(order)),
         ("quasimodularity-certification", certify),

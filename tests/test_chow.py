@@ -279,6 +279,25 @@ class TestPushforward:
         )
         binodal = ChowClass.from_coefficients("M21", 2, {"Delta_00": 1})
         assert pushforward_m21_to_m2(binodal).is_zero()
+        images = {
+            "Delta_00": None,
+            "Delta_01a": None,
+            "Delta_01b": None,
+            "Xi_1": "Delta_0",
+            "Delta_11": "Delta_1",
+        }
+        assert basis_labels("M21", 2) == tuple(images)
+        for label, image in images.items():
+            upper = basis_class("M21", 2, label)
+            pushed = pushforward_m21_to_m2(upper)
+            if image is None:
+                assert pushed.is_zero()
+            else:
+                assert pushed == basis_class("M2", 1, image)
+            # the substack-basis pushforward is the same map, relabelled
+            assert pushforward_m21_to_m2(to_q_class_basis(upper)) == to_q_class_basis(
+                pushed
+            )
 
     def test_substack_basis(self):
         labels = q_basis_labels("M21", 2)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from delliptic import chow, cli, covers, loci, report
+from delliptic import chow, cli, covers, loci, quasimodular, report
 from delliptic.cli import main
 from delliptic.divisors import sigma
 from delliptic.errors import CrossCheckError
@@ -133,6 +133,26 @@ class TestQmodFitCommand:
         code, _, err = run(capsys, "qmod-fit", "--in", str(path))
         assert code == 2
 
+    def test_oversized_weight_refused_before_enumerating(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # an AssertionError is not turned into exit 2: listing the monomials
+        # would fail the test instead of refusing
+        def refuse(*args):
+            raise AssertionError("monomials listed for an oversized weight")
+
+        monkeypatch.setattr(quasimodular, "_monomials_up_to", refuse)
+        path = tmp_path / "series.json"
+        path.write_text('["0", "1", "2"]')
+        for argv in (
+            ("series", "m2", "delta_0", "--N", "30", "--weight", "1000000"),
+            ("qmod-fit", "--in", str(path), "--weight", "1000000"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert "1000000" in err
+
 
 class TestHurwitzCommand:
     def test_count(self, capsys):
@@ -188,7 +208,64 @@ class TestCountCommand:
         assert str(covers.ISOGENY_DEGREE_CEILING) in err
 
 
+VERIFY_CHECKS = (
+    "pairing-tables",
+    "convolution-identities",
+    "ramanujan-identities",
+    "hurwitz-closed-forms",
+    "sublattice-count",
+    "pointed-isogeny-count",
+    "degeneration-identity",
+    "genus2-classes",
+    "fixed-target-classes",
+    "pointed-genus2-classes",
+    "genus3-classes",
+    "triple-branch-sums",
+    "triple-branch-cancellation",
+    "quasimodularity-certification",
+)
+
+
 class TestVerifyCommand:
+    def test_check_names_in_order(self):
+        result = report.run_verification(max_d=2, order=10)
+        assert result["passed"] is True
+        assert tuple(c["check"] for c in result["checks"]) == VERIFY_CHECKS
+
+    def test_at_ceilings(self, capsys, monkeypatch):
+        calls = []
+
+        def record(max_d, order):
+            calls.append((max_d, order))
+            return {"passed": True, "first_failure": None, "checks": []}
+
+        monkeypatch.setattr(report, "run_verification", record)
+        code, _, _ = run(
+            capsys,
+            "verify",
+            "--max-d", str(cli.CLASS_DEGREE_CEILING),
+            "--N", str(cli.SERIES_ORDER_CEILING),
+        )
+        assert code == 0
+        assert calls == [(cli.CLASS_DEGREE_CEILING, cli.SERIES_ORDER_CEILING)]
+
+    @pytest.mark.parametrize(
+        "max_d,n,ceiling",
+        [
+            (cli.CLASS_DEGREE_CEILING + 1, 30, cli.CLASS_DEGREE_CEILING),
+            (30, cli.SERIES_ORDER_CEILING + 1, cli.SERIES_ORDER_CEILING),
+        ],
+    )
+    def test_above_ceiling(self, capsys, monkeypatch, max_d, n, ceiling):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verified above the ceiling")
+
+        monkeypatch.setattr(report, "run_verification", refuse)
+        code, out, err = run(capsys, "verify", "--max-d", str(max_d), "--N", str(n))
+        assert code == 2
+        assert out == ""
+        assert str(ceiling) in err
+
     def test_small_sweep_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-d", "3", "--N", "10")
         assert code == 0
@@ -313,3 +390,53 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "class", "m21", "--d", "97")
         assert code == 1
         assert "verification failure" in err
+
+
+class TestMutationProbes:
+    """Each planted error makes `verify` fail, with the checks that catch it
+    named."""
+
+    @pytest.fixture
+    def mutate(self, monkeypatch):
+        cached = [
+            fn
+            for fn in vars(loci).values()
+            if hasattr(fn, "cache_clear") and fn.__module__ == loci.__name__
+        ]
+        originals = (covers.count_dd22, covers.count_dd2222, dict(chow.FORGET_M21_TO_M2))
+        for fn in cached:
+            fn.cache_clear()
+        yield monkeypatch
+        monkeypatch.undo()
+        for fn in cached:
+            fn.cache_clear()
+        assert (covers.count_dd22, covers.count_dd2222) == originals[:2]
+        assert (loci.count_dd22, loci.count_dd2222) == originals[:2]
+        assert (report.count_dd22, report.count_dd2222) == originals[:2]
+        assert chow.FORGET_M21_TO_M2 == originals[2]
+        assert loci.delliptic_class_m3(3) == loci.delliptic_class_m3_closed(3)
+
+    @staticmethod
+    def failed_checks(result):
+        assert result["passed"] is False
+        return {c["check"] for c in result["checks"] if not c["passed"]}
+
+    def bump_at_3(self, mutate, name):
+        original = getattr(covers, name)
+        for module in (covers, loci, report):
+            mutate.setattr(module, name, lambda d: original(d) + (d == 3))
+
+    def test_wrong_dd22(self, mutate):
+        self.bump_at_3(mutate, "count_dd22")
+        failed = self.failed_checks(report.run_verification(10, 20))
+        assert {"degeneration-identity", "genus2-classes"} <= failed
+
+    def test_wrong_dd2222(self, mutate):
+        self.bump_at_3(mutate, "count_dd2222")
+        failed = self.failed_checks(report.run_verification(10, 20))
+        assert {"degeneration-identity", "genus3-classes"} <= failed
+
+    def test_wrong_forget_map_target(self, mutate):
+        mutate.setitem(chow.FORGET_M21_TO_M2, "Delta_01a", "Delta_0")
+        failed = self.failed_checks(report.run_verification(10, 20))
+        assert {"pointed-genus2-classes", "genus3-classes"} <= failed
