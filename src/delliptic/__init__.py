@@ -1,12 +1,12 @@
 """Exact d-elliptic locus classes on moduli of genus-2 and genus-3 curves.
 
 Everything is computed in exact rational arithmetic: divisor-sum
-convolutions, brute-force cover counts, isogeny counts from Hermite normal
-forms (checked against a brute-force subgroup enumeration), boundary
-intersection profiles, pairing-based class solves, and quasimodularity
-certification of the resulting generating series. Every assembled quantity
-is cross-checked against an independent route, and any disagreement raises
-CrossCheckError.
+convolutions, brute-force cover counts, isogeny counts from the number of
+Hermite normal forms (checked against a brute-force subgroup enumeration),
+boundary intersection profiles, pairing-based class solves, and
+quasimodularity certification of the resulting generating series. Every
+assembled quantity is cross-checked against an independent route, and any
+disagreement raises CrossCheckError.
 """
 
 from .chow import (

@@ -373,25 +373,35 @@ class IntersectionProfile:
         }
 
 
+def _position(labels: tuple[str, ...], label: str, space_id: str, degree: int) -> int:
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise ValueError(
+            f"label {label!r} not in the degree-{degree} basis of {space_id}"
+        ) from None
+
+
 def _pairing_matrix(sp: ChowSpace, degree_a: int, degree_b: int):
-    """Entry lookup (label_a, label_b) -> Fraction, or None when unregistered."""
+    """Entry lookup (label_a, label_b) -> Fraction read off the registered
+    table, or None when the degrees are not paired; an unregistered label
+    raises ValueError."""
     if (degree_a, degree_b) in sp.pairings:
-        table = sp.pairings[(degree_a, degree_b)]
-        rows, cols = sp.bases[degree_a], sp.bases[degree_b]
-        return {
-            (ra, cb): table[i][j]
-            for i, ra in enumerate(rows)
-            for j, cb in enumerate(cols)
-        }
-    if (degree_b, degree_a) in sp.pairings:
-        table = sp.pairings[(degree_b, degree_a)]
-        rows, cols = sp.bases[degree_b], sp.bases[degree_a]
-        return {
-            (cb, ra): table[i][j]
-            for i, ra in enumerate(rows)
-            for j, cb in enumerate(cols)
-        }
-    return None
+        flip, key = False, (degree_a, degree_b)
+    elif (degree_b, degree_a) in sp.pairings:
+        flip, key = True, (degree_b, degree_a)
+    else:
+        return None
+    table = sp.pairings[key]
+    rows, cols = sp.bases[key[0]], sp.bases[key[1]]
+
+    def entry(label_a: str, label_b: str) -> Fraction:
+        if flip:
+            label_a, label_b = label_b, label_a
+        i = _position(rows, label_a, sp.space_id, key[0])
+        return table[i][_position(cols, label_b, sp.space_id, key[1])]
+
+    return entry
 
 
 def pairing_number(
@@ -405,7 +415,7 @@ def pairing_number(
             f"no pairing registered on {space_id} between degrees "
             f"{degree_a} and {degree_b}"
         )
-    return entries[(label_a, label_b)]
+    return entries(label_a, label_b)
 
 
 def pairing(a: ChowClass, b: ChowClass) -> Fraction:
@@ -422,7 +432,7 @@ def pairing(a: ChowClass, b: ChowClass) -> Fraction:
         )
     return sum(
         (
-            ca * cb * entries[(la, lb)]
+            ca * cb * entries(la, lb)
             for la, ca in zip(a.labels, a.coefficients)
             for lb, cb in zip(b.labels, b.coefficients)
             if ca != 0 and cb != 0
@@ -463,7 +473,7 @@ def solve_class(
                 f"profile label {dual_label!r} is not in the degree-"
                 f"{dual_degree} basis of {space_id}"
             )
-        matrix.append([entries[(label, dual_label)] for label in labels])
+        matrix.append([entries(label, dual_label) for label in labels])
         rhs.append(value)
     solution = solve_unique(matrix, rhs)
     return ChowClass(space_id, degree, labels, tuple(solution))

@@ -30,11 +30,11 @@ from .series import QSeries, format_rational
 SCHEMA = report.SCHEMA
 
 #: largest d `class` accepts; the genus-3 class, the slowest family (its
-#: profile counts pointed isogenies for every d1 < d), takes a few seconds here
+#: profile sums the fixed-target profile over every d1 < d), is instant here
 CLASS_DEGREE_CEILING = 200
 
 #: largest N `series` accepts; it solves every class d <= N of the family and
-#: fits an (N + 1)-row system, a few seconds at the ceiling
+#: fits an (N + 1)-row system, under a second at the ceiling
 SERIES_ORDER_CEILING = 200
 
 _COUNTS = {

@@ -17,13 +17,12 @@ before freezing):
 The isogeny counts come from lattices: degree-d isogenies onto a fixed
 elliptic curve correspond to index-d sublattices of Z^2, each with a unique
 Hermite normal form basis (a, 0), (b, c) with ac = d and 0 <= b < a, and the
-order-d subgroups of the d-torsion (Z/d)^2 are their images mod d.
-count_pointed_isogenies walks the HNF triples, closes each pair of
-generators into its subgroup, and reads the triple back from the subgroup's
-elements, so a wrong or repeated subgroup raises instead of being counted.
-The brute-force enumeration of all order-d subgroups is kept as an
-independent reference, count_pointed_isogenies_enumerated, within
-SUBGROUP_ENUMERATION_BUDGET.
+order-d subgroups of the d-torsion (Z/d)^2 are their images mod d. There are
+a such forms for each divisor a of d, so count_sublattices is sigma_1(d),
+and each subgroup has d - 1 nonzero elements, so count_pointed_isogenies is
+(d - 1) * sigma_1(d). The brute-force enumeration of all order-d subgroups
+is kept as an independent reference, count_pointed_isogenies_enumerated,
+within SUBGROUP_ENUMERATION_BUDGET.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from .divisors import divisors
-from .errors import CrossCheckError
 
 __all__ = [
     "Partition",
@@ -60,8 +58,8 @@ __all__ = [
 #: largest cover degree hurwitz_number will enumerate (8! tuples per class)
 ENUMERATION_BUDGET = 8
 
-#: largest d count_pointed_isogenies accepts; its work is O(d * sigma_1(d)),
-#: a few seconds at the ceiling
+#: largest d count_pointed_isogenies accepts; its work is one divisor sum
+#: (trial division up to sqrt(d)), instant at the ceiling
 ISOGENY_DEGREE_CEILING = 1000
 
 #: largest d whose order-d subgroups of (Z/d)^2 are enumerated by brute force
@@ -233,18 +231,14 @@ def hurwitz_number(d: int, profiles: Sequence[Partition]) -> Fraction:
 
 
 def count_sublattices(d: int) -> int:
-    """Index-d sublattices of Z^2, by Hermite-normal-form enumeration.
+    """Index-d sublattices of Z^2, counted by Hermite normal form.
 
     A sublattice has a unique basis (a, 0), (b, c) with a, c > 0, ac = d and
-    0 <= b < a; the count is therefore sigma_1(d).
+    0 <= b < a: a forms for each divisor a of d, sigma_1(d) in all.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    count = 0
-    for a in divisors(d):
-        for _b in range(a):
-            count += 1
-    return count
+    return sum(divisors(d))
 
 
 def _order_d_subgroups(d: int) -> list[frozenset]:
@@ -284,56 +278,15 @@ def _check_isogeny_degree(d: int, limit: int, name: str) -> None:
         raise ValueError(f"d = {d} exceeds the {name} {limit}")
 
 
-def _closure(generators: Sequence[tuple[int, int]], d: int) -> set[tuple[int, int]]:
-    """The subgroup of (Z/d)^2 generated by `generators`, by breadth-first search."""
-    members = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        x, y = frontier.pop()
-        for gx, gy in generators:
-            nxt = ((x + gx) % d, (y + gy) % d)
-            if nxt not in members:
-                members.add(nxt)
-                frontier.append(nxt)
-    return members
-
-
-def _hermite_form(group: set[tuple[int, int]], d: int) -> tuple[int, int, int]:
-    """(a, b, c) of the index-d lattice whose image mod d is `group`.
-
-    c is the smallest nonzero y in the group (d if there is none), a the
-    smallest nonzero x on the row y = 0 (d if none), b the smallest x on the
-    row y = c mod d.
-    """
-    c = min((y for _, y in group if y), default=d)
-    a = min((x for x, y in group if y == 0 and x), default=d)
-    b = min(x for x, y in group if y == c % d)
-    return a, b, c
-
-
 def count_pointed_isogenies(d: int) -> int:
     """Pairs (order-d subgroup G of (Z/d)^2, nonzero element of G).
 
-    One subgroup per Hermite normal form (a, b, c) of an index-d sublattice
-    of Z^2: the closure of (a, 0) and (b, c) mod d. Each closure must have
-    order d and give back its own (a, b, c), which makes the subgroups
-    pairwise distinct; any failure raises CrossCheckError. O(d sigma_1(d))
-    time, O(d) memory, d <= ISOGENY_DEGREE_CEILING. The closed form is
-    (d-1)*sigma_1(d).
+    The order-d subgroups are the images mod d of the index-d sublattices of
+    Z^2, one per Hermite normal form, and each has d - 1 nonzero elements:
+    (d - 1) * count_sublattices(d), for d <= ISOGENY_DEGREE_CEILING.
     """
     _check_isogeny_degree(d, ISOGENY_DEGREE_CEILING, "structural isogeny ceiling")
-    total = 0
-    for a in divisors(d):
-        c = d // a
-        for b in range(a):
-            group = _closure(((a, 0), (b, c)), d)
-            if len(group) != d or _hermite_form(group, d) != (a, b, c):
-                raise CrossCheckError(
-                    f"count_pointed_isogenies({d}): HNF ({a}, {b}, {c}) closes to "
-                    f"{len(group)} elements with form {_hermite_form(group, d)}"
-                )
-            total += len(group) - 1
-    return total
+    return (d - 1) * count_sublattices(d)
 
 
 def count_pointed_isogenies_enumerated(d: int) -> int:

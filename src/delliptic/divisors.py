@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .errors import CrossCheckError
+from .errors import crosscheck
 
 __all__ = ["divisors", "sigma", "tau", "conv2", "conv2_weighted", "conv3"]
 
@@ -54,14 +54,6 @@ def tau(d: int) -> int:
     return len(divisors(d))
 
 
-def _check(name: str, d: int, direct: int, closed: Fraction) -> int:
-    if direct != closed:
-        raise CrossCheckError(
-            f"{name}({d}): direct sum {direct} != closed form {closed}"
-        )
-    return direct
-
-
 @lru_cache(maxsize=None)
 def _coefficients(name: str, n: int) -> tuple[int, ...]:
     """q^0..q^n of the product ``name`` sums: A*A, DA*A or (A*A)*A."""
@@ -84,7 +76,7 @@ def conv2(d: int) -> int:
         raise ValueError(f"d must be >= 2, got {d}")
     direct = _direct("conv2", d)
     closed = (Fraction(-d, 2) + Fraction(1, 12)) * sigma(1, d) + Fraction(5, 12) * sigma(3, d)
-    return _check("conv2", d, direct, closed)
+    return crosscheck("conv2", d, direct=direct, closed=closed)
 
 
 @lru_cache(maxsize=None)
@@ -94,7 +86,7 @@ def conv2_weighted(d: int) -> int:
         raise ValueError(f"d must be >= 2, got {d}")
     direct = _direct("conv2_weighted", d)
     closed = (Fraction(-d * d, 4) + Fraction(d, 24)) * sigma(1, d) + Fraction(5, 24) * d * sigma(3, d)
-    return _check("conv2_weighted", d, direct, closed)
+    return crosscheck("conv2_weighted", d, direct=direct, closed=closed)
 
 
 @lru_cache(maxsize=None)
@@ -108,4 +100,4 @@ def conv3(d: int) -> int:
         + (Fraction(-5 * d, 32) + Fraction(5, 96)) * sigma(3, d)
         + Fraction(7, 192) * sigma(5, d)
     )
-    return _check("conv3", d, direct, closed)
+    return crosscheck("conv3", d, direct=direct, closed=closed)

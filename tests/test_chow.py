@@ -180,6 +180,18 @@ class TestPairing:
         with pytest.raises(ValueError):
             pairing(a, a)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("Delta_9", 1, "Delta_00", 2),
+            ("Delta_0", 1, "Delta_9", 2),
+            ("Delta_00", 2, "Delta_9", 1),
+        ],
+    )
+    def test_unregistered_label_named(self, args):
+        with pytest.raises(ValueError, match=r"'Delta_9' not in the degree-\d basis"):
+            pairing_number("M2", *args)
+
 
 class TestSolveClass:
     def test_m12_example(self):

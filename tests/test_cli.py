@@ -187,6 +187,8 @@ class TestCountCommand:
             ("sublattices", 6, "12"),
             ("pointed-isogenies", 4, "21"),
             ("pointed-isogenies", 200, str(199 * sigma(1, 200))),
+            ("pointed-isogenies", 1000, str(999 * sigma(1, 1000))),
+            ("sublattices", 1000000007, "1000000008"),
             ("dd22", 2, "6"),
             ("dd2222", 2, "720"),
         ],
@@ -200,7 +202,7 @@ class TestCountCommand:
         def refuse(*args):
             raise AssertionError("enumerated above the ceiling")
 
-        monkeypatch.setattr(covers, "_closure", refuse)
+        monkeypatch.setattr(covers, "count_sublattices", refuse)
         d = covers.ISOGENY_DEGREE_CEILING + 1
         code, out, err = run(capsys, "count", "pointed-isogenies", "--d", str(d))
         assert code == 2

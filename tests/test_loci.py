@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from delliptic import loci
+from delliptic import loci, report
 from delliptic.divisors import conv2, conv3, divisors, sigma
 from delliptic.errors import CrossCheckError
 from delliptic.loci import (
@@ -99,16 +99,32 @@ class TestFixedTarget:
             fixed_target_class_m2(d)  # raises on any route disagreement
 
     def test_wrong_isogeny_count_is_caught(self, monkeypatch):
+        # the profile reads the count directly, so the solved class catches it
         original = loci.count_pointed_isogenies
+        cached = [
+            fn
+            for fn in vars(loci).values()
+            if hasattr(fn, "cache_clear") and fn.__module__ == loci.__name__
+        ]
         monkeypatch.setattr(loci, "count_pointed_isogenies", lambda d: original(d) + 1)
-        fixed_target_profile_m2.cache_clear()
+        for fn in cached:
+            fn.cache_clear()
         try:
-            with pytest.raises(CrossCheckError, match=r"fixed_target_profile_m2\[Delta_0\]"):
-                fixed_target_profile_m2(5)
+            with pytest.raises(CrossCheckError, match=r"class\[m2e\]"):
+                fixed_target_class_m2(5)
+            result = report.run_verification(10, 20)
+            failed = {c["check"] for c in result["checks"] if not c["passed"]}
+            # certification solves the same classes, so it fails with them
+            assert failed == {
+                "fixed-target-classes", "genus3-classes", "quasimodularity-certification"
+            }
         finally:
             monkeypatch.undo()
-            fixed_target_profile_m2.cache_clear()
+            for fn in cached:
+                fn.cache_clear()
         assert loci.count_pointed_isogenies is original
+        assert fixed_target_profile_m2(5).as_dict()["Delta_0"] == 4 * sigma(1, 5)
+        fixed_target_class_m2(5)  # raises if a wrong count was left cached
 
 
 class TestPointedGenus2:
