@@ -4,8 +4,9 @@ Subcommands: class, series, qmod-fit, hurwitz, count, verify. Every number
 is printed exactly ("p/q" strings in JSON, never floats), output is
 deterministic, and exit codes are 0 (success), 1 (verification failure),
 2 (usage error). `class --d` and `verify --max-d` are bounded by
-CLASS_DEGREE_CEILING, `series --N` and `verify --N` by SERIES_ORDER_CEILING;
-above them the command exits 2 before computing anything.
+CLASS_DEGREE_CEILING; `series --N`, `verify --N` and the order of `qmod-fit`
+(its --N, else its array length less one) by SERIES_ORDER_CEILING. Above
+them the command exits 2 before computing anything.
 """
 
 from __future__ import annotations
@@ -137,6 +138,7 @@ def _cmd_qmod_fit(args) -> int:
         raise ValueError("input must be a JSON array of rational strings")
     series = QSeries.from_json(items)
     order = series.order if args.N is None else args.N
+    _check_ceiling("N", order, SERIES_ORDER_CEILING)
     fit = fit_quasimodular(series, args.weight, order)
     payload = {
         "schema": SCHEMA,

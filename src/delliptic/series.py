@@ -16,6 +16,8 @@ share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -31,6 +33,13 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Scalar) -> str:
     """Serialize an exact scalar as "p/q" (or "p" when integral)."""
     return str(Fraction(value))
+
+
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(numerators, L) with values[i] == numerators[i] / L, L the lcm of the
+    denominators."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 class QSeries:
@@ -105,10 +114,17 @@ class QSeries:
 
     def __mul__(self, other: Union[QSeries, Scalar]) -> QSeries:
         if isinstance(other, QSeries):
+            # integer numerators over one common denominator per factor,
+            # divided once per coefficient; b is reversed, so b[n - d:] lines
+            # up with a[:d + 1] in the q^d term
             n = min(self.order, other.order)
-            a, b = self.coefficients, other.coefficients
+            a, scale_a = _over_common_denominator(self.coefficients[: n + 1])
+            b, scale_b = _over_common_denominator(other.coefficients[n::-1])
+            scale = scale_a * scale_b
             return QSeries(
-                [sum(a[i] * b[d - i] for i in range(d + 1)) for d in range(n + 1)], n
+                [Fraction(sum(map(mul, a[: d + 1], b[n - d :])), scale)
+                 for d in range(n + 1)],
+                n,
             )
         if isinstance(other, (int, Fraction)):
             return QSeries([c * other for c in self.coefficients], self.order)

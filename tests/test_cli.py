@@ -154,6 +154,35 @@ class TestQmodFitCommand:
             assert "1000000" in err
 
 
+    @pytest.mark.parametrize("by_length", [True, False])
+    def test_order_ceiling(self, capsys, tmp_path, monkeypatch, by_length):
+        # the order comes from the array length or from --N; a basis is built
+        # at the ceiling and never above it
+        class BasisBuilt(Exception):
+            pass
+
+        def refuse(*args):
+            raise BasisBuilt
+
+        monkeypatch.setattr(quasimodular, "quasimodular_basis", refuse)
+        quasimodular._fit_plan.cache_clear()
+        n = cli.SERIES_ORDER_CEILING
+        for order in (n, n + 1):
+            path = tmp_path / "series.json"
+            path.write_text(json.dumps(["0"] * (order + 1 if by_length else n + 2)))
+            argv = ["qmod-fit", "--in", str(path)]
+            if not by_length:
+                argv += ["--N", str(order)]
+            if order == n:
+                with pytest.raises(BasisBuilt):
+                    main(argv)
+                continue
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert str(n) in err
+
+
 class TestHurwitzCommand:
     def test_count(self, capsys):
         code, out, _ = run(

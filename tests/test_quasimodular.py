@@ -1,12 +1,14 @@
 """Eisenstein expansions, derivative identities, and exact fitting."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from delliptic import linalg
+from delliptic import linalg, loci, quasimodular, report
 from delliptic.divisors import sigma, tau
+from delliptic.errors import CrossCheckError
 from delliptic.quasimodular import (
     NotQuasimodular,
     QModMonomial,
@@ -193,3 +195,119 @@ class TestFit:
             {"a": 0, "b": 0, "c": 0, "coeff": "1/24"},
             {"a": 1, "b": 0, "c": 0, "coeff": "-1/24"},
         ]
+
+
+def reference_fit(f: QSeries, max_weight: int, order: int):
+    """The fit by `linalg.solve_any`: Fraction elimination over every
+    coefficient, free monomials 0."""
+    basis = quasimodular_basis(max_weight, order)
+    matrix = [[s.coefficients[d] for _, s in basis] for d in range(order + 1)]
+    solution = linalg.solve_any(matrix, f.truncate(order).coefficients)
+    if solution is None:
+        return NotQuasimodular(max_weight, order)
+    return {m: x for (m, _), x in zip(basis, solution) if x != 0}
+
+
+class TestIntegerRoute:
+    """The cached integer factorisation against Fraction elimination."""
+
+    @pytest.mark.parametrize("max_weight", [0, 2, 4, 6, 8])
+    def test_matches_fraction_elimination(self, max_weight):
+        rng = random.Random(700 + max_weight)
+        size = len(quasimodular_basis(max_weight, 150))
+        refused = 0
+        for order in (size + 1, 150):
+            basis = quasimodular_basis(max_weight, order)
+            planted = sum(
+                (F(rng.randint(-60, 60), rng.randint(1, 12)) * s for _, s in basis),
+                QSeries.zero(order),
+            )
+            coeffs = list(planted.coefficients)
+            coeffs[rng.randint(size, order)] += F(rng.randint(1, 9), rng.randint(1, 9))
+            perturbed = QSeries(coeffs, order)
+            for f in (planted, QSeries.zero(order), perturbed):
+                fit = fit_quasimodular(f, max_weight, order)
+                want = reference_fit(f, max_weight, order)
+                if isinstance(want, NotQuasimodular):
+                    assert fit == want
+                    refused += 1
+                else:
+                    assert isinstance(fit, QuasimodularFit)
+                    assert fit.as_dict() == want
+        assert refused >= 1
+
+    def test_rank_deficient_matrix(self):
+        rng = random.Random(909)
+        for _ in range(20):
+            c0, c2, c5 = ([rng.randint(-9, 9) for _ in range(9)] for _ in range(3))
+            # c1 = 2 c0, c3 = c0 - c2 and c4 = 0 lie in the span of earlier
+            # columns; rows 6..8 repeat rows 0..2
+            columns = [c0, [2 * x for x in c0], c2, [x - y for x, y in zip(c0, c2)],
+                       [0] * 9, c5]
+            rows = [list(r) for r in zip(*columns)]
+            rows[6:] = [rows[0][:], rows[1][:], rows[2][:]]
+            plan = quasimodular._factorise(rows)
+            matrix = [[F(x) for x in row] for row in rows]
+            _, pivots, _ = linalg._eliminate(matrix, [F(0)] * 9)
+            assert list(plan.pivots) == pivots
+            square = [[rows[r][c] for c in plan.pivots] for r in plan.pivot_rows]
+            for i, row in enumerate(plan.inverse):
+                for j in range(len(square)):
+                    entry = sum(b * square[k][j] for k, b in enumerate(row))
+                    assert entry == plan.delta * (i == j)
+            x = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)]
+            consistent = [sum(a * v for a, v in zip(row, x)) for row in matrix]
+            noise = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(9)]
+            for rhs in (consistent, noise, [F(0)] * 9):
+                assert quasimodular._solve(plan, rhs) == linalg.solve_any(matrix, rhs)
+
+
+@pytest.fixture
+def probe(monkeypatch):
+    """Every quasimodular and loci cache cleared before and after, with the
+    originals restored and checked afterwards."""
+    cached = [
+        fn
+        for module in (quasimodular, loci)
+        for fn in vars(module).values()
+        if hasattr(fn, "cache_clear") and fn.__module__ == module.__name__
+    ]
+    originals = (quasimodular._fit_plan, quasimodular._every_row_holds)
+    for fn in cached:
+        fn.cache_clear()
+    yield monkeypatch
+    monkeypatch.undo()
+    for fn in cached:
+        fn.cache_clear()
+    assert (quasimodular._fit_plan, quasimodular._every_row_holds) == originals
+    fit = fit_quasimodular(eisenstein(4, 20), 6, 20)
+    assert fit.as_dict() == {QModMonomial(0, 1, 0): F(1)}
+    assert fit_quasimodular(eisenstein(4, 20) + QSeries([0] * 20 + [1]), 6, 20) == (
+        NotQuasimodular(6, 20)
+    )
+
+
+class TestFitMutationProbes:
+    def test_bumped_inverse_fails_certification(self, probe):
+        original = quasimodular._fit_plan
+
+        def bumped(max_weight, order):
+            monomials, plan = original(max_weight, order)
+            inverse = [list(row) for row in plan.inverse]
+            inverse[0][-1] += 1
+            return monomials, dataclasses.replace(
+                plan, inverse=tuple(map(tuple, inverse))
+            )
+
+        probe.setattr(quasimodular, "_fit_plan", bumped)
+        result = report.run_verification(10, 20)
+        assert result["passed"] is False
+        failed = {c["check"] for c in result["checks"] if not c["passed"]}
+        assert "quasimodularity-certification" in failed
+
+    def test_residual_accepting_everything_fails_reconstruction(self, probe):
+        probe.setattr(quasimodular, "_every_row_holds", lambda *args: True)
+        base = QSeries.from_function(30, lambda d: 0 if d == 0 else sigma(3, d))
+        corrupted = QSeries([c + (d == 20) for d, c in enumerate(base.coefficients)])
+        with pytest.raises(CrossCheckError, match="fit reconstruction"):
+            fit_quasimodular(corrupted, 4, 30)

@@ -97,6 +97,34 @@ class TestQSeries:
             assert (f * g) * h == f * (g * h)
             assert f + g == g + f
 
+    def test_product_matches_fraction_convolution(self):
+        rng = random.Random(303)
+
+        def naive(f, g):
+            n = min(f.order, g.order)
+            a, b = f.coefficients, g.coefficients
+            return [sum((a[i] * b[d - i] for i in range(d + 1)), F(0))
+                    for d in range(n + 1)]
+
+        def sample(order):
+            kind = rng.choice(("mixed", "integer", "zero"))
+            if kind == "zero":
+                return QSeries.zero(order)
+            if kind == "integer":
+                return QSeries([rng.randint(-50, 50) for _ in range(order + 1)])
+            # denominators of both signs, some shared and some coprime
+            return QSeries(
+                [F(rng.randint(-99, 99), rng.choice((1, -2, 3, -7, 12, 25, -96)))
+                 for _ in range(order + 1)]
+            )
+
+        for _ in range(200):
+            f, g = sample(rng.randint(0, 12)), sample(rng.randint(0, 12))
+            product = f * g
+            assert product.order == min(f.order, g.order)
+            assert list(product.coefficients) == naive(f, g)
+            assert all(isinstance(c, F) for c in product.coefficients)
+
     def test_immutability(self):
         f = QSeries([1, 2])
         with pytest.raises(AttributeError):
