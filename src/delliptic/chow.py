@@ -24,8 +24,9 @@ curve classes Gamma_(i)). The solver refuses anything not resolvable from
 the stored numbers: unlisted intersection numbers are never fabricated.
 
 Every operation is pure, but the registry is not frozen yet: a plain
-setitem on SPACES or on a space's pairings changes it, and the lru_caches
-downstream keep whatever they computed before.
+setitem on SPACES or on a space's pairings changes it. The solver's cache
+(`linalg.solve_unique`) is keyed by the table values, so it follows such a
+change; the lru_caches in `loci` are not, and keep what they computed before.
 """
 
 from __future__ import annotations
@@ -473,7 +474,7 @@ def solve_class(
                 f"profile label {dual_label!r} is not in the degree-"
                 f"{dual_degree} basis of {space_id}"
             )
-        matrix.append([entries(label, dual_label) for label in labels])
+        matrix.append(tuple(entries(label, dual_label) for label in labels))
         rhs.append(value)
     solution = solve_unique(matrix, rhs)
     return ChowClass(space_id, degree, labels, tuple(solution))

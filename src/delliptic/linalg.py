@@ -1,13 +1,22 @@
-"""Exact Gaussian elimination over Fraction.
+"""Exact linear solves: one fraction-free engine and a Fraction reference.
 
-Pivot selection is "first nonzero entry": with exact arithmetic there is no
-conditioning to manage, only zero tests.
+`_factorise` picks the pivot columns of an integer matrix (those not in the
+span of earlier ones) and as many independent rows by fraction-free (Bareiss)
+elimination, and inverts that block as B / delta; `_solve` accepts X = B t
+only if the integer residual holds on every row. `solve_unique` scales each
+row to integers and factorises once per distinct matrix, cached by its
+values; `quasimodular` fits run on the same engine. `solve_any`, Fraction
+Gauss-Jordan with "first nonzero entry" pivots, is the tests' reference.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
+
+from .series import _over_common_denominator
 
 __all__ = [
     "SingularSystemError",
@@ -23,6 +32,98 @@ class SingularSystemError(ValueError):
 
 class InconsistentSystemError(ValueError):
     """The system has no solution."""
+
+
+@dataclass(frozen=True)
+class _Factorisation:
+    """An integer matrix A with its pivot columns, as many independent rows,
+    and the inverse of A[pivot_rows][pivots] held as inverse / delta."""
+
+    rows: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, ...]
+    pivot_rows: tuple[int, ...]
+    inverse: tuple[tuple[int, ...], ...]
+    delta: int
+
+
+def _factorise(rows: Sequence[Sequence[int]]) -> _Factorisation:
+    """Bareiss elimination on a copy of `rows`, columns left to right.
+
+    A column with no nonzero entry below the current rank is in the span of
+    the earlier ones and is skipped, so the pivots are the columns
+    `solve_any` picks; the rows that supplied them are independent on
+    those columns. Every division is exact (Sylvester's identity).
+    """
+    work = [list(row) for row in rows]
+    origin = list(range(len(work)))
+    pivots: list[int] = []
+    previous = 1
+    for col in range(len(rows[0])):
+        rank = len(pivots)
+        found = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if found is None:
+            continue
+        work[rank], work[found] = work[found], work[rank]
+        origin[rank], origin[found] = origin[found], origin[rank]
+        top = work[rank]
+        p = top[col]
+        for row in work[rank + 1:]:
+            a = row[col]
+            for c in range(col + 1, len(row)):
+                row[c] = (p * row[c] - a * top[c]) // previous
+            row[col] = 0
+        previous = p
+        pivots.append(col)
+    pivot_rows = tuple(origin[: len(pivots)])
+    inverse, delta = _integer_inverse(
+        [[rows[r][c] for c in pivots] for r in pivot_rows]
+    )
+    return _Factorisation(
+        tuple(tuple(row) for row in rows), tuple(pivots), pivot_rows, inverse, delta
+    )
+
+
+def _integer_inverse(square: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(B, delta) with square^-1 = B / delta, B integral and delta > 0, by
+    fraction-free Gauss-Jordan elimination of [square | I]."""
+    n = len(square)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(square)]
+    previous = 1
+    for k in range(n):
+        found = next(i for i in range(k, n) if aug[i][k])
+        aug[k], aug[found] = aug[found], aug[k]
+        top = aug[k]
+        p = top[k]
+        for i, row in enumerate(aug):
+            if i != k:
+                a = row[k]
+                aug[i] = [(p * x - a * y) // previous for x, y in zip(row, top)]
+        previous = p
+    # every diagonal entry is now `previous`, which is +-det(square)
+    sign = 1 if previous > 0 else -1
+    return tuple(tuple(sign * x for x in row[n:]) for row in aug), sign * previous
+
+
+def _every_row_holds(plan: _Factorisation, x: Sequence[int], rhs: Sequence[int]) -> bool:
+    """sum_k A[d][pivots[k]] x[k] == rhs[d] on every row d."""
+    return all(
+        sum(row[c] * v for c, v in zip(plan.pivots, x)) == b
+        for row, b in zip(plan.rows, rhs)
+    )
+
+
+def _solve(plan: _Factorisation, target: Sequence[Fraction]) -> list[Fraction] | None:
+    """The solution of A x = target with non-pivot unknowns 0, or None when
+    there is none: the same answer as `solve_any`, in integers."""
+    scaled, scale = _over_common_denominator(target)
+    picked = [scaled[r] for r in plan.pivot_rows]
+    x = [sum(b * t for b, t in zip(row, picked)) for row in plan.inverse]
+    if not _every_row_holds(plan, x, [plan.delta * t for t in scaled]):
+        return None
+    solution = [Fraction(0)] * len(plan.rows[0])
+    for col, v in zip(plan.pivots, x):
+        solution[col] = Fraction(v, plan.delta * scale)
+    return solution
 
 
 def _eliminate(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
@@ -49,12 +150,12 @@ def _eliminate(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     return aug, pivot_cols, consistent
 
 
-def _read_solution(aug, pivot_cols, n) -> list[Fraction]:
-    # free variables (if any) are set to 0
-    solution = [Fraction(0)] * n
-    for i, col in enumerate(pivot_cols):
-        solution[col] = aug[i][n] / aug[i][col]
-    return solution
+@lru_cache(maxsize=None)
+def _scaled_factorisation(matrix: tuple[tuple[Fraction, ...], ...]):
+    """The lcm scaling each row of `matrix` to integers, and the factorisation
+    of the scaled rows; cached by the matrix's values."""
+    rows, scales = zip(*map(_over_common_denominator, matrix))
+    return scales, _factorise(rows)
 
 
 def solve_unique(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
@@ -63,15 +164,17 @@ def solve_unique(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) 
     Raises InconsistentSystemError when no solution exists and
     SingularSystemError when the solution is not unique.
     """
-    n = len(matrix[0]) if matrix else 0
-    aug, pivot_cols, consistent = _eliminate(matrix, rhs)
-    if not consistent:
+    if not matrix:
+        return []
+    scales, plan = _scaled_factorisation(tuple(map(tuple, matrix)))
+    solution = _solve(plan, [s * b for s, b in zip(scales, rhs)])
+    if solution is None:
         raise InconsistentSystemError("system has no exact solution")
-    if len(pivot_cols) < n:
+    if len(plan.pivots) < len(solution):
         raise SingularSystemError(
-            f"system determines only {len(pivot_cols)} of {n} unknowns"
+            f"system determines only {len(plan.pivots)} of {len(solution)} unknowns"
         )
-    return _read_solution(aug, pivot_cols, n)
+    return solution
 
 
 def solve_any(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
@@ -80,4 +183,7 @@ def solve_any(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> 
     aug, pivot_cols, consistent = _eliminate(matrix, rhs)
     if not consistent:
         return None
-    return _read_solution(aug, pivot_cols, n)
+    solution = [Fraction(0)] * n  # free variables (if any) are set to 0
+    for i, col in enumerate(pivot_cols):
+        solution[col] = aug[i][n] / aug[i][col]
+    return solution

@@ -64,7 +64,6 @@ __all__ = [
     "delliptic_class_m21",
     "delliptic_class_m21_closed",
     "COVER_TYPES_M3",
-    "SURFACE_LABELS_M3",
     "surface_contribution_m3",
     "boundary_profile_m3",
     "delliptic_class_m3",
@@ -455,8 +454,6 @@ _CURVE_X_MODULI = {
     "Delta_[11]b": "Gamma_(11)",
 }
 
-SURFACE_LABELS_M3 = tuple(sorted(_SURFACE_X_POINT) + sorted(_CURVE_X_MODULI))
-
 # Point-forgetting pushforwards feeding the bridge-type contribution.
 # The surface classes are carried by the M21 -> M2 forget map
 # (chow.FORGET_M21_TO_M2); the curve-class pushforwards are registered data
@@ -500,18 +497,16 @@ def surface_contribution_m3(d: int, cover_type: str, surface_label: str) -> Frac
         return 24 * _c2(d) * pairing_number("M21", "Delta_1", 1, m21_label, 3)
 
     # D1_D12
-    total = F(0)
-    for d1 in range(1, d):
-        d2 = d - d1
-        if is_surface:
-            target = FORGET_M21_TO_M2[m21_label]
-            if target is not None:
-                total += sigma(1, d2) * fixed_target_profile_m2(d1).as_dict()[target]
-        else:
-            target = _FORGET_CURVE[m21_label]
-            if target is not None:
-                total += sigma(1, d2) * boundary_profile_m2(d1).as_dict()[target]
-    return 12 * total
+    forget, profile = (
+        (FORGET_M21_TO_M2, fixed_target_profile_m2) if is_surface
+        else (_FORGET_CURVE, boundary_profile_m2)
+    )
+    target = forget[m21_label]
+    if target is None:
+        return F(0)  # the forget map contracts the surface
+    return 12 * sum(
+        (sigma(1, d - d1) * profile(d1).as_dict()[target] for d1 in range(1, d)), F(0)
+    )
 
 
 def _surface_total(d: int, surface_label: str) -> Fraction:

@@ -18,14 +18,10 @@ held-out coefficients. A failure only certifies non-membership relative to
 (max_weight, N), since a truncation can never refute membership at higher
 weight; the refusal value therefore carries both parameters.
 
-Every basis coefficient is an integer, so the fit runs in integers. Once per
-(max_weight, N), fraction-free (Bareiss) elimination picks the pivot
-monomials, those not in the span of earlier ones, and as many independent
-rows, and inverts that square block as B / delta with B integral. A fit
-scales the target by the lcm L of its denominators, reads X = B t on the
-chosen rows, and accepts only if sum_j A[d][j] X[j] = delta L f_d holds for
-every d = 0..N; the coefficients are then X / (delta L), and non-pivot
-monomials get 0.
+Every basis coefficient is an integer, so the fit runs on `linalg`'s
+fraction-free engine: the basis rows are factorised once per
+(max_weight, N), and each fit is accepted only if the integer residual holds
+on every coefficient d = 0..N. Monomials in the span of earlier ones get 0.
 """
 
 from __future__ import annotations
@@ -33,8 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
+from . import linalg
 from .divisors import sigma
 from .errors import CrossCheckError
 from .series import QSeries, _over_common_denominator, format_rational
@@ -139,102 +136,10 @@ def quasimodular_basis(max_weight: int, order: int) -> list[tuple[QModMonomial, 
     return [(m, _monomial_series(m.a, m.b, m.c, order)) for m in monomials]
 
 
-@dataclass(frozen=True)
-class _Factorisation:
-    """An integer matrix A with its pivot columns, as many independent rows,
-    and the inverse of A[pivot_rows][pivots] held as inverse / delta."""
-
-    rows: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...]
-    pivot_rows: tuple[int, ...]
-    inverse: tuple[tuple[int, ...], ...]
-    delta: int
-
-
-def _factorise(rows: Sequence[Sequence[int]]) -> _Factorisation:
-    """Bareiss elimination on a copy of `rows`, columns left to right.
-
-    A column with no nonzero entry below the current rank is in the span of
-    the earlier ones and is skipped, so the pivots are the columns
-    `linalg.solve_any` picks; the rows that supplied them are independent on
-    those columns. Every division is exact (Sylvester's identity).
-    """
-    work = [list(row) for row in rows]
-    origin = list(range(len(work)))
-    pivots: list[int] = []
-    previous = 1
-    for col in range(len(rows[0])):
-        rank = len(pivots)
-        found = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if found is None:
-            continue
-        work[rank], work[found] = work[found], work[rank]
-        origin[rank], origin[found] = origin[found], origin[rank]
-        top = work[rank]
-        p = top[col]
-        for row in work[rank + 1:]:
-            a = row[col]
-            for c in range(col + 1, len(row)):
-                row[c] = (p * row[c] - a * top[c]) // previous
-            row[col] = 0
-        previous = p
-        pivots.append(col)
-    pivot_rows = tuple(origin[: len(pivots)])
-    inverse, delta = _integer_inverse(
-        [[rows[r][c] for c in pivots] for r in pivot_rows]
-    )
-    return _Factorisation(
-        tuple(tuple(row) for row in rows), tuple(pivots), pivot_rows, inverse, delta
-    )
-
-
-def _integer_inverse(square: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(B, delta) with square^-1 = B / delta, B integral and delta > 0, by
-    fraction-free Gauss-Jordan elimination of [square | I]."""
-    n = len(square)
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(square)]
-    previous = 1
-    for k in range(n):
-        found = next(i for i in range(k, n) if aug[i][k])
-        aug[k], aug[found] = aug[found], aug[k]
-        top = aug[k]
-        p = top[k]
-        for i, row in enumerate(aug):
-            if i != k:
-                a = row[k]
-                aug[i] = [(p * x - a * y) // previous for x, y in zip(row, top)]
-        previous = p
-    # every diagonal entry is now `previous`, which is +-det(square)
-    sign = 1 if previous > 0 else -1
-    return tuple(tuple(sign * x for x in row[n:]) for row in aug), sign * previous
-
-
-def _every_row_holds(plan: _Factorisation, x: Sequence[int], rhs: Sequence[int]) -> bool:
-    """sum_k A[d][pivots[k]] x[k] == rhs[d] on every row d."""
-    return all(
-        sum(row[c] * v for c, v in zip(plan.pivots, x)) == b
-        for row, b in zip(plan.rows, rhs)
-    )
-
-
-def _solve(plan: _Factorisation, target: Sequence[Fraction]) -> list[Fraction] | None:
-    """The solution of A x = target with non-pivot unknowns 0, or None when
-    there is none: the same answer as `linalg.solve_any`, in integers."""
-    scaled, scale = _over_common_denominator(target)
-    picked = [scaled[r] for r in plan.pivot_rows]
-    x = [sum(b * t for b, t in zip(row, picked)) for row in plan.inverse]
-    if not _every_row_holds(plan, x, [plan.delta * t for t in scaled]):
-        return None
-    solution = [Fraction(0)] * len(plan.rows[0])
-    for col, v in zip(plan.pivots, x):
-        solution[col] = Fraction(v, plan.delta * scale)
-    return solution
-
-
 @lru_cache(maxsize=None)
 def _fit_plan(
     max_weight: int, order: int
-) -> tuple[tuple[QModMonomial, ...], _Factorisation]:
+) -> tuple[tuple[QModMonomial, ...], linalg._Factorisation]:
     """The monomials of weight <= max_weight and the factorisation of their
     integer coefficient rows q^0..q^order, built once per (max_weight, order)."""
     basis = quasimodular_basis(max_weight, order)
@@ -242,7 +147,7 @@ def _fit_plan(
         [expansion.coefficients[d].numerator for _, expansion in basis]
         for d in range(order + 1)
     ]
-    return tuple(m for m, _ in basis), _factorise(rows)
+    return tuple(m for m, _ in basis), linalg._factorise(rows)
 
 
 @dataclass(frozen=True)
@@ -316,7 +221,7 @@ def fit_quasimodular(f: QSeries, max_weight: int, order: int) -> FitResult:
     if f.order < order:
         raise ValueError(f"series order {f.order} is below the fit order {order}")
     target = f.truncate(order)
-    solution = _solve(plan, target.coefficients)
+    solution = linalg._solve(plan, target.coefficients)
     if solution is None:
         return NotQuasimodular(max_weight, order)
     fit = QuasimodularFit(

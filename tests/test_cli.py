@@ -1,10 +1,11 @@
 """Command-line surface: formatting, JSON schema, exit codes, determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
-from delliptic import chow, cli, covers, loci, quasimodular, report
+from delliptic import chow, cli, covers, linalg, loci, quasimodular, report
 from delliptic.cli import main
 from delliptic.divisors import sigma
 from delliptic.errors import CrossCheckError
@@ -427,24 +428,27 @@ class TestMutationProbes:
     """Each planted error makes `verify` fail, with the checks that catch it
     named."""
 
+    @staticmethod
+    def clear_caches(*modules):
+        for module in modules:
+            for fn in vars(module).values():
+                if hasattr(fn, "cache_clear") and fn.__module__ == module.__name__:
+                    fn.cache_clear()
+
     @pytest.fixture
     def mutate(self, monkeypatch):
-        cached = [
-            fn
-            for fn in vars(loci).values()
-            if hasattr(fn, "cache_clear") and fn.__module__ == loci.__name__
-        ]
-        originals = (covers.count_dd22, covers.count_dd2222, dict(chow.FORGET_M21_TO_M2))
-        for fn in cached:
-            fn.cache_clear()
+        originals = (covers.count_dd22, covers.count_dd2222, dict(chow.FORGET_M21_TO_M2),
+                     linalg._scaled_factorisation, chow.SPACES["M21"].pairings[(2, 2)])
+        self.clear_caches(loci, linalg)
         yield monkeypatch
         monkeypatch.undo()
-        for fn in cached:
-            fn.cache_clear()
+        self.clear_caches(loci, linalg)
         assert (covers.count_dd22, covers.count_dd2222) == originals[:2]
         assert (loci.count_dd22, loci.count_dd2222) == originals[:2]
         assert (report.count_dd22, report.count_dd2222) == originals[:2]
         assert chow.FORGET_M21_TO_M2 == originals[2]
+        assert linalg._scaled_factorisation is originals[3]
+        assert chow.SPACES["M21"].pairings[(2, 2)] is originals[4]
         assert loci.delliptic_class_m3(3) == loci.delliptic_class_m3_closed(3)
 
     @staticmethod
@@ -471,3 +475,31 @@ class TestMutationProbes:
         mutate.setitem(chow.FORGET_M21_TO_M2, "Delta_01a", "Delta_0")
         failed = self.failed_checks(report.run_verification(10, 20))
         assert {"pointed-genus2-classes", "genus3-classes"} <= failed
+
+    def test_changed_table_gets_a_new_factorisation(self, mutate):
+        # the solver's cache is keyed by the table's values, not its labels:
+        # a warm factorisation must not survive a changed entry
+        loci.delliptic_class_m21(6)
+        table = chow.SPACES["M21"].pairings[(2, 2)]
+        mutate.setitem(chow.SPACES["M21"].pairings, (2, 2), tuple(
+            tuple(v + ((i, j) == (4, 4)) for j, v in enumerate(row))
+            for i, row in enumerate(table)
+        ))
+        self.clear_caches(loci)
+        with pytest.raises(CrossCheckError, match="class\\[m21\\]"):
+            loci.delliptic_class_m21(6)
+
+    def test_wrong_class_factorisation(self, mutate):
+        original = linalg._scaled_factorisation
+
+        def bumped(matrix):
+            scales, plan = original(matrix)
+            inverse = [list(row) for row in plan.inverse]
+            inverse[0][-1] += 1
+            return scales, dataclasses.replace(plan, inverse=tuple(map(tuple, inverse)))
+
+        mutate.setattr(linalg, "_scaled_factorisation", bumped)
+        result = report.run_verification(10, 20)
+        assert "genus2-classes" in self.failed_checks(result)
+        by_name = {c["check"]: c for c in result["checks"]}
+        assert by_name["genus2-classes"]["detail"].startswith("InconsistentSystemError")

@@ -66,3 +66,7 @@ def test_solve_any_underdetermined():
 def test_solve_any_inconsistent_returns_none():
     matrix = [[F(1), F(1)], [F(2), F(2)]]
     assert solve_any(matrix, [F(1), F(3)]) is None
+
+
+def test_empty_system():
+    assert solve_unique([], []) == []

@@ -208,6 +208,24 @@ def reference_fit(f: QSeries, max_weight: int, order: int):
     return {m: x for (m, _), x in zip(basis, solution) if x != 0}
 
 
+def matches_reference(matrix, rhs) -> str:
+    """Assert that `linalg.solve_unique` agrees with `linalg.solve_any`:
+    the same answer, InconsistentSystemError exactly where the reference
+    returns None, SingularSystemError exactly where the rank is below n."""
+    want = linalg.solve_any(matrix, rhs)
+    _, pivots, _ = linalg._eliminate(matrix, rhs)
+    if want is None:
+        with pytest.raises(linalg.InconsistentSystemError):
+            linalg.solve_unique(matrix, rhs)
+        return "inconsistent"
+    if len(pivots) < len(matrix[0]):
+        with pytest.raises(linalg.SingularSystemError):
+            linalg.solve_unique(matrix, rhs)
+        return "singular"
+    assert linalg.solve_unique(matrix, rhs) == want
+    return "unique"
+
+
 class TestIntegerRoute:
     """The cached integer factorisation against Fraction elimination."""
 
@@ -238,6 +256,7 @@ class TestIntegerRoute:
 
     def test_rank_deficient_matrix(self):
         rng = random.Random(909)
+        outcomes = set()
         for _ in range(20):
             c0, c2, c5 = ([rng.randint(-9, 9) for _ in range(9)] for _ in range(3))
             # c1 = 2 c0, c3 = c0 - c2 and c4 = 0 lie in the span of earlier
@@ -246,7 +265,7 @@ class TestIntegerRoute:
                        [0] * 9, c5]
             rows = [list(r) for r in zip(*columns)]
             rows[6:] = [rows[0][:], rows[1][:], rows[2][:]]
-            plan = quasimodular._factorise(rows)
+            plan = linalg._factorise(rows)
             matrix = [[F(x) for x in row] for row in rows]
             _, pivots, _ = linalg._eliminate(matrix, [F(0)] * 9)
             assert list(plan.pivots) == pivots
@@ -259,27 +278,41 @@ class TestIntegerRoute:
             consistent = [sum(a * v for a, v in zip(row, x)) for row in matrix]
             noise = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(9)]
             for rhs in (consistent, noise, [F(0)] * 9):
-                assert quasimodular._solve(plan, rhs) == linalg.solve_any(matrix, rhs)
+                assert linalg._solve(plan, rhs) == linalg.solve_any(matrix, rhs)
+            # rational rows: each scaled by its own rational, and the
+            # independent columns alone, so that every outcome occurs
+            scaled = [[F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7)) * v
+                       for v in row] for row in matrix]
+            for system in (scaled, [[row[c] for c in (0, 2, 5)] for row in scaled]):
+                x = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in system[0]]
+                consistent = [sum(a * v for a, v in zip(row, x)) for row in system]
+                for rhs in (consistent, noise, [F(0)] * 9):
+                    outcomes.add(matches_reference(system, rhs))
+        assert outcomes == {"inconsistent", "singular", "unique"}
 
 
 @pytest.fixture
 def probe(monkeypatch):
-    """Every quasimodular and loci cache cleared before and after, with the
-    originals restored and checked afterwards."""
+    """Every linalg, quasimodular and loci cache cleared before and after,
+    with the originals restored and checked afterwards."""
     cached = [
         fn
-        for module in (quasimodular, loci)
+        for module in (linalg, quasimodular, loci)
         for fn in vars(module).values()
         if hasattr(fn, "cache_clear") and fn.__module__ == module.__name__
     ]
-    originals = (quasimodular._fit_plan, quasimodular._every_row_holds)
+    originals = (
+        quasimodular._fit_plan, linalg._every_row_holds, linalg._scaled_factorisation
+    )
     for fn in cached:
         fn.cache_clear()
     yield monkeypatch
     monkeypatch.undo()
     for fn in cached:
         fn.cache_clear()
-    assert (quasimodular._fit_plan, quasimodular._every_row_holds) == originals
+    assert (
+        quasimodular._fit_plan, linalg._every_row_holds, linalg._scaled_factorisation
+    ) == originals
     fit = fit_quasimodular(eisenstein(4, 20), 6, 20)
     assert fit.as_dict() == {QModMonomial(0, 1, 0): F(1)}
     assert fit_quasimodular(eisenstein(4, 20) + QSeries([0] * 20 + [1]), 6, 20) == (
@@ -306,7 +339,7 @@ class TestFitMutationProbes:
         assert "quasimodularity-certification" in failed
 
     def test_residual_accepting_everything_fails_reconstruction(self, probe):
-        probe.setattr(quasimodular, "_every_row_holds", lambda *args: True)
+        probe.setattr(linalg, "_every_row_holds", lambda *args: True)
         base = QSeries.from_function(30, lambda d: 0 if d == 0 else sigma(3, d))
         corrupted = QSeries([c + (d == 20) for d, c in enumerate(base.coefficients)])
         with pytest.raises(CrossCheckError, match="fit reconstruction"):
