@@ -22,7 +22,11 @@ a such forms for each divisor a of d, so count_sublattices is sigma_1(d),
 and each subgroup has d - 1 nonzero elements, so count_pointed_isogenies is
 (d - 1) * sigma_1(d). The brute-force enumeration of all order-d subgroups
 is kept as an independent reference, count_pointed_isogenies_enumerated,
-within SUBGROUP_ENUMERATION_BUDGET.
+within SUBGROUP_ENUMERATION_BUDGET. It reads no divisor sum and no Hermite
+normal form: it builds every cyclic subgroup of (Z/d)^2 once, and by the
+invariant-factor theorem each non-cyclic order-d subgroup is Z/m + Z/n with
+n | m, n > 1 and mn = d, the direct sum of a cyclic subgroup of order m and
+one of order n that meet only in 0.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial
+from math import factorial, gcd, isqrt, prod
 from typing import Iterable, Sequence
 
 from .divisors import divisors
@@ -55,7 +59,8 @@ __all__ = [
     "count_dd2222",
 ]
 
-#: largest cover degree hurwitz_number will enumerate (8! tuples per class)
+#: largest cover degree hurwitz_number will enumerate (8! permutations per
+#: class); it also enumerates at most 8! tuples of middle factors
 ENUMERATION_BUDGET = 8
 
 #: largest d count_pointed_isogenies accepts; its work is one divisor sum
@@ -63,7 +68,8 @@ ENUMERATION_BUDGET = 8
 ISOGENY_DEGREE_CEILING = 1000
 
 #: largest d whose order-d subgroups of (Z/d)^2 are enumerated by brute force
-#: (every cyclic subgroup and every pair of them), the range verify checks
+#: (each cyclic subgroup once, plus the direct sums Z/m + Z/n with n | m of
+#: the non-cyclic ones), the range verify checks
 SUBGROUP_ENUMERATION_BUDGET = 30
 
 
@@ -136,6 +142,11 @@ def inverse(p: Sequence[int]) -> tuple[int, ...]:
 
 
 def cycle_type(p: Sequence[int]) -> Partition:
+    return Partition(_cycle_lengths(p))
+
+
+def _cycle_lengths(p: Sequence[int]) -> tuple[int, ...]:
+    """Cycle lengths of p, non-increasing: the parts of cycle_type(p)."""
     d = len(p)
     seen = [False] * d
     lengths = []
@@ -149,7 +160,8 @@ def cycle_type(p: Sequence[int]) -> Partition:
             x = p[x]
             length += 1
         lengths.append(length)
-    return Partition(lengths)
+    lengths.sort(reverse=True)
+    return tuple(lengths)
 
 
 def is_transitive(perms: Sequence[Sequence[int]], d: int) -> bool:
@@ -169,8 +181,8 @@ def is_transitive(perms: Sequence[Sequence[int]], d: int) -> bool:
 @lru_cache(maxsize=None)
 def conjugacy_class(profile: Partition) -> tuple[tuple[int, ...], ...]:
     """All permutations of S_d with the given cycle type."""
-    d = profile.size
-    return tuple(p for p in permutations(range(d)) if cycle_type(p) == profile)
+    parts = profile.parts
+    return tuple(p for p in permutations(range(profile.size)) if _cycle_lengths(p) == parts)
 
 
 def conjugacy_class_size(profile: Partition) -> int:
@@ -198,7 +210,8 @@ def hurwitz_number(d: int, profiles: Sequence[Partition]) -> Fraction:
     The first factor is pinned to one representative of its conjugacy class
     and the total scaled by the class size; the middle factors are enumerated
     exhaustively and the last is forced by the product condition. This cuts
-    the cost by |class_1| without changing the count.
+    the cost by |class_1| without changing the count. More than
+    ENUMERATION_BUDGET! middle tuples is refused before any class is listed.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
@@ -213,8 +226,14 @@ def hurwitz_number(d: int, profiles: Sequence[Partition]) -> Fraction:
             raise ValueError(
                 f"profile {i} has size {profile.size}, expected degree {d}"
             )
+    tuples = prod(conjugacy_class_size(p) for p in profiles[1:-1])
+    if tuples > factorial(ENUMERATION_BUDGET):
+        raise ValueError(
+            f"{tuples} middle tuples exceed the enumeration budget "
+            f"{ENUMERATION_BUDGET}! = {factorial(ENUMERATION_BUDGET)}"
+        )
     first = _class_representative(profiles[0])
-    last_type = profiles[-1]
+    last_type = profiles[-1].parts
     count = 0
     middle_classes = [conjugacy_class(p) for p in profiles[1:-1]]
     for middle in product(*middle_classes):
@@ -222,7 +241,7 @@ def hurwitz_number(d: int, profiles: Sequence[Partition]) -> Fraction:
         for p in middle:
             running = compose(running, p)
         closer = inverse(running)
-        if cycle_type(closer) != last_type:
+        if _cycle_lengths(closer) != last_type:
             continue
         if is_transitive((first, *middle, closer), d):
             count += 1
@@ -244,30 +263,38 @@ def count_sublattices(d: int) -> int:
 def _order_d_subgroups(d: int) -> list[frozenset]:
     """All subgroups of (Z/d)^2 of order d, as frozen element sets.
 
-    Every subgroup of (Z/d)^2 is generated by at most two elements, so the
-    order-d ones are exactly the cyclic subgroups of order d together with
-    the sums A + B of cyclic subgroups with |A||B|/|A & B| = d.
+    Each cyclic subgroup is built once, from the first of its generators met:
+    once <g> of order m is walked, its generators k*g with gcd(k, m) = 1 are
+    skipped. By the invariant-factor theorem a non-cyclic subgroup of
+    (Z/d)^2 is Z/m + Z/n with n | m and n > 1, the direct sum A + B of
+    cyclic subgroups with |A| = m, |B| = n and A & B = {0}; so the non-cyclic
+    order-d subgroups are the sums of such pairs with mn = d, that is with
+    n^2 | d.
     """
-    cyclic: set[frozenset] = set()
-    for gx in range(d):
-        for gy in range(d):
-            elements = set()
-            x, y = 0, 0
-            while True:
-                elements.add((x, y))
-                x, y = (x + gx) % d, (y + gy) % d
-                if (x, y) == (0, 0):
-                    break
-            cyclic.add(frozenset(elements))
-    found = {h for h in cyclic if len(h) == d}
-    cyclic_list = sorted(cyclic, key=len)
-    for i, a in enumerate(cyclic_list):
-        for b in cyclic_list[i:]:
-            if len(a) * len(b) != d * len(a & b):
-                continue
-            found.add(frozenset(
-                ((x0 + x1) % d, (y0 + y1) % d) for x0, y0 in a for x1, y1 in b
-            ))
+    cyclic: dict[int, list[frozenset]] = {}
+    seen: set[tuple[int, int]] = set()
+    for g in product(range(d), repeat=2):
+        if g in seen:
+            continue
+        gx, gy = g
+        multiples = [(0, 0)]
+        x, y = gx, gy
+        while (x, y) != (0, 0):
+            multiples.append((x, y))
+            x, y = (x + gx) % d, (y + gy) % d
+        m = len(multiples)
+        seen.update(multiples[k] for k in range(1, m) if gcd(k, m) == 1)
+        cyclic.setdefault(m, []).append(frozenset(multiples))
+    found = set(cyclic[d])
+    for n in range(2, isqrt(d) + 1):
+        if d % (n * n):
+            continue
+        for a in cyclic[d // n]:
+            for b in cyclic[n]:
+                if len(a & b) == 1:
+                    found.add(frozenset(
+                        ((x0 + x1) % d, (y0 + y1) % d) for x0, y0 in a for x1, y1 in b
+                    ))
     return sorted(found, key=sorted)
 
 

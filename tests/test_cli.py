@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from math import gcd
 
 import pytest
 
@@ -208,6 +209,18 @@ class TestHurwitzCommand:
             capsys, "hurwitz", "--d", "4", "--profile", "3", "--profile", "4"
         )
         assert code == 2
+
+    def test_tuple_budget(self, capsys, monkeypatch):
+        def refuse(profile):
+            raise AssertionError("listed a class above the tuple budget")
+
+        monkeypatch.setattr(covers, "conjugacy_class", refuse)
+        code, out, err = run(
+            capsys, "hurwitz", "--d", "8", *["--profile", "2,1,1,1,1,1,1"] * 12
+        )
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
 
 
 class TestCountCommand:
@@ -438,7 +451,8 @@ class TestMutationProbes:
     @pytest.fixture
     def mutate(self, monkeypatch):
         originals = (covers.count_dd22, covers.count_dd2222, dict(chow.FORGET_M21_TO_M2),
-                     linalg._scaled_factorisation, chow.SPACES["M21"].pairings[(2, 2)])
+                     linalg._scaled_factorisation, chow.SPACES["M21"].pairings[(2, 2)],
+                     covers._order_d_subgroups)
         self.clear_caches(loci, linalg)
         yield monkeypatch
         monkeypatch.undo()
@@ -449,6 +463,7 @@ class TestMutationProbes:
         assert chow.FORGET_M21_TO_M2 == originals[2]
         assert linalg._scaled_factorisation is originals[3]
         assert chow.SPACES["M21"].pairings[(2, 2)] is originals[4]
+        assert covers._order_d_subgroups is originals[5]
         assert loci.delliptic_class_m3(3) == loci.delliptic_class_m3_closed(3)
 
     @staticmethod
@@ -470,6 +485,19 @@ class TestMutationProbes:
         self.bump_at_3(mutate, "count_dd2222")
         failed = self.failed_checks(report.run_verification(10, 20))
         assert {"degeneration-identity", "genus3-classes"} <= failed
+
+    def test_missing_non_cyclic_subgroups(self, mutate):
+        original = covers._order_d_subgroups
+
+        def cyclic_only(d):
+            # (x, y) has order d exactly when gcd(x, y, d) = 1
+            return [h for h in original(d) if any(gcd(x, y, d) == 1 for x, y in h)]
+
+        mutate.setattr(covers, "_order_d_subgroups", cyclic_only)
+        result = report.run_verification(10, 20)
+        assert self.failed_checks(result) == {"pointed-isogeny-count"}
+        by_name = {c["check"]: c for c in result["checks"]}
+        assert "(d=4): brute-force disagrees" in by_name["pointed-isogeny-count"]["detail"]
 
     def test_wrong_forget_map_target(self, mutate):
         mutate.setitem(chow.FORGET_M21_TO_M2, "Delta_01a", "Delta_0")

@@ -27,6 +27,32 @@ from delliptic.covers import (
 from delliptic.divisors import sigma
 
 
+def naive_order_d_subgroups(d):
+    """The order-d subgroups of (Z/d)^2 from every cyclic subgroup and every
+    pair of them whose sum has order d."""
+    cyclic: set[frozenset] = set()
+    for gx in range(d):
+        for gy in range(d):
+            elements = set()
+            x, y = 0, 0
+            while True:
+                elements.add((x, y))
+                x, y = (x + gx) % d, (y + gy) % d
+                if (x, y) == (0, 0):
+                    break
+            cyclic.add(frozenset(elements))
+    found = {h for h in cyclic if len(h) == d}
+    cyclic_list = sorted(cyclic, key=len)
+    for i, a in enumerate(cyclic_list):
+        for b in cyclic_list[i:]:
+            if len(a) * len(b) != d * len(a & b):
+                continue
+            found.add(frozenset(
+                ((x0 + x1) % d, (y0 + y1) % d) for x0, y0 in a for x1, y1 in b
+            ))
+    return sorted(found, key=sorted)
+
+
 class TestPartition:
     def test_parse_and_sort(self):
         p = Partition.parse("1,3,1")
@@ -66,6 +92,16 @@ class TestPermutations:
     def test_transitivity(self):
         assert is_transitive([(1, 2, 0)], 3)
         assert not is_transitive([(1, 0, 3, 2)], 4)
+
+    def test_class_filter_matches_cycle_type(self):
+        for d in range(1, 8):
+            types = [cycle_type(p) for p in orderings(range(d))]
+            for parts in _partitions(d):
+                profile = Partition(parts)
+                expected = tuple(
+                    p for p, t in zip(orderings(range(d)), types) if t == profile
+                )
+                assert conjugacy_class(profile) == expected
 
     def test_class_size_matches_enumeration(self):
         for d in range(1, 7):
@@ -144,6 +180,20 @@ class TestHurwitzNumber:
         with pytest.raises(ValueError):
             hurwitz_number(0, [])
 
+    def test_tuple_budget(self, monkeypatch):
+        def refuse(profile):
+            raise AssertionError("listed a class above the tuple budget")
+
+        monkeypatch.setattr(covers, "conjugacy_class", refuse)
+        # ten middle transposition classes: 28^10 tuples, far above 8!
+        with pytest.raises(ValueError, match="budget"):
+            hurwitz_number(8, [Partition([2, 1, 1, 1, 1, 1, 1])] * 12)
+
+    def test_three_profiles_at_the_degree_budget(self):
+        d = covers.ENUMERATION_BUDGET
+        profiles = [Partition([d]), Partition([d]), Partition([3] + [1] * (d - 3))]
+        assert hurwitz_number(d, profiles) == F((d - 1) * (d - 2), 6)
+
 
 class TestCountingOracles:
     def test_sublattices_small(self):
@@ -168,6 +218,20 @@ class TestCountingOracles:
     def test_structural_route_equals_brute_force(self):
         for d in range(1, SUBGROUP_ENUMERATION_BUDGET + 1):
             assert count_pointed_isogenies(d) == count_pointed_isogenies_enumerated(d)
+
+    def test_subgroups_match_pair_enumeration(self):
+        for d in range(1, SUBGROUP_ENUMERATION_BUDGET + 1):
+            assert set(covers._order_d_subgroups(d)) == set(naive_order_d_subgroups(d))
+
+    def test_subgroups_are_order_d_subgroups(self):
+        for d in range(1, SUBGROUP_ENUMERATION_BUDGET + 1):
+            subgroups = covers._order_d_subgroups(d)
+            assert len(set(subgroups)) == len(subgroups)
+            for h in subgroups:
+                assert len(h) == d
+                assert (0, 0) in h
+                assert all(((x0 + x1) % d, (y0 + y1) % d) in h
+                           for x0, y0 in h for x1, y1 in h)
 
     def test_brute_force_budget(self, monkeypatch):
         def refuse(d):
