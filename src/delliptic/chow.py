@@ -385,14 +385,15 @@ def _position(labels: tuple[str, ...], label: str, space_id: str, degree: int) -
 
 def _pairing_matrix(sp: ChowSpace, degree_a: int, degree_b: int):
     """Entry lookup (label_a, label_b) -> Fraction read off the registered
-    table, or None when the degrees are not paired; an unregistered label
-    raises ValueError."""
+    table; unpaired degrees and an unregistered label raise ValueError."""
     if (degree_a, degree_b) in sp.pairings:
         flip, key = False, (degree_a, degree_b)
     elif (degree_b, degree_a) in sp.pairings:
         flip, key = True, (degree_b, degree_a)
     else:
-        return None
+        raise ValueError(
+            f"degrees {degree_a} and {degree_b} are not paired on {sp.space_id}"
+        )
     table = sp.pairings[key]
     rows, cols = sp.bases[key[0]], sp.bases[key[1]]
 
@@ -409,14 +410,7 @@ def pairing_number(
     space_id: str, label_a: str, degree_a: int, label_b: str, degree_b: int
 ) -> Fraction:
     """Stored intersection number of two basis classes."""
-    sp = space(space_id)
-    entries = _pairing_matrix(sp, degree_a, degree_b)
-    if entries is None:
-        raise ValueError(
-            f"no pairing registered on {space_id} between degrees "
-            f"{degree_a} and {degree_b}"
-        )
-    return entries(label_a, label_b)
+    return _pairing_matrix(space(space_id), degree_a, degree_b)(label_a, label_b)
 
 
 def pairing(a: ChowClass, b: ChowClass) -> Fraction:
@@ -427,10 +421,6 @@ def pairing(a: ChowClass, b: ChowClass) -> Fraction:
     if a.labels != sp.bases.get(a.degree) or b.labels != sp.bases.get(b.degree):
         raise ValueError("pairing requires classes on the registered bases")
     entries = _pairing_matrix(sp, a.degree, b.degree)
-    if entries is None:
-        raise ValueError(
-            f"degrees {a.degree} and {b.degree} are not paired on {a.space_id}"
-        )
     return sum(
         (
             ca * cb * entries(la, lb)
@@ -462,10 +452,6 @@ def solve_class(
             f"no degree-{dual_degree} dual basis registered on {space_id}"
         )
     entries = _pairing_matrix(sp, degree, dual_degree)
-    if entries is None:
-        raise ValueError(
-            f"degrees {degree} and {dual_degree} are not paired on {space_id}"
-        )
     matrix = []
     rhs = []
     for dual_label, value in profile.values:

@@ -46,24 +46,19 @@ _COUNTS = {
 }
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= minimum."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return parse
 
 
 def _check_ceiling(name: str, value: int, ceiling: int) -> None:
@@ -195,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_class = sub.add_parser("class", help="solved locus class in the substack basis")
     p_class.add_argument("space", choices=spaces)
-    p_class.add_argument("--d", type=_positive_int, required=True)
+    p_class.add_argument("--d", type=_int_at_least(1), required=True)
     _output_flags(p_class)
     p_class.set_defaults(fn=_cmd_class)
 
@@ -204,8 +199,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_series.add_argument("space", choices=spaces)
     p_series.add_argument("label", help="substack coefficient label, e.g. delta_0")
-    p_series.add_argument("--N", type=_nonneg_int, default=30)
-    p_series.add_argument("--weight", type=_nonneg_int, default=6)
+    p_series.add_argument("--N", type=_int_at_least(0), default=30)
+    p_series.add_argument("--weight", type=_int_at_least(0), default=6)
     _output_flags(p_series)
     p_series.set_defaults(fn=_cmd_series)
 
@@ -213,13 +208,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "qmod-fit", help="fit a JSON array of rational coefficients"
     )
     p_fit.add_argument("--in", dest="infile", default="-", help="file or - for stdin")
-    p_fit.add_argument("--N", type=_nonneg_int, default=None)
-    p_fit.add_argument("--weight", type=_nonneg_int, default=6)
+    p_fit.add_argument("--N", type=_int_at_least(0), default=None)
+    p_fit.add_argument("--weight", type=_int_at_least(0), default=6)
     _output_flags(p_fit)
     p_fit.set_defaults(fn=_cmd_qmod_fit)
 
     p_hurwitz = sub.add_parser("hurwitz", help="brute-force branched cover count")
-    p_hurwitz.add_argument("--d", type=_positive_int, required=True)
+    p_hurwitz.add_argument("--d", type=_int_at_least(1), required=True)
     p_hurwitz.add_argument(
         "--profile",
         action="append",
@@ -231,13 +226,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="structural counting oracles")
     p_count.add_argument("kind", choices=sorted(_COUNTS))
-    p_count.add_argument("--d", type=_positive_int, required=True)
+    p_count.add_argument("--d", type=_int_at_least(1), required=True)
     _output_flags(p_count)
     p_count.set_defaults(fn=_cmd_count)
 
     p_verify = sub.add_parser("verify", help="run the full consistency suite")
-    p_verify.add_argument("--max-d", dest="max_d", type=_positive_int, default=30)
-    p_verify.add_argument("--N", type=_nonneg_int, default=30)
+    p_verify.add_argument("--max-d", dest="max_d", type=_int_at_least(1), default=30)
+    p_verify.add_argument("--N", type=_int_at_least(0), default=30)
     _output_flags(p_verify)
     p_verify.set_defaults(fn=_cmd_verify)
 

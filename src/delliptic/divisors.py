@@ -1,20 +1,26 @@
-"""Divisor-power sums and their convolution identities.
+"""Divisor-power sums, the sigma-polynomial reader, and convolution identities.
 
-sigma_k(d) = sum of a^k over the positive divisors a of d, tau(d) = number of
-divisors. The three convolutions of sigma_1 over ordered compositions of d
-admit closed forms in sigma_1, sigma_3, sigma_5:
+sigma_k(d) = sum of a^k over the positive divisors a of d, so sigma_0 = tau,
+the number of divisors. Every closed form in the package is a sigma
+polynomial, held as data: a row {(j, k): c} means sum c d^j sigma_k(d), and
+sigma_polynomial(row, d) is its one reader. It sums integer numerators over
+the row's common denominator and builds one Fraction.
+
+The three convolutions of sigma_1 over ordered compositions of d have such
+rows (CLOSED_FORMS):
 
     sum_{d1+d2=d}    s1(d1)s1(d2)        = (-d/2 + 1/12) s1(d) + 5/12 s3(d)
     sum_{d1+d2=d} d1 s1(d1)s1(d2)        = (-d^2/4 + d/24) s1(d) + 5d/24 s3(d)
     sum_{d1+d2+d3=d} s1(d1)s1(d2)s1(d3)  = (d^2/8 - d/16 + 1/192) s1(d)
                                            + (-5d/32 + 5/96) s3(d) + 7/192 s5(d)
 
-These identities carry the whole assembly downstream, so every convolution is
-evaluated BOTH by direct summation and by its closed form, and the two must
-agree exactly (CrossCheckError otherwise). The direct sums are the int
-coefficients of A^2, (DA)A and A^3 (A = sum s1(m)q^m, DA = sum m s1(m)q^m),
-built to the next power of two >= d and cached: O(D^2) per sweep to D, not
-O(D^3). Divisor enumeration is trial division up to sqrt(d).
+Each row is 0 below its range (d = 1, and conv3 also d = 2), where the sums
+are empty. These identities carry the whole assembly downstream, so every
+convolution is evaluated BOTH by direct summation and by its row, and the
+two must agree exactly (CrossCheckError otherwise). The direct sums are the
+int coefficients of A^2, (DA)A and A^3 (A = sum s1(m)q^m, DA = sum m
+s1(m)q^m), built to the next power of two >= d and cached: O(D^2) per sweep
+to D, not O(D^3). Divisor enumeration is trial division up to sqrt(d).
 """
 
 from __future__ import annotations
@@ -22,10 +28,21 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import mul
+from typing import Mapping, Union
 
 from .errors import crosscheck
+from .series import _over_common_denominator
 
-__all__ = ["divisors", "sigma", "tau", "conv2", "conv2_weighted", "conv3"]
+__all__ = [
+    "divisors", "sigma", "tau", "sigma_polynomial", "CLOSED_FORMS",
+    "conv2", "conv2_weighted", "conv3",
+]
+
+F = Fraction
+
+#: {(j, k): c}, the sigma polynomial sum c d^j sigma_k(d)
+Row = Mapping[tuple[int, int], Union[int, Fraction]]
 
 
 @lru_cache(maxsize=None)
@@ -54,6 +71,23 @@ def tau(d: int) -> int:
     return len(divisors(d))
 
 
+def sigma_polynomial(row: Row, d: int) -> Fraction:
+    """sum c d^j sigma_k(d) over the row {(j, k): c}, exactly; sigma_0 = tau."""
+    numerators, scale = _over_common_denominator(list(row.values()))
+    return Fraction(sum(map(mul, numerators, [d**j * sigma(k, d) for j, k in row])), scale)
+
+
+#: convolution -> its closed form, the row its direct sum must equal
+CLOSED_FORMS: dict[str, Row] = {
+    "conv2": {(1, 1): F(-1, 2), (0, 1): F(1, 12), (0, 3): F(5, 12)},
+    "conv2_weighted": {(2, 1): F(-1, 4), (1, 1): F(1, 24), (1, 3): F(5, 24)},
+    "conv3": {
+        (2, 1): F(1, 8), (1, 1): F(-1, 16), (0, 1): F(1, 192),
+        (1, 3): F(-5, 32), (0, 3): F(5, 96), (0, 5): F(7, 192),
+    },
+}
+
+
 @lru_cache(maxsize=None)
 def _coefficients(name: str, n: int) -> tuple[int, ...]:
     """q^0..q^n of the product ``name`` sums: A*A, DA*A or (A*A)*A."""
@@ -65,39 +99,27 @@ def _coefficients(name: str, n: int) -> tuple[int, ...]:
     return tuple(sum(left[i] * a[k - i] for i in range(k)) for k in range(n + 1))
 
 
-def _direct(name: str, d: int) -> int:
-    return _coefficients(name, 1 << (d - 1).bit_length())[d]
+def _convolution(name: str, d: int, least: int) -> int:
+    if d < least:
+        raise ValueError(f"d must be >= {least}, got {d}")
+    direct = _coefficients(name, 1 << (d - 1).bit_length())[d]
+    closed = sigma_polynomial(CLOSED_FORMS[name], d)
+    return crosscheck(name, d, direct=direct, closed=closed)
 
 
 @lru_cache(maxsize=None)
 def conv2(d: int) -> int:
     """sum over d1+d2=d (d1,d2 >= 1) of sigma_1(d1)sigma_1(d2)."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    direct = _direct("conv2", d)
-    closed = (Fraction(-d, 2) + Fraction(1, 12)) * sigma(1, d) + Fraction(5, 12) * sigma(3, d)
-    return crosscheck("conv2", d, direct=direct, closed=closed)
+    return _convolution("conv2", d, 2)
 
 
 @lru_cache(maxsize=None)
 def conv2_weighted(d: int) -> int:
     """sum over d1+d2=d of d1*sigma_1(d1)sigma_1(d2)."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    direct = _direct("conv2_weighted", d)
-    closed = (Fraction(-d * d, 4) + Fraction(d, 24)) * sigma(1, d) + Fraction(5, 24) * d * sigma(3, d)
-    return crosscheck("conv2_weighted", d, direct=direct, closed=closed)
+    return _convolution("conv2_weighted", d, 2)
 
 
 @lru_cache(maxsize=None)
 def conv3(d: int) -> int:
     """sum over d1+d2+d3=d (all >= 1) of sigma_1(d1)sigma_1(d2)sigma_1(d3)."""
-    if d < 3:
-        raise ValueError(f"d must be >= 3, got {d}")
-    direct = _direct("conv3", d)
-    closed = (
-        (Fraction(d * d, 8) - Fraction(d, 16) + Fraction(1, 192)) * sigma(1, d)
-        + (Fraction(-5 * d, 32) + Fraction(5, 96)) * sigma(3, d)
-        + Fraction(7, 192) * sigma(5, d)
-    )
-    return crosscheck("conv3", d, direct=direct, closed=closed)
+    return _convolution("conv3", d, 3)

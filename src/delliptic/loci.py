@@ -10,14 +10,20 @@ intersection number from the registered pairing tables, and a local
 multiplicity.
 
 Every assembled profile but one is computed twice, once from per-topology
-contribution sums over the counting oracles and once from its closed form
-in sigma_1/sigma_3/sigma_5, and the two must agree exactly. The fixed-target
-profile (m2e) is read directly off the isogeny count and conv2, so it is
-checked through its class alone. Every solved class is compared against its
-closed-form expression in the substack basis. Each comparison goes through
-errors.crosscheck, which raises CrossCheckError naming the route that
-disagrees; these checks are the package's defense against transcription
-errors in the pairing tables.
+contribution sums over the counting oracles and once from its closed form,
+and the two must agree exactly. The fixed-target profile (m2e) is read
+directly off the isogeny count and conv2, so it is checked through its
+class alone. Every solved class is compared against its closed form in the
+substack basis. Each comparison goes through errors.crosscheck, which raises
+CrossCheckError naming the route that disagrees; these checks are the
+package's defense against transcription errors in the pairing tables.
+
+Every closed form is data, not code: a row {(j, k): c} meaning
+sum c d^j sigma_k(d) (sigma_0 the divisor count), read by the one reader
+divisors.sigma_polynomial. The class rows sit in FAMILIES; the profile rows,
+the chain-winding total, the two-marked cover class and the two
+triple-branch sums sit in CLOSED_FORMS. The profile rows are written in
+sigma directly, so the closed route reads no convolution table.
 
 Cover topologies are labelled by the pair of boundary strata containing the
 stabilized source and the marked target; the three types feeding the genus-3
@@ -31,7 +37,7 @@ All functions are pure in d and cached; the d-sweep is safe to parallelize.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .chow import (
     FORGET_M21_TO_M2,
@@ -44,7 +50,7 @@ from .chow import (
     to_q_class_basis,
 )
 from .covers import count_dd22, count_dd2222, count_pointed_isogenies
-from .divisors import conv2, conv2_weighted, conv3, divisors, sigma, tau
+from .divisors import Row, conv2, divisors, sigma, sigma_polynomial
 from .errors import crosscheck
 from .quasimodular import FitResult, fit_quasimodular
 from .series import QSeries
@@ -71,7 +77,9 @@ __all__ = [
     "triple_branch_chain_sum",
     "triple_branch_split_sum",
     "triple_branch_cancellation",
+    "CLOSED_FORMS",
     "FAMILIES",
+    "closed_class",
     "family_labels",
     "class_in_family",
     "coefficient_series",
@@ -86,25 +94,70 @@ def _require_positive(d: int) -> None:
         raise ValueError(f"d must be >= 1, got {d}")
 
 
-# convolution sums with empty-range values, so d = 1 works uniformly
+# conv2 with its empty-range value, so the topology routes work at d = 1
 def _c2(d: int) -> int:
     return conv2(d) if d >= 2 else 0
 
 
-def _c2w(d: int) -> int:
-    return conv2_weighted(d) if d >= 2 else 0
+#: object -> {label: row}, every closed form of this module but the class rows
+#: in FAMILIES; a profile row is checked as "object[label]", the m12 class as
+#: "pointed_cover_class_m12", a triple-branch row as "triple_branch_<label>_sum"
+CLOSED_FORMS: dict[str, dict[str, Row]] = {
+    "pointed_cover_class_m12": {
+        "Delta_0": {(1, 1): F(1, 24), (0, 1): F(-1, 24)},
+        "Delta_1": {(1, 1): 1, (0, 1): -1},
+    },
+    "boundary_profile_m2": {
+        "Delta_00": {(1, 1): 4, (0, 1): -4},
+        "Delta_01": {(1, 1): -1, (0, 1): F(1, 6), (0, 3): F(5, 6)},
+    },
+    "boundary_profile_m21": {
+        "Delta_00": {(1, 1): 4, (0, 1): -4},
+        "Delta_01a": {(1, 1): F(-1, 2), (0, 1): F(1, 12), (0, 3): F(5, 12)},
+        "Delta_01b": {(1, 1): F(-1, 2), (0, 1): F(1, 12), (0, 3): F(5, 12)},
+        "Xi_1": {(1, 1): F(-1, 24), (0, 1): F(1, 24)},
+        "Delta_11": {(1, 1): F(1, 48), (0, 1): F(-1, 288), (0, 3): F(-5, 288)},
+    },
+    "boundary_profile_m3": {
+        "windings": {(1, 3): 48, (0, 1): -48},
+        "Delta_[1]": {(1, 1): 96, (0, 1): -96},
+        "Delta_[4]": {(1, 3): 24, (1, 1): -96, (0, 1): 72},
+        "Delta_[5]": {(2, 1): -12, (1, 1): 14, (0, 1): -2, (1, 3): 10, (0, 3): -10},
+        "Delta_[6]": {},
+        "Delta_[8]": {(2, 1): -3, (1, 1): F(-13, 2), (0, 1): 2, (1, 3): F(5, 2), (0, 3): 5},
+        "Delta_[10]": {(1, 1): -24, (0, 1): 4, (0, 3): 20},
+        "Delta_[11]": {
+            (2, 1): 3, (1, 1): -1, (0, 1): F(1, 24),
+            (1, 3): F(-15, 4), (0, 3): F(5, 6), (0, 5): F(7, 8),
+        },
+    },
+    "triple_branch": {
+        "chain": {(1, 1): F(1, 6), (0, 1): F(1, 3), (1, 0): F(-1, 2)},
+        "split": {(1, 1): -1, (0, 1): F(1, 12), (0, 3): F(5, 12), (1, 0): F(1, 2)},
+    },
+}
 
 
-def _c3(d: int) -> int:
-    return conv3(d) if d >= 3 else 0
+def _closed(name: str, d: int) -> dict[str, Fraction]:
+    """The closed forms CLOSED_FORMS[name] at d, by label."""
+    return {label: sigma_polynomial(row, d) for label, row in CLOSED_FORMS[name].items()}
+
+
+def closed_class(family: str, d: int) -> ChowClass:
+    """One family's closed-form class at d, read off its rows in FAMILIES."""
+    _require_positive(d)
+    space_id, degree, _, _, rows = FAMILIES[family]
+    labels = q_basis_labels(space_id, degree)
+    values = tuple(sigma_polynomial(rows[label], d) for label in labels)
+    return ChowClass(space_id, degree, labels, values)
 
 
 def _solved_class(family: str, d: int) -> ChowClass:
     """One family's class at d: its profile solved against the pairing
     table, in the substack basis, and equal to its closed form."""
-    space_id, degree, _, profile, closed = FAMILIES[family]
+    space_id, degree, _, profile, _ = FAMILIES[family]
     solved = to_q_class_basis(solve_class(space_id, degree, profile(d)))
-    return crosscheck(f"class[{family}]", d, solver=solved, closed=closed(d))
+    return crosscheck(f"class[{family}]", d, solver=solved, closed=closed_class(family, d))
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +186,7 @@ def pointed_cover_class_m12(d: int) -> ChowClass:
     Solved from its intersection profile and checked against the closed form.
     """
     solved = solve_class("M12", 1, pointed_cover_profile_m12(d))
-    factor = F((d - 1) * sigma(1, d))
-    closed = ChowClass.from_coefficients(
-        "M12", 1, {"Delta_0": factor / 24, "Delta_1": factor}
-    )
+    closed = ChowClass.from_coefficients("M12", 1, _closed("pointed_cover_class_m12", d))
     return crosscheck("pointed_cover_class_m12", d, solver=solved, closed=closed)
 
 
@@ -211,11 +261,10 @@ def boundary_profile_m2(d: int) -> IntersectionProfile:
 
     Assembled from the per-topology contributions, both duals realized in
     the irreducible-nodal boundary, and checked against the closed forms
-    4(d-1)sigma_1(d) and 2*conv2(d).
+    4(d-1)sigma_1(d) and 2*conv2(d), both written in sigma.
     """
     _require_positive(d)
-    closed_00 = F(4 * (d - 1) * sigma(1, d))
-    closed_01 = F(2 * _c2(d))
+    closed = _closed("boundary_profile_m2", d)
 
     m12 = pointed_cover_profile_m12(d).as_dict()
     pair12 = lambda a, b: pairing_number("M12", a, 1, b, 1)
@@ -233,23 +282,9 @@ def boundary_profile_m2(d: int) -> IntersectionProfile:
         + _chain_cover_term(d, _M12_DIVISOR_PULLBACK["Delta_1"])
         + 2 * _c2(d) * pair12("Delta_1", "Delta_0")
     )
-    crosscheck("boundary_profile_m2[Delta_00]", d, topologies=from_00, closed=closed_00)
-    crosscheck("boundary_profile_m2[Delta_01]", d, topologies=from_01, closed=closed_01)
-    return IntersectionProfile.from_dict(
-        "M2", {"Delta_00": closed_00, "Delta_01": closed_01}
-    )
-
-
-def delliptic_class_m2_closed(d: int) -> ChowClass:
-    """Closed form of the genus-2 d-elliptic divisor class, substack basis."""
-    _require_positive(d)
-    s1, s3 = sigma(1, d), sigma(3, d)
-    return ChowClass(
-        "M2",
-        1,
-        q_basis_labels("M2", 1),
-        (F(2 * s3 - 2 * d * s1), F(4 * s3 - 4 * s1)),
-    )
+    for label, value in (("Delta_00", from_00), ("Delta_01", from_01)):
+        crosscheck(f"boundary_profile_m2[{label}]", d, topologies=value, closed=closed[label])
+    return IntersectionProfile.from_dict("M2", closed)
 
 
 @lru_cache(maxsize=None)
@@ -279,21 +314,6 @@ def fixed_target_profile_m2(d: int) -> IntersectionProfile:
     _require_positive(d)
     return IntersectionProfile.from_dict(
         "M2", {"Delta_0": count_pointed_isogenies(d), "Delta_1": 2 * _c2(d)}
-    )
-
-
-def fixed_target_class_m2_closed(d: int) -> ChowClass:
-    """Closed form of the fixed-target class in the substack curve basis."""
-    _require_positive(d)
-    s1, s3 = sigma(1, d), sigma(3, d)
-    return ChowClass(
-        "M2",
-        2,
-        q_basis_labels("M2", 2),
-        (
-            (F(-22, 5) * d + F(2, 5)) * s1 + 4 * s3,
-            (F(-12, 5) * d - F(8, 5)) * s1 + 4 * s3,
-        ),
     )
 
 
@@ -350,14 +370,7 @@ def boundary_profile_m21(d: int) -> IntersectionProfile:
     surfaces visible from both boundaries are computed both ways as well.
     """
     _require_positive(d)
-    s1 = sigma(1, d)
-    closed = {
-        "Delta_00": F(4 * (d - 1) * s1),
-        "Delta_01a": F(_c2(d)),
-        "Delta_01b": F(_c2(d)),
-        "Xi_1": F(-1, 24) * (d - 1) * s1,
-        "Delta_11": F(-1, 24) * _c2(d),
-    }
+    closed = _closed("boundary_profile_m21", d)
 
     # bridge covers land on the section curves indexed {1,2} and {1,3},
     # carrying the solved two-marked cover class
@@ -398,24 +411,6 @@ def boundary_profile_m21(d: int) -> IntersectionProfile:
     for dual, by_route in routes.items():
         crosscheck(f"boundary_profile_m21[{dual}]", d, **by_route)
     return IntersectionProfile.from_dict("M21", closed)
-
-
-def delliptic_class_m21_closed(d: int) -> ChowClass:
-    """Closed form of the marked genus-2 d-elliptic class, substack basis."""
-    _require_positive(d)
-    s1, s3 = sigma(1, d), sigma(3, d)
-    return ChowClass(
-        "M21",
-        2,
-        q_basis_labels("M21", 2),
-        (
-            F(-1, 12) * d * s1 + F(1, 12) * s3,
-            F(1, 12) * s1 - F(1, 12) * s3,
-            (-d - F(1, 12)) * s1 + F(13, 12) * s3,
-            F(2 * s3 - 2 * d * s1),
-            F(4 * s3 - 4 * s1),
-        ),
-    )
 
 
 @lru_cache(maxsize=None)
@@ -532,9 +527,9 @@ def boundary_profile_m3(d: int) -> IntersectionProfile:
     closed form; and every assembled row must match its closed form.
     """
     _require_positive(d)
-    s1, s3 = sigma(1, d), sigma(3, d)
+    closed = _closed("boundary_profile_m3", d)
     windings = sum(count_dd2222(a) * (d // a) for a in divisors(d))
-    squared = 48 * (d * s3 - s1)
+    squared = closed.pop("windings")
     crosscheck("boundary_profile_m3[windings]", d, windings=windings, closed=squared)
     vanishing = _surface_total(d, "Delta_[7]")
     crosscheck("boundary_profile_m3[Delta_[7]]", d, topologies=vanishing, vanishing=0)
@@ -542,17 +537,8 @@ def boundary_profile_m3(d: int) -> IntersectionProfile:
     rows: dict[str, Fraction] = {}
     for label in ("Delta_[1]", "Delta_[5]", "Delta_[6]", "Delta_[8]", "Delta_[10]"):
         rows[label] = _surface_total(d, label)
-    rows["Delta_[4]"] = F(squared, 2) - rows["Delta_[1]"]
+    rows["Delta_[4]"] = squared / 2 - rows["Delta_[1]"]
 
-    closed = {
-        "Delta_[1]": F(96 * (d - 1) * s1),
-        "Delta_[4]": F(24 * (d * s3 - s1) - 96 * (d - 1) * s1),
-        "Delta_[5]": F(24 * (2 * _c2w(d) - _c2(d))),
-        "Delta_[6]": F(0),
-        "Delta_[8]": F(12 * (_c2w(d) + _c2(d)) - (d - 1) * s1),
-        "Delta_[10]": F(48 * _c2(d)),
-        "Delta_[11]": F(24 * _c3(d) - _c2(d)),
-    }
     for label, value in rows.items():
         name = f"boundary_profile_m3[{label}]"
         crosscheck(name, d, topologies=value, closed=closed[label])
@@ -564,28 +550,6 @@ def boundary_profile_m3(d: int) -> IntersectionProfile:
         closed=closed["Delta_[11]"],
     )
     return IntersectionProfile.from_dict("M3", closed)
-
-
-def delliptic_class_m3_closed(d: int) -> ChowClass:
-    """Closed form of the genus-3 d-elliptic class against
-    (lambda^2, lambda*delta_0, lambda*delta_1, delta_0^2, delta_0*delta_1,
-    delta_1^2, kappa_2)."""
-    _require_positive(d)
-    s1, s3, s5 = sigma(1, d), sigma(3, d), sigma(5, d)
-    return ChowClass(
-        "M3",
-        2,
-        q_basis_labels("M3", 2),
-        (
-            F((-6264 * d * d + 6780 * d - 960) * s1 + (5592 * d - 5400) * s3 + 252 * s5),
-            F((1224 * d * d - 1068 * d + 156) * s1 + (-1152 * d + 840) * s3),
-            F((2160 * d * d - 696 * d + 216) * s1 + (-1920 * d + 240) * s3),
-            F((-54 * d * d + 39 * d - 6) * s1 + (51 * d - 30) * s3),
-            F((-216 * d * d + 36 * d - 12) * s1 + 192 * d * s3),
-            F((-216 * d * d - 132 * d + 36) * s1 + (192 * d + 120) * s3),
-            F((216 * d * d - 444 * d + 60) * s1 + (-192 * d + 360) * s3),
-        ),
-    )
 
 
 @lru_cache(maxsize=None)
@@ -605,12 +569,12 @@ def triple_branch_chain_sum(d: int) -> Fraction:
     """Single-chain covers through a triple point: over each winding a | d,
     (a-1)(a-2)/6 covers with multiplicity m = d/a.
 
-    Equals (d/6 + 1/3) sigma_1(d) - d tau(d)/2; the divisor-count term makes
-    the generating series non-quasimodular on its own.
+    Equals (d/6 + 1/3) sigma_1(d) - d sigma_0(d)/2; the divisor-count term
+    makes the generating series non-quasimodular on its own.
     """
     _require_positive(d)
     direct = sum(F((a - 1) * (a - 2), 6) * (d // a) for a in divisors(d))
-    closed = (F(d, 6) + F(1, 3)) * sigma(1, d) - F(d, 2) * tau(d)
+    closed = sigma_polynomial(CLOSED_FORMS["triple_branch"]["chain"], d)
     return crosscheck("triple_branch_chain_sum", d, direct=direct, closed=closed)
 
 
@@ -621,13 +585,14 @@ def triple_branch_split_sum(d: int) -> Fraction:
     connected cover).
 
     All splitting weights less the equal-winding ones (_splitting_weights),
-    checked against conv2(d) - d sigma_1(d)/2 + d tau(d)/2; the opposite
-    divisor-count term cancels the one in the single-chain sum.
+    checked against conv2(d) - d sigma_1(d)/2 + d sigma_0(d)/2, written in
+    sigma; the opposite divisor-count term cancels the one in the
+    single-chain sum.
     """
     _require_positive(d)
     total, diagonal = _splitting_weights(d)
     direct = total - diagonal
-    closed = _c2(d) - F(d, 2) * sigma(1, d) + F(d, 2) * tau(d)
+    closed = sigma_polynomial(CLOSED_FORMS["triple_branch"]["split"], d)
     return crosscheck("triple_branch_split_sum", d, closed=closed, direct=direct)
 
 
@@ -636,7 +601,7 @@ def triple_branch_cancellation(
 ) -> tuple[FitResult, FitResult, FitResult]:
     """Fit the two triple-branch series and their sum at the given weight.
 
-    Each part carries a d*tau(d) term of opposite sign, so the parts refuse
+    Each part carries a d*sigma_0(d) term of opposite sign, so the parts refuse
     the fit individually while the sum succeeds.
     """
     chain = QSeries.from_function(
@@ -656,18 +621,42 @@ def triple_branch_cancellation(
 # quasimodularity certification
 # ---------------------------------------------------------------------------
 
-#: family -> (space, degree, class fn, profile fn, closed-form class fn), the
-#: one declaration of each family that every caller reads
+#: family -> (space, degree, class fn, profile fn, closed-form rows by
+#: substack label), the one declaration of each family that every caller reads
 FAMILIES = {
-    "m2": ("M2", 1, delliptic_class_m2, boundary_profile_m2,
-           delliptic_class_m2_closed),
-    "m2e": ("M2", 2, fixed_target_class_m2, fixed_target_profile_m2,
-            fixed_target_class_m2_closed),
-    "m21": ("M21", 2, delliptic_class_m21, boundary_profile_m21,
-            delliptic_class_m21_closed),
-    "m3": ("M3", 2, delliptic_class_m3, boundary_profile_m3,
-           delliptic_class_m3_closed),
+    "m2": ("M2", 1, delliptic_class_m2, boundary_profile_m2, {
+        "delta_0": {(1, 1): -2, (0, 3): 2},
+        "delta_1": {(0, 1): -4, (0, 3): 4},
+    }),
+    "m2e": ("M2", 2, fixed_target_class_m2, fixed_target_profile_m2, {
+        "delta_00": {(1, 1): F(-22, 5), (0, 1): F(2, 5), (0, 3): 4},
+        "delta_01": {(1, 1): F(-12, 5), (0, 1): F(-8, 5), (0, 3): 4},
+    }),
+    "m21": ("M21", 2, delliptic_class_m21, boundary_profile_m21, {
+        "delta_00": {(1, 1): F(-1, 12), (0, 3): F(1, 12)},
+        "delta_01a": {(0, 1): F(1, 12), (0, 3): F(-1, 12)},
+        "delta_01b": {(1, 1): -1, (0, 1): F(-1, 12), (0, 3): F(13, 12)},
+        "xi_1": {(1, 1): -2, (0, 3): 2},
+        "delta_11": {(0, 1): -4, (0, 3): 4},
+    }),
+    "m3": ("M3", 2, delliptic_class_m3, boundary_profile_m3, {
+        "lambda^2": {(2, 1): -6264, (1, 1): 6780, (0, 1): -960,
+                     (1, 3): 5592, (0, 3): -5400, (0, 5): 252},
+        "lambda*delta_0": {(2, 1): 1224, (1, 1): -1068, (0, 1): 156,
+                           (1, 3): -1152, (0, 3): 840},
+        "lambda*delta_1": {(2, 1): 2160, (1, 1): -696, (0, 1): 216,
+                           (1, 3): -1920, (0, 3): 240},
+        "delta_0^2": {(2, 1): -54, (1, 1): 39, (0, 1): -6, (1, 3): 51, (0, 3): -30},
+        "delta_0*delta_1": {(2, 1): -216, (1, 1): 36, (0, 1): -12, (1, 3): 192},
+        "delta_1^2": {(2, 1): -216, (1, 1): -132, (0, 1): 36, (1, 3): 192, (0, 3): 120},
+        "kappa_2": {(2, 1): 216, (1, 1): -444, (0, 1): 60, (1, 3): -192, (0, 3): 360},
+    }),
 }
+
+delliptic_class_m2_closed = partial(closed_class, "m2")
+fixed_target_class_m2_closed = partial(closed_class, "m2e")
+delliptic_class_m21_closed = partial(closed_class, "m21")
+delliptic_class_m3_closed = partial(closed_class, "m3")
 
 
 def family_labels(family: str) -> tuple[str, ...]:

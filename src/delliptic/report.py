@@ -186,10 +186,10 @@ def _check_certification(report: dict, order: int) -> str:
 
 def class_report(family: str, d: int) -> dict:
     """Profile, solved class, closed-form class and agreement flag at one d."""
-    _, _, _, profile_fn, closed_fn = loci.FAMILIES[family]
+    profile_fn = loci.FAMILIES[family][3]
     profile = profile_fn(d)
     solved = loci.class_in_family(family, d)  # cached, solved once by the checks
-    closed = closed_fn(d)
+    closed = loci.closed_class(family, d)
     return {
         "d": d,
         "profile": profile.to_json_dict(),

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from delliptic import chow
 from delliptic.chow import (
     ChowClass,
     IntersectionProfile,
@@ -179,6 +180,20 @@ class TestPairing:
         a = basis_class("M2", 1, "Delta_0")
         with pytest.raises(ValueError):
             pairing(a, a)
+
+    def test_unpaired_degrees_named(self, monkeypatch):
+        # one message, from the one lookup, names the space and both degrees
+        message = r"^degrees 1 and 2 are not paired on M21$"
+        with pytest.raises(ValueError, match=message):
+            pairing_number("M21", "Delta_1", 1, "Delta_00", 2)
+        with pytest.raises(ValueError, match=message):
+            pairing(basis_class("M21", 1, "Delta_1"), basis_class("M21", 2, "Delta_00"))
+        monkeypatch.delitem(chow.SPACES["M21"].pairings, (1, 3))
+        profile = IntersectionProfile.from_dict(
+            "M21", dict.fromkeys(basis_labels("M21", 3), 0)
+        )
+        with pytest.raises(ValueError, match=r"^degrees 1 and 3 are not paired on M21$"):
+            solve_class("M21", 1, profile)
 
     @pytest.mark.parametrize(
         "args",

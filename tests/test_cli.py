@@ -1,7 +1,10 @@
 """Command-line surface: formatting, JSON schema, exit codes, determinism."""
 
+import copy
 import dataclasses
+import importlib
 import json
+import re
 from math import gcd
 
 import pytest
@@ -10,6 +13,16 @@ from delliptic import chow, cli, covers, linalg, loci, quasimodular, report
 from delliptic.cli import main
 from delliptic.divisors import sigma
 from delliptic.errors import CrossCheckError
+
+# the package re-exports the function `divisors`, which shadows the module
+divisors = importlib.import_module("delliptic.divisors")
+
+#: every closed-form table of the package: table -> {label: row}
+CLOSED_FORM_TABLES = {
+    **{family: entry[4] for family, entry in loci.FAMILIES.items()},
+    **loci.CLOSED_FORMS,
+    "divisors": divisors.CLOSED_FORMS,
+}
 
 
 def run(capsys, *argv):
@@ -41,6 +54,17 @@ class TestClassCommand:
         with pytest.raises(SystemExit) as exc:
             main(["class", "m2", "--d", "0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["class", "m2", "--d", "0"], "argument --d: must be >= 1, got 0"),
+        (["series", "m2", "delta_0", "--N", "-1"], "argument --N: must be >= 0, got -1"),
+        (["verify", "--max-d", "x"], "argument --max-d: not an integer: 'x'"),
+    ])
+    def test_usage_error_names_the_bound(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_usage_error_on_bad_space(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -452,7 +476,7 @@ class TestMutationProbes:
     def mutate(self, monkeypatch):
         originals = (covers.count_dd22, covers.count_dd2222, dict(chow.FORGET_M21_TO_M2),
                      linalg._scaled_factorisation, chow.SPACES["M21"].pairings[(2, 2)],
-                     covers._order_d_subgroups)
+                     covers._order_d_subgroups, copy.deepcopy(CLOSED_FORM_TABLES))
         self.clear_caches(loci, linalg)
         yield monkeypatch
         monkeypatch.undo()
@@ -464,6 +488,7 @@ class TestMutationProbes:
         assert linalg._scaled_factorisation is originals[3]
         assert chow.SPACES["M21"].pairings[(2, 2)] is originals[4]
         assert covers._order_d_subgroups is originals[5]
+        assert CLOSED_FORM_TABLES == originals[6]
         assert loci.delliptic_class_m3(3) == loci.delliptic_class_m3_closed(3)
 
     @staticmethod
@@ -498,6 +523,47 @@ class TestMutationProbes:
         assert self.failed_checks(result) == {"pointed-isogeny-count"}
         by_name = {c["check"]: c for c in result["checks"]}
         assert "(d=4): brute-force disagrees" in by_name["pointed-isogeny-count"]["detail"]
+
+    @staticmethod
+    def closed_form_probe(table, label):
+        """(the check a bumped row must fail, the call that runs it at the
+        smallest d where the row is checked)."""
+        if table in loci.FAMILIES:
+            return f"class[{table}](d=1)", lambda: loci.class_in_family(table, 1)
+        if table == "pointed_cover_class_m12":
+            return f"{table}(d=1)", lambda: loci.pointed_cover_class_m12(1)
+        if table == "triple_branch":
+            name = f"triple_branch_{label}_sum"
+            return f"{name}(d=1)", lambda: getattr(loci, name)(1)
+        if table == "divisors":
+            d = 3 if label == "conv3" else 2
+            return f"{label}(d={d})", lambda: getattr(divisors, label)(d)
+        return f"{table}[{label}](d=1)", lambda: getattr(loci, table)(1)
+
+    @pytest.mark.parametrize("table", sorted(CLOSED_FORM_TABLES))
+    def test_every_closed_form_coefficient_is_caught(self, mutate, table):
+        rows = CLOSED_FORM_TABLES[table]
+        assert any(rows.values())
+        for label, row in rows.items():
+            check, call = self.closed_form_probe(table, label)
+            for key in list(row):
+                mutate.setitem(row, key, row[key] + 1)
+                self.clear_caches(loci, divisors)
+                with pytest.raises(CrossCheckError, match=rf"^{re.escape(check)}: "):
+                    call()
+                mutate.undo()
+        self.clear_caches(loci, divisors)
+
+    def test_wrong_class_coefficient_fails_named_check(self, mutate):
+        row = loci.FAMILIES["m3"][4]["kappa_2"]
+        mutate.setitem(row, (0, 3), row[(0, 3)] + 1)
+        result = report.run_verification(3, 10)
+        failed = self.failed_checks(result)
+        assert failed == {"genus3-classes", "quasimodularity-certification"}
+        by_name = {c["check"]: c for c in result["checks"]}
+        assert by_name["genus3-classes"]["detail"].startswith(
+            "CrossCheckError: class[m3](d=1): "
+        )
 
     def test_wrong_forget_map_target(self, mutate):
         mutate.setitem(chow.FORGET_M21_TO_M2, "Delta_01a", "Delta_0")

@@ -8,7 +8,9 @@ from fractions import Fraction as F
 import pytest
 
 from delliptic import report
-from delliptic.divisors import conv2, conv2_weighted, conv3, divisors, sigma, tau
+from delliptic.divisors import (
+    conv2, conv2_weighted, conv3, divisors, sigma, sigma_polynomial, tau,
+)
 from delliptic.errors import CrossCheckError
 
 # the package re-exports the function `divisors`, which shadows the module
@@ -114,6 +116,26 @@ class TestConvolutions:
             conv2_weighted(d)
             if d >= 3:
                 conv3(d)
+        # below its range each row is the empty sum, 0, so the class and
+        # profile rows need no special case at d = 1 and 2
+        rows = divisors_module.CLOSED_FORMS
+        assert sorted(rows) == sorted(CONVOLUTIONS)
+        for row in rows.values():
+            assert sigma_polynomial(row, 1) == 0
+        assert sigma_polynomial(rows["conv3"], 2) == 0
+        assert sigma_polynomial(rows["conv2"], 2) == 1
+
+    def test_sigma_polynomial(self):
+        # sigma_0 is tau; coefficients are exact and summed over one denominator
+        for d in range(1, 41):
+            row = {(0, 0): 1, (1, 1): F(-1, 2), (2, 3): F(5, 6), (0, 5): F(-7, 10)}
+            expected = (
+                tau(d) - F(d, 2) * sigma(1, d) + F(5 * d * d, 6) * sigma(3, d)
+                - F(7, 10) * sigma(5, d)
+            )
+            assert sigma_polynomial(row, d) == expected
+        assert sigma_polynomial({}, 7) == 0
+        assert isinstance(sigma_polynomial({(0, 1): 2}, 6), F)
 
     def test_rejects_small_arguments(self):
         with pytest.raises(ValueError):
