@@ -180,9 +180,32 @@ def is_transitive(perms: Sequence[Sequence[int]], d: int) -> bool:
 
 @lru_cache(maxsize=None)
 def conjugacy_class(profile: Partition) -> tuple[tuple[int, ...], ...]:
-    """All permutations of S_d with the given cycle type."""
-    parts = profile.parts
-    return tuple(p for p in permutations(range(profile.size)) if _cycle_lengths(p) == parts)
+    """All permutations of S_d with the given cycle type, in lexicographic
+    order.
+
+    The cycles are placed directly: the smallest unplaced point starts a
+    cycle of each distinct remaining length, followed by each ordering of
+    that many other unplaced points, so each member is built exactly once.
+    """
+    images = [0] * profile.size
+    members = []
+
+    def place(free: tuple[int, ...], lengths: tuple[int, ...]) -> None:
+        if not free:
+            members.append(tuple(images))
+            return
+        start, rest = free[0], free[1:]
+        for i, length in enumerate(lengths):
+            if i and lengths[i - 1] == length:
+                continue
+            for others in permutations(rest, length - 1):
+                cycle = (start, *others)
+                for x, y in zip(cycle, cycle[1:] + (start,)):
+                    images[x] = y
+                place(tuple(x for x in rest if x not in others), lengths[:i] + lengths[i + 1:])
+
+    place(tuple(range(profile.size)), profile.parts)
+    return tuple(sorted(members))
 
 
 def conjugacy_class_size(profile: Partition) -> int:

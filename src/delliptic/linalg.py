@@ -2,11 +2,14 @@
 
 `_factorise` picks the pivot columns of an integer matrix (those not in the
 span of earlier ones) and as many independent rows by fraction-free (Bareiss)
-elimination, and inverts that block as B / delta; `_solve` accepts X = B t
-only if the integer residual holds on every row. `solve_unique` scales each
-row to integers and factorises once per distinct matrix, cached by its
-values; `quasimodular` fits run on the same engine. `solve_any`, Fraction
-Gauss-Jordan with "first nonzero entry" pivots, is the tests' reference.
+elimination, and inverts that block as B / delta. `_solve(plan, numerators,
+scale)` takes the right-hand side as integers over one positive scale, as a
+`QSeries` holds it, and accepts X = B t only if the integer residual holds on
+every row. `solve_unique` scales each row of its matrix and its right-hand
+side to integers and factorises once per distinct matrix, cached by its
+values; `quasimodular` fits hand `_solve` their target's numerators
+directly. `solve_any`, Fraction Gauss-Jordan with "first nonzero entry"
+pivots, is the tests' reference.
 """
 
 from __future__ import annotations
@@ -112,10 +115,12 @@ def _every_row_holds(plan: _Factorisation, x: Sequence[int], rhs: Sequence[int])
     )
 
 
-def _solve(plan: _Factorisation, target: Sequence[Fraction]) -> list[Fraction] | None:
-    """The solution of A x = target with non-pivot unknowns 0, or None when
-    there is none: the same answer as `solve_any`, in integers."""
-    scaled, scale = _over_common_denominator(target)
+def _solve(
+    plan: _Factorisation, scaled: Sequence[int], scale: int
+) -> list[Fraction] | None:
+    """The solution of A x = target, target[d] = scaled[d] / scale, with
+    non-pivot unknowns 0, or None when there is none: the same answer as
+    `solve_any`, in integers."""
     picked = [scaled[r] for r in plan.pivot_rows]
     x = [sum(b * t for b, t in zip(row, picked)) for row in plan.inverse]
     if not _every_row_holds(plan, x, [plan.delta * t for t in scaled]):
@@ -167,7 +172,7 @@ def solve_unique(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) 
     if not matrix:
         return []
     scales, plan = _scaled_factorisation(tuple(map(tuple, matrix)))
-    solution = _solve(plan, [s * b for s, b in zip(scales, rhs)])
+    solution = _solve(plan, *_over_common_denominator([s * b for s, b in zip(scales, rhs)]))
     if solution is None:
         raise InconsistentSystemError("system has no exact solution")
     if len(plan.pivots) < len(solution):

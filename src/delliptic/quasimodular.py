@@ -20,8 +20,9 @@ weight; the refusal value therefore carries both parameters.
 
 Every basis coefficient is an integer, so the fit runs on `linalg`'s
 fraction-free engine: the basis rows are factorised once per
-(max_weight, N), and each fit is accepted only if the integer residual holds
-on every coefficient d = 0..N. Monomials in the span of earlier ones get 0.
+(max_weight, N), the target enters as its integer numerators over its one
+denominator, and each fit is accepted only if the integer residual holds on
+every coefficient d = 0..N. Monomials in the span of earlier ones get 0.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def eisenstein(k: int, order: int) -> QSeries:
 
 def q_derivative(f: QSeries) -> QSeries:
     """q d/dq: the q^d coefficient becomes d times itself; order is kept."""
-    return QSeries([d * c for d, c in enumerate(f.coefficients)], f.order)
+    return QSeries._reduced([d * x for d, x in enumerate(f.numerators)], f.denominator)
 
 
 @dataclass(frozen=True)
@@ -94,11 +95,15 @@ class QModMonomial:
 
 @lru_cache(maxsize=None)
 def _monomial_series(a: int, b: int, c: int, order: int) -> QSeries:
-    result = QSeries.one(order)
-    for k, e in ((2, a), (4, b), (6, c)):
-        for _ in range(e):
-            result = result * eisenstein(k, order)
-    return result
+    """E2^a E4^b E6^c to `order`: its cached predecessor times one Eisenstein
+    series, so each monomial costs one product."""
+    if c:
+        return _monomial_series(a, b, c - 1, order) * eisenstein(6, order)
+    if b:
+        return _monomial_series(a, b - 1, 0, order) * eisenstein(4, order)
+    if a:
+        return _monomial_series(a - 1, 0, 0, order) * eisenstein(2, order)
+    return QSeries.one(order)
 
 
 def _monomials_up_to(max_weight: int) -> list[QModMonomial]:
@@ -141,12 +146,11 @@ def _fit_plan(
     max_weight: int, order: int
 ) -> tuple[tuple[QModMonomial, ...], linalg._Factorisation]:
     """The monomials of weight <= max_weight and the factorisation of their
-    integer coefficient rows q^0..q^order, built once per (max_weight, order)."""
+    integer coefficient rows q^0..q^order, built once per (max_weight, order).
+    Every basis series has denominator 1, so its numerators are its
+    coefficients."""
     basis = quasimodular_basis(max_weight, order)
-    rows = [
-        [expansion.coefficients[d].numerator for _, expansion in basis]
-        for d in range(order + 1)
-    ]
+    rows = list(zip(*(expansion.numerators for _, expansion in basis)))
     return tuple(m for m, _ in basis), linalg._factorise(rows)
 
 
@@ -171,9 +175,8 @@ class QuasimodularFit:
         total = [0] * (n + 1)
         for (monomial, _), weight in zip(self.coefficients, weights):
             expansion = _monomial_series(monomial.a, monomial.b, monomial.c, n)
-            for d, c in enumerate(expansion.coefficients):
-                total[d] += weight * c.numerator
-        return QSeries([Fraction(t, scale) for t in total], n)
+            total = [t + weight * x for t, x in zip(total, expansion.numerators)]
+        return QSeries._reduced(total, scale)
 
     def to_json_dict(self) -> dict:
         return {
@@ -221,7 +224,7 @@ def fit_quasimodular(f: QSeries, max_weight: int, order: int) -> FitResult:
     if f.order < order:
         raise ValueError(f"series order {f.order} is below the fit order {order}")
     target = f.truncate(order)
-    solution = linalg._solve(plan, target.coefficients)
+    solution = linalg._solve(plan, target.numerators, target.denominator)
     if solution is None:
         return NotQuasimodular(max_weight, order)
     fit = QuasimodularFit(

@@ -4,10 +4,15 @@ Scalars are `fractions.Fraction` throughout: always in lowest terms with a
 positive denominator, so equality is structural. A Fraction serializes to the
 string "p/q" ("p" when the denominator is 1), which is exactly `str()`.
 
-A QSeries is a formal power series truncated at a fixed order N, held as the
-coefficient vector of q^0 .. q^N. Arithmetic between two series truncates to
-the smaller of the two orders; this is deliberate, so routines that mix
-orders compare only the coefficients both sides know.
+A QSeries is a formal power series truncated at a fixed order N. It holds the
+integer numerators of q^0 .. q^N over one common denominator, in normal form:
+the denominator is positive, shares no factor with every numerator at once,
+and is 1 for the zero series. Equal series therefore hold equal integers, and
+arithmetic runs on ints alone, reducing once per result. `coefficients`
+reads the series out as a tuple of Fractions, built on each access.
+Arithmetic between two series truncates to the smaller of the two orders;
+this is deliberate, so routines that mix orders compare only the
+coefficients both sides know.
 
 All values are immutable and all operations pure; instances are safe to
 share across threads.
@@ -16,8 +21,8 @@ share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -43,22 +48,41 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int
 
 
 class QSeries:
-    """Truncated power series sum_{d=0..order} c_d q^d with Fraction coefficients."""
+    """Truncated power series sum_{d=0..order} c_d q^d with rational
+    coefficients c_d = numerators[d] / denominator."""
 
-    __slots__ = ("order", "coefficients")
+    __slots__ = ("order", "numerators", "denominator")
 
     def __init__(self, coefficients: Sequence[Scalar], order: int | None = None):
-        coeffs = tuple(Fraction(c) for c in coefficients)
+        values = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coefficients]
         if order is None:
-            order = len(coeffs) - 1
+            order = len(values) - 1
         if order < 0:
             raise ValueError(f"truncation order must be >= 0, got {order}")
-        if len(coeffs) != order + 1:
+        if len(values) != order + 1:
             raise ValueError(
-                f"need exactly {order + 1} coefficients for order {order}, got {len(coeffs)}"
+                f"need exactly {order + 1} coefficients for order {order}, got {len(values)}"
             )
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coefficients", coeffs)
+        # over the lcm of the denominators the integers are already coprime
+        numerators, denominator = _over_common_denominator(values)
+        self._set(tuple(numerators), denominator)
+
+    def _set(self, numerators: tuple[int, ...], denominator: int) -> None:
+        object.__setattr__(self, "order", len(numerators) - 1)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
+
+    @classmethod
+    def _reduced(cls, numerators: Iterable[int], denominator: int) -> QSeries:
+        """The series numerators / denominator (denominator > 0) in normal form."""
+        numerators = tuple(numerators)
+        common = gcd(denominator, *numerators)
+        if common != 1:
+            numerators = tuple(x // common for x in numerators)
+            denominator //= common
+        series = object.__new__(cls)
+        series._set(numerators, denominator)
+        return series
 
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
@@ -80,54 +104,64 @@ class QSeries:
 
     # -- access ----------------------------------------------------------
 
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The coefficients of q^0 .. q^order as Fractions."""
+        return tuple(Fraction(x, self.denominator) for x in self.numerators)
+
     def coefficient(self, d: int) -> Fraction:
         if not 0 <= d <= self.order:
             raise ValueError(f"coefficient index {d} outside 0..{self.order}")
-        return self.coefficients[d]
+        return Fraction(self.numerators[d], self.denominator)
 
     def truncate(self, order: int) -> QSeries:
         """Drop coefficients above `order` (which must not exceed self.order)."""
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
-        return QSeries(self.coefficients[: order + 1], order)
+        if order < 0:
+            raise ValueError(f"truncation order must be >= 0, got {order}")
+        return QSeries._reduced(self.numerators[: order + 1], self.denominator)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
+        return not any(self.numerators)
 
     # -- arithmetic --------------------------------------------------------
+
+    def _combine(self, other: QSeries, op) -> QSeries:
+        """op (add or sub) coefficient-wise over the lcm of the denominators;
+        zip stops at the shorter tuple, which truncates to the smaller order."""
+        scale = lcm(self.denominator, other.denominator)
+        ka, kb = scale // self.denominator, scale // other.denominator
+        return QSeries._reduced(
+            [op(x * ka, y * kb) for x, y in zip(self.numerators, other.numerators)], scale
+        )
 
     def __add__(self, other: QSeries) -> QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return QSeries(
-            [self.coefficients[d] + other.coefficients[d] for d in range(n + 1)], n
-        )
+        return self._combine(other, add)
 
     def __sub__(self, other: QSeries) -> QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __neg__(self) -> QSeries:
-        return QSeries([-c for c in self.coefficients], self.order)
+        return QSeries._reduced([-x for x in self.numerators], self.denominator)
 
     def __mul__(self, other: Union[QSeries, Scalar]) -> QSeries:
         if isinstance(other, QSeries):
-            # integer numerators over one common denominator per factor,
-            # divided once per coefficient; b is reversed, so b[n - d:] lines
-            # up with a[:d + 1] in the q^d term
+            # b is reversed, so b[n - d:] lines up with a[:d + 1] in the
+            # q^d term
             n = min(self.order, other.order)
-            a, scale_a = _over_common_denominator(self.coefficients[: n + 1])
-            b, scale_b = _over_common_denominator(other.coefficients[n::-1])
-            scale = scale_a * scale_b
-            return QSeries(
-                [Fraction(sum(map(mul, a[: d + 1], b[n - d :])), scale)
-                 for d in range(n + 1)],
-                n,
+            a, b = self.numerators, other.numerators[n::-1]
+            return QSeries._reduced(
+                [sum(map(mul, a[: d + 1], b[n - d :])) for d in range(n + 1)],
+                self.denominator * other.denominator,
             )
         if isinstance(other, (int, Fraction)):
-            return QSeries([c * other for c in self.coefficients], self.order)
+            p, q = other.numerator, other.denominator
+            return QSeries._reduced([x * p for x in self.numerators], self.denominator * q)
         return NotImplemented
 
     def __rmul__(self, other: Scalar) -> QSeries:
@@ -146,10 +180,14 @@ class QSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.order == other.order and self.coefficients == other.coefficients
+        return (
+            self.order == other.order
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
+        )
 
     def __hash__(self) -> int:
-        return hash((self.order, self.coefficients))
+        return hash((self.order, self.numerators, self.denominator))
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coefficients[:5])

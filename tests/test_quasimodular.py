@@ -18,7 +18,7 @@ from delliptic.quasimodular import (
     q_derivative,
     quasimodular_basis,
 )
-from delliptic.series import QSeries
+from delliptic.series import QSeries, _over_common_denominator
 
 
 class TestEisenstein:
@@ -178,6 +178,26 @@ class TestFit:
                 rebuilt = rebuilt + x * expansion
             assert rebuilt == reference.reconstruct()
 
+    def test_common_denominator_target(self):
+        # the m21 delta_00 series is (sigma_3 - d sigma_1) / 12, so its
+        # integer target has a scale above 1
+        series = loci.coefficient_series("m21", "delta_00", 30)
+        assert series.denominator > 1
+        fit = fit_quasimodular(series, 6, 30)
+        assert isinstance(fit, QuasimodularFit)
+        assert fit.as_dict() == reference_fit(series, 6, 30)
+        assert fit.reconstruct() == series
+        # a held-out coefficient moved by 1/(7 * denominator) changes the scale
+        # too, and no form of weight <= 6 absorbs it
+        held_out = len(quasimodular_basis(6, 30)) + 5
+        nudge = F(1, 7 * series.denominator)
+        perturbed = QSeries(
+            [c + nudge * (d == held_out) for d, c in enumerate(series.coefficients)]
+        )
+        assert perturbed.denominator == 7 * series.denominator
+        assert fit_quasimodular(perturbed, 6, 30) == NotQuasimodular(6, 30)
+        assert reference_fit(perturbed, 6, 30) == NotQuasimodular(6, 30)
+
     def test_underdetermined_is_precondition_failure(self):
         with pytest.raises(ValueError):
             fit_quasimodular(QSeries.zero(30), 6, 7)
@@ -278,7 +298,8 @@ class TestIntegerRoute:
             consistent = [sum(a * v for a, v in zip(row, x)) for row in matrix]
             noise = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(9)]
             for rhs in (consistent, noise, [F(0)] * 9):
-                assert linalg._solve(plan, rhs) == linalg.solve_any(matrix, rhs)
+                numerators, scale = _over_common_denominator(rhs)
+                assert linalg._solve(plan, numerators, scale) == linalg.solve_any(matrix, rhs)
             # rational rows: each scaled by its own rational, and the
             # independent columns alone, so that every outcome occurs
             scaled = [[F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7)) * v

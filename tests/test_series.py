@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -146,3 +147,113 @@ class TestQSeries:
         f = QSeries([F(1, 2), F(-1, 24), 3])
         assert f.to_json() == ["1/2", "-1/24", "3"]
         assert QSeries.from_json(f.to_json()) == f
+
+
+def assert_normal(f):
+    """The integer normal form: order + 1 int numerators over a positive
+    denominator coprime to them all, and denominator 1 for the zero series."""
+    assert type(f.numerators) is tuple and len(f.numerators) == f.order + 1
+    assert all(type(x) is int for x in f.numerators)
+    assert type(f.denominator) is int and f.denominator > 0
+    assert gcd(f.denominator, *f.numerators) == 1
+    if not any(f.numerators):
+        assert f.denominator == 1
+
+
+class TestIntegerRepresentation:
+    """The integer arithmetic against coefficient-wise Fraction arithmetic."""
+
+    @staticmethod
+    def sample(rng, order):
+        kind = rng.choice(("mixed", "integer", "zero", "one denominator"))
+        if kind == "zero":
+            return QSeries.zero(order)
+        if kind == "integer":
+            return QSeries([rng.randint(-50, 50) for _ in range(order + 1)])
+        if kind == "one denominator":
+            q = rng.choice((2, 12, 35))
+            return QSeries([F(rng.randint(-99, 99) * q, q) for _ in range(order + 1)])
+        return QSeries(
+            [F(rng.randint(-99, 99), rng.choice((1, -2, 3, -7, 12, 25, -96)))
+             for _ in range(order + 1)]
+        )
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(404)
+        scalars = [0, 1, -1, 6, -12, F(0), F(-3, 4), F(5, 12), F(-1, 96)]
+        for _ in range(300):
+            f, g = self.sample(rng, rng.randint(0, 12)), self.sample(rng, rng.randint(0, 12))
+            a, b = f.coefficients, g.coefficients
+            n = min(f.order, g.order)
+            s = rng.choice(scalars)
+            cases = [
+                (f + g, [a[d] + b[d] for d in range(n + 1)]),
+                (f - g, [a[d] - b[d] for d in range(n + 1)]),
+                (-f, [-x for x in a]),
+                (s * f, [s * x for x in a]),
+                (f * s, [x * s for x in a]),
+                (f * g, [sum((a[i] * b[d - i] for i in range(d + 1)), F(0))
+                         for d in range(n + 1)]),
+                (f.truncate(n), list(a[: n + 1])),
+            ]
+            for result, want in cases:
+                assert_normal(result)
+                assert list(result.coefficients) == want
+                assert result == QSeries(want)
+                assert result.is_zero() == (not any(want))
+
+    def test_constructor_normal_form(self):
+        rng = random.Random(505)
+        for _ in range(100):
+            assert_normal(self.sample(rng, rng.randint(0, 12)))
+        assert QSeries([F(1, 2), F(3, 2)]).numerators == (1, 3)
+        assert QSeries([F(1, 2), F(3, 2)]).denominator == 2
+        assert QSeries([F(2, 4), F(1, 3)]).numerators == (3, 2)
+        assert QSeries([F(2, 4), F(1, 3)]).denominator == 6
+        assert QSeries.from_json(["0", "0/5", "-0"]).denominator == 1
+
+    def test_every_operation_reduces(self):
+        half = QSeries([1, F(1, 2)])
+        assert half.truncate(0) == QSeries([1])
+        assert_normal(half.truncate(0))
+        assert half.truncate(0).denominator == 1
+        # the halves cancel in the sum, the product and the scalar multiple
+        assert (half + QSeries([0, F(1, 2)])).denominator == 1
+        assert (half - QSeries([0, F(1, 2)])) == QSeries([1, 0])
+        assert (2 * half).denominator == 1
+        assert (F(1, 2) * QSeries([2, 4])) == QSeries([1, 2])
+        assert (QSeries([2, 0]) * half).denominator == 1
+        for zero in (0 * half, F(0) * half, half - half, half * QSeries.zero(1), -QSeries.zero(1)):
+            assert zero == QSeries.zero(1)
+            assert zero.denominator == 1 and zero.numerators == (0, 0)
+
+    def test_equal_values_equal_and_hash_equal(self):
+        rng = random.Random(606)
+        for _ in range(50):
+            f = self.sample(rng, rng.randint(0, 8))
+            routes = [
+                QSeries(f.coefficients),
+                QSeries.from_json(f.to_json()),
+                QSeries.from_function(f.order, f.coefficient),
+                f + QSeries.zero(f.order),
+                f * QSeries.one(f.order),
+                F(7, 3) * (F(3, 7) * f),
+                -(-f),
+                (f - QSeries([F(1, 11)] * (f.order + 1))) + QSeries([F(1, 11)] * (f.order + 1)),
+                QSeries(list(f.coefficients) + [F(5, 13)]).truncate(f.order),
+            ]
+            for g in routes:
+                assert g == f
+                assert hash(g) == hash(f)
+                assert (g.numerators, g.denominator) == (f.numerators, f.denominator)
+
+    def test_coefficients_are_fractions(self):
+        for f in (QSeries([1, 2, 3]), QSeries([F(1, 2), -3, F(5, 7)]), QSeries.zero(3)):
+            coefficients = f.coefficients
+            assert type(coefficients) is tuple
+            assert all(type(c) is F for c in coefficients)
+            assert all(type(f.coefficient(d)) is F for d in range(f.order + 1))
+        f = QSeries([F(1, 2), -3, F(5, 7)])
+        assert f.coefficients == (F(1, 2), F(-3), F(5, 7))
+        assert f.coefficient(2) == F(5, 7)
+        assert f.numerators == (7, -42, 10) and f.denominator == 14
