@@ -355,9 +355,8 @@ class IntersectionProfile:
     def from_dict(
         cls, space_id: str, values: Mapping[str, Fraction | int]
     ) -> IntersectionProfile:
-        sp = space(space_id)
-        registered = {label for labels in sp.bases.values() for label in labels}
-        unknown = set(values) - registered
+        bases = space(space_id).bases.values()
+        unknown = [label for label in values if not any(label in b for b in bases)]
         if unknown:
             raise ValueError(
                 f"labels {sorted(unknown)} not registered on {space_id}"

@@ -5,9 +5,10 @@ span of earlier ones) and as many independent rows by fraction-free (Bareiss)
 elimination, and inverts that block as B / delta. `_solve(plan, numerators,
 scale)` takes the right-hand side as integers over one positive scale, as a
 `QSeries` holds it, and accepts X = B t only if the integer residual holds on
-every row. `solve_unique` scales each row of its matrix and its right-hand
-side to integers and factorises once per distinct matrix, cached by its
-values; `quasimodular` fits hand `_solve` their target's numerators
+every row. `solve_unique` scales each row of its matrix to integers and
+factorises once per distinct matrix, cached by its values; its right-hand
+side enters as integers over their common denominator, each times its row's
+scale; `quasimodular` fits hand `_solve` their target's numerators
 directly. `solve_any`, Fraction Gauss-Jordan with "first nonzero entry"
 pivots, is the tests' reference.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .series import _over_common_denominator
@@ -40,9 +42,12 @@ class InconsistentSystemError(ValueError):
 @dataclass(frozen=True)
 class _Factorisation:
     """An integer matrix A with its pivot columns, as many independent rows,
-    and the inverse of A[pivot_rows][pivots] held as inverse / delta."""
+    and the inverse of A[pivot_rows][pivots] held as inverse / delta. Of A
+    itself it keeps every row restricted to the pivot columns, all the
+    residual reads, and the column count."""
 
-    rows: tuple[tuple[int, ...], ...]
+    on_pivots: tuple[tuple[int, ...], ...]
+    columns: int
     pivots: tuple[int, ...]
     pivot_rows: tuple[int, ...]
     inverse: tuple[tuple[int, ...], ...]
@@ -78,12 +83,9 @@ def _factorise(rows: Sequence[Sequence[int]]) -> _Factorisation:
         previous = p
         pivots.append(col)
     pivot_rows = tuple(origin[: len(pivots)])
-    inverse, delta = _integer_inverse(
-        [[rows[r][c] for c in pivots] for r in pivot_rows]
-    )
-    return _Factorisation(
-        tuple(tuple(row) for row in rows), tuple(pivots), pivot_rows, inverse, delta
-    )
+    on_pivots = tuple(tuple(row[c] for c in pivots) for row in rows)
+    inverse, delta = _integer_inverse([list(on_pivots[r]) for r in pivot_rows])
+    return _Factorisation(on_pivots, len(rows[0]), tuple(pivots), pivot_rows, inverse, delta)
 
 
 def _integer_inverse(square: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -109,10 +111,7 @@ def _integer_inverse(square: list[list[int]]) -> tuple[tuple[tuple[int, ...], ..
 
 def _every_row_holds(plan: _Factorisation, x: Sequence[int], rhs: Sequence[int]) -> bool:
     """sum_k A[d][pivots[k]] x[k] == rhs[d] on every row d."""
-    return all(
-        sum(row[c] * v for c, v in zip(plan.pivots, x)) == b
-        for row, b in zip(plan.rows, rhs)
-    )
+    return all(sum(map(mul, row, x)) == b for row, b in zip(plan.on_pivots, rhs))
 
 
 def _solve(
@@ -125,7 +124,7 @@ def _solve(
     x = [sum(b * t for b, t in zip(row, picked)) for row in plan.inverse]
     if not _every_row_holds(plan, x, [plan.delta * t for t in scaled]):
         return None
-    solution = [Fraction(0)] * len(plan.rows[0])
+    solution = [Fraction(0)] * plan.columns
     for col, v in zip(plan.pivots, x):
         solution[col] = Fraction(v, plan.delta * scale)
     return solution
@@ -172,7 +171,8 @@ def solve_unique(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) 
     if not matrix:
         return []
     scales, plan = _scaled_factorisation(tuple(map(tuple, matrix)))
-    solution = _solve(plan, *_over_common_denominator([s * b for s, b in zip(scales, rhs)]))
+    numerators, scale = _over_common_denominator(rhs)
+    solution = _solve(plan, list(map(mul, scales, numerators)), scale)
     if solution is None:
         raise InconsistentSystemError("system has no exact solution")
     if len(plan.pivots) < len(solution):

@@ -31,6 +31,10 @@ product-boundary surfaces are D1_D12 (the separating-boundary source carries
 a cover of the elliptic tail itself), D1_D13 (a marked genus-2 cover glued
 to an elliptic tail) and D11_D14 (an elliptic bridge between two isogenies).
 
+Every per-term sum of a route (the D1_D12 sum over the degree splitting,
+the chain windings over a | d) multiplies int numerators over the terms'
+common denominator and builds one Fraction per route value.
+
 All functions are pure in d and cached; the d-sweep is safe to parallelize.
 """
 
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import mul
 
 from .chow import (
     FORGET_M21_TO_M2,
@@ -53,7 +58,7 @@ from .covers import count_dd22, count_dd2222, count_pointed_isogenies
 from .divisors import Row, conv2, divisors, sigma, sigma_polynomial
 from .errors import crosscheck
 from .quasimodular import FitResult, fit_quasimodular
-from .series import QSeries
+from .series import QSeries, _over_common_denominator
 
 __all__ = [
     "pointed_cover_profile_m12",
@@ -242,16 +247,18 @@ _M12_DIVISOR_PULLBACK = {
 }
 
 
-def _chain_cover_term(d: int, m13_labels: tuple[str, ...]) -> Fraction:
-    """Type (Delta_0, Delta_0) contribution: chains of rational curves wound
-    a times around an irreducible nodal target, weighted by multiplicity m
-    per divisor splitting d = a*m."""
-    total = F(0)
-    for a in divisors(d):
-        m = d // a
-        profile = total_ramification_profile_m13(a).as_dict()
-        total += m * sum(profile[label] for label in m13_labels)
-    return total
+def _chain_windings(d: int) -> dict[str, Fraction]:
+    """Type (Delta_0, Delta_0) contribution per M13 divisor: chains of
+    rational curves wound a times around an irreducible nodal target,
+    weighted by multiplicity m per divisor splitting d = a*m. Each label's
+    sum over a | d is one int multiply-add over the common denominator."""
+    profiles = [total_ramification_profile_m13(a).as_dict() for a in divisors(d)]
+    weights = [d // a for a in divisors(d)]
+    windings = {}
+    for label in profiles[0]:
+        numerators, scale = _over_common_denominator([p[label] for p in profiles])
+        windings[label] = F(sum(map(mul, weights, numerators)), scale)
+    return windings
 
 
 @lru_cache(maxsize=None)
@@ -268,18 +275,20 @@ def boundary_profile_m2(d: int) -> IntersectionProfile:
 
     m12 = pointed_cover_profile_m12(d).as_dict()
     pair12 = lambda a, b: pairing_number("M12", a, 1, b, 1)
+    windings = _chain_windings(d)
+    chain = lambda label: sum(windings[m13] for m13 in _M12_DIVISOR_PULLBACK[label])
 
     # dual Delta_00, realized as the irreducible-nodal curve class:
     #   bridge covers (x2 multiplicity), chain covers, double-chain covers
     from_00 = (
         2 * m12["Delta_0"]
-        + _chain_cover_term(d, _M12_DIVISOR_PULLBACK["Delta_0"])
+        + chain("Delta_0")
         + 2 * _c2(d) * pair12("Delta_0", "Delta_0")
     )
     # dual Delta_01, realized in the irreducible-nodal boundary as well
     from_01 = (
         2 * m12["Delta_1"]
-        + _chain_cover_term(d, _M12_DIVISOR_PULLBACK["Delta_1"])
+        + chain("Delta_1")
         + 2 * _c2(d) * pair12("Delta_1", "Delta_0")
     )
     for label, value in (("Delta_00", from_00), ("Delta_01", from_01)):
@@ -378,16 +387,18 @@ def boundary_profile_m21(d: int) -> IntersectionProfile:
     x = cover_class.coefficient("Delta_0")
     y = cover_class.coefficient("Delta_1")
 
-    def bridge_term(m13_label: str) -> Fraction:
-        total = F(0)
-        for s in ("{1,2}", "{1,3}"):
-            total += x * pairing_number("M13", f"Delta_01_{s}", 2, m13_label, 1)
-            total += y * pairing_number("M13", f"Delta_11_{s}", 2, m13_label, 1)
-        return total
+    def sections(curve: str, m13_label: str) -> Fraction:
+        return sum(
+            pairing_number("M13", f"{curve}_{s}", 2, m13_label, 1) for s in ("{1,2}", "{1,3}")
+        )
 
+    def bridge_term(m13_label: str) -> Fraction:
+        return x * sections("Delta_01", m13_label) + y * sections("Delta_11", m13_label)
+
+    windings = _chain_windings(d)
     double_chain = _double_chain_term(d)
     from_nodal = {
-        dual: bridge_term(label) + _chain_cover_term(d, (label,)) + double_chain[label]
+        dual: bridge_term(label) + windings[label] + double_chain[label]
         for dual, label in _M21_DUAL_IN_M13.items()
     }
 
@@ -470,6 +481,11 @@ def surface_contribution_m3(d: int, cover_type: str, surface_label: str) -> Frac
     between a pair of isogenies (24 labellings); D1_D12 carries a genus-2
     cover of the elliptic tail itself, summed over the degree splitting, with
     multiplicity 2 for the contracted bridge and 6 labellings.
+
+    The D1_D12 sum 12 sum_{d1 < d} sigma_1(d - d1) F(d1), F the genus-2
+    profile entry the forget map picks, reads F only at d1 < d. It is one
+    int multiply-add of the F(d1) numerators, over their common
+    denominator, against the sigma_1 values.
     """
     _require_positive(d)
     if cover_type not in COVER_TYPES_M3:
@@ -499,9 +515,10 @@ def surface_contribution_m3(d: int, cover_type: str, surface_label: str) -> Frac
     target = forget[m21_label]
     if target is None:
         return F(0)  # the forget map contracts the surface
-    return 12 * sum(
-        (sigma(1, d - d1) * profile(d1).as_dict()[target] for d1 in range(1, d)), F(0)
+    numerators, scale = _over_common_denominator(
+        [profile(d1).as_dict()[target] for d1 in range(1, d)]
     )
+    return F(12 * sum(map(mul, numerators, [sigma(1, d - d1) for d1 in range(1, d)])), scale)
 
 
 def _surface_total(d: int, surface_label: str) -> Fraction:

@@ -24,6 +24,30 @@ CLOSED_FORM_TABLES = {
     "divisors": divisors.CLOSED_FORMS,
 }
 
+#: every forget map -> (the map, what its entries may name, the checks that
+#: fail when one entry names something else); the surface map lands in the
+#: M2 divisors, the curve map in the M2 curve classes
+FORGET_MAPS = {
+    "FORGET_M21_TO_M2": (
+        chow.FORGET_M21_TO_M2,
+        (None, *chow.basis_labels("M2", 1)),
+        {"pointed-genus2-classes", "genus3-classes", "quasimodularity-certification"},
+    ),
+    "_FORGET_CURVE": (
+        loci._FORGET_CURVE,
+        (None, *chow.basis_labels("M2", 2)),
+        {"genus3-classes", "quasimodularity-certification"},
+    ),
+}
+#: (map, entry, wrong target): every retargeting of one forget-map entry
+FORGET_RETARGETINGS = [
+    (name, label, target)
+    for name, (table, targets, _) in FORGET_MAPS.items()
+    for label, image in table.items()
+    for target in targets
+    if target != image
+]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -569,6 +593,15 @@ class TestMutationProbes:
         mutate.setitem(chow.FORGET_M21_TO_M2, "Delta_01a", "Delta_0")
         failed = self.failed_checks(report.run_verification(10, 20))
         assert {"pointed-genus2-classes", "genus3-classes"} <= failed
+
+    @pytest.mark.parametrize(
+        ("name", "label", "target"), FORGET_RETARGETINGS,
+        ids=[f"{name}[{label}]->{target}" for name, label, target in FORGET_RETARGETINGS],
+    )
+    def test_every_forget_map_target_is_caught(self, mutate, name, label, target):
+        table, _, checks = FORGET_MAPS[name]
+        mutate.setitem(table, label, target)
+        assert self.failed_checks(report.run_verification(10, 20)) == checks
 
     def test_changed_table_gets_a_new_factorisation(self, mutate):
         # the solver's cache is keyed by the table's values, not its labels:

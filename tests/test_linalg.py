@@ -31,6 +31,34 @@ def test_round_trip_random_systems():
         solved += 1
 
 
+def test_rhs_with_mixed_denominators_matches_reference():
+    # the right-hand side enters over its own common denominator, times the
+    # row scales of the matrix; square and overdetermined, consistent or not
+    # (this seed draws no singular matrix)
+    rng = random.Random(1212)
+    outcomes = set()
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        matrix = [
+            [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)]
+            for _ in range(n + rng.randint(0, 2))
+        ]
+        x = [F(rng.randint(-9, 9), rng.randint(1, 11)) for _ in range(n)]
+        rhs = [sum(a * v for a, v in zip(row, x)) for row in matrix]
+        if rng.random() < 0.3:
+            rhs[-1] += F(1, rng.randint(2, 13))
+        if len({v.denominator for v in rhs}) < 2:
+            continue
+        expected = solve_any(matrix, rhs)
+        try:
+            assert solve_unique(matrix, rhs) == expected
+            outcomes.add("unique")
+        except InconsistentSystemError:
+            assert expected is None
+            outcomes.add("inconsistent")
+    assert outcomes == {"unique", "inconsistent"}
+
+
 def test_singular_square_system():
     matrix = [[F(1), F(2)], [F(2), F(4)]]
     with pytest.raises(SingularSystemError):

@@ -1,6 +1,7 @@
 """Locus classes: auxiliary profiles, assembled boundary profiles, solved
 classes, triple-branch sums, and certification plumbing."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -27,7 +28,13 @@ from delliptic.loci import (
     triple_branch_chain_sum,
     triple_branch_split_sum,
 )
-from delliptic.chow import IntersectionProfile, pushforward_m21_to_m2
+from delliptic.chow import (
+    FORGET_M21_TO_M2,
+    IntersectionProfile,
+    basis_labels,
+    pairing_number,
+    pushforward_m21_to_m2,
+)
 from delliptic.quasimodular import NotQuasimodular, QuasimodularFit
 
 
@@ -254,6 +261,112 @@ class TestGenus3:
         for d in range(1, 31):
             total = sum(48 * (a**4 - 1) * (d // a) for a in divisors(d))
             assert total == 48 * (d * sigma(3, d) - sigma(1, d))
+
+
+class TestIntegerRoutes:
+    """The int multiply-adds of the routes against the Fraction sums they
+    replace, written out term by term."""
+
+    @staticmethod
+    def fraction_contribution(d, cover_type, surface_label):
+        if surface_label in loci._SURFACE_X_POINT:
+            m21_label, is_surface = loci._SURFACE_X_POINT[surface_label], True
+        else:
+            m21_label, is_surface = loci._CURVE_X_MODULI[surface_label], False
+        c2 = conv2(d) if d >= 2 else 0
+        if cover_type == "D1_D13":
+            return 24 * boundary_profile_m21(d).as_dict()[m21_label] if is_surface else F(0)
+        if cover_type == "D11_D14":
+            if is_surface:
+                return 24 * c2 * pairing_number("M21", m21_label, 2, "Delta_01a", 2)
+            return 24 * c2 * pairing_number("M21", "Delta_1", 1, m21_label, 3)
+        forget, profile = (
+            (FORGET_M21_TO_M2, loci.fixed_target_profile_m2) if is_surface
+            else (loci._FORGET_CURVE, loci.boundary_profile_m2)
+        )
+        total = F(0)
+        if forget[m21_label] is not None:
+            for d1 in range(1, d):
+                total += sigma(1, d - d1) * profile(d1).as_dict()[forget[m21_label]]
+        return 12 * total
+
+    def assert_contributions_match(self, max_d):
+        surfaces = {**loci._SURFACE_X_POINT, **loci._CURVE_X_MODULI}
+        for d in range(1, max_d + 1):
+            for cover_type in loci.COVER_TYPES_M3:
+                for surface in surfaces:
+                    value = surface_contribution_m3(d, cover_type, surface)
+                    assert isinstance(value, F)
+                    assert value == self.fraction_contribution(d, cover_type, surface)
+
+    def test_surface_contributions(self):
+        self.assert_contributions_match(80)
+
+    def test_surface_contributions_over_mixed_denominators(self, monkeypatch):
+        # the real genus-2 profiles are integral; rational ones exercise the
+        # common denominator
+        for name in ("fixed_target_profile_m2", "boundary_profile_m2"):
+            original = getattr(loci, name)
+            monkeypatch.setattr(loci, name, lambda d, original=original: (
+                IntersectionProfile.from_dict("M2", {
+                    label: v + F(d % 5, d + 1) for label, v in original(d).values
+                })
+            ))
+        self.assert_contributions_match(30)
+
+    @staticmethod
+    def fraction_windings(d, label):
+        total = F(0)
+        for a in divisors(d):
+            total += (d // a) * loci.total_ramification_profile_m13(a).as_dict()[label]
+        return total
+
+    def test_chain_windings(self, monkeypatch):
+        labels = basis_labels("M13", 1)
+        for d in range(1, 81):
+            windings = loci._chain_windings(d)
+            assert tuple(windings) == labels
+            assert all(windings[label] == self.fraction_windings(d, label) for label in labels)
+        # rational entries with a different denominator per winding
+        monkeypatch.setattr(loci, "total_ramification_profile_m13", lambda a: (
+            IntersectionProfile.from_dict("M13", {
+                label: F(a * i - 3, a + i) for i, label in enumerate(labels)
+            })
+        ))
+        for d in (1, 12, 30, 60):
+            windings = loci._chain_windings(d)
+            assert all(windings[label] == self.fraction_windings(d, label) for label in labels)
+
+    @pytest.mark.parametrize(("profile", "label", "check"), [
+        ("fixed_target_profile_m2", "Delta_0", "boundary_profile_m3[Delta_[8]]"),
+        ("fixed_target_profile_m2", "Delta_1", "boundary_profile_m3[Delta_[11]]"),
+        ("boundary_profile_m2", "Delta_00", "boundary_profile_m3[Delta_[5]]"),
+        ("boundary_profile_m2", "Delta_01", "boundary_profile_m3[Delta_[11]]"),
+    ])
+    def test_planted_d1_d12_input_fails_its_first_reader(
+        self, monkeypatch, profile, label, check
+    ):
+        planted_at = 6
+        original = getattr(loci, profile)
+
+        def planted(d):
+            values = original(d).as_dict()
+            values[label] += F(1, 7) if d == planted_at else 0
+            return IntersectionProfile.from_dict("M2", values)
+
+        boundary_profile_m3.cache_clear()
+        monkeypatch.setattr(loci, profile, planted)
+        try:
+            for d in range(1, planted_at + 1):
+                boundary_profile_m3(d)  # reads the profile only below d
+            with pytest.raises(
+                CrossCheckError, match=rf"^{re.escape(check)}\(d={planted_at + 1}\): "
+            ):
+                boundary_profile_m3(planted_at + 1)
+        finally:
+            monkeypatch.undo()
+            boundary_profile_m3.cache_clear()
+        boundary_profile_m3(planted_at + 1)
 
 
 class TestTripleBranchSums:
