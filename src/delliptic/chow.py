@@ -13,9 +13,11 @@ Upper-case labels (Delta_*, Xi_*, Gamma_*) denote pushforwards of fundamental
 classes under the boundary gluing maps; lower-case labels are the
 corresponding substack classes, smaller by the order of the automorphism
 group of the stable graph (delta_0 = Delta_0 / 2, and for the binodal
-delta_00 the factor is 8). The M3 codimension-2 basis (lambda^2, ...,
-kappa_2) is already written in substack terms, so its conversion factors are
-all 1.
+delta_00 the factor is 8). A substack label is always its basis label
+lower-cased (Delta_01a -> delta_01a, Xi_1 -> xi_1), so only the conversion
+factors (q_factors) are registered. The M3
+codimension-2 basis (lambda^2, ..., kappa_2) is already written in substack
+terms: lower-casing keeps its labels and its conversion factors are all 1.
 
 Where only part of a basis or pairing is ever needed, only that part is
 registered (M13 carries four codimension-2 curve classes against the five
@@ -69,8 +71,6 @@ class ChowSpace:
     pairings: Mapping[tuple[int, int], tuple[tuple[Fraction, ...], ...]]
     # degree -> upper label -> stable-graph automorphism order
     q_factors: Mapping[int, Mapping[str, int]]
-    # upper label -> substack label
-    q_labels: Mapping[str, str]
 
 
 def _build_registry() -> dict[str, ChowSpace]:
@@ -88,7 +88,6 @@ def _build_registry() -> dict[str, ChowSpace]:
             )
         },
         q_factors={},
-        q_labels={},
     )
 
     # ---- M13: five boundary divisors; four curve classes ----
@@ -121,7 +120,6 @@ def _build_registry() -> dict[str, ChowSpace]:
         bases={1: m13_div, 2: m13_curves},
         pairings={(2, 1): m13_table},
         q_factors={},
-        q_labels={},
     )
 
     # ---- M2: divisors Delta_0, Delta_1; curves Delta_00, Delta_01 ----
@@ -139,12 +137,6 @@ def _build_registry() -> dict[str, ChowSpace]:
         q_factors={
             1: {"Delta_0": 2, "Delta_1": 2},
             2: {"Delta_00": 8, "Delta_01": 2},
-        },
-        q_labels={
-            "Delta_0": "delta_0",
-            "Delta_1": "delta_1",
-            "Delta_00": "delta_00",
-            "Delta_01": "delta_01",
         },
     )
 
@@ -177,13 +169,6 @@ def _build_registry() -> dict[str, ChowSpace]:
                 "Xi_1": 2,
                 "Delta_11": 2,
             }
-        },
-        q_labels={
-            "Delta_00": "delta_00",
-            "Delta_01a": "delta_01a",
-            "Delta_01b": "delta_01b",
-            "Xi_1": "xi_1",
-            "Delta_11": "delta_11",
         },
     )
 
@@ -223,7 +208,6 @@ def _build_registry() -> dict[str, ChowSpace]:
         pairings={(4, 2): m3_table},
         # the codim-2 basis is already in substack terms
         q_factors={2: {label: 1 for label in m3_codim2}},
-        q_labels={label: label for label in m3_codim2},
     )
     return spaces
 
@@ -253,7 +237,7 @@ def q_basis_labels(space_id: str, degree: int) -> tuple[str, ...]:
         raise ValueError(
             f"no substack conversion registered for {space_id} degree {degree}"
         )
-    return tuple(sp.q_labels[label] for label in sp.bases[degree])
+    return tuple(label.lower() for label in sp.bases[degree])
 
 
 @dataclass(frozen=True)
@@ -382,34 +366,30 @@ def _position(labels: tuple[str, ...], label: str, space_id: str, degree: int) -
         ) from None
 
 
-def _pairing_matrix(sp: ChowSpace, degree_a: int, degree_b: int):
-    """Entry lookup (label_a, label_b) -> Fraction read off the registered
-    table; unpaired degrees and an unregistered label raise ValueError."""
+def _pairing_block(
+    sp: ChowSpace, degree_a: int, degree_b: int
+) -> tuple[tuple[str, ...], tuple[str, ...], tuple[tuple[Fraction, ...], ...]]:
+    """(labels_a, labels_b, table), table[i][j] the stored intersection number
+    of labels_a[i] and labels_b[j]. A block registered the other way round
+    is transposed; unpaired degrees raise ValueError."""
     if (degree_a, degree_b) in sp.pairings:
-        flip, key = False, (degree_a, degree_b)
+        table = sp.pairings[degree_a, degree_b]
     elif (degree_b, degree_a) in sp.pairings:
-        flip, key = True, (degree_b, degree_a)
+        table = tuple(zip(*sp.pairings[degree_b, degree_a]))
     else:
         raise ValueError(
             f"degrees {degree_a} and {degree_b} are not paired on {sp.space_id}"
         )
-    table = sp.pairings[key]
-    rows, cols = sp.bases[key[0]], sp.bases[key[1]]
-
-    def entry(label_a: str, label_b: str) -> Fraction:
-        if flip:
-            label_a, label_b = label_b, label_a
-        i = _position(rows, label_a, sp.space_id, key[0])
-        return table[i][_position(cols, label_b, sp.space_id, key[1])]
-
-    return entry
+    return sp.bases[degree_a], sp.bases[degree_b], table
 
 
 def pairing_number(
     space_id: str, label_a: str, degree_a: int, label_b: str, degree_b: int
 ) -> Fraction:
     """Stored intersection number of two basis classes."""
-    return _pairing_matrix(space(space_id), degree_a, degree_b)(label_a, label_b)
+    labels_a, labels_b, table = _pairing_block(space(space_id), degree_a, degree_b)
+    row = table[_position(labels_a, label_a, space_id, degree_a)]
+    return row[_position(labels_b, label_b, space_id, degree_b)]
 
 
 def pairing(a: ChowClass, b: ChowClass) -> Fraction:
@@ -419,13 +399,14 @@ def pairing(a: ChowClass, b: ChowClass) -> Fraction:
     sp = space(a.space_id)
     if a.labels != sp.bases.get(a.degree) or b.labels != sp.bases.get(b.degree):
         raise ValueError("pairing requires classes on the registered bases")
-    entries = _pairing_matrix(sp, a.degree, b.degree)
+    _, _, table = _pairing_block(sp, a.degree, b.degree)
     return sum(
         (
-            ca * cb * entries(la, lb)
-            for la, ca in zip(a.labels, a.coefficients)
-            for lb, cb in zip(b.labels, b.coefficients)
-            if ca != 0 and cb != 0
+            ca * cb * table[i][j]
+            for i, ca in enumerate(a.coefficients)
+            if ca != 0
+            for j, cb in enumerate(b.coefficients)
+            if cb != 0
         ),
         F(0),
     )
@@ -443,25 +424,15 @@ def solve_class(
     if profile.space_id != space_id:
         raise ValueError("profile belongs to a different space")
     sp = space(space_id)
-    labels = basis_labels(space_id, degree)
     dual_degree = sp.dimension - degree
-    dual_labels = sp.bases.get(dual_degree)
-    if dual_labels is None:
-        raise ValueError(
-            f"no degree-{dual_degree} dual basis registered on {space_id}"
-        )
-    entries = _pairing_matrix(sp, degree, dual_degree)
-    matrix = []
-    rhs = []
-    for dual_label, value in profile.values:
-        if dual_label not in dual_labels:
-            raise ValueError(
-                f"profile label {dual_label!r} is not in the degree-"
-                f"{dual_degree} basis of {space_id}"
-            )
-        matrix.append(tuple(entries(label, dual_label) for label in labels))
-        rhs.append(value)
-    solution = solve_unique(matrix, rhs)
+    labels, dual_labels, table = _pairing_block(sp, degree, dual_degree)
+    # one row per profile label: its column of the block
+    columns = tuple(zip(*table))
+    matrix = [
+        columns[_position(dual_labels, label, space_id, dual_degree)]
+        for label, _ in profile.values
+    ]
+    solution = solve_unique(matrix, [value for _, value in profile.values])
     return ChowClass(space_id, degree, labels, tuple(solution))
 
 
@@ -482,7 +453,7 @@ def to_q_class_basis(c: ChowClass) -> ChowClass:
     return ChowClass(
         c.space_id,
         c.degree,
-        tuple(sp.q_labels[label] for label in c.labels),
+        tuple(label.lower() for label in c.labels),
         tuple(coeff * factors[label] for label, coeff in zip(c.labels, c.coefficients)),
     )
 
@@ -510,17 +481,17 @@ def pushforward_m21_to_m2(c: ChowClass) -> ChowClass:
         raise ValueError("pushforward is defined for M21 degree-2 classes")
     source, target = space("M21"), space("M2")
     if c.labels == source.bases[2]:
-        rename = {label: label for label in target.bases[1]}
+        rename = str
     elif c.labels == q_basis_labels("M21", 2):
         # every surface the map keeps (Xi_1, Delta_11) and its image divisor
         # (Delta_0, Delta_1) have automorphism order 2, so on substack classes
         # the map still has degree 1: only the labels change
-        rename = target.q_labels
+        rename = str.lower
     else:
         raise ValueError("class is not on a recognized M21 degree-2 basis")
-    totals = {rename[label]: F(0) for label in target.bases[1]}
+    totals = {rename(label): F(0) for label in target.bases[1]}
     for label, coeff in zip(source.bases[2], c.coefficients):
         image = FORGET_M21_TO_M2[label]
         if image is not None:
-            totals[rename[image]] += coeff
+            totals[rename(image)] += coeff
     return ChowClass("M2", 1, tuple(totals), tuple(totals.values()))

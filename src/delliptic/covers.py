@@ -37,7 +37,7 @@ from itertools import permutations, product
 from math import factorial, gcd, isqrt, prod
 from typing import Iterable, Sequence
 
-from .divisors import divisors
+from .divisors import divisors, require_positive
 
 __all__ = [
     "Partition",
@@ -63,8 +63,9 @@ __all__ = [
 #: class); it also enumerates at most 8! tuples of middle factors
 ENUMERATION_BUDGET = 8
 
-#: largest d count_pointed_isogenies accepts; its work is one divisor sum
-#: (trial division up to sqrt(d)), instant at the ceiling
+#: largest d count_sublattices and count_pointed_isogenies accept; their
+#: work is one divisor sum (trial division up to sqrt(d)), instant at the
+#: ceiling
 ISOGENY_DEGREE_CEILING = 1000
 
 #: largest d whose order-d subgroups of (Z/d)^2 are enumerated by brute force
@@ -236,8 +237,7 @@ def hurwitz_number(d: int, profiles: Sequence[Partition]) -> Fraction:
     the cost by |class_1| without changing the count. More than
     ENUMERATION_BUDGET! middle tuples is refused before any class is listed.
     """
-    if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
+    require_positive(d)
     if d > ENUMERATION_BUDGET:
         raise ValueError(
             f"degree {d} exceeds the enumeration budget {ENUMERATION_BUDGET}"
@@ -276,10 +276,10 @@ def count_sublattices(d: int) -> int:
     """Index-d sublattices of Z^2, counted by Hermite normal form.
 
     A sublattice has a unique basis (a, 0), (b, c) with a, c > 0, ac = d and
-    0 <= b < a: a forms for each divisor a of d, sigma_1(d) in all.
+    0 <= b < a: a forms for each divisor a of d, sigma_1(d) in all, for
+    d <= ISOGENY_DEGREE_CEILING.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    _check_isogeny_degree(d, ISOGENY_DEGREE_CEILING, "structural isogeny ceiling")
     return sum(divisors(d))
 
 
@@ -322,8 +322,7 @@ def _order_d_subgroups(d: int) -> list[frozenset]:
 
 
 def _check_isogeny_degree(d: int, limit: int, name: str) -> None:
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    require_positive(d)
     if d > limit:
         raise ValueError(f"d = {d} exceeds the {name} {limit}")
 
@@ -354,8 +353,7 @@ def count_dd22(d: int) -> int:
 
     `verify` relates it to count_dd2222 through the degeneration identity.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    require_positive(d)
     return 2 * (d * d - 1)
 
 
@@ -366,6 +364,5 @@ def count_dd2222(d: int) -> int:
     `verify` checks it against count_dd22 through the degeneration identity
     12 * (2(d^2-1))^2 + 8 * 6 * 2(d^2-1) = 48(d^4-1).
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    require_positive(d)
     return 48 * (d**4 - 1)

@@ -3,8 +3,8 @@
 sigma_k(d) = sum of a^k over the positive divisors a of d, so sigma_0 = tau,
 the number of divisors. Every closed form in the package is a sigma
 polynomial, held as data: a row {(j, k): c} means sum c d^j sigma_k(d), and
-sigma_polynomial(row, d) is its one reader. It sums integer numerators over
-the row's common denominator and builds one Fraction.
+sigma_polynomial(row, d) is its one reader: one series.dot of the row's
+coefficients against the int values d^j sigma_k(d).
 
 The three convolutions of sigma_1 over ordered compositions of d have such
 rows (CLOSED_FORMS):
@@ -14,13 +14,16 @@ rows (CLOSED_FORMS):
     sum_{d1+d2+d3=d} s1(d1)s1(d2)s1(d3)  = (d^2/8 - d/16 + 1/192) s1(d)
                                            + (-5d/32 + 5/96) s3(d) + 7/192 s5(d)
 
-Each row is 0 below its range (d = 1, and conv3 also d = 2), where the sums
-are empty. These identities carry the whole assembly downstream, so every
-convolution is evaluated BOTH by direct summation and by its row, and the
-two must agree exactly (CrossCheckError otherwise). The direct sums are the
-int coefficients of A^2, (DA)A and A^3 (A = sum s1(m)q^m, DA = sum m
-s1(m)q^m), built to the next power of two >= d and cached: O(D^2) per sweep
-to D, not O(D^3). Divisor enumeration is trial division up to sqrt(d).
+Below its range (d = 1, and for conv3 also d = 2) each convolution is the
+empty sum 0, and so is its row; every d >= 1 is accepted, and d < 1 raises
+ValueError through require_positive, the package's one d >= 1 check. These
+identities carry the whole assembly downstream, so every convolution is
+evaluated BOTH by direct summation and by its row, and the two must agree
+exactly (CrossCheckError otherwise). The direct sums are the int
+coefficients of the QSeries products A*A, (DA)*A and (A*A)*A (A = sum
+s1(m)q^m, DA = sum m s1(m)q^m), built to the next power of two >= d and
+cached: O(D^2) per sweep to D, not O(D^3). Divisor enumeration is trial
+division up to sqrt(d).
 """
 
 from __future__ import annotations
@@ -28,15 +31,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from operator import mul
 from typing import Mapping, Union
 
 from .errors import crosscheck
-from .series import _over_common_denominator
+from .series import QSeries, dot
 
 __all__ = [
-    "divisors", "sigma", "tau", "sigma_polynomial", "CLOSED_FORMS",
-    "conv2", "conv2_weighted", "conv3",
+    "require_positive", "divisors", "sigma", "tau", "sigma_polynomial",
+    "CLOSED_FORMS", "conv2", "conv2_weighted", "conv3",
 ]
 
 F = Fraction
@@ -45,11 +47,16 @@ F = Fraction
 Row = Mapping[tuple[int, int], Union[int, Fraction]]
 
 
+def require_positive(d: int) -> None:
+    """Raise ValueError unless d >= 1."""
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+
+
 @lru_cache(maxsize=None)
 def divisors(d: int) -> tuple[int, ...]:
     """Sorted positive divisors of d >= 1."""
-    if d <= 0:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    require_positive(d)
     found = set()
     for a in range(1, isqrt(d) + 1):
         if d % a == 0:
@@ -73,8 +80,7 @@ def tau(d: int) -> int:
 
 def sigma_polynomial(row: Row, d: int) -> Fraction:
     """sum c d^j sigma_k(d) over the row {(j, k): c}, exactly; sigma_0 = tau."""
-    numerators, scale = _over_common_denominator(list(row.values()))
-    return Fraction(sum(map(mul, numerators, [d**j * sigma(k, d) for j, k in row])), scale)
+    return dot(list(row.values()), [d**j * sigma(k, d) for j, k in row])
 
 
 #: convolution -> its closed form, the row its direct sum must equal
@@ -91,17 +97,18 @@ CLOSED_FORMS: dict[str, Row] = {
 @lru_cache(maxsize=None)
 def _coefficients(name: str, n: int) -> tuple[int, ...]:
     """q^0..q^n of the product ``name`` sums: A*A, DA*A or (A*A)*A."""
-    a = [0] + [sigma(1, m) for m in range(1, n + 1)]
+    a = QSeries([0] + [sigma(1, m) for m in range(1, n + 1)])
     if name == "conv3":
-        left = _coefficients("conv2", n)
+        left = QSeries(_coefficients("conv2", n))
+    elif name == "conv2_weighted":
+        left = QSeries([m * s for m, s in enumerate(a.numerators)])
     else:
-        left = [m * s if name == "conv2_weighted" else s for m, s in enumerate(a)]
-    return tuple(sum(left[i] * a[k - i] for i in range(k)) for k in range(n + 1))
+        left = a
+    return (left * a).numerators
 
 
-def _convolution(name: str, d: int, least: int) -> int:
-    if d < least:
-        raise ValueError(f"d must be >= {least}, got {d}")
+def _convolution(name: str, d: int) -> int:
+    require_positive(d)
     direct = _coefficients(name, 1 << (d - 1).bit_length())[d]
     closed = sigma_polynomial(CLOSED_FORMS[name], d)
     return crosscheck(name, d, direct=direct, closed=closed)
@@ -110,16 +117,16 @@ def _convolution(name: str, d: int, least: int) -> int:
 @lru_cache(maxsize=None)
 def conv2(d: int) -> int:
     """sum over d1+d2=d (d1,d2 >= 1) of sigma_1(d1)sigma_1(d2)."""
-    return _convolution("conv2", d, 2)
+    return _convolution("conv2", d)
 
 
 @lru_cache(maxsize=None)
 def conv2_weighted(d: int) -> int:
     """sum over d1+d2=d of d1*sigma_1(d1)sigma_1(d2)."""
-    return _convolution("conv2_weighted", d, 2)
+    return _convolution("conv2_weighted", d)
 
 
 @lru_cache(maxsize=None)
 def conv3(d: int) -> int:
     """sum over d1+d2+d3=d (all >= 1) of sigma_1(d1)sigma_1(d2)sigma_1(d3)."""
-    return _convolution("conv3", d, 3)
+    return _convolution("conv3", d)

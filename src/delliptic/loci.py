@@ -32,8 +32,8 @@ a cover of the elliptic tail itself), D1_D13 (a marked genus-2 cover glued
 to an elliptic tail) and D11_D14 (an elliptic bridge between two isogenies).
 
 Every per-term sum of a route (the D1_D12 sum over the degree splitting,
-the chain windings over a | d) multiplies int numerators over the terms'
-common denominator and builds one Fraction per route value.
+the chain windings over a | d) is one series.dot: int multiply-adds over the
+terms' common denominator, then one Fraction per route value.
 
 All functions are pure in d and cached; the d-sweep is safe to parallelize.
 """
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from operator import mul
 
 from .chow import (
     FORGET_M21_TO_M2,
@@ -55,10 +54,10 @@ from .chow import (
     to_q_class_basis,
 )
 from .covers import count_dd22, count_dd2222, count_pointed_isogenies
-from .divisors import Row, conv2, divisors, sigma, sigma_polynomial
+from .divisors import Row, conv2, divisors, require_positive, sigma, sigma_polynomial
 from .errors import crosscheck
 from .quasimodular import FitResult, fit_quasimodular
-from .series import QSeries, _over_common_denominator
+from .series import QSeries, dot
 
 __all__ = [
     "pointed_cover_profile_m12",
@@ -88,20 +87,11 @@ __all__ = [
     "family_labels",
     "class_in_family",
     "coefficient_series",
+    "CERTIFICATION_WEIGHT",
     "certify_quasimodularity",
 ]
 
 F = Fraction
-
-
-def _require_positive(d: int) -> None:
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-
-
-# conv2 with its empty-range value, so the topology routes work at d = 1
-def _c2(d: int) -> int:
-    return conv2(d) if d >= 2 else 0
 
 
 #: object -> {label: row}, every closed form of this module but the class rows
@@ -150,7 +140,7 @@ def _closed(name: str, d: int) -> dict[str, Fraction]:
 
 def closed_class(family: str, d: int) -> ChowClass:
     """One family's closed-form class at d, read off its rows in FAMILIES."""
-    _require_positive(d)
+    require_positive(d)
     space_id, degree, _, _, rows = FAMILIES[family]
     labels = q_basis_labels(space_id, degree)
     values = tuple(sigma_polynomial(rows[label], d) for label in labels)
@@ -178,7 +168,7 @@ def pointed_cover_profile_m12(d: int) -> IntersectionProfile:
     The irreducible-nodal divisor meets it in the pointed isogenies, of which
     there are (d-1)sigma_1(d); the reducible divisor misses it entirely.
     """
-    _require_positive(d)
+    require_positive(d)
     return IntersectionProfile.from_dict(
         "M12", {"Delta_0": (d - 1) * sigma(1, d), "Delta_1": 0}
     )
@@ -203,7 +193,7 @@ def total_ramification_profile_m13(a: int) -> IntersectionProfile:
     Meets the irreducible-nodal divisor in the 2(a^2 - 1) doubly totally
     ramified pencils (count_dd22) and misses every reducible divisor.
     """
-    _require_positive(a)
+    require_positive(a)
     values = {"Delta_0": count_dd22(a)}
     for s in ("{1,2}", "{1,3}", "{2,3}", "{1,2,3}"):
         values[f"Delta_1_{s}"] = 0
@@ -230,8 +220,8 @@ def double_pair_profile_m13(a: int, b: int) -> IntersectionProfile:
     (a, b): every pair gets one module-level profile, and the double-chain
     sums reduce to one integer splitting weight per d (_splitting_weights).
     """
-    _require_positive(a)
-    _require_positive(b)
+    require_positive(a)
+    require_positive(b)
     return _DOUBLE_PAIR_PROFILE_M13
 
 
@@ -251,14 +241,10 @@ def _chain_windings(d: int) -> dict[str, Fraction]:
     """Type (Delta_0, Delta_0) contribution per M13 divisor: chains of
     rational curves wound a times around an irreducible nodal target,
     weighted by multiplicity m per divisor splitting d = a*m. Each label's
-    sum over a | d is one int multiply-add over the common denominator."""
+    sum over a | d is one series.dot."""
     profiles = [total_ramification_profile_m13(a).as_dict() for a in divisors(d)]
     weights = [d // a for a in divisors(d)]
-    windings = {}
-    for label in profiles[0]:
-        numerators, scale = _over_common_denominator([p[label] for p in profiles])
-        windings[label] = F(sum(map(mul, weights, numerators)), scale)
-    return windings
+    return {label: dot([p[label] for p in profiles], weights) for label in profiles[0]}
 
 
 @lru_cache(maxsize=None)
@@ -270,7 +256,7 @@ def boundary_profile_m2(d: int) -> IntersectionProfile:
     the irreducible-nodal boundary, and checked against the closed forms
     4(d-1)sigma_1(d) and 2*conv2(d), both written in sigma.
     """
-    _require_positive(d)
+    require_positive(d)
     closed = _closed("boundary_profile_m2", d)
 
     m12 = pointed_cover_profile_m12(d).as_dict()
@@ -283,13 +269,13 @@ def boundary_profile_m2(d: int) -> IntersectionProfile:
     from_00 = (
         2 * m12["Delta_0"]
         + chain("Delta_0")
-        + 2 * _c2(d) * pair12("Delta_0", "Delta_0")
+        + 2 * conv2(d) * pair12("Delta_0", "Delta_0")
     )
     # dual Delta_01, realized in the irreducible-nodal boundary as well
     from_01 = (
         2 * m12["Delta_1"]
         + chain("Delta_1")
-        + 2 * _c2(d) * pair12("Delta_1", "Delta_0")
+        + 2 * conv2(d) * pair12("Delta_1", "Delta_0")
     )
     for label, value in (("Delta_00", from_00), ("Delta_01", from_01)):
         crosscheck(f"boundary_profile_m2[{label}]", d, topologies=value, closed=closed[label])
@@ -320,9 +306,9 @@ def fixed_target_profile_m2(d: int) -> IntersectionProfile:
     involution, and each cover meets the test curve with multiplicity 2.
     The profile is checked through its class (class[m2e]).
     """
-    _require_positive(d)
+    require_positive(d)
     return IntersectionProfile.from_dict(
-        "M2", {"Delta_0": count_pointed_isogenies(d), "Delta_1": 2 * _c2(d)}
+        "M2", {"Delta_0": count_pointed_isogenies(d), "Delta_1": 2 * conv2(d)}
     )
 
 
@@ -378,7 +364,7 @@ def boundary_profile_m21(d: int) -> IntersectionProfile:
     decomposition. Every entry must match its closed form, and the two
     surfaces visible from both boundaries are computed both ways as well.
     """
-    _require_positive(d)
+    require_positive(d)
     closed = _closed("boundary_profile_m21", d)
 
     # bridge covers land on the section curves indexed {1,2} and {1,3},
@@ -412,7 +398,7 @@ def boundary_profile_m21(d: int) -> IntersectionProfile:
         "Delta_11": pair12("Delta_1", "Delta_1"),
     }
     from_separating = {
-        dual: _c2(d) * value for dual, value in diagonal_numbers.items()
+        dual: conv2(d) * value for dual, value in diagonal_numbers.items()
     }
 
     routes = {dual: {"closed": value} for dual, value in closed.items()}
@@ -484,10 +470,9 @@ def surface_contribution_m3(d: int, cover_type: str, surface_label: str) -> Frac
 
     The D1_D12 sum 12 sum_{d1 < d} sigma_1(d - d1) F(d1), F the genus-2
     profile entry the forget map picks, reads F only at d1 < d. It is one
-    int multiply-add of the F(d1) numerators, over their common
-    denominator, against the sigma_1 values.
+    series.dot of the F(d1) against the sigma_1 values.
     """
-    _require_positive(d)
+    require_positive(d)
     if cover_type not in COVER_TYPES_M3:
         raise ValueError(f"unknown cover type {cover_type!r}")
     if surface_label in _SURFACE_X_POINT:
@@ -504,8 +489,8 @@ def surface_contribution_m3(d: int, cover_type: str, surface_label: str) -> Frac
 
     if cover_type == "D11_D14":
         if is_surface:
-            return 24 * _c2(d) * pairing_number("M21", m21_label, 2, "Delta_01a", 2)
-        return 24 * _c2(d) * pairing_number("M21", "Delta_1", 1, m21_label, 3)
+            return 24 * conv2(d) * pairing_number("M21", m21_label, 2, "Delta_01a", 2)
+        return 24 * conv2(d) * pairing_number("M21", "Delta_1", 1, m21_label, 3)
 
     # D1_D12
     forget, profile = (
@@ -515,10 +500,10 @@ def surface_contribution_m3(d: int, cover_type: str, surface_label: str) -> Frac
     target = forget[m21_label]
     if target is None:
         return F(0)  # the forget map contracts the surface
-    numerators, scale = _over_common_denominator(
-        [profile(d1).as_dict()[target] for d1 in range(1, d)]
+    return 12 * dot(
+        [profile(d1).as_dict()[target] for d1 in range(1, d)],
+        [sigma(1, d - d1) for d1 in range(1, d)],
     )
-    return F(12 * sum(map(mul, numerators, [sigma(1, d - d1) for d1 in range(1, d)])), scale)
 
 
 def _surface_total(d: int, surface_label: str) -> Fraction:
@@ -543,7 +528,7 @@ def boundary_profile_m3(d: int) -> IntersectionProfile:
     Delta_[6]) must cancel to zero; the chain-winding sum must match its
     closed form; and every assembled row must match its closed form.
     """
-    _require_positive(d)
+    require_positive(d)
     closed = _closed("boundary_profile_m3", d)
     windings = sum(count_dd2222(a) * (d // a) for a in divisors(d))
     squared = closed.pop("windings")
@@ -589,7 +574,7 @@ def triple_branch_chain_sum(d: int) -> Fraction:
     Equals (d/6 + 1/3) sigma_1(d) - d sigma_0(d)/2; the divisor-count term
     makes the generating series non-quasimodular on its own.
     """
-    _require_positive(d)
+    require_positive(d)
     direct = sum(F((a - 1) * (a - 2), 6) * (d // a) for a in divisors(d))
     closed = sigma_polynomial(CLOSED_FORMS["triple_branch"]["chain"], d)
     return crosscheck("triple_branch_chain_sum", d, direct=direct, closed=closed)
@@ -606,17 +591,19 @@ def triple_branch_split_sum(d: int) -> Fraction:
     sigma; the opposite divisor-count term cancels the one in the
     single-chain sum.
     """
-    _require_positive(d)
+    require_positive(d)
     total, diagonal = _splitting_weights(d)
     direct = total - diagonal
     closed = sigma_polynomial(CLOSED_FORMS["triple_branch"]["split"], d)
     return crosscheck("triple_branch_split_sum", d, closed=closed, direct=direct)
 
 
-def triple_branch_cancellation(
-    order: int, max_weight: int = 6
-) -> tuple[FitResult, FitResult, FitResult]:
-    """Fit the two triple-branch series and their sum at the given weight.
+#: the weight every certification fit (classes and triple-branch pair) uses
+CERTIFICATION_WEIGHT = 6
+
+
+def triple_branch_cancellation(order: int) -> tuple[FitResult, FitResult, FitResult]:
+    """Fit the two triple-branch series and their sum at CERTIFICATION_WEIGHT.
 
     Each part carries a d*sigma_0(d) term of opposite sign, so the parts refuse
     the fit individually while the sum succeeds.
@@ -628,9 +615,9 @@ def triple_branch_cancellation(
         order, lambda d: 0 if d == 0 else triple_branch_split_sum(d)
     )
     return (
-        fit_quasimodular(chain, max_weight, order),
-        fit_quasimodular(split, max_weight, order),
-        fit_quasimodular(chain + split, max_weight, order),
+        fit_quasimodular(chain, CERTIFICATION_WEIGHT, order),
+        fit_quasimodular(split, CERTIFICATION_WEIGHT, order),
+        fit_quasimodular(chain + split, CERTIFICATION_WEIGHT, order),
     )
 
 
@@ -700,10 +687,9 @@ def coefficient_series(family: str, label: str, order: int) -> QSeries:
     )
 
 
-def certify_quasimodularity(
-    order: int, max_weight: int = 6
-) -> dict[str, dict[str, FitResult]]:
-    """Fit every coefficient series of every class family.
+def certify_quasimodularity(order: int) -> dict[str, dict[str, FitResult]]:
+    """Fit every coefficient series of every class family at
+    CERTIFICATION_WEIGHT.
 
     Returns {family: {label: FitResult}}; membership of all four generating
     series in the quasimodular ring means every fit succeeds.
@@ -711,7 +697,7 @@ def certify_quasimodularity(
     return {
         family: {
             label: fit_quasimodular(
-                coefficient_series(family, label, order), max_weight, order
+                coefficient_series(family, label, order), CERTIFICATION_WEIGHT, order
             )
             for label in family_labels(family)
         }

@@ -168,7 +168,8 @@ def _check_cancellation(order: int) -> str:
         raise CrossCheckError("split series unexpectedly fits")
     if not isinstance(sum_fit, QuasimodularFit):
         raise CrossCheckError("summed series fails to fit")
-    return f"parts refuse and sum fits at weight 6, order {order}"
+    weight = loci.CERTIFICATION_WEIGHT
+    return f"parts refuse and sum fits at weight {weight}, order {order}"
 
 
 def _check_certification(report: dict, order: int) -> str:
@@ -181,7 +182,8 @@ def _check_certification(report: dict, order: int) -> str:
     if failures:
         raise CrossCheckError(f"series not quasimodular: {', '.join(failures)}")
     total = sum(len(fits) for fits in report.values())
-    return f"all {total} coefficient series fit at weight 6, order {order}"
+    weight = loci.CERTIFICATION_WEIGHT
+    return f"all {total} coefficient series fit at weight {weight}, order {order}"
 
 
 def class_report(family: str, d: int) -> dict:

@@ -4,6 +4,10 @@ Scalars are `fractions.Fraction` throughout: always in lowest terms with a
 positive denominator, so equality is structural. A Fraction serializes to the
 string "p/q" ("p" when the denominator is 1), which is exactly `str()`.
 
+dot(values, weights) is the one exact weighted sum of scalars by ints: it
+multiplies and adds int numerators over the values' common denominator and
+builds one Fraction.
+
 A QSeries is a formal power series truncated at a fixed order N. It holds the
 integer numerators of q^0 .. q^N over one common denominator, in normal form:
 the denominator is positive, shares no factor with every numerator at once,
@@ -27,12 +31,18 @@ from typing import Callable, Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
-__all__ = ["Fraction", "QSeries", "parse_rational", "format_rational"]
+__all__ = ["Fraction", "QSeries", "parse_rational", "format_rational", "dot"]
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact Fraction."""
-    return Fraction(text.strip())
+    """Parse "p/q" or "p" into an exact Fraction; anything that is not such
+    a string, a zero q included, raises ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational string, got {text!r}")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(value: Scalar) -> str:
@@ -40,11 +50,18 @@ def format_rational(value: Scalar) -> str:
     return str(Fraction(value))
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def _over_common_denominator(values: Sequence[Scalar]) -> tuple[list[int], int]:
     """(numerators, L) with values[i] == numerators[i] / L, L the lcm of the
     denominators."""
     scale = lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def dot(values: Sequence[Scalar], weights: Sequence[int]) -> Fraction:
+    """sum values[i] * weights[i] for int weights: one int multiply-add over
+    the values' common denominator, then one Fraction (0 for no terms)."""
+    numerators, scale = _over_common_denominator(values)
+    return Fraction(sum(map(mul, numerators, weights)), scale)
 
 
 class QSeries:

@@ -293,6 +293,18 @@ class TestQClassConversion:
         cls = ChowClass.from_coefficients("M3", 2, {"kappa_2": F(5, 7)})
         assert to_q_class_basis(cls) == cls
 
+    def test_substack_labels_pinned(self):
+        # written out in full: lower-casing must give exactly these labels
+        assert q_basis_labels("M2", 1) == ("delta_0", "delta_1")
+        assert q_basis_labels("M2", 2) == ("delta_00", "delta_01")
+        assert q_basis_labels("M21", 2) == (
+            "delta_00", "delta_01a", "delta_01b", "xi_1", "delta_11",
+        )
+        assert q_basis_labels("M3", 2) == (
+            "lambda^2", "lambda*delta_0", "lambda*delta_1", "delta_0^2",
+            "delta_0*delta_1", "delta_1^2", "kappa_2",
+        )
+
     def test_unregistered_conversion_rejected(self):
         with pytest.raises(ValueError):
             to_q_class_basis(ChowClass.zero("M12", 1))

@@ -183,6 +183,15 @@ class TestQmodFitCommand:
         code, _, err = run(capsys, "qmod-fit", "--in", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("items", [[1, 2, 3], ["1", ["2"]], ["1/0", "1"]])
+    def test_malformed_items(self, capsys, tmp_path, items):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(items))
+        code, out, err = run(capsys, "qmod-fit", "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_oversized_weight_refused_before_enumerating(
         self, capsys, tmp_path, monkeypatch
     ):
@@ -279,7 +288,7 @@ class TestCountCommand:
             ("pointed-isogenies", 4, "21"),
             ("pointed-isogenies", 200, str(199 * sigma(1, 200))),
             ("pointed-isogenies", 1000, str(999 * sigma(1, 1000))),
-            ("sublattices", 1000000007, "1000000008"),
+            ("sublattices", 1000, str(sigma(1, 1000))),
             ("dd22", 2, "6"),
             ("dd2222", 2, "720"),
         ],
@@ -296,6 +305,17 @@ class TestCountCommand:
         monkeypatch.setattr(covers, "count_sublattices", refuse)
         d = covers.ISOGENY_DEGREE_CEILING + 1
         code, out, err = run(capsys, "count", "pointed-isogenies", "--d", str(d))
+        assert code == 2
+        assert out == ""
+        assert str(covers.ISOGENY_DEGREE_CEILING) in err
+
+    def test_sublattices_above_ceiling(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("listed divisors above the ceiling")
+
+        monkeypatch.setattr(covers, "divisors", refuse)
+        d = covers.ISOGENY_DEGREE_CEILING + 1
+        code, out, err = run(capsys, "count", "sublattices", "--d", str(d))
         assert code == 2
         assert out == ""
         assert str(covers.ISOGENY_DEGREE_CEILING) in err

@@ -138,12 +138,11 @@ class TestConvolutions:
         assert isinstance(sigma_polynomial({(0, 1): 2}, 6), F)
 
     def test_rejects_small_arguments(self):
-        with pytest.raises(ValueError):
-            conv2(1)
-        with pytest.raises(ValueError):
-            conv2_weighted(1)
-        with pytest.raises(ValueError):
-            conv3(2)
+        # below their range the convolutions are the empty sum 0
+        assert conv2(1) == conv2_weighted(1) == conv3(1) == conv3(2) == 0
+        for convolution in (conv2, conv2_weighted, conv3):
+            with pytest.raises(ValueError):
+                convolution(0)
 
 
 CONVOLUTIONS = {"conv2": conv2, "conv2_weighted": conv2_weighted, "conv3": conv3}
