@@ -8,6 +8,18 @@ generated subgroup transitive on the d sheets (connectedness). The Hurwitz
 number is the number of such tuples divided by d!, which is the standard
 automorphism weighting.
 
+The count depends only on the cyclic order of the profiles up to reversal,
+by two bijections that keep every cycle type, the product 1 and
+transitivity: rotation, (s_1..s_k) -> (s_2..s_k, s_1), whose product is
+s_1^-1 (s_1..s_k) s_1 = 1; and reversal, (s_1..s_k) -> (s_k^-1..s_1^-1),
+which has the same cycle types and generates the same group. So
+hurwitz_number enumerates the cheapest of the 2k rotations and reversals of
+its profile list: the one whose enumerated factors (all but the first and
+the last) have the smallest product of class sizes, ties going to the
+larger first class, which is pinned to one representative; the last factor
+is forced by the product condition. The pinned and the forced classes are
+never listed.
+
 Conventions fixed here (validated against the closed forms in the tests
 before freezing):
   * composition is (s*t)(x) = s(t(x));
@@ -60,7 +72,8 @@ __all__ = [
 ]
 
 #: largest cover degree hurwitz_number will enumerate (8! permutations per
-#: class); it also enumerates at most 8! tuples of middle factors
+#: class); it also enumerates at most 8! tuples, counted in the arrangement
+#: it chooses (all factors but the pinned first and the forced last)
 ENUMERATION_BUDGET = 8
 
 #: largest d count_sublattices and count_pointed_isogenies accept; their
@@ -228,14 +241,37 @@ def _class_representative(profile: Partition) -> tuple[int, ...]:
     return tuple(images)
 
 
+def _cheapest_arrangement(profiles: Sequence[Partition]) -> list[Partition]:
+    """The rotation or reversal of `profiles` that hurwitz_number enumerates."""
+    forward = list(profiles)
+    arrangements = [
+        order[i:] + order[:i]
+        for order in (forward, forward[::-1])
+        for i in range(len(order))
+    ]
+    return min(
+        arrangements,
+        key=lambda order: (
+            prod(conjugacy_class_size(p) for p in order[1:-1]),
+            -conjugacy_class_size(order[0]),
+        ),
+    )
+
+
 def hurwitz_number(d: int, profiles: Sequence[Partition]) -> Fraction:
     """Count of transitive identity-product tuples with given cycle types, over d!.
 
-    The first factor is pinned to one representative of its conjugacy class
-    and the total scaled by the class size; the middle factors are enumerated
-    exhaustively and the last is forced by the product condition. This cuts
-    the cost by |class_1| without changing the count. More than
-    ENUMERATION_BUDGET! middle tuples is refused before any class is listed.
+    Rotating the profile list, or reversing it (each s_i replaced by its
+    inverse), maps the counted tuples one to one onto those of the new list,
+    so the count is taken in the cheapest of these 2k arrangements: the one
+    whose enumerated factors, all but the first and the last, have the
+    smallest product of class sizes, ties going to the larger first class.
+    There the first factor is pinned to one representative of its conjugacy
+    class and the total scaled by the class size; the factors between are
+    enumerated exhaustively and the last is forced by the product condition,
+    so neither the first class nor the last is listed. More than
+    ENUMERATION_BUDGET! enumerated tuples in that arrangement is refused
+    before any class is listed.
     """
     require_positive(d)
     if d > ENUMERATION_BUDGET:
@@ -249,16 +285,18 @@ def hurwitz_number(d: int, profiles: Sequence[Partition]) -> Fraction:
             raise ValueError(
                 f"profile {i} has size {profile.size}, expected degree {d}"
             )
-    tuples = prod(conjugacy_class_size(p) for p in profiles[1:-1])
+    order = _cheapest_arrangement(profiles)
+    tuples = prod(conjugacy_class_size(p) for p in order[1:-1])
     if tuples > factorial(ENUMERATION_BUDGET):
         raise ValueError(
-            f"{tuples} middle tuples exceed the enumeration budget "
+            f"{tuples} enumerated tuples, in the cheapest rotation or reversal "
+            f"of the profiles, exceed the enumeration budget "
             f"{ENUMERATION_BUDGET}! = {factorial(ENUMERATION_BUDGET)}"
         )
-    first = _class_representative(profiles[0])
-    last_type = profiles[-1].parts
+    first = _class_representative(order[0])
+    last_type = order[-1].parts
     count = 0
-    middle_classes = [conjugacy_class(p) for p in profiles[1:-1]]
+    middle_classes = [conjugacy_class(p) for p in order[1:-1]]
     for middle in product(*middle_classes):
         running = first
         for p in middle:
@@ -268,7 +306,7 @@ def hurwitz_number(d: int, profiles: Sequence[Partition]) -> Fraction:
             continue
         if is_transitive((first, *middle, closer), d):
             count += 1
-    total = conjugacy_class_size(profiles[0]) * count
+    total = conjugacy_class_size(order[0]) * count
     return Fraction(total, factorial(d))
 
 

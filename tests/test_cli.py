@@ -261,6 +261,18 @@ class TestHurwitzCommand:
         assert code == 0
         assert out.strip() == "1/3"
 
+    def test_json_keeps_the_given_profile_order(self, capsys):
+        # counted in a rotation of this list; the output lists it as given
+        given = ["2,1,1,1,1,1,1", "8", "8", "2,1,1,1,1,1,1"]
+        code, out, _ = run(
+            capsys, "hurwitz", "--d", "8",
+            *[arg for p in given for arg in ("--profile", p)], "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["profiles"] == given
+        assert payload["count"] == "42"
+
     def test_size_mismatch(self, capsys):
         code, _, err = run(
             capsys, "hurwitz", "--d", "4", "--profile", "3", "--profile", "4"

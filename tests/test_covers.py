@@ -1,7 +1,7 @@
 """Cover counting oracles: Hurwitz enumeration, isogeny and pencil counts."""
 
 from fractions import Fraction as F
-from itertools import combinations_with_replacement, permutations as orderings
+from itertools import combinations_with_replacement, permutations as orderings, product
 from math import factorial
 
 import pytest
@@ -160,6 +160,24 @@ class TestHurwitzNumber:
                     raw += 1
         assert hurwitz_number(d, profiles) == F(raw, factorial(d))
 
+    @pytest.mark.parametrize("d,k", [(1, 3), (2, 3), (3, 3), (4, 3), (3, 4)])
+    def test_every_profile_list_against_raw_count(self, d, k):
+        # every ordered list of k profiles, counted as given: no pinned class
+        # and no rearrangement, all factors but the last listed, the last forced
+        classes: dict[Partition, list] = {}
+        for p in orderings(range(d)):
+            classes.setdefault(cycle_type(p), []).append(p)
+        for profiles in product(classes, repeat=k):
+            raw = 0
+            for head in product(*(classes[p] for p in profiles[:-1])):
+                running = identity(d)
+                for s in head:
+                    running = compose(running, s)
+                last = inverse(running)
+                if cycle_type(last) == profiles[-1] and is_transitive((*head, last), d):
+                    raw += 1
+            assert hurwitz_number(d, list(profiles)) == F(raw, factorial(d)), profiles
+
     def test_profile_order_invariance(self):
         for d in range(2, 6):
             parts = [Partition(p) for p in _partitions(d)]
@@ -188,6 +206,23 @@ class TestHurwitzNumber:
         # ten middle transposition classes: 28^10 tuples, far above 8!
         with pytest.raises(ValueError, match="budget"):
             hurwitz_number(8, [Partition([2, 1, 1, 1, 1, 1, 1])] * 12)
+
+    def test_pinned_and_forced_classes_never_listed(self, monkeypatch):
+        listed = covers.conjugacy_class
+
+        def refuse_one_part(profile):
+            if len(profile) == 1:
+                raise AssertionError(f"listed the one-part class {profile}")
+            return listed(profile)
+
+        monkeypatch.setattr(covers, "conjugacy_class", refuse_one_part)
+        cycle = Partition([8])
+        transposition = Partition([2, 1, 1, 1, 1, 1, 1])
+        assert hurwitz_number(8, [cycle, cycle, Partition([3, 1, 1, 1, 1, 1])]) == 7
+        # d(d^2 - 1)/12 at d = 8; taken in the given order, the middle 8-cycle
+        # and transposition would make 5040 * 28 tuples, above the budget
+        assert hurwitz_number(8, [cycle, cycle, transposition, transposition]) == 42
+        assert hurwitz_number(8, [transposition, cycle, cycle, transposition]) == 42
 
     def test_three_profiles_at_the_degree_budget(self):
         d = covers.ENUMERATION_BUDGET
