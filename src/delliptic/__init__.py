@@ -11,7 +11,6 @@ disagreement raises CrossCheckError.
 
 from .chow import (
     ChowClass,
-    IntersectionProfile,
     pairing,
     pushforward_m21_to_m2,
     solve_class,
@@ -64,7 +63,6 @@ __all__ = [
     "ChowClass",
     "CrossCheckError",
     "Fraction",
-    "IntersectionProfile",
     "NotQuasimodular",
     "Partition",
     "QModMonomial",

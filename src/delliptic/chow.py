@@ -25,6 +25,10 @@ boundary divisors; M21 carries the single divisor Delta_1 against three
 curve classes Gamma_(i)). The solver refuses anything not resolvable from
 the stored numbers: unlisted intersection numbers are never fabricated.
 
+An intersection profile, the numbers a class is solved from, is a mapping
+from dual-basis label to an int or Fraction (`loci` returns read-only ones);
+solve_class checks each of its labels against the dual basis, once.
+
 Every operation is pure, but the registry is not frozen yet: a plain
 setitem on SPACES or on a space's pairings changes it. The solver's cache
 (`linalg.solve_unique`) is keyed by the table values, so it follows such a
@@ -43,7 +47,6 @@ from .series import format_rational
 __all__ = [
     "ChowSpace",
     "ChowClass",
-    "IntersectionProfile",
     "SPACES",
     "space",
     "basis_labels",
@@ -328,35 +331,6 @@ def basis_class(space_id: str, degree: int, label: str) -> ChowClass:
     return ChowClass.from_coefficients(space_id, degree, {label: 1})
 
 
-@dataclass(frozen=True)
-class IntersectionProfile:
-    """Prescribed intersection numbers against dual-basis labels."""
-
-    space_id: str
-    values: tuple[tuple[str, Fraction], ...]
-
-    @classmethod
-    def from_dict(
-        cls, space_id: str, values: Mapping[str, Fraction | int]
-    ) -> IntersectionProfile:
-        bases = space(space_id).bases.values()
-        unknown = [label for label in values if not any(label in b for b in bases)]
-        if unknown:
-            raise ValueError(
-                f"labels {sorted(unknown)} not registered on {space_id}"
-            )
-        return cls(space_id, tuple((k, F(v)) for k, v in values.items()))
-
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(self.values)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "space": self.space_id,
-            "numbers": {label: format_rational(v) for label, v in self.values},
-        }
-
-
 def _position(labels: tuple[str, ...], label: str, space_id: str, degree: int) -> int:
     try:
         return labels.index(label)
@@ -413,26 +387,28 @@ def pairing(a: ChowClass, b: ChowClass) -> Fraction:
 
 
 def solve_class(
-    space_id: str, degree: int, profile: IntersectionProfile
+    space_id: str, degree: int, profile: Mapping[str, Fraction | int]
 ) -> ChowClass:
     """The unique degree-`degree` class with the prescribed dual pairings.
 
-    Every profile label must lie in the complementary-degree basis, and the
-    induced exact linear system must be uniquely solvable; a singular or
+    `profile` is any mapping from dual-basis label to an int or Fraction
+    intersection number (the loci build read-only ones); other numbers raise
+    TypeError. Every label must lie in the complementary-degree basis, and
+    the induced exact linear system must be uniquely solvable; a singular or
     inconsistent system raises the corresponding linalg error.
     """
-    if profile.space_id != space_id:
-        raise ValueError("profile belongs to a different space")
     sp = space(space_id)
     dual_degree = sp.dimension - degree
     labels, dual_labels, table = _pairing_block(sp, degree, dual_degree)
     # one row per profile label: its column of the block
     columns = tuple(zip(*table))
     matrix = [
-        columns[_position(dual_labels, label, space_id, dual_degree)]
-        for label, _ in profile.values
+        columns[_position(dual_labels, label, space_id, dual_degree)] for label in profile
     ]
-    solution = solve_unique(matrix, [value for _, value in profile.values])
+    values = list(profile.values())
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        raise TypeError(f"profile numbers must be int or Fraction, got {values!r}")
+    solution = solve_unique(matrix, values)
     return ChowClass(space_id, degree, labels, tuple(solution))
 
 

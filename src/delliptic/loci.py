@@ -25,6 +25,11 @@ the chain-winding total, the two-marked cover class and the two
 triple-branch sums sit in CLOSED_FORMS. The profile rows are written in
 sigma directly, so the closed route reads no convolution table.
 
+Every profile is a read-only mapping (types.MappingProxyType) from
+dual-basis label to Fraction, and its readers index it directly. A family's
+space and degree are declared once, in FAMILIES; chow.solve_class checks
+each profile label against that space's dual basis.
+
 Cover topologies are labelled by the pair of boundary strata containing the
 stabilized source and the marked target; the three types feeding the genus-3
 product-boundary surfaces are D1_D12 (the separating-boundary source carries
@@ -42,11 +47,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from types import MappingProxyType
+from typing import Mapping
 
 from .chow import (
     FORGET_M21_TO_M2,
     ChowClass,
-    IntersectionProfile,
     pairing_number,
     pushforward_m21_to_m2,
     q_basis_labels,
@@ -161,7 +167,7 @@ def _solved_class(family: str, d: int) -> ChowClass:
 
 
 @lru_cache(maxsize=None)
-def pointed_cover_profile_m12(d: int) -> IntersectionProfile:
+def pointed_cover_profile_m12(d: int) -> Mapping[str, Fraction]:
     """Intersection numbers of the locus of genus-1 covers carrying two
     marked points over one target point, against the M12 divisors.
 
@@ -169,9 +175,7 @@ def pointed_cover_profile_m12(d: int) -> IntersectionProfile:
     there are (d-1)sigma_1(d); the reducible divisor misses it entirely.
     """
     require_positive(d)
-    return IntersectionProfile.from_dict(
-        "M12", {"Delta_0": (d - 1) * sigma(1, d), "Delta_1": 0}
-    )
+    return MappingProxyType({"Delta_0": F((d - 1) * sigma(1, d)), "Delta_1": F(0)})
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +190,7 @@ def pointed_cover_class_m12(d: int) -> ChowClass:
 
 
 @lru_cache(maxsize=None)
-def total_ramification_profile_m13(a: int) -> IntersectionProfile:
+def total_ramification_profile_m13(a: int) -> Mapping[str, Fraction]:
     """Intersection numbers on M13 of the locus of genus-1 covers of a line,
     totally ramified at two marked points and simply at a third.
 
@@ -194,25 +198,22 @@ def total_ramification_profile_m13(a: int) -> IntersectionProfile:
     ramified pencils (count_dd22) and misses every reducible divisor.
     """
     require_positive(a)
-    values = {"Delta_0": count_dd22(a)}
+    values = {"Delta_0": F(count_dd22(a))}
     for s in ("{1,2}", "{1,3}", "{2,3}", "{1,2,3}"):
-        values[f"Delta_1_{s}"] = 0
-    return IntersectionProfile.from_dict("M13", values)
+        values[f"Delta_1_{s}"] = F(0)
+    return MappingProxyType(values)
 
 
-_DOUBLE_PAIR_PROFILE_M13 = IntersectionProfile.from_dict(
-    "M13",
-    {
-        "Delta_0": 0,
-        "Delta_1_{2,3}": 1,
-        "Delta_1_{1,2,3}": 1,
-        "Delta_1_{1,2}": 0,
-        "Delta_1_{1,3}": 0,
-    },
-)
+_DOUBLE_PAIR_PROFILE_M13 = MappingProxyType({
+    "Delta_0": F(0),
+    "Delta_1_{1,2}": F(0),
+    "Delta_1_{1,3}": F(0),
+    "Delta_1_{2,3}": F(1),
+    "Delta_1_{1,2,3}": F(1),
+})
 
 
-def double_pair_profile_m13(a: int, b: int) -> IntersectionProfile:
+def double_pair_profile_m13(a: int, b: int) -> Mapping[str, Fraction]:
     """Intersection numbers on M13 of the glued genus-0 double-pair cover
     locus (two pairs of points with equal images, ramified to orders a and b,
     one pair identified to a node). It meets the two reducible divisors that
@@ -242,13 +243,13 @@ def _chain_windings(d: int) -> dict[str, Fraction]:
     rational curves wound a times around an irreducible nodal target,
     weighted by multiplicity m per divisor splitting d = a*m. Each label's
     sum over a | d is one series.dot."""
-    profiles = [total_ramification_profile_m13(a).as_dict() for a in divisors(d)]
+    profiles = [total_ramification_profile_m13(a) for a in divisors(d)]
     weights = [d // a for a in divisors(d)]
     return {label: dot([p[label] for p in profiles], weights) for label in profiles[0]}
 
 
 @lru_cache(maxsize=None)
-def boundary_profile_m2(d: int) -> IntersectionProfile:
+def boundary_profile_m2(d: int) -> Mapping[str, Fraction]:
     """Intersection numbers of the genus-2 d-elliptic locus with the two
     boundary curve classes of M2.
 
@@ -259,7 +260,7 @@ def boundary_profile_m2(d: int) -> IntersectionProfile:
     require_positive(d)
     closed = _closed("boundary_profile_m2", d)
 
-    m12 = pointed_cover_profile_m12(d).as_dict()
+    m12 = pointed_cover_profile_m12(d)
     pair12 = lambda a, b: pairing_number("M12", a, 1, b, 1)
     windings = _chain_windings(d)
     chain = lambda label: sum(windings[m13] for m13 in _M12_DIVISOR_PULLBACK[label])
@@ -279,7 +280,7 @@ def boundary_profile_m2(d: int) -> IntersectionProfile:
     )
     for label, value in (("Delta_00", from_00), ("Delta_01", from_01)):
         crosscheck(f"boundary_profile_m2[{label}]", d, topologies=value, closed=closed[label])
-    return IntersectionProfile.from_dict("M2", closed)
+    return MappingProxyType(closed)
 
 
 @lru_cache(maxsize=None)
@@ -295,7 +296,7 @@ def delliptic_class_m2(d: int) -> ChowClass:
 
 
 @lru_cache(maxsize=None)
-def fixed_target_profile_m2(d: int) -> IntersectionProfile:
+def fixed_target_profile_m2(d: int) -> Mapping[str, Fraction]:
     """Intersection numbers with the M2 divisors of the locus of genus-2
     curves covering one fixed general elliptic curve.
 
@@ -307,8 +308,8 @@ def fixed_target_profile_m2(d: int) -> IntersectionProfile:
     The profile is checked through its class (class[m2e]).
     """
     require_positive(d)
-    return IntersectionProfile.from_dict(
-        "M2", {"Delta_0": count_pointed_isogenies(d), "Delta_1": 2 * conv2(d)}
+    return MappingProxyType(
+        {"Delta_0": F(count_pointed_isogenies(d)), "Delta_1": F(2 * conv2(d))}
     )
 
 
@@ -350,11 +351,11 @@ def _double_chain_term(d: int) -> dict[str, Fraction]:
     """Type (Delta_00, Delta_0) contribution per M13 divisor: two chains wound
     a and b times, the splitting weight of d times the double-pair profile."""
     total, _ = _splitting_weights(d)
-    return {label: total * value for label, value in _DOUBLE_PAIR_PROFILE_M13.values}
+    return {label: total * value for label, value in _DOUBLE_PAIR_PROFILE_M13.items()}
 
 
 @lru_cache(maxsize=None)
-def boundary_profile_m21(d: int) -> IntersectionProfile:
+def boundary_profile_m21(d: int) -> Mapping[str, Fraction]:
     """Intersection numbers of the marked genus-2 d-elliptic locus with the
     five boundary surface classes of M21.
 
@@ -407,7 +408,7 @@ def boundary_profile_m21(d: int) -> IntersectionProfile:
             routes[dual][route] = value
     for dual, by_route in routes.items():
         crosscheck(f"boundary_profile_m21[{dual}]", d, **by_route)
-    return IntersectionProfile.from_dict("M21", closed)
+    return MappingProxyType(closed)
 
 
 @lru_cache(maxsize=None)
@@ -485,7 +486,7 @@ def surface_contribution_m3(d: int, cover_type: str, surface_label: str) -> Frac
     if cover_type == "D1_D13":
         if not is_surface:
             return F(0)  # projection collapses curve x moduli factors
-        return 24 * boundary_profile_m21(d).as_dict()[m21_label]
+        return 24 * boundary_profile_m21(d)[m21_label]
 
     if cover_type == "D11_D14":
         if is_surface:
@@ -501,7 +502,7 @@ def surface_contribution_m3(d: int, cover_type: str, surface_label: str) -> Frac
     if target is None:
         return F(0)  # the forget map contracts the surface
     return 12 * dot(
-        [profile(d1).as_dict()[target] for d1 in range(1, d)],
+        [profile(d1)[target] for d1 in range(1, d)],
         [sigma(1, d - d1) for d1 in range(1, d)],
     )
 
@@ -513,7 +514,7 @@ def _surface_total(d: int, surface_label: str) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def boundary_profile_m3(d: int) -> IntersectionProfile:
+def boundary_profile_m3(d: int) -> Mapping[str, Fraction]:
     """Intersection numbers of the genus-3 d-elliptic locus with the seven
     boundary surface classes of M3.
 
@@ -551,7 +552,7 @@ def boundary_profile_m3(d: int) -> IntersectionProfile:
         curve_x_moduli=_surface_total(d, "Delta_[11]b"),
         closed=closed["Delta_[11]"],
     )
-    return IntersectionProfile.from_dict("M3", closed)
+    return MappingProxyType(closed)
 
 
 @lru_cache(maxsize=None)

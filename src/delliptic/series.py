@@ -16,7 +16,9 @@ arithmetic runs on ints alone, reducing once per result. `coefficients`
 reads the series out as a tuple of Fractions, built on each access.
 Arithmetic between two series truncates to the smaller of the two orders;
 this is deliberate, so routines that mix orders compare only the
-coefficients both sides know.
+coefficients both sides know. A series is built from int and Fraction
+coefficients only: a float, a string or a Decimal raises TypeError
+(from_json parses its strings first).
 
 All values are immutable and all operations pure; instances are safe to
 share across threads.
@@ -71,7 +73,10 @@ class QSeries:
     __slots__ = ("order", "numerators", "denominator")
 
     def __init__(self, coefficients: Sequence[Scalar], order: int | None = None):
-        values = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coefficients]
+        values = list(coefficients)
+        inexact = [c for c in values if not isinstance(c, (int, Fraction))]
+        if inexact:
+            raise TypeError(f"coefficients must be int or Fraction, got {inexact[0]!r}")
         if order is None:
             order = len(values) - 1
         if order < 0:

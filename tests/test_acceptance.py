@@ -97,7 +97,7 @@ def test_criterion_4_internal_redundancy():
     for d in range(1, 31):
         # reducible-boundary number of the genus-2 profile, via both the
         # product route and the convolution closed form
-        profile = boundary_profile_m2(d).as_dict()
+        profile = boundary_profile_m2(d)
         direct = 2 * sum(sigma(1, d1) * sigma(1, d - d1) for d1 in range(1, d))
         assert profile["Delta_01"] == direct
 

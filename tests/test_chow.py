@@ -2,13 +2,13 @@
 
 import random
 from fractions import Fraction as F
+from types import MappingProxyType
 
 import pytest
 
 from delliptic import chow
 from delliptic.chow import (
     ChowClass,
-    IntersectionProfile,
     basis_class,
     basis_labels,
     pairing,
@@ -189,9 +189,7 @@ class TestPairing:
         with pytest.raises(ValueError, match=message):
             pairing(basis_class("M21", 1, "Delta_1"), basis_class("M21", 2, "Delta_00"))
         monkeypatch.delitem(chow.SPACES["M21"].pairings, (1, 3))
-        profile = IntersectionProfile.from_dict(
-            "M21", dict.fromkeys(basis_labels("M21", 3), 0)
-        )
+        profile = dict.fromkeys(basis_labels("M21", 3), 0)
         with pytest.raises(ValueError, match=r"^degrees 1 and 3 are not paired on M21$"):
             solve_class("M21", 1, profile)
 
@@ -210,7 +208,7 @@ class TestPairing:
 
 class TestSolveClass:
     def test_m12_example(self):
-        profile = IntersectionProfile.from_dict("M12", {"Delta_0": 3, "Delta_1": 0})
+        profile = {"Delta_0": 3, "Delta_1": 0}
         solved = solve_class("M12", 1, profile)
         assert solved == ChowClass.from_coefficients(
             "M12", 1, {"Delta_0": F(1, 8), "Delta_1": 3}
@@ -223,9 +221,7 @@ class TestSolveClass:
             ("M21", 2, basis_labels("M21", 2)),
             ("M3", 2, basis_labels("M3", 4)),
         ):
-            profile = IntersectionProfile.from_dict(
-                space_id, {label: 0 for label in duals}
-            )
+            profile = {label: 0 for label in duals}
             assert solve_class(space_id, degree, profile).is_zero()
 
     @pytest.mark.parametrize(
@@ -241,20 +237,17 @@ class TestSolveClass:
                 F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in labels
             )
             cls = ChowClass(space_id, degree, labels, coeffs)
-            profile = IntersectionProfile.from_dict(
-                space_id,
-                {
-                    dual: pairing(cls, basis_class(space_id, dual_degree, dual))
-                    for dual in duals
-                },
-            )
+            profile = MappingProxyType({
+                dual: pairing(cls, basis_class(space_id, dual_degree, dual))
+                for dual in duals
+            })
             assert solve_class(space_id, degree, profile) == cls
 
     def test_singular_system(self):
         # four equations cannot pin five unknowns
         partial = {label: 0 for label in basis_labels("M21", 2)[:4]}
         with pytest.raises(SingularSystemError):
-            solve_class("M21", 2, IntersectionProfile.from_dict("M21", partial))
+            solve_class("M21", 2, partial)
 
     def test_inconsistent_system(self):
         # the four registered M13 curve classes pair to zero with the
@@ -263,14 +256,19 @@ class TestSolveClass:
         values = {label: 0 for label in basis_labels("M13", 1)}
         values["Delta_1_{2,3}"] = 1
         with pytest.raises(InconsistentSystemError):
-            solve_class("M13", 2, IntersectionProfile.from_dict("M13", values))
+            solve_class("M13", 2, values)
 
     def test_unknown_profile_label(self):
         with pytest.raises(ValueError):
-            IntersectionProfile.from_dict("M2", {"Delta_99": 1})
-        wrong_dual = IntersectionProfile.from_dict("M2", {"Delta_0": 1, "Delta_1": 0})
+            solve_class("M2", 1, {"Delta_99": 1})
+        wrong_dual = {"Delta_0": 1, "Delta_1": 0}
         with pytest.raises(ValueError):
             solve_class("M2", 1, wrong_dual)  # duals of degree 1 are degree 2
+
+    @pytest.mark.parametrize("inexact", [0.5, "1/2"])
+    def test_inexact_profile_number_refused(self, inexact):
+        with pytest.raises(TypeError, match="must be int or Fraction"):
+            solve_class("M12", 1, {"Delta_0": inexact, "Delta_1": 0})
 
 
 class TestQClassConversion:

@@ -521,22 +521,15 @@ class TestMutationProbes:
     """Each planted error makes `verify` fail, with the checks that catch it
     named."""
 
-    @staticmethod
-    def clear_caches(*modules):
-        for module in modules:
-            for fn in vars(module).values():
-                if hasattr(fn, "cache_clear") and fn.__module__ == module.__name__:
-                    fn.cache_clear()
-
     @pytest.fixture
-    def mutate(self, monkeypatch):
+    def mutate(self, monkeypatch, clear_caches):
         originals = (covers.count_dd22, covers.count_dd2222, dict(chow.FORGET_M21_TO_M2),
                      linalg._scaled_factorisation, chow.SPACES["M21"].pairings[(2, 2)],
                      covers._order_d_subgroups, copy.deepcopy(CLOSED_FORM_TABLES))
-        self.clear_caches(loci, linalg)
+        clear_caches(loci, linalg)
         yield monkeypatch
         monkeypatch.undo()
-        self.clear_caches(loci, linalg)
+        clear_caches(loci, linalg)
         assert (covers.count_dd22, covers.count_dd2222) == originals[:2]
         assert (loci.count_dd22, loci.count_dd2222) == originals[:2]
         assert (report.count_dd22, report.count_dd2222) == originals[:2]
@@ -580,6 +573,25 @@ class TestMutationProbes:
         by_name = {c["check"]: c for c in result["checks"]}
         assert "(d=4): brute-force disagrees" in by_name["pointed-isogeny-count"]["detail"]
 
+    def test_wrong_divisor_list_fails_sublattice_count(self, mutate, clear_caches):
+        # count_sublattices and sigma both read the divisor list; the closed
+        # route factorises d by trial division, so a wrong list fails the check
+        original = divisors.divisors
+
+        def faulty(d):
+            return original(d)[:-1] if d == 6 else original(d)
+
+        for module in (divisors, covers):
+            mutate.setattr(module, "divisors", faulty)
+        clear_caches(divisors)
+        try:
+            with pytest.raises(CrossCheckError, match=r"^sublattice-count\(d=6\): "):
+                report._check_sublattices()
+        finally:
+            mutate.undo()
+            clear_caches(divisors)
+        assert report._check_sublattices() == "count equals sigma_1(d) for d <= 50"
+
     @staticmethod
     def closed_form_probe(table, label):
         """(the check a bumped row must fail, the call that runs it at the
@@ -597,18 +609,18 @@ class TestMutationProbes:
         return f"{table}[{label}](d=1)", lambda: getattr(loci, table)(1)
 
     @pytest.mark.parametrize("table", sorted(CLOSED_FORM_TABLES))
-    def test_every_closed_form_coefficient_is_caught(self, mutate, table):
+    def test_every_closed_form_coefficient_is_caught(self, mutate, clear_caches, table):
         rows = CLOSED_FORM_TABLES[table]
         assert any(rows.values())
         for label, row in rows.items():
             check, call = self.closed_form_probe(table, label)
             for key in list(row):
                 mutate.setitem(row, key, row[key] + 1)
-                self.clear_caches(loci, divisors)
+                clear_caches(loci, divisors)
                 with pytest.raises(CrossCheckError, match=rf"^{re.escape(check)}: "):
                     call()
                 mutate.undo()
-        self.clear_caches(loci, divisors)
+        clear_caches(loci, divisors)
 
     def test_wrong_class_coefficient_fails_named_check(self, mutate):
         row = loci.FAMILIES["m3"][4]["kappa_2"]
@@ -635,7 +647,7 @@ class TestMutationProbes:
         mutate.setitem(table, label, target)
         assert self.failed_checks(report.run_verification(10, 20)) == checks
 
-    def test_changed_table_gets_a_new_factorisation(self, mutate):
+    def test_changed_table_gets_a_new_factorisation(self, mutate, clear_caches):
         # the solver's cache is keyed by the table's values, not its labels:
         # a warm factorisation must not survive a changed entry
         loci.delliptic_class_m21(6)
@@ -644,7 +656,7 @@ class TestMutationProbes:
             tuple(v + ((i, j) == (4, 4)) for j, v in enumerate(row))
             for i, row in enumerate(table)
         ))
-        self.clear_caches(loci)
+        clear_caches(loci)
         with pytest.raises(CrossCheckError, match="class\\[m21\\]"):
             loci.delliptic_class_m21(6)
 

@@ -3,6 +3,7 @@ classes, triple-branch sums, and certification plumbing."""
 
 import re
 from fractions import Fraction as F
+from types import MappingProxyType
 
 import pytest
 
@@ -30,10 +31,10 @@ from delliptic.loci import (
 )
 from delliptic.chow import (
     FORGET_M21_TO_M2,
-    IntersectionProfile,
     basis_labels,
     pairing_number,
     pushforward_m21_to_m2,
+    space,
 )
 from delliptic.quasimodular import NotQuasimodular, QuasimodularFit
 
@@ -51,20 +52,48 @@ class TestAuxiliaryLoci:
         assert cls.coefficient("Delta_1") == 8
 
     def test_total_ramification_profile(self):
-        assert all(v == 0 for _, v in total_ramification_profile_m13(1).values)
-        assert total_ramification_profile_m13(2).as_dict()["Delta_0"] == 6
-        profile = total_ramification_profile_m13(3).as_dict()
+        assert all(v == 0 for v in total_ramification_profile_m13(1).values())
+        assert total_ramification_profile_m13(2)["Delta_0"] == 6
+        profile = total_ramification_profile_m13(3)
         assert profile["Delta_0"] == 16
         assert profile["Delta_1_{1,2,3}"] == 0
 
     def test_double_pair_profile(self):
-        profile = double_pair_profile_m13(1, 2).as_dict()
+        profile = double_pair_profile_m13(1, 2)
         assert profile["Delta_1_{2,3}"] == 1
         assert profile["Delta_1_{1,2,3}"] == 1
         assert profile["Delta_0"] == 0
         assert profile["Delta_1_{1,2}"] == 0
         # no dependence on the winding pair
-        assert double_pair_profile_m13(3, 5).values == double_pair_profile_m13(1, 2).values
+        assert double_pair_profile_m13(3, 5) == double_pair_profile_m13(1, 2)
+
+    def test_auxiliary_profile_labels(self):
+        m13 = basis_labels("M13", 1)
+        for a in (1, 2, 5):
+            assert tuple(total_ramification_profile_m13(a)) == m13
+            assert tuple(double_pair_profile_m13(a, 3)) == m13
+            assert tuple(loci.pointed_cover_profile_m12(a)) == basis_labels("M12", 1)
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_profiles_are_read_only_fractions(self, d):
+        profiles = [
+            loci.pointed_cover_profile_m12(d),
+            total_ramification_profile_m13(d),
+            double_pair_profile_m13(d, 2),
+            boundary_profile_m2(d),
+            fixed_target_profile_m2(d),
+            boundary_profile_m21(d),
+            boundary_profile_m3(d),
+        ]
+        for profile in profiles:
+            label = next(iter(profile))
+            with pytest.raises(TypeError):
+                profile[label] = F(0)
+            assert all(type(v) is F for v in profile.values())
+        # each family's profile sits on the dual basis of the space it declares
+        for family, (space_id, degree, _, profile_fn, _) in loci.FAMILIES.items():
+            dual_degree = space(space_id).dimension - degree
+            assert tuple(profile_fn(d)) == basis_labels(space_id, dual_degree), family
 
     def test_double_pair_profile_is_shared_and_validated(self):
         assert double_pair_profile_m13(7, 2) is double_pair_profile_m13(1, 1)
@@ -75,9 +104,9 @@ class TestAuxiliaryLoci:
 
 class TestGenus2:
     def test_profile_values(self):
-        assert boundary_profile_m2(1).as_dict() == {"Delta_00": 0, "Delta_01": 0}
-        assert boundary_profile_m2(2).as_dict() == {"Delta_00": 12, "Delta_01": 2}
-        assert boundary_profile_m2(4).as_dict() == {"Delta_00": 84, "Delta_01": 34}
+        assert boundary_profile_m2(1) == {"Delta_00": 0, "Delta_01": 0}
+        assert boundary_profile_m2(2) == {"Delta_00": 12, "Delta_01": 2}
+        assert boundary_profile_m2(4) == {"Delta_00": 84, "Delta_01": 34}
 
     def test_class_small(self):
         assert delliptic_class_m2(1).is_zero()
@@ -93,9 +122,9 @@ class TestGenus2:
 
 class TestFixedTarget:
     def test_profile_values(self):
-        assert fixed_target_profile_m2(1).as_dict() == {"Delta_0": 0, "Delta_1": 0}
-        assert fixed_target_profile_m2(2).as_dict() == {"Delta_0": 3, "Delta_1": 2}
-        assert fixed_target_profile_m2(3).as_dict() == {"Delta_0": 8, "Delta_1": 12}
+        assert fixed_target_profile_m2(1) == {"Delta_0": 0, "Delta_1": 0}
+        assert fixed_target_profile_m2(2) == {"Delta_0": 3, "Delta_1": 2}
+        assert fixed_target_profile_m2(3) == {"Delta_0": 8, "Delta_1": 12}
 
     def test_class_small(self):
         assert fixed_target_class_m2(1).is_zero()
@@ -105,17 +134,11 @@ class TestFixedTarget:
         for d in range(1, 31):
             fixed_target_class_m2(d)  # raises on any route disagreement
 
-    def test_wrong_isogeny_count_is_caught(self, monkeypatch):
+    def test_wrong_isogeny_count_is_caught(self, monkeypatch, clear_caches):
         # the profile reads the count directly, so the solved class catches it
         original = loci.count_pointed_isogenies
-        cached = [
-            fn
-            for fn in vars(loci).values()
-            if hasattr(fn, "cache_clear") and fn.__module__ == loci.__name__
-        ]
         monkeypatch.setattr(loci, "count_pointed_isogenies", lambda d: original(d) + 1)
-        for fn in cached:
-            fn.cache_clear()
+        clear_caches(loci)
         try:
             with pytest.raises(CrossCheckError, match=r"class\[m2e\]"):
                 fixed_target_class_m2(5)
@@ -127,20 +150,19 @@ class TestFixedTarget:
             }
         finally:
             monkeypatch.undo()
-            for fn in cached:
-                fn.cache_clear()
+            clear_caches(loci)
         assert loci.count_pointed_isogenies is original
-        assert fixed_target_profile_m2(5).as_dict()["Delta_0"] == 4 * sigma(1, 5)
+        assert fixed_target_profile_m2(5)["Delta_0"] == 4 * sigma(1, 5)
         fixed_target_class_m2(5)  # raises if a wrong count was left cached
 
 
 class TestPointedGenus2:
     def test_profile_values(self):
-        assert boundary_profile_m21(1).as_dict() == {
+        assert boundary_profile_m21(1) == {
             label: 0
             for label in ("Delta_00", "Delta_01a", "Delta_01b", "Xi_1", "Delta_11")
         }
-        assert boundary_profile_m21(2).as_dict() == {
+        assert boundary_profile_m21(2) == {
             "Delta_00": 12,
             "Delta_01a": 1,
             "Delta_01b": 1,
@@ -150,7 +172,7 @@ class TestPointedGenus2:
 
     def test_reducible_entries_agree(self):
         for d in range(1, 31):
-            profile = boundary_profile_m21(d).as_dict()
+            profile = boundary_profile_m21(d)
             assert profile["Delta_01a"] == profile["Delta_01b"]
 
     def test_class_small(self):
@@ -198,7 +220,7 @@ class TestSplittingWeights:
         for fn in cached:
             fn.cache_clear()
         assert (loci._splitting_weights, loci._DOUBLE_PAIR_PROFILE_M13) == originals
-        assert boundary_profile_m21(5).as_dict()["Delta_01a"] == conv2(5)
+        assert boundary_profile_m21(5)["Delta_01a"] == conv2(5)
 
     def test_wrong_splitting_total_is_caught(self, fresh_caches):
         original = loci._splitting_weights
@@ -211,11 +233,9 @@ class TestSplittingWeights:
             triple_branch_split_sum(5)
 
     def test_wrong_double_pair_entry_is_caught(self, fresh_caches):
-        bumped = dict(loci._DOUBLE_PAIR_PROFILE_M13.values)
+        bumped = dict(loci._DOUBLE_PAIR_PROFILE_M13)
         bumped["Delta_1_{2,3}"] += 1
-        fresh_caches.setattr(
-            loci, "_DOUBLE_PAIR_PROFILE_M13", IntersectionProfile.from_dict("M13", bumped)
-        )
+        fresh_caches.setattr(loci, "_DOUBLE_PAIR_PROFILE_M13", MappingProxyType(bumped))
         with pytest.raises(CrossCheckError, match=r"boundary_profile_m21\[Delta_01a\]"):
             boundary_profile_m21(5)
 
@@ -244,8 +264,8 @@ class TestGenus3:
             surface_contribution_m3(2, "D9_D9", "Delta_[1]")
 
     def test_profile_values(self):
-        assert all(v == 0 for _, v in boundary_profile_m3(1).values)
-        profile = boundary_profile_m3(2).as_dict()
+        assert all(v == 0 for v in boundary_profile_m3(1).values())
+        profile = boundary_profile_m3(2)
         assert profile["Delta_[1]"] == 288
         assert profile["Delta_[4]"] == 24 * (2 * 9 - 3) - 288 == 72
 
@@ -275,7 +295,7 @@ class TestIntegerRoutes:
             m21_label, is_surface = loci._CURVE_X_MODULI[surface_label], False
         c2 = conv2(d) if d >= 2 else 0
         if cover_type == "D1_D13":
-            return 24 * boundary_profile_m21(d).as_dict()[m21_label] if is_surface else F(0)
+            return 24 * boundary_profile_m21(d)[m21_label] if is_surface else F(0)
         if cover_type == "D11_D14":
             if is_surface:
                 return 24 * c2 * pairing_number("M21", m21_label, 2, "Delta_01a", 2)
@@ -287,7 +307,7 @@ class TestIntegerRoutes:
         total = F(0)
         if forget[m21_label] is not None:
             for d1 in range(1, d):
-                total += sigma(1, d - d1) * profile(d1).as_dict()[forget[m21_label]]
+                total += sigma(1, d - d1) * profile(d1)[forget[m21_label]]
         return 12 * total
 
     def assert_contributions_match(self, max_d):
@@ -307,18 +327,16 @@ class TestIntegerRoutes:
         # common denominator
         for name in ("fixed_target_profile_m2", "boundary_profile_m2"):
             original = getattr(loci, name)
-            monkeypatch.setattr(loci, name, lambda d, original=original: (
-                IntersectionProfile.from_dict("M2", {
-                    label: v + F(d % 5, d + 1) for label, v in original(d).values
-                })
-            ))
+            monkeypatch.setattr(loci, name, lambda d, original=original: {
+                label: v + F(d % 5, d + 1) for label, v in original(d).items()
+            })
         self.assert_contributions_match(30)
 
     @staticmethod
     def fraction_windings(d, label):
         total = F(0)
         for a in divisors(d):
-            total += (d // a) * loci.total_ramification_profile_m13(a).as_dict()[label]
+            total += (d // a) * loci.total_ramification_profile_m13(a)[label]
         return total
 
     def test_chain_windings(self, monkeypatch):
@@ -328,11 +346,9 @@ class TestIntegerRoutes:
             assert tuple(windings) == labels
             assert all(windings[label] == self.fraction_windings(d, label) for label in labels)
         # rational entries with a different denominator per winding
-        monkeypatch.setattr(loci, "total_ramification_profile_m13", lambda a: (
-            IntersectionProfile.from_dict("M13", {
-                label: F(a * i - 3, a + i) for i, label in enumerate(labels)
-            })
-        ))
+        monkeypatch.setattr(loci, "total_ramification_profile_m13", lambda a: {
+            label: F(a * i - 3, a + i) for i, label in enumerate(labels)
+        })
         for d in (1, 12, 30, 60):
             windings = loci._chain_windings(d)
             assert all(windings[label] == self.fraction_windings(d, label) for label in labels)
@@ -350,9 +366,9 @@ class TestIntegerRoutes:
         original = getattr(loci, profile)
 
         def planted(d):
-            values = original(d).as_dict()
+            values = dict(original(d))
             values[label] += F(1, 7) if d == planted_at else 0
-            return IntersectionProfile.from_dict("M2", values)
+            return values
 
         boundary_profile_m3.cache_clear()
         monkeypatch.setattr(loci, profile, planted)

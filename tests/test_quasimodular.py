@@ -313,24 +313,16 @@ class TestIntegerRoute:
 
 
 @pytest.fixture
-def probe(monkeypatch):
+def probe(monkeypatch, clear_caches):
     """Every linalg, quasimodular and loci cache cleared before and after,
     with the originals restored and checked afterwards."""
-    cached = [
-        fn
-        for module in (linalg, quasimodular, loci)
-        for fn in vars(module).values()
-        if hasattr(fn, "cache_clear") and fn.__module__ == module.__name__
-    ]
     originals = (
         quasimodular._fit_plan, linalg._every_row_holds, linalg._scaled_factorisation
     )
-    for fn in cached:
-        fn.cache_clear()
+    clear_caches(linalg, quasimodular, loci)
     yield monkeypatch
     monkeypatch.undo()
-    for fn in cached:
-        fn.cache_clear()
+    clear_caches(linalg, quasimodular, loci)
     assert (
         quasimodular._fit_plan, linalg._every_row_holds, linalg._scaled_factorisation
     ) == originals

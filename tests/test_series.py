@@ -1,6 +1,7 @@
 """Exact scalars and truncated series."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 from math import gcd
 
@@ -167,6 +168,13 @@ class TestQSeries:
             QSeries([1, 2]).truncate(9)
         with pytest.raises(ValueError):
             QSeries([1, 2]) ** -1
+
+    @pytest.mark.parametrize("inexact", [0.1, "1/2", Decimal("0.5")])
+    def test_inexact_coefficients_refused(self, inexact):
+        with pytest.raises(TypeError, match="must be int or Fraction"):
+            QSeries([inexact, 1])
+        with pytest.raises(TypeError):
+            QSeries.from_function(2, lambda d: inexact if d == 2 else d)
 
     def test_json_round_trip(self):
         f = QSeries([F(1, 2), F(-1, 24), 3])
