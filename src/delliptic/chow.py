@@ -30,9 +30,11 @@ from dual-basis label to an int or Fraction (`loci` returns read-only ones);
 solve_class checks each of its labels against the dual basis, once.
 
 Every operation is pure, but the registry is not frozen yet: a plain
-setitem on SPACES or on a space's pairings changes it. The solver's cache
-(`linalg.solve_unique`) is keyed by the table values, so it follows such a
-change; the lru_caches in `loci` are not, and keep what they computed before.
+setitem on SPACES or on a space's pairings changes it. solve_class hands
+`linalg.solve_unique` the stored block itself (a `linalg.BlockRows`), whose
+factorisation is cached by the block object's identity, so a replaced block
+gets a new one; the lru_caches in `loci` are not keyed by the tables, and
+keep what they computed before.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .linalg import solve_unique
+from .linalg import BlockRows, solve_unique
 from .series import format_rational
 
 __all__ = [
@@ -340,21 +342,29 @@ def _position(labels: tuple[str, ...], label: str, space_id: str, degree: int) -
         ) from None
 
 
+def _registered_block(
+    sp: ChowSpace, degree_a: int, degree_b: int
+) -> tuple[tuple[tuple[Fraction, ...], ...], bool]:
+    """(table, flipped): the stored table pairing the two degrees, and whether
+    it is registered as (degree_b, degree_a); unpaired degrees raise
+    ValueError."""
+    if (degree_a, degree_b) in sp.pairings:
+        return sp.pairings[degree_a, degree_b], False
+    if (degree_b, degree_a) in sp.pairings:
+        return sp.pairings[degree_b, degree_a], True
+    raise ValueError(
+        f"degrees {degree_a} and {degree_b} are not paired on {sp.space_id}"
+    )
+
+
 def _pairing_block(
     sp: ChowSpace, degree_a: int, degree_b: int
 ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[tuple[Fraction, ...], ...]]:
     """(labels_a, labels_b, table), table[i][j] the stored intersection number
     of labels_a[i] and labels_b[j]. A block registered the other way round
     is transposed; unpaired degrees raise ValueError."""
-    if (degree_a, degree_b) in sp.pairings:
-        table = sp.pairings[degree_a, degree_b]
-    elif (degree_b, degree_a) in sp.pairings:
-        table = tuple(zip(*sp.pairings[degree_b, degree_a]))
-    else:
-        raise ValueError(
-            f"degrees {degree_a} and {degree_b} are not paired on {sp.space_id}"
-        )
-    return sp.bases[degree_a], sp.bases[degree_b], table
+    table, flipped = _registered_block(sp, degree_a, degree_b)
+    return sp.bases[degree_a], sp.bases[degree_b], tuple(zip(*table)) if flipped else table
 
 
 def pairing_number(
@@ -399,17 +409,16 @@ def solve_class(
     """
     sp = space(space_id)
     dual_degree = sp.dimension - degree
-    labels, dual_labels, table = _pairing_block(sp, degree, dual_degree)
-    # one row per profile label: its column of the block
-    columns = tuple(zip(*table))
-    matrix = [
-        columns[_position(dual_labels, label, space_id, dual_degree)] for label in profile
-    ]
+    table, flipped = _registered_block(sp, degree, dual_degree)
+    dual_labels = sp.bases[dual_degree]
+    # one row per profile label: its numbers against the basis, read off the
+    # stored block in place (a column of it unless it is registered flipped)
+    order = tuple(_position(dual_labels, label, space_id, dual_degree) for label in profile)
     values = list(profile.values())
     if not all(isinstance(v, (int, Fraction)) for v in values):
         raise TypeError(f"profile numbers must be int or Fraction, got {values!r}")
-    solution = solve_unique(matrix, values)
-    return ChowClass(space_id, degree, labels, tuple(solution))
+    solution = solve_unique(BlockRows(table, order, not flipped), values)
+    return ChowClass(space_id, degree, sp.bases[degree], tuple(solution))
 
 
 def to_q_class_basis(c: ChowClass) -> ChowClass:

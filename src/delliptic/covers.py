@@ -8,17 +8,15 @@ generated subgroup transitive on the d sheets (connectedness). The Hurwitz
 number is the number of such tuples divided by d!, which is the standard
 automorphism weighting.
 
-The count depends only on the cyclic order of the profiles up to reversal,
-by two bijections that keep every cycle type, the product 1 and
-transitivity: rotation, (s_1..s_k) -> (s_2..s_k, s_1), whose product is
-s_1^-1 (s_1..s_k) s_1 = 1; and reversal, (s_1..s_k) -> (s_k^-1..s_1^-1),
-which has the same cycle types and generates the same group. So
-hurwitz_number enumerates the cheapest of the 2k rotations and reversals of
-its profile list: the one whose enumerated factors (all but the first and
-the last) have the smallest product of class sizes, ties going to the
-larger first class, which is pinned to one representative; the last factor
-is forced by the product condition. The pinned and the forced classes are
-never listed.
+The count does not depend on the order of the profiles: the Hurwitz move
+(s_i, s_{i+1}) -> (s_i s_{i+1} s_i^-1, s_i) swaps the cycle types of two
+neighbours, keeps the product (s_i s_{i+1}) and the generated group, and is
+invertible, so it maps the tuples counted for one order one to one onto
+those for the order with the two profiles swapped; adjacent swaps reach
+every order. So hurwitz_number sorts its profiles by class size: the
+largest class is pinned to one representative, the second largest is
+forced by the product condition, and only the others are enumerated. The
+pinned and the forced classes are never listed.
 
 Conventions fixed here (validated against the closed forms in the tests
 before freezing):
@@ -72,8 +70,8 @@ __all__ = [
 ]
 
 #: largest cover degree hurwitz_number will enumerate (8! permutations per
-#: class); it also enumerates at most 8! tuples, counted in the arrangement
-#: it chooses (all factors but the pinned first and the forced last)
+#: class); it also enumerates at most 8! tuples, counted with the two
+#: largest classes pinned and forced
 ENUMERATION_BUDGET = 8
 
 #: largest d count_sublattices and count_pointed_isogenies accept; their
@@ -242,35 +240,23 @@ def _class_representative(profile: Partition) -> tuple[int, ...]:
 
 
 def _cheapest_arrangement(profiles: Sequence[Partition]) -> list[Partition]:
-    """The rotation or reversal of `profiles` that hurwitz_number enumerates."""
-    forward = list(profiles)
-    arrangements = [
-        order[i:] + order[:i]
-        for order in (forward, forward[::-1])
-        for i in range(len(order))
-    ]
-    return min(
-        arrangements,
-        key=lambda order: (
-            prod(conjugacy_class_size(p) for p in order[1:-1]),
-            -conjugacy_class_size(order[0]),
-        ),
-    )
+    """The order of `profiles` that hurwitz_number enumerates: the largest
+    class first (pinned), the second largest last (forced), the others
+    between, so the enumerated classes have the smallest product of sizes."""
+    largest, forced, *between = sorted(profiles, key=conjugacy_class_size, reverse=True)
+    return [largest, *between, forced]
 
 
 def hurwitz_number(d: int, profiles: Sequence[Partition]) -> Fraction:
     """Count of transitive identity-product tuples with given cycle types, over d!.
 
-    Rotating the profile list, or reversing it (each s_i replaced by its
-    inverse), maps the counted tuples one to one onto those of the new list,
-    so the count is taken in the cheapest of these 2k arrangements: the one
-    whose enumerated factors, all but the first and the last, have the
-    smallest product of class sizes, ties going to the larger first class.
-    There the first factor is pinned to one representative of its conjugacy
-    class and the total scaled by the class size; the factors between are
-    enumerated exhaustively and the last is forced by the product condition,
-    so neither the first class nor the last is listed. More than
-    ENUMERATION_BUDGET! enumerated tuples in that arrangement is refused
+    Hurwitz moves map the counted tuples of one order of the profiles one to
+    one onto those of any other, so the count is taken in the cheapest order:
+    the largest class first, pinned to one representative of its conjugacy
+    class with the total scaled by the class size; the second largest last,
+    forced by the product condition; the others between, enumerated
+    exhaustively. Neither the pinned class nor the forced one is listed.
+    More than ENUMERATION_BUDGET! enumerated tuples in that order is refused
     before any class is listed.
     """
     require_positive(d)
@@ -289,8 +275,8 @@ def hurwitz_number(d: int, profiles: Sequence[Partition]) -> Fraction:
     tuples = prod(conjugacy_class_size(p) for p in order[1:-1])
     if tuples > factorial(ENUMERATION_BUDGET):
         raise ValueError(
-            f"{tuples} enumerated tuples, in the cheapest rotation or reversal "
-            f"of the profiles, exceed the enumeration budget "
+            f"{tuples} enumerated tuples, with the two largest classes pinned "
+            f"and forced, exceed the enumeration budget "
             f"{ENUMERATION_BUDGET}! = {factorial(ENUMERATION_BUDGET)}"
         )
     first = _class_representative(order[0])

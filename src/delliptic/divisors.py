@@ -2,9 +2,13 @@
 
 sigma_k(d) = sum of a^k over the positive divisors a of d, so sigma_0 = tau,
 the number of divisors. Every closed form in the package is a sigma
-polynomial, held as data: a row {(j, k): c} means sum c d^j sigma_k(d), and
-sigma_polynomial(row, d) is its one reader: one series.dot of the row's
-coefficients against the int values d^j sigma_k(d).
+polynomial, held as data: a Row {(j, k): c} means sum c d^j sigma_k(d), and
+sigma_polynomial(row, d) is its one reader. A Row is read-only (item
+assignment raises TypeError; a changed closed form is a new Row) and carries
+its int kernel, built once with it: its monomials (j, k), its coefficients'
+numerators over the lcm of their denominators, and that lcm. So reading a
+row at d is one int multiply-add against the values d^j sigma_k(d) and one
+Fraction.
 
 The three convolutions of sigma_1 over ordered compositions of d have such
 rows (CLOSED_FORMS):
@@ -28,23 +32,60 @@ division up to sqrt(d).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Mapping, Union
+from operator import mul
+from typing import Union
 
 from .errors import crosscheck
-from .series import QSeries, dot
+from .series import QSeries, _over_common_denominator
 
 __all__ = [
-    "require_positive", "divisors", "sigma", "tau", "sigma_polynomial",
+    "require_positive", "divisors", "sigma", "tau", "Row", "rows", "sigma_polynomial",
     "CLOSED_FORMS", "conv2", "conv2_weighted", "conv3",
 ]
 
 F = Fraction
 
-#: {(j, k): c}, the sigma polynomial sum c d^j sigma_k(d)
-Row = Mapping[tuple[int, int], Union[int, Fraction]]
+
+class Row(Mapping):
+    """A read-only sigma polynomial {(j, k): c}, sum c d^j sigma_k(d), with
+    its int kernel: `monomials` (the keys (j, k) in order), `numerators`
+    (each c over `scale`) and `scale` (the lcm of the denominators)."""
+
+    __slots__ = ("_terms", "monomials", "numerators", "scale")
+
+    def __init__(self, terms: Mapping[tuple[int, int], Union[int, Fraction]]):
+        terms = dict(terms)
+        numerators, scale = _over_common_denominator(list(terms.values()))
+        for name, value in (("_terms", terms), ("monomials", tuple(terms)),
+                            ("numerators", tuple(numerators)), ("scale", scale)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Row is read-only")
+
+    def __getitem__(self, key: tuple[int, int]) -> Union[int, Fraction]:
+        return self._terms[key]
+
+    def __iter__(self):
+        return iter(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __reduce__(self):
+        return Row, (self._terms,)
+
+    def __repr__(self) -> str:
+        return f"Row({self._terms!r})"
+
+
+def rows(table: Mapping[str, Mapping[tuple[int, int], Union[int, Fraction]]]) -> dict[str, Row]:
+    """{label: Row} from {label: {(j, k): c}}, each row's kernel built once."""
+    return {label: Row(terms) for label, terms in table.items()}
 
 
 def require_positive(d: int) -> None:
@@ -78,20 +119,25 @@ def tau(d: int) -> int:
     return len(divisors(d))
 
 
-def sigma_polynomial(row: Row, d: int) -> Fraction:
-    """sum c d^j sigma_k(d) over the row {(j, k): c}, exactly; sigma_0 = tau."""
-    return dot(list(row.values()), [d**j * sigma(k, d) for j, k in row])
+def sigma_polynomial(row: Mapping[tuple[int, int], Union[int, Fraction]], d: int) -> Fraction:
+    """sum c d^j sigma_k(d) over the row {(j, k): c}, exactly; sigma_0 = tau.
+
+    A Row is read through its kernel; any other mapping is made a Row first."""
+    if not isinstance(row, Row):
+        row = Row(row)
+    values = [d**j * sigma(k, d) for j, k in row.monomials]
+    return Fraction(sum(map(mul, row.numerators, values)), row.scale)
 
 
 #: convolution -> its closed form, the row its direct sum must equal
-CLOSED_FORMS: dict[str, Row] = {
+CLOSED_FORMS: dict[str, Row] = rows({
     "conv2": {(1, 1): F(-1, 2), (0, 1): F(1, 12), (0, 3): F(5, 12)},
     "conv2_weighted": {(2, 1): F(-1, 4), (1, 1): F(1, 24), (1, 3): F(5, 24)},
     "conv3": {
         (2, 1): F(1, 8), (1, 1): F(-1, 16), (0, 1): F(1, 192),
         (1, 3): F(-5, 32), (0, 3): F(5, 96), (0, 5): F(7, 192),
     },
-}
+})
 
 
 @lru_cache(maxsize=None)

@@ -6,26 +6,33 @@ elimination, and inverts that block as B / delta. `_solve(plan, numerators,
 scale)` takes the right-hand side as integers over one positive scale, as a
 `QSeries` holds it, and accepts X = B t only if the integer residual holds on
 every row. `solve_unique` scales each row of its matrix to integers and
-factorises once per distinct matrix, cached by its values; its right-hand
-side enters as integers over their common denominator, each times its row's
-scale; `quasimodular` fits hand `_solve` their target's numerators
-directly. `solve_any`, Fraction Gauss-Jordan with "first nonzero entry"
-pivots, is the tests' reference.
+factorises the scaled rows; its right-hand side enters as integers
+over their common denominator, each times its row's scale; `quasimodular`
+fits hand `_solve` their target's numerators directly. `solve_any`, Fraction
+Gauss-Jordan with "first nonzero entry" pivots, is the tests' reference.
+
+A `BlockRows` (the rows a class solve reads off a registered, immutable
+pairing block) is factorised once: the factorisation is found again by the
+block object's identity and the row order, through an lru_cache that holds
+the block, so no id can be reused while the entry lives, and a replaced
+block is a new object with a new factorisation. A plain matrix, which may be
+a fresh list on every call, is factorised on each solve.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Sequence
 
 from .series import _over_common_denominator
 
 __all__ = [
     "SingularSystemError",
     "InconsistentSystemError",
+    "BlockRows",
     "solve_unique",
     "solve_any",
 ]
@@ -154,23 +161,67 @@ def _eliminate(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     return aug, pivot_cols, consistent
 
 
-@lru_cache(maxsize=None)
+class BlockRows(Sequence):
+    """The matrix whose row r is row order[r] of `block`, or its column
+    order[r] when `by_column`; `block` must be a tuple of row tuples, so that
+    its identity fixes its values. Two are equal, and hash alike, when they
+    read the same block object in the same way."""
+
+    __slots__ = ("block", "order", "by_column")
+
+    def __init__(
+        self, block: tuple[tuple[Fraction, ...], ...], order: tuple[int, ...], by_column: bool
+    ):
+        self.block, self.order, self.by_column = block, order, by_column
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __getitem__(self, r: int) -> tuple[Fraction, ...]:
+        i = self.order[r]
+        return tuple(row[i] for row in self.block) if self.by_column else tuple(self.block[i])
+
+    def __hash__(self) -> int:
+        return hash((id(self.block), self.order, self.by_column))
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, BlockRows)
+            and self.block is other.block
+            and (self.order, self.by_column) == (other.order, other.by_column)
+        )
+
+
 def _scaled_factorisation(matrix: tuple[tuple[Fraction, ...], ...]):
     """The lcm scaling each row of `matrix` to integers, and the factorisation
-    of the scaled rows; cached by the matrix's values."""
+    of the scaled rows."""
     rows, scales = zip(*map(_over_common_denominator, matrix))
     return scales, _factorise(rows)
 
 
+@lru_cache(maxsize=None)
+def _block_factorisation(rows: BlockRows):
+    """_scaled_factorisation of `rows`, cached by its block's identity and its
+    row order; the cache holds `rows`, and with it the block. A block that
+    could change in place raises TypeError."""
+    if not (isinstance(rows.block, tuple) and all(isinstance(r, tuple) for r in rows.block)):
+        raise TypeError("a BlockRows block must be a tuple of row tuples")
+    return _scaled_factorisation(tuple(rows))
+
+
 def solve_unique(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve an m x n system that must have exactly one solution.
+    """Solve an m x n system that must have exactly one solution; `matrix`
+    is a sequence of rows or a BlockRows.
 
     Raises InconsistentSystemError when no solution exists and
     SingularSystemError when the solution is not unique.
     """
     if not matrix:
         return []
-    scales, plan = _scaled_factorisation(tuple(map(tuple, matrix)))
+    if isinstance(matrix, BlockRows):
+        scales, plan = _block_factorisation(matrix)
+    else:
+        scales, plan = _scaled_factorisation(tuple(map(tuple, matrix)))
     numerators, scale = _over_common_denominator(rhs)
     solution = _solve(plan, list(map(mul, scales, numerators)), scale)
     if solution is None:

@@ -23,7 +23,9 @@ sum c d^j sigma_k(d) (sigma_0 the divisor count), read by the one reader
 divisors.sigma_polynomial. The class rows sit in FAMILIES; the profile rows,
 the chain-winding total, the two-marked cover class and the two
 triple-branch sums sit in CLOSED_FORMS. The profile rows are written in
-sigma directly, so the closed route reads no convolution table.
+sigma directly, so the closed route reads no convolution table. Every row
+is a read-only divisors.Row carrying its int kernel; the tables holding
+them are plain dicts, so a changed closed form replaces a row.
 
 Every profile is a read-only mapping (types.MappingProxyType) from
 dual-basis label to Fraction, and its readers index it directly. A family's
@@ -38,15 +40,26 @@ to an elliptic tail) and D11_D14 (an elliptic bridge between two isogenies).
 
 Every per-term sum of a route (the D1_D12 sum over the degree splitting,
 the chain windings over a | d) is one series.dot: int multiply-adds over the
-terms' common denominator, then one Fraction per route value.
+terms' common denominator, then one Fraction per route value. What does not
+depend on d is read once: the bridge term's pairing numbers
+(_bridge_sections). What two profiles share at one d is computed once per
+d: the chain windings (m2 and m21) and the splitting weights (m21 and the
+split sum).
 
-All functions are pure in d and cached; the d-sweep is safe to parallelize.
+All functions are pure in d, and every cache is an lru_cache holding
+read-only values (profiles and windings are MappingProxyTypes, classes
+frozen); lru_cache is thread-safe, so the d-sweep is safe to parallelize,
+at worst computing one cold entry twice. The caches are not keyed by the
+registered tables: a test that changes a table or patches an input of a
+cached function clears them before and after.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import isqrt
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
@@ -60,7 +73,7 @@ from .chow import (
     to_q_class_basis,
 )
 from .covers import count_dd22, count_dd2222, count_pointed_isogenies
-from .divisors import Row, conv2, divisors, require_positive, sigma, sigma_polynomial
+from .divisors import Row, conv2, divisors, require_positive, rows, sigma, sigma_polynomial
 from .errors import crosscheck
 from .quasimodular import FitResult, fit_quasimodular
 from .series import QSeries, dot
@@ -103,7 +116,7 @@ F = Fraction
 #: object -> {label: row}, every closed form of this module but the class rows
 #: in FAMILIES; a profile row is checked as "object[label]", the m12 class as
 #: "pointed_cover_class_m12", a triple-branch row as "triple_branch_<label>_sum"
-CLOSED_FORMS: dict[str, dict[str, Row]] = {
+CLOSED_FORMS: dict[str, dict[str, Row]] = {name: rows(table) for name, table in {
     "pointed_cover_class_m12": {
         "Delta_0": {(1, 1): F(1, 24), (0, 1): F(-1, 24)},
         "Delta_1": {(1, 1): 1, (0, 1): -1},
@@ -136,7 +149,7 @@ CLOSED_FORMS: dict[str, dict[str, Row]] = {
         "chain": {(1, 1): F(1, 6), (0, 1): F(1, 3), (1, 0): F(-1, 2)},
         "split": {(1, 1): -1, (0, 1): F(1, 12), (0, 3): F(5, 12), (1, 0): F(1, 2)},
     },
-}
+}.items()}
 
 
 def _closed(name: str, d: int) -> dict[str, Fraction]:
@@ -238,14 +251,18 @@ _M12_DIVISOR_PULLBACK = {
 }
 
 
-def _chain_windings(d: int) -> dict[str, Fraction]:
+@lru_cache(maxsize=None)
+def _chain_windings(d: int) -> Mapping[str, Fraction]:
     """Type (Delta_0, Delta_0) contribution per M13 divisor: chains of
     rational curves wound a times around an irreducible nodal target,
     weighted by multiplicity m per divisor splitting d = a*m. Each label's
-    sum over a | d is one series.dot."""
+    sum over a | d is one series.dot; the m2 and m21 profiles both read it,
+    so it runs once per d."""
     profiles = [total_ramification_profile_m13(a) for a in divisors(d)]
     weights = [d // a for a in divisors(d)]
-    return {label: dot([p[label] for p in profiles], weights) for label in profiles[0]}
+    return MappingProxyType(
+        {label: dot([p[label] for p in profiles], weights) for label in profiles[0]}
+    )
 
 
 @lru_cache(maxsize=None)
@@ -333,18 +350,52 @@ _M21_DUAL_IN_M13 = {
 }
 
 
+@lru_cache(maxsize=None)
 def _splitting_weights(d: int) -> tuple[int, int]:
     """(total, diagonal): m*b summed over the splittings a*m + b*n = d (all
-    >= 1), and over those with a = b, in one plain-int walk over (a, m, b)
-    with b | d - a*m; total = conv2(d), reached without summing sigma_1."""
-    total = diagonal = 0
-    for a in range(1, d):
-        for m in range(1, (d - 1) // a + 1):
-            for b in divisors(d - a * m):
-                total += m * b
-                if b == a:
-                    diagonal += m * b
+    >= 1), and over those with a = b; total = conv2(d), reached from the
+    divisor lists alone, never through sigma.
+
+    For a winding a, the b-sum at multiplicity m runs over the divisors of
+    d - a*m, so a's terms are one strided int dot of m = 1, 2, ... against
+    the divisor sums of d - a, d - 2a, ...; that is the walk for a <= sqrt(d),
+    and the larger windings, which admit only m < sqrt(d), are walked per m
+    instead. An equal winding b = a divides d - a*m exactly when a | d, and
+    then contributes a*m for m < d/a. The m21 profile and the split sum both
+    read it, so it runs once per d.
+    """
+    divisor_sums = [0, *map(sum, map(divisors, range(1, d)))]
+    small = isqrt(d - 1)
+    total = 0
+    for a in range(1, small + 1):
+        total += sum(map(mul, range(1, d), divisor_sums[d - a:0:-a]))
+    # the windings a > small have multiplicities m < d / small: one strided
+    # sum per m over those windings
+    for m in range(1, (d - 1) // (small + 1) + 1):
+        total += m * sum(divisor_sums[d - (small + 1) * m:0:-m])
+    diagonal = 0
+    for a in divisors(d)[:-1]:
+        k = d // a - 1
+        diagonal += a * k * (k + 1) // 2
     return total, diagonal
+
+
+@lru_cache(maxsize=None)
+def _bridge_sections() -> Mapping[str, tuple[Fraction, Fraction]]:
+    """M13 divisor label -> (the pairings of Delta_01_S with it, summed over
+    the section curves S = {1,2}, {1,3}; the same sum for Delta_11_S): the
+    bridge term's factors, which do not depend on d, read from the M13 table
+    once."""
+
+    def sections(curve: str, m13_label: str) -> Fraction:
+        return sum(
+            pairing_number("M13", f"{curve}_{s}", 2, m13_label, 1) for s in ("{1,2}", "{1,3}")
+        )
+
+    return MappingProxyType({
+        label: (sections("Delta_01", label), sections("Delta_11", label))
+        for label in _M21_DUAL_IN_M13.values()
+    })
 
 
 def _double_chain_term(d: int) -> dict[str, Fraction]:
@@ -373,19 +424,12 @@ def boundary_profile_m21(d: int) -> Mapping[str, Fraction]:
     cover_class = pointed_cover_class_m12(d)
     x = cover_class.coefficient("Delta_0")
     y = cover_class.coefficient("Delta_1")
-
-    def sections(curve: str, m13_label: str) -> Fraction:
-        return sum(
-            pairing_number("M13", f"{curve}_{s}", 2, m13_label, 1) for s in ("{1,2}", "{1,3}")
-        )
-
-    def bridge_term(m13_label: str) -> Fraction:
-        return x * sections("Delta_01", m13_label) + y * sections("Delta_11", m13_label)
-
+    sections = _bridge_sections()
     windings = _chain_windings(d)
     double_chain = _double_chain_term(d)
     from_nodal = {
-        dual: bridge_term(label) + windings[label] + double_chain[label]
+        dual: x * sections[label][0] + y * sections[label][1]
+        + windings[label] + double_chain[label]
         for dual, label in _M21_DUAL_IN_M13.items()
     }
 
@@ -629,22 +673,22 @@ def triple_branch_cancellation(order: int) -> tuple[FitResult, FitResult, FitRes
 #: family -> (space, degree, class fn, profile fn, closed-form rows by
 #: substack label), the one declaration of each family that every caller reads
 FAMILIES = {
-    "m2": ("M2", 1, delliptic_class_m2, boundary_profile_m2, {
+    "m2": ("M2", 1, delliptic_class_m2, boundary_profile_m2, rows({
         "delta_0": {(1, 1): -2, (0, 3): 2},
         "delta_1": {(0, 1): -4, (0, 3): 4},
-    }),
-    "m2e": ("M2", 2, fixed_target_class_m2, fixed_target_profile_m2, {
+    })),
+    "m2e": ("M2", 2, fixed_target_class_m2, fixed_target_profile_m2, rows({
         "delta_00": {(1, 1): F(-22, 5), (0, 1): F(2, 5), (0, 3): 4},
         "delta_01": {(1, 1): F(-12, 5), (0, 1): F(-8, 5), (0, 3): 4},
-    }),
-    "m21": ("M21", 2, delliptic_class_m21, boundary_profile_m21, {
+    })),
+    "m21": ("M21", 2, delliptic_class_m21, boundary_profile_m21, rows({
         "delta_00": {(1, 1): F(-1, 12), (0, 3): F(1, 12)},
         "delta_01a": {(0, 1): F(1, 12), (0, 3): F(-1, 12)},
         "delta_01b": {(1, 1): -1, (0, 1): F(-1, 12), (0, 3): F(13, 12)},
         "xi_1": {(1, 1): -2, (0, 3): 2},
         "delta_11": {(0, 1): -4, (0, 3): 4},
-    }),
-    "m3": ("M3", 2, delliptic_class_m3, boundary_profile_m3, {
+    })),
+    "m3": ("M3", 2, delliptic_class_m3, boundary_profile_m3, rows({
         "lambda^2": {(2, 1): -6264, (1, 1): 6780, (0, 1): -960,
                      (1, 3): 5592, (0, 3): -5400, (0, 5): 252},
         "lambda*delta_0": {(2, 1): 1224, (1, 1): -1068, (0, 1): 156,
@@ -655,7 +699,7 @@ FAMILIES = {
         "delta_0*delta_1": {(2, 1): -216, (1, 1): 36, (0, 1): -12, (1, 3): 192},
         "delta_1^2": {(2, 1): -216, (1, 1): -132, (0, 1): 36, (1, 3): 192, (0, 3): 120},
         "kappa_2": {(2, 1): 216, (1, 1): -444, (0, 1): 60, (1, 3): -192, (0, 3): 360},
-    }),
+    })),
 }
 
 delliptic_class_m2_closed = partial(closed_class, "m2")

@@ -11,7 +11,7 @@ import pytest
 
 from delliptic import chow, cli, covers, linalg, loci, quasimodular, report
 from delliptic.cli import main
-from delliptic.divisors import sigma
+from delliptic.divisors import Row, sigma
 from delliptic.errors import CrossCheckError
 
 # the package re-exports the function `divisors`, which shadows the module
@@ -262,7 +262,7 @@ class TestHurwitzCommand:
         assert out.strip() == "1/3"
 
     def test_json_keeps_the_given_profile_order(self, capsys):
-        # counted in a rotation of this list; the output lists it as given
+        # counted in another order of this list; the output lists it as given
         given = ["2,1,1,1,1,1,1", "8", "8", "2,1,1,1,1,1,1"]
         code, out, _ = run(
             capsys, "hurwitz", "--d", "8",
@@ -272,6 +272,15 @@ class TestHurwitzCommand:
         payload = json.loads(out)
         assert payload["profiles"] == given
         assert payload["count"] == "42"
+
+    def test_alternating_profiles_within_budget(self, capsys):
+        # no rotation or reversal keeps both 8-cycles out of the middle
+        code, out, _ = run(
+            capsys, "hurwitz", "--d", "8",
+            *["--profile", "8", "--profile", "2,1,1,1,1,1,1"] * 2,
+        )
+        assert code == 0
+        assert out.strip() == "42"
 
     def test_size_mismatch(self, capsys):
         code, _, err = run(
@@ -615,7 +624,8 @@ class TestMutationProbes:
         for label, row in rows.items():
             check, call = self.closed_form_probe(table, label)
             for key in list(row):
-                mutate.setitem(row, key, row[key] + 1)
+                # rows are read-only: the bumped row replaces the registered one
+                mutate.setitem(rows, label, Row({**row, key: row[key] + 1}))
                 clear_caches(loci, divisors)
                 with pytest.raises(CrossCheckError, match=rf"^{re.escape(check)}: "):
                     call()
@@ -623,8 +633,9 @@ class TestMutationProbes:
         clear_caches(loci, divisors)
 
     def test_wrong_class_coefficient_fails_named_check(self, mutate):
-        row = loci.FAMILIES["m3"][4]["kappa_2"]
-        mutate.setitem(row, (0, 3), row[(0, 3)] + 1)
+        rows = loci.FAMILIES["m3"][4]
+        row = rows["kappa_2"]
+        mutate.setitem(rows, "kappa_2", Row({**row, (0, 3): row[(0, 3)] + 1}))
         result = report.run_verification(3, 10)
         failed = self.failed_checks(result)
         assert failed == {"genus3-classes", "quasimodularity-certification"}
@@ -648,8 +659,8 @@ class TestMutationProbes:
         assert self.failed_checks(report.run_verification(10, 20)) == checks
 
     def test_changed_table_gets_a_new_factorisation(self, mutate, clear_caches):
-        # the solver's cache is keyed by the table's values, not its labels:
-        # a warm factorisation must not survive a changed entry
+        # the solver's cache is keyed by the table object, not its labels:
+        # a warm factorisation must not survive a replaced table
         loci.delliptic_class_m21(6)
         table = chow.SPACES["M21"].pairings[(2, 2)]
         mutate.setitem(chow.SPACES["M21"].pairings, (2, 2), tuple(

@@ -223,6 +223,9 @@ class TestHurwitzNumber:
         # and transposition would make 5040 * 28 tuples, above the budget
         assert hurwitz_number(8, [cycle, cycle, transposition, transposition]) == 42
         assert hurwitz_number(8, [transposition, cycle, cycle, transposition]) == 42
+        # no rotation or reversal of this list keeps both cycles out of the
+        # middle; sorted by class size, both are pinned and forced
+        assert hurwitz_number(8, [cycle, transposition, cycle, transposition]) == 42
 
     def test_three_profiles_at_the_degree_budget(self):
         d = covers.ENUMERATION_BUDGET

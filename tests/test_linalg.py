@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from delliptic.linalg import (
+    BlockRows,
     InconsistentSystemError,
     SingularSystemError,
     solve_any,
@@ -98,3 +99,20 @@ def test_solve_any_inconsistent_returns_none():
 
 def test_empty_system():
     assert solve_unique([], []) == []
+
+
+def test_block_rows_read_rows_or_columns():
+    block = ((F(1), F(2)), (F(0), F(1, 3)))
+    assert list(BlockRows(block, (1, 0), False)) == [block[1], block[0]]
+    assert list(BlockRows(block, (1,), True)) == [(F(2), F(1, 3))]
+    # x + 2y = 5, y/3 = 1
+    assert solve_unique(BlockRows(block, (0, 1), False), [F(5), F(1)]) == [F(-1), F(3)]
+
+
+def test_block_rows_need_an_immutable_block():
+    # a factorisation cached by the block's identity must not outlive a
+    # change of its values
+    with pytest.raises(TypeError, match="tuple of row tuples"):
+        solve_unique(BlockRows([(F(1),)], (0,), False), [F(1)])
+    with pytest.raises(TypeError, match="tuple of row tuples"):
+        solve_unique(BlockRows(([F(1)],), (0,), False), [F(1)])

@@ -1,14 +1,15 @@
 """Locus classes: auxiliary profiles, assembled boundary profiles, solved
 classes, triple-branch sums, and certification plumbing."""
 
+import importlib
 import re
 from fractions import Fraction as F
 from types import MappingProxyType
 
 import pytest
 
-from delliptic import loci, report
-from delliptic.divisors import conv2, conv3, divisors, sigma
+from delliptic import linalg, loci, report
+from delliptic.divisors import Row, conv2, conv3, divisors, sigma
 from delliptic.errors import CrossCheckError
 from delliptic.loci import (
     boundary_profile_m2,
@@ -37,6 +38,9 @@ from delliptic.chow import (
     space,
 )
 from delliptic.quasimodular import NotQuasimodular, QuasimodularFit
+
+# the package re-exports the function `divisors`, which shadows the module
+divisors_module = importlib.import_module("delliptic.divisors")
 
 
 class TestAuxiliaryLoci:
@@ -205,6 +209,18 @@ class TestSplittingWeights:
                                     diagonal += m * b
             assert loci._splitting_weights(d) == (total, diagonal)
 
+    def test_against_triple_loop(self):
+        # the walk over (a, m, b) with b | d - a*m that the strided dots replace
+        for d in range(1, 151):
+            total = diagonal = 0
+            for a in range(1, d):
+                for m in range(1, (d - 1) // a + 1):
+                    for b in divisors(d - a * m):
+                        total += m * b
+                        if b == a:
+                            diagonal += m * b
+            assert loci._splitting_weights(d) == (total, diagonal), d
+
     def test_total_is_conv2(self):
         for d in range(2, 201):
             assert loci._splitting_weights(d)[0] == conv2(d)
@@ -238,6 +254,66 @@ class TestSplittingWeights:
         fresh_caches.setattr(loci, "_DOUBLE_PAIR_PROFILE_M13", MappingProxyType(bumped))
         with pytest.raises(CrossCheckError, match=r"boundary_profile_m21\[Delta_01a\]"):
             boundary_profile_m21(5)
+
+
+class TestHoistedConstants:
+    """What the per-d class path reads once, per table or per d, still
+    follows the tables and stays read-only."""
+
+    @pytest.fixture
+    def fresh(self, monkeypatch, clear_caches):
+        originals = (dict(space("M13").pairings), linalg._scaled_factorisation)
+        clear_caches(loci, linalg)
+        yield monkeypatch
+        monkeypatch.undo()
+        clear_caches(loci, linalg)
+        assert (dict(space("M13").pairings), linalg._scaled_factorisation) == originals
+        assert boundary_profile_m21(2)["Delta_00"] == 12
+
+    def test_changed_bridge_entry_is_caught(self, fresh, clear_caches):
+        delliptic_class_m21(2)  # warm: the bridge constants are read
+        table = space("M13").pairings[(2, 1)]
+        row = basis_labels("M13", 2).index("Delta_01_{1,2}")
+        col = basis_labels("M13", 1).index("Delta_0")
+        fresh.setitem(space("M13").pairings, (2, 1), tuple(
+            tuple(v + ((i, j) == (row, col)) for j, v in enumerate(entries))
+            for i, entries in enumerate(table)
+        ))
+        clear_caches(loci)
+        with pytest.raises(
+            CrossCheckError, match=r"^boundary_profile_m21\[Delta_00\]\(d=2\): "
+        ):
+            boundary_profile_m21(2)
+
+    def test_registered_rows_are_read_only(self):
+        tables = [
+            *(entry[4] for entry in loci.FAMILIES.values()),
+            *loci.CLOSED_FORMS.values(),
+            divisors_module.CLOSED_FORMS,
+        ]
+        for table in tables:
+            for row in table.values():
+                assert isinstance(row, Row)
+                key = next(iter(row), (0, 1))
+                with pytest.raises(TypeError):
+                    row[key] = 1
+                with pytest.raises(TypeError):
+                    del row[key]
+
+    def test_one_factorisation_per_class_system(self, fresh):
+        # M12 (the two-marked cover), M2 degree 1 (the pushforward's target)
+        # and M21 degree 2: one factorisation each for the whole sweep
+        calls = []
+        original = linalg._scaled_factorisation
+
+        def counted(matrix):
+            calls.append(len(matrix))
+            return original(matrix)
+
+        fresh.setattr(linalg, "_scaled_factorisation", counted)
+        for d in range(1, 41):
+            delliptic_class_m21(d)
+        assert sorted(calls) == [2, 2, 5]
 
 
 class TestGenus3:
@@ -339,19 +415,30 @@ class TestIntegerRoutes:
             total += (d // a) * loci.total_ramification_profile_m13(a)[label]
         return total
 
-    def test_chain_windings(self, monkeypatch):
+    def test_chain_windings(self, monkeypatch, clear_caches):
         labels = basis_labels("M13", 1)
         for d in range(1, 81):
             windings = loci._chain_windings(d)
             assert tuple(windings) == labels
             assert all(windings[label] == self.fraction_windings(d, label) for label in labels)
-        # rational entries with a different denominator per winding
+        # rational entries with a different denominator per winding; the
+        # windings are cached per d, so the caches are emptied around the patch
+        clear_caches(loci)
         monkeypatch.setattr(loci, "total_ramification_profile_m13", lambda a: {
             label: F(a * i - 3, a + i) for i, label in enumerate(labels)
         })
-        for d in (1, 12, 30, 60):
-            windings = loci._chain_windings(d)
-            assert all(windings[label] == self.fraction_windings(d, label) for label in labels)
+        try:
+            for d in (1, 12, 30, 60):
+                windings = loci._chain_windings(d)
+                assert all(
+                    windings[label] == self.fraction_windings(d, label) for label in labels
+                )
+        finally:
+            monkeypatch.undo()
+            clear_caches(loci)
+        assert loci._chain_windings(12) == {
+            label: self.fraction_windings(12, label) for label in labels
+        }
 
     @pytest.mark.parametrize(("profile", "label", "check"), [
         ("fixed_target_profile_m2", "Delta_0", "boundary_profile_m3[Delta_[8]]"),
