@@ -33,10 +33,11 @@ and each subgroup has d - 1 nonzero elements, so count_pointed_isogenies is
 (d - 1) * sigma_1(d). The brute-force enumeration of all order-d subgroups
 is kept as an independent reference, count_pointed_isogenies_enumerated,
 within SUBGROUP_ENUMERATION_BUDGET. It reads no divisor sum and no Hermite
-normal form: it builds every cyclic subgroup of (Z/d)^2 once, and by the
-invariant-factor theorem each non-cyclic order-d subgroup is Z/m + Z/n with
-n | m, n > 1 and mn = d, the direct sum of a cyclic subgroup of order m and
-one of order n that meet only in 0.
+normal form: it codes each element (x, y) of (Z/d)^2 as the int x*d + y,
+walks every cyclic subgroup once, skipping the generators already met with
+a bytearray of marks, and by the invariant-factor theorem each non-cyclic
+order-d subgroup is Z/m + Z/n with n | m, n > 1 and mn = d, the direct sum
+of a cyclic subgroup of order m and one of order n that meet only in 0.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, gcd, isqrt, prod
+from operator import add
 from typing import Iterable, Sequence
 
-from .divisors import divisors, require_positive
+from .divisors import Row, divisors, require_positive, rows
 
 __all__ = [
     "Partition",
@@ -65,6 +67,7 @@ __all__ = [
     "count_sublattices",
     "count_pointed_isogenies",
     "count_pointed_isogenies_enumerated",
+    "CLOSED_FORMS",
     "count_dd22",
     "count_dd2222",
 ]
@@ -78,6 +81,12 @@ ENUMERATION_BUDGET = 8
 #: work is one divisor sum (trial division up to sqrt(d)), instant at the
 #: ceiling
 ISOGENY_DEGREE_CEILING = 1000
+
+#: count -> its closed form, a sigma polynomial row (divisors.Row), which
+#: verify's pointed-isogeny-count check reads as its closed-form route
+CLOSED_FORMS: dict[str, Row] = rows({
+    "count_pointed_isogenies": {(1, 1): 1, (0, 1): -1},  # (d - 1) sigma_1(d)
+})
 
 #: largest d whose order-d subgroups of (Z/d)^2 are enumerated by brute force
 #: (each cyclic subgroup once, plus the direct sums Z/m + Z/n with n | m of
@@ -307,42 +316,51 @@ def count_sublattices(d: int) -> int:
     return sum(divisors(d))
 
 
-def _order_d_subgroups(d: int) -> list[frozenset]:
-    """All subgroups of (Z/d)^2 of order d, as frozen element sets.
+def _order_d_subgroups(d: int) -> list[frozenset[int]]:
+    """All subgroups of (Z/d)^2 of order d, as frozen sets of element codes,
+    in no particular order; the element (x, y) has the code x*d + y.
 
     Each cyclic subgroup is built once, from the first of its generators met:
     once <g> of order m is walked, its generators k*g with gcd(k, m) = 1 are
-    skipped. By the invariant-factor theorem a non-cyclic subgroup of
-    (Z/d)^2 is Z/m + Z/n with n | m and n > 1, the direct sum A + B of
-    cyclic subgroups with |A| = m, |B| = n and A & B = {0}; so the non-cyclic
-    order-d subgroups are the sums of such pairs with mn = d, that is with
-    n^2 | d.
+    marked in a bytearray, and bytearray.find jumps to the next unmarked
+    code, so the walk runs once per cyclic subgroup. The multiples k*g,
+    k < m, are read at once: k*gx mod d is residues[k*gx], so the codes'
+    two parts are one slice of step gx and one of step gy. By the invariant-factor theorem a non-cyclic
+    subgroup of (Z/d)^2 is Z/m + Z/n with n | m and n > 1, the direct sum
+    A + B of cyclic subgroups with |A| = m, |B| = n and A & B = {0}; so the
+    non-cyclic order-d subgroups are the sums of such pairs with mn = d,
+    that is with n^2 | d.
     """
-    cyclic: dict[int, list[frozenset]] = {}
-    seen: set[tuple[int, int]] = set()
-    for g in product(range(d), repeat=2):
-        if g in seen:
-            continue
-        gx, gy = g
-        multiples = [(0, 0)]
-        x, y = gx, gy
-        while (x, y) != (0, 0):
-            multiples.append((x, y))
-            x, y = (x + gx) % d, (y + gy) % d
-        m = len(multiples)
-        seen.update(multiples[k] for k in range(1, m) if gcd(k, m) == 1)
-        cyclic.setdefault(m, []).append(frozenset(multiples))
-    found = set(cyclic[d])
+    residues = list(range(d)) * d  # residues[i] = i mod d for i < d^2
+    x_codes = [x * d for x in residues]
+    marks = bytearray(d * d)
+    units: dict[int, list[int]] = {}
+    cyclic: dict[int, list[tuple[frozenset[int], int, int]]] = {}
+    g = 0
+    while g >= 0:
+        gx, gy = divmod(g, d)
+        m = d // gcd(gx, gy, d)
+        multiples = list(map(add, x_codes[: m * gx : gx] if gx else [0] * m,
+                             residues[: m * gy : gy] if gy else [0] * m))
+        if m not in units:
+            units[m] = [k for k in range(m) if gcd(k, m) == 1]
+        for k in units[m]:
+            marks[multiples[k]] = 1
+        cyclic.setdefault(m, []).append((frozenset(multiples), gx, gy))
+        g = marks.find(0, g + 1)
+    found = {h for h, _, _ in cyclic[d]}
     for n in range(2, isqrt(d) + 1):
         if d % (n * n):
             continue
-        for a in cyclic[d // n]:
-            for b in cyclic[n]:
+        m = d // n
+        for a, ax, ay in cyclic[m]:
+            for b, bx, by in cyclic[n]:
                 if len(a & b) == 1:
                     found.add(frozenset(
-                        ((x0 + x1) % d, (y0 + y1) % d) for x0, y0 in a for x1, y1 in b
+                        (i * ax + j * bx) % d * d + (i * ay + j * by) % d
+                        for i in range(m) for j in range(n)
                     ))
-    return sorted(found, key=sorted)
+    return list(found)
 
 
 def _check_isogeny_degree(d: int, limit: int, name: str) -> None:

@@ -26,8 +26,9 @@ evaluated BOTH by direct summation and by its row, and the two must agree
 exactly (CrossCheckError otherwise). The direct sums are the int
 coefficients of the QSeries products A*A, (DA)*A and (A*A)*A (A = sum
 s1(m)q^m, DA = sum m s1(m)q^m), built to the next power of two >= d and
-cached: O(D^2) per sweep to D, not O(D^3). Divisor enumeration is trial
-division up to sqrt(d).
+cached, so a sweep to D builds each product once per power of two; each
+product is one big-int multiplication (Kronecker substitution in
+series). Divisor enumeration is trial division up to sqrt(d).
 """
 
 from __future__ import annotations

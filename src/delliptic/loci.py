@@ -46,6 +46,13 @@ depend on d is read once: the bridge term's pairing numbers
 d: the chain windings (m2 and m21) and the splitting weights (m21 and the
 split sum).
 
+The M13 (2, 1) pairing table has one reader, _bridge_sections, and it reads
+only the columns of the M13 divisors that realise an M21 dual
+(_M21_DUAL_IN_M13): Delta_0, Delta_1_{2,3}, Delta_1_{1,2,3} and
+Delta_1_{1,3}. No M21 dual is realised in Delta_1_{1,2}, so that column's
+four entries reach no route, and a wrong entry there fails no check; the
+pairing probe in the tests lists exactly these four as its survivors.
+
 All functions are pure in d, and every cache is an lru_cache holding
 read-only values (profiles and windings are MappingProxyTypes, classes
 frozen); lru_cache is thread-safe, so the d-sweep is safe to parallelize,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable
 
-from . import chow, loci
+from . import chow, covers, loci
 from .covers import (
     SUBGROUP_ENUMERATION_BUDGET,
     Partition,
@@ -26,7 +26,7 @@ from .covers import (
     count_sublattices,
     hurwitz_number,
 )
-from .divisors import conv2, conv2_weighted, conv3, sigma
+from .divisors import conv2, conv2_weighted, conv3, sigma_polynomial
 from .errors import CrossCheckError, crosscheck
 from .linalg import solve_unique
 from .quasimodular import NotQuasimodular, QuasimodularFit, eisenstein, q_derivative
@@ -129,7 +129,9 @@ def _check_pointed_isogenies() -> str:
         routes = {
             "brute-force": count_pointed_isogenies_enumerated(d),
             "structural": count_pointed_isogenies(d),
-            "closed-form": (d - 1) * sigma(1, d),
+            "closed-form": sigma_polynomial(
+                covers.CLOSED_FORMS["count_pointed_isogenies"], d
+            ),
         }
         crosscheck("pointed-isogeny-count", d, **routes)
     return f"brute force, HNF route and (d-1)sigma_1(d) agree for d <= {top}"

@@ -12,7 +12,10 @@ A QSeries is a formal power series truncated at a fixed order N. It holds the
 integer numerators of q^0 .. q^N over one common denominator, in normal form:
 the denominator is positive, shares no factor with every numerator at once,
 and is 1 for the zero series. Equal series therefore hold equal integers, and
-arithmetic runs on ints alone, reducing once per result. `coefficients`
+arithmetic runs on ints alone, reducing once per result. The product of
+two series is one big-int multiplication: each numerator tuple is packed
+into one int, a digit of fixed width per coefficient, and the product's
+digits are its numerators (Kronecker substitution, _product). `coefficients`
 reads the series out as a tuple of Fractions, built on each access.
 Arithmetic between two series truncates to the smaller of the two orders;
 this is deliberate, so routines that mix orders compare only the
@@ -64,6 +67,36 @@ def dot(values: Sequence[Scalar], weights: Sequence[int]) -> Fraction:
     the values' common denominator, then one Fraction (0 for no terms)."""
     numerators, scale = _over_common_denominator(values)
     return Fraction(sum(map(mul, numerators, weights)), scale)
+
+
+def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The first n coefficients of the product of the int polynomials a and
+    b (n = len(a) = len(b)), by Kronecker substitution.
+
+    Each coefficient c_k is at most bound = n * max|a| * max|b| in absolute
+    value, so with digits of w bytes, 2^(8w - 1) > bound, every c_k and every
+    input lies strictly inside +-half (half = 2^(8w - 1)). An input packs as
+    its digits x + half, less the constant bias of n digits half; the one
+    product a(X) b(X) at X = 2^(8w) then holds c_k X^k, and adding the bias
+    back makes the low n digits c_k + half, all in [0, X), read off without
+    a carry.
+    """
+    n = len(a)
+    bound = n * max(map(abs, a)) * max(map(abs, b))
+    if not bound:
+        return [0] * n
+    width = bound.bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * n, "little")
+
+    def pack(xs: Sequence[int]) -> int:
+        digits = b"".join([(x + half).to_bytes(width, "little") for x in xs])
+        return int.from_bytes(digits, "little") - bias
+
+    size = width * n
+    low = (pack(a) * pack(b) + bias) & ((1 << (8 * size)) - 1)
+    digits = low.to_bytes(size, "little")
+    return [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, size, width)]
 
 
 class QSeries:
@@ -173,12 +206,9 @@ class QSeries:
 
     def __mul__(self, other: Union[QSeries, Scalar]) -> QSeries:
         if isinstance(other, QSeries):
-            # b is reversed, so b[n - d:] lines up with a[:d + 1] in the
-            # q^d term
             n = min(self.order, other.order)
-            a, b = self.numerators, other.numerators[n::-1]
             return QSeries._reduced(
-                [sum(map(mul, a[: d + 1], b[n - d :])) for d in range(n + 1)],
+                _product(self.numerators[: n + 1], other.numerators[: n + 1]),
                 self.denominator * other.denominator,
             )
         if isinstance(other, (int, Fraction)):

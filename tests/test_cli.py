@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import json
 import re
+from itertools import product
 from math import gcd
 
 import pytest
@@ -22,6 +23,7 @@ CLOSED_FORM_TABLES = {
     **{family: entry[4] for family, entry in loci.FAMILIES.items()},
     **loci.CLOSED_FORMS,
     "divisors": divisors.CLOSED_FORMS,
+    "covers": covers.CLOSED_FORMS,
 }
 
 #: every forget map -> (the map, what its entries may name, the checks that
@@ -453,7 +455,8 @@ class TestVerifyCommand:
         [
             ("count_pointed_isogenies_enumerated", "brute-force"),
             ("count_pointed_isogenies", "structural"),
-            ("sigma", "closed-form"),
+            # the closed form is a row, read by sigma_polynomial
+            pytest.param("sigma_polynomial", "closed-form", id="sigma-closed-form"),
         ],
     )
     def test_wrong_isogeny_route_is_named(self, monkeypatch, attr, route):
@@ -573,8 +576,8 @@ class TestMutationProbes:
         original = covers._order_d_subgroups
 
         def cyclic_only(d):
-            # (x, y) has order d exactly when gcd(x, y, d) = 1
-            return [h for h in original(d) if any(gcd(x, y, d) == 1 for x, y in h)]
+            # (x, y), coded x*d + y, has order d exactly when gcd(x, y, d) = 1
+            return [h for h in original(d) if any(gcd(*divmod(c, d), d) == 1 for c in h)]
 
         mutate.setattr(covers, "_order_d_subgroups", cyclic_only)
         result = report.run_verification(10, 20)
@@ -615,6 +618,8 @@ class TestMutationProbes:
         if table == "divisors":
             d = 3 if label == "conv3" else 2
             return f"{label}(d={d})", lambda: getattr(divisors, label)(d)
+        if table == "covers":
+            return "pointed-isogeny-count(d=1)", report._check_pointed_isogenies
         return f"{table}[{label}](d=1)", lambda: getattr(loci, table)(1)
 
     @pytest.mark.parametrize("table", sorted(CLOSED_FORM_TABLES))
@@ -631,6 +636,37 @@ class TestMutationProbes:
                     call()
                 mutate.undo()
         clear_caches(loci, divisors)
+
+    def test_pairing_probe_survivors(self, mutate, clear_caches):
+        # every registered pairing entry bumped by 1 (its block replaced),
+        # then only the checks that read the pairing tables; the bumps that
+        # pass them are exactly the M13 column Delta_1_{1,2}, which no route
+        # reads (loci's docstring says why)
+        bumped, survivors = 0, set()
+        for space_id, sp in chow.SPACES.items():
+            for key, table in list(sp.pairings.items()):
+                rows, cols = sp.bases[key[0]], sp.bases[key[1]]
+                for i, j in product(range(len(rows)), range(len(cols))):
+                    mutate.setitem(sp.pairings, key, tuple(
+                        tuple(v + ((r, c) == (i, j)) for c, v in enumerate(row))
+                        for r, row in enumerate(table)
+                    ))
+                    clear_caches(loci, linalg)
+                    bumped += 1
+                    try:
+                        report._check_pairing_tables()
+                        for _, family, agreed in report._CLASS_CHECKS:
+                            report._check_classes(family, agreed, 3)
+                    except CrossCheckError:
+                        pass
+                    else:
+                        survivors.add((space_id, key, rows[i], cols[j]))
+                    mutate.undo()
+        assert bumped == 105
+        assert survivors == {
+            ("M13", (2, 1), row, "Delta_1_{1,2}") for row in chow.basis_labels("M13", 2)
+        }
+        assert len(survivors) == 4
 
     def test_wrong_class_coefficient_fails_named_check(self, mutate):
         rows = loci.FAMILIES["m3"][4]

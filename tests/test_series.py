@@ -290,3 +290,58 @@ class TestIntegerRepresentation:
         assert f.coefficients == (F(1, 2), F(-3), F(5, 7))
         assert f.coefficient(2) == F(5, 7)
         assert f.numerators == (7, -42, 10) and f.denominator == 14
+
+
+def schoolbook(a, b, n):
+    """q^0..q^n of the product of the int polynomials a and b."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)]
+
+
+class TestBigIntProduct:
+    """The product (one big-int multiplication of packed numerators) against
+    a schoolbook int convolution of the numerators."""
+
+    MAGNITUDES = (1, 9, 255, 2**31, 2**64 + 13, 2**100 + 1)
+
+    @staticmethod
+    def check(f, g):
+        n = min(f.order, g.order)
+        product = f * g
+        assert_normal(product)
+        assert product.order == n
+        want = schoolbook(f.numerators, g.numerators, n)
+        assert product == QSeries([F(c, f.denominator * g.denominator) for c in want])
+
+    def test_seeded_signed_numerators(self):
+        rng = random.Random(707)
+
+        def sample():
+            order = rng.randint(0, 20)
+            if rng.random() < 0.1:
+                return QSeries.zero(order)
+            top = rng.choice(self.MAGNITUDES)
+            q = rng.choice((1, 2, 35, 2**67 + 3))
+            return QSeries([F(rng.randint(-top, top), q) for _ in range(order + 1)])
+
+        for _ in range(300):
+            self.check(sample(), sample())
+
+    def test_bound_attained(self):
+        # constant numerators +-M: the top coefficient is +-(n + 1) M^2, the
+        # bound the digit width is chosen from
+        for order in (0, 1, 2, 7, 30):
+            for top in self.MAGNITUDES:
+                for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+                    f = QSeries([sa * top] * (order + 1))
+                    g = QSeries([F(sb * top, 7)] * (order + 1))
+                    self.check(f, g)
+                    assert (f * g).coefficient(order) == F(sa * sb * (order + 1) * top * top, 7)
+
+    def test_zero_and_order_zero(self):
+        for order in (0, 3):
+            f = QSeries([F(-5, 6)] + [2**70] * order)
+            for zero in (QSeries.zero(order), QSeries.zero(order + 2)):
+                assert f * zero == zero * f == QSeries.zero(order)
+                assert (f * zero).denominator == 1
+        assert QSeries([F(-3, 4)]) * QSeries([F(2, 9), 5]) == QSeries([F(-1, 6)])
+        self.check(QSeries([-(2**64)]), QSeries([2**64]))
