@@ -24,7 +24,7 @@ from .covers import (
     count_sublattices,
     hurwitz_number,
 )
-from .divisors import conv2, conv2_weighted, conv3, divisors, sigma, tau
+from .divisors import conv2, conv2_weighted, conv3, divisors, sigma
 from .errors import CrossCheckError
 from .loci import (
     boundary_profile_m2,
@@ -35,7 +35,6 @@ from .loci import (
     delliptic_class_m2,
     delliptic_class_m21,
     delliptic_class_m3,
-    double_pair_profile_m13,
     fixed_target_class_m2,
     fixed_target_profile_m2,
     pointed_cover_class_m12,
@@ -55,14 +54,13 @@ from .quasimodular import (
     quasimodular_basis,
 )
 from .report import run_verification
-from .series import Fraction, QSeries
+from .series import QSeries
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChowClass",
     "CrossCheckError",
-    "Fraction",
     "NotQuasimodular",
     "Partition",
     "QModMonomial",
@@ -84,7 +82,6 @@ __all__ = [
     "delliptic_class_m21",
     "delliptic_class_m3",
     "divisors",
-    "double_pair_profile_m13",
     "eisenstein",
     "fit_quasimodular",
     "fixed_target_class_m2",
@@ -99,7 +96,6 @@ __all__ = [
     "sigma",
     "solve_class",
     "surface_contribution_m3",
-    "tau",
     "to_q_class_basis",
     "total_ramification_profile_m13",
     "triple_branch_cancellation",

@@ -53,7 +53,6 @@ __all__ = [
     "space",
     "basis_labels",
     "q_basis_labels",
-    "basis_class",
     "pairing",
     "pairing_number",
     "solve_class",
@@ -259,11 +258,6 @@ class ChowClass:
             raise ValueError("labels and coefficients must have equal length")
 
     @classmethod
-    def zero(cls, space_id: str, degree: int) -> ChowClass:
-        labels = basis_labels(space_id, degree)
-        return cls(space_id, degree, labels, (F(0),) * len(labels))
-
-    @classmethod
     def from_coefficients(
         cls, space_id: str, degree: int, values: Mapping[str, Fraction | int]
     ) -> ChowClass:
@@ -285,38 +279,6 @@ class ChowClass:
         except ValueError:
             raise ValueError(f"label {label!r} not in this class's basis") from None
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
-
-    def _compatible(self, other: ChowClass) -> None:
-        if (self.space_id, self.degree, self.labels) != (
-            other.space_id,
-            other.degree,
-            other.labels,
-        ):
-            raise ValueError("classes live on different (space, degree, basis)")
-
-    def __add__(self, other: ChowClass) -> ChowClass:
-        if not isinstance(other, ChowClass):
-            return NotImplemented
-        self._compatible(other)
-        return ChowClass(
-            self.space_id,
-            self.degree,
-            self.labels,
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
-        )
-
-    def __rmul__(self, scalar: int | Fraction) -> ChowClass:
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return ChowClass(
-            self.space_id,
-            self.degree,
-            self.labels,
-            tuple(F(scalar) * c for c in self.coefficients),
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "space": self.space_id,
@@ -326,11 +288,6 @@ class ChowClass:
                 for label, c in zip(self.labels, self.coefficients)
             },
         }
-
-
-def basis_class(space_id: str, degree: int, label: str) -> ChowClass:
-    """The basis vector `label` as a ChowClass."""
-    return ChowClass.from_coefficients(space_id, degree, {label: 1})
 
 
 def _position(labels: tuple[str, ...], label: str, space_id: str, degree: int) -> int:
@@ -457,26 +414,19 @@ FORGET_M21_TO_M2 = {
 
 
 def pushforward_m21_to_m2(c: ChowClass) -> ChowClass:
-    """Pushforward of a middle-degree class under the point-forgetting map.
+    """Pushforward of a substack-basis M21 degree-2 class under the
+    point-forgetting map, onto the substack divisor classes of M2.
 
-    Accepts the M21 degree-2 class in either basis and lands in the
-    divisor classes of M2 in the matching basis.
+    Every surface the map keeps (Xi_1, Delta_11) has the automorphism order
+    of its image divisor (Delta_0, Delta_1) in q_factors, so on substack
+    classes the map still has degree 1: only the labels change. A class on
+    any other basis, the upper-case one included, raises ValueError.
     """
-    if c.space_id != "M21" or c.degree != 2:
-        raise ValueError("pushforward is defined for M21 degree-2 classes")
-    source, target = space("M21"), space("M2")
-    if c.labels == source.bases[2]:
-        rename = str
-    elif c.labels == q_basis_labels("M21", 2):
-        # every surface the map keeps (Xi_1, Delta_11) and its image divisor
-        # (Delta_0, Delta_1) have automorphism order 2, so on substack classes
-        # the map still has degree 1: only the labels change
-        rename = str.lower
-    else:
-        raise ValueError("class is not on a recognized M21 degree-2 basis")
-    totals = {rename(label): F(0) for label in target.bases[1]}
-    for label, coeff in zip(source.bases[2], c.coefficients):
+    if (c.space_id, c.degree, c.labels) != ("M21", 2, q_basis_labels("M21", 2)):
+        raise ValueError("pushforward needs an M21 degree-2 class on the substack basis")
+    totals = dict.fromkeys(q_basis_labels("M2", 1), F(0))
+    for label, coeff in zip(space("M21").bases[2], c.coefficients):
         image = FORGET_M21_TO_M2[label]
         if image is not None:
-            totals[rename(image)] += coeff
+            totals[image.lower()] += coeff
     return ChowClass("M2", 1, tuple(totals), tuple(totals.values()))

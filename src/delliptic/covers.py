@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, gcd, isqrt, prod
-from operator import add
+from operator import add, index
 from typing import Iterable, Sequence
 
 from .divisors import Row, divisors, require_positive, rows
@@ -95,12 +95,13 @@ SUBGROUP_ENUMERATION_BUDGET = 30
 
 
 class Partition:
-    """Ramification profile: a non-increasing tuple of positive parts."""
+    """Ramification profile: a non-increasing tuple of positive parts. Each
+    part must be an integer (operator.index), so a float raises TypeError."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int]):
-        normalized = tuple(sorted((int(p) for p in parts), reverse=True))
+        normalized = tuple(sorted(map(index, parts), reverse=True))
         if not normalized:
             raise ValueError("a partition needs at least one part")
         if normalized[-1] <= 0:

@@ -1,6 +1,6 @@
 """Divisor-power sums, the sigma-polynomial reader, and convolution identities.
 
-sigma_k(d) = sum of a^k over the positive divisors a of d, so sigma_0 = tau,
+sigma_k(d) = sum of a^k over the positive divisors a of d, so sigma_0(d) is
 the number of divisors. Every closed form in the package is a sigma
 polynomial, held as data: a Row {(j, k): c} means sum c d^j sigma_k(d), and
 sigma_polynomial(row, d) is its one reader. A Row is read-only (item
@@ -44,7 +44,7 @@ from .errors import crosscheck
 from .series import QSeries, _over_common_denominator
 
 __all__ = [
-    "require_positive", "divisors", "sigma", "tau", "Row", "rows", "sigma_polynomial",
+    "require_positive", "divisors", "sigma", "Row", "rows", "sigma_polynomial",
     "CLOSED_FORMS", "conv2", "conv2_weighted", "conv3",
 ]
 
@@ -115,13 +115,8 @@ def sigma(k: int, d: int) -> int:
     return sum(a**k for a in divisors(d))
 
 
-def tau(d: int) -> int:
-    """Number of positive divisors of d."""
-    return len(divisors(d))
-
-
 def sigma_polynomial(row: Mapping[tuple[int, int], Union[int, Fraction]], d: int) -> Fraction:
-    """sum c d^j sigma_k(d) over the row {(j, k): c}, exactly; sigma_0 = tau.
+    """sum c d^j sigma_k(d) over the row {(j, k): c}, exactly.
 
     A Row is read through its kernel; any other mapping is made a Row first."""
     if not isinstance(row, Row):

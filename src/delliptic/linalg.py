@@ -214,8 +214,11 @@ def solve_unique(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) 
     is a sequence of rows or a BlockRows.
 
     Raises InconsistentSystemError when no solution exists and
-    SingularSystemError when the solution is not unique.
+    SingularSystemError when the solution is not unique; a right-hand side
+    whose length is not the row count raises ValueError.
     """
+    if len(rhs) != len(matrix):
+        raise ValueError(f"{len(matrix)} equations but {len(rhs)} right-hand sides")
     if not matrix:
         return []
     if isinstance(matrix, BlockRows):
@@ -234,7 +237,10 @@ def solve_unique(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) 
 
 
 def solve_any(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
-    """One exact solution with free variables set to 0, or None if inconsistent."""
+    """One exact solution with free variables set to 0, or None if inconsistent;
+    a right-hand side whose length is not the row count raises ValueError."""
+    if len(rhs) != len(matrix):
+        raise ValueError(f"{len(matrix)} equations but {len(rhs)} right-hand sides")
     n = len(matrix[0]) if matrix else 0
     aug, pivot_cols, consistent = _eliminate(matrix, rhs)
     if not consistent:

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
-__all__ = ["Fraction", "QSeries", "parse_rational", "format_rational", "dot"]
+__all__ = ["QSeries", "parse_rational", "format_rational", "dot"]
 
 
 def parse_rational(text: str) -> Fraction:

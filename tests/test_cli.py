@@ -170,9 +170,9 @@ class TestQmodFitCommand:
         ]
 
     def test_refusal_from_file(self, capsys, tmp_path):
-        from delliptic.divisors import tau
+        from delliptic.divisors import sigma
 
-        series = ["0"] + [str(d * tau(d)) for d in range(1, 31)]
+        series = ["0"] + [str(d * sigma(0, d)) for d in range(1, 31)]
         path = tmp_path / "series.json"
         path.write_text(json.dumps(series))
         code, out, _ = run(capsys, "qmod-fit", "--in", str(path))
@@ -550,7 +550,7 @@ class TestMutationProbes:
         assert chow.SPACES["M21"].pairings[(2, 2)] is originals[4]
         assert covers._order_d_subgroups is originals[5]
         assert CLOSED_FORM_TABLES == originals[6]
-        assert loci.delliptic_class_m3(3) == loci.delliptic_class_m3_closed(3)
+        assert loci.delliptic_class_m3(3) == loci.closed_class("m3", 3)
 
     @staticmethod
     def failed_checks(result):

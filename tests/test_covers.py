@@ -74,6 +74,12 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition.parse("2,x")
 
+    @pytest.mark.parametrize("parts", [[3.7, 1], [2.5, 0.5], [2.0, 1], ["2", 1]])
+    def test_rejects_non_integral_parts(self, parts):
+        # no part is truncated or converted: only integers are accepted
+        with pytest.raises(TypeError):
+            Partition(parts)
+
     def test_equality_and_hash(self):
         assert Partition([2, 1]) == Partition.parse("1,2")
         assert len({Partition([2, 1]), Partition([1, 2])}) == 1

@@ -9,7 +9,7 @@ import pytest
 
 from delliptic import report
 from delliptic.divisors import (
-    conv2, conv2_weighted, conv3, divisors, sigma, sigma_polynomial, tau,
+    conv2, conv2_weighted, conv3, divisors, sigma, sigma_polynomial,
 )
 from delliptic.errors import CrossCheckError
 
@@ -49,10 +49,10 @@ class TestSigmaTau:
             for k in (0, 1, 3, 5):
                 assert sigma(k, d) == brute_sigma(k, d)
 
-    def test_tau_examples(self):
-        assert tau(1) == 1
-        assert tau(6) == 4
-        assert tau(12) == len([a for a in range(1, 13) if 12 % a == 0]) == 6
+    def test_sigma_0_counts_divisors(self):
+        assert sigma(0, 1) == 1
+        assert sigma(0, 6) == 4
+        assert sigma(0, 12) == len([a for a in range(1, 13) if 12 % a == 0]) == 6
 
     def test_divisors_sorted(self):
         assert divisors(12) == (1, 2, 3, 4, 6, 12)
@@ -64,7 +64,7 @@ class TestSigmaTau:
             with pytest.raises(ValueError):
                 sigma(1, bad)
             with pytest.raises(ValueError):
-                tau(bad)
+                sigma(0, bad)
 
     def test_multiplicative_on_coprime_pairs(self):
         rng = random.Random(303)
@@ -126,11 +126,11 @@ class TestConvolutions:
         assert sigma_polynomial(rows["conv2"], 2) == 1
 
     def test_sigma_polynomial(self):
-        # sigma_0 is tau; coefficients are exact and summed over one denominator
+        # sigma_0 counts divisors; coefficients are exact and summed over one denominator
         for d in range(1, 41):
             row = {(0, 0): 1, (1, 1): F(-1, 2), (2, 3): F(5, 6), (0, 5): F(-7, 10)}
             expected = (
-                tau(d) - F(d, 2) * sigma(1, d) + F(5 * d * d, 6) * sigma(3, d)
+                len(divisors(d)) - F(d, 2) * sigma(1, d) + F(5 * d * d, 6) * sigma(3, d)
                 - F(7, 10) * sigma(5, d)
             )
             assert sigma_polynomial(row, d) == expected

@@ -101,6 +101,20 @@ def test_empty_system():
     assert solve_unique([], []) == []
 
 
+@pytest.mark.parametrize("solve", [solve_unique, solve_any])
+@pytest.mark.parametrize(
+    "matrix,rhs",
+    [
+        ([[F(1)], [F(2)]], [F(2)]),  # short: one row would go unread
+        ([[F(1)]], [F(2), F(3)]),  # long: one value would go unread
+        ([], [F(1)]),  # checked before the empty system returns
+    ],
+)
+def test_rhs_length_must_match_rows(solve, matrix, rhs):
+    with pytest.raises(ValueError, match="equations but"):
+        solve(matrix, rhs)
+
+
 def test_block_rows_read_rows_or_columns():
     block = ((F(1), F(2)), (F(0), F(1, 3)))
     assert list(BlockRows(block, (1, 0), False)) == [block[1], block[0]]

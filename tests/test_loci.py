@@ -19,7 +19,6 @@ from delliptic.loci import (
     delliptic_class_m2,
     delliptic_class_m21,
     delliptic_class_m3,
-    double_pair_profile_m13,
     family_labels,
     fixed_target_class_m2,
     fixed_target_profile_m2,
@@ -45,7 +44,7 @@ divisors_module = importlib.import_module("delliptic.divisors")
 
 class TestAuxiliaryLoci:
     def test_pointed_cover_class_vanishes_at_1(self):
-        assert pointed_cover_class_m12(1).is_zero()
+        assert not any(pointed_cover_class_m12(1).coefficients)
 
     def test_pointed_cover_class_small(self):
         cls = pointed_cover_class_m12(2)
@@ -63,19 +62,17 @@ class TestAuxiliaryLoci:
         assert profile["Delta_1_{1,2,3}"] == 0
 
     def test_double_pair_profile(self):
-        profile = double_pair_profile_m13(1, 2)
+        profile = loci.DOUBLE_PAIR_PROFILE_M13
         assert profile["Delta_1_{2,3}"] == 1
         assert profile["Delta_1_{1,2,3}"] == 1
         assert profile["Delta_0"] == 0
         assert profile["Delta_1_{1,2}"] == 0
-        # no dependence on the winding pair
-        assert double_pair_profile_m13(3, 5) == double_pair_profile_m13(1, 2)
 
     def test_auxiliary_profile_labels(self):
         m13 = basis_labels("M13", 1)
+        assert tuple(loci.DOUBLE_PAIR_PROFILE_M13) == m13
         for a in (1, 2, 5):
             assert tuple(total_ramification_profile_m13(a)) == m13
-            assert tuple(double_pair_profile_m13(a, 3)) == m13
             assert tuple(loci.pointed_cover_profile_m12(a)) == basis_labels("M12", 1)
 
     @pytest.mark.parametrize("d", [1, 4])
@@ -83,7 +80,7 @@ class TestAuxiliaryLoci:
         profiles = [
             loci.pointed_cover_profile_m12(d),
             total_ramification_profile_m13(d),
-            double_pair_profile_m13(d, 2),
+            loci.DOUBLE_PAIR_PROFILE_M13,
             boundary_profile_m2(d),
             fixed_target_profile_m2(d),
             boundary_profile_m21(d),
@@ -99,12 +96,6 @@ class TestAuxiliaryLoci:
             dual_degree = space(space_id).dimension - degree
             assert tuple(profile_fn(d)) == basis_labels(space_id, dual_degree), family
 
-    def test_double_pair_profile_is_shared_and_validated(self):
-        assert double_pair_profile_m13(7, 2) is double_pair_profile_m13(1, 1)
-        for a, b in ((0, 1), (1, 0), (-2, 3)):
-            with pytest.raises(ValueError):
-                double_pair_profile_m13(a, b)
-
 
 class TestGenus2:
     def test_profile_values(self):
@@ -113,7 +104,7 @@ class TestGenus2:
         assert boundary_profile_m2(4) == {"Delta_00": 84, "Delta_01": 34}
 
     def test_class_small(self):
-        assert delliptic_class_m2(1).is_zero()
+        assert not any(delliptic_class_m2(1).coefficients)
         assert delliptic_class_m2(2).coefficients == (F(6), F(24))
         assert delliptic_class_m2(3).coefficients == (F(32), F(96))
 
@@ -131,7 +122,7 @@ class TestFixedTarget:
         assert fixed_target_profile_m2(3) == {"Delta_0": 8, "Delta_1": 12}
 
     def test_class_small(self):
-        assert fixed_target_class_m2(1).is_zero()
+        assert not any(fixed_target_class_m2(1).coefficients)
         assert fixed_target_class_m2(2).coefficients == (F(54, 5), F(84, 5))
 
     def test_class_matches_closed_form_sweep(self):
@@ -180,7 +171,7 @@ class TestPointedGenus2:
             assert profile["Delta_01a"] == profile["Delta_01b"]
 
     def test_class_small(self):
-        assert delliptic_class_m21(1).is_zero()
+        assert not any(delliptic_class_m21(1).coefficients)
         cls = delliptic_class_m21(2)
         assert cls.coefficient("delta_00") == F(1, 4)
         assert cls.coefficient("delta_01a") == F(-1, 2)
@@ -228,14 +219,14 @@ class TestSplittingWeights:
     @pytest.fixture
     def fresh_caches(self, monkeypatch):
         cached = (boundary_profile_m21, triple_branch_split_sum)
-        originals = (loci._splitting_weights, loci._DOUBLE_PAIR_PROFILE_M13)
+        originals = (loci._splitting_weights, loci.DOUBLE_PAIR_PROFILE_M13)
         for fn in cached:
             fn.cache_clear()
         yield monkeypatch
         monkeypatch.undo()
         for fn in cached:
             fn.cache_clear()
-        assert (loci._splitting_weights, loci._DOUBLE_PAIR_PROFILE_M13) == originals
+        assert (loci._splitting_weights, loci.DOUBLE_PAIR_PROFILE_M13) == originals
         assert boundary_profile_m21(5)["Delta_01a"] == conv2(5)
 
     def test_wrong_splitting_total_is_caught(self, fresh_caches):
@@ -249,9 +240,9 @@ class TestSplittingWeights:
             triple_branch_split_sum(5)
 
     def test_wrong_double_pair_entry_is_caught(self, fresh_caches):
-        bumped = dict(loci._DOUBLE_PAIR_PROFILE_M13)
+        bumped = dict(loci.DOUBLE_PAIR_PROFILE_M13)
         bumped["Delta_1_{2,3}"] += 1
-        fresh_caches.setattr(loci, "_DOUBLE_PAIR_PROFILE_M13", MappingProxyType(bumped))
+        fresh_caches.setattr(loci, "DOUBLE_PAIR_PROFILE_M13", MappingProxyType(bumped))
         with pytest.raises(CrossCheckError, match=r"boundary_profile_m21\[Delta_01a\]"):
             boundary_profile_m21(5)
 
@@ -346,7 +337,7 @@ class TestGenus3:
         assert profile["Delta_[4]"] == 24 * (2 * 9 - 3) - 288 == 72
 
     def test_class_small(self):
-        assert delliptic_class_m3(1).is_zero()
+        assert not any(delliptic_class_m3(1).coefficients)
         cls = delliptic_class_m3(2)
         assert cls.coefficient("kappa_2") == -108
         assert cls.coefficient("lambda^2") == (

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from delliptic import linalg, loci, quasimodular, report
-from delliptic.divisors import sigma, tau
+from delliptic.divisors import sigma
 from delliptic.errors import CrossCheckError
 from delliptic.quasimodular import (
     NotQuasimodular,
@@ -117,7 +117,7 @@ class TestFit:
         }
 
     def test_divisor_count_series_refused(self):
-        f = QSeries.from_function(30, lambda d: 0 if d == 0 else d * tau(d))
+        f = QSeries.from_function(30, lambda d: 0 if d == 0 else d * sigma(0, d))
         fit = fit_quasimodular(f, 6, 30)
         assert fit == NotQuasimodular(6, 30)
 
