@@ -38,7 +38,7 @@ from .loci import (
     fixed_target_class_m2,
     fixed_target_profile_m2,
     pointed_cover_class_m12,
-    surface_contribution_m3,
+    product_surfaces_m3,
     total_ramification_profile_m13,
     triple_branch_cancellation,
     triple_branch_chain_sum,
@@ -89,13 +89,13 @@ __all__ = [
     "hurwitz_number",
     "pairing",
     "pointed_cover_class_m12",
+    "product_surfaces_m3",
     "pushforward_m21_to_m2",
     "q_derivative",
     "quasimodular_basis",
     "run_verification",
     "sigma",
     "solve_class",
-    "surface_contribution_m3",
     "to_q_class_basis",
     "total_ramification_profile_m13",
     "triple_branch_cancellation",

@@ -128,7 +128,10 @@ def _cmd_qmod_fit(args) -> int:
     else:
         with open(args.infile, "r", encoding="utf-8") as handle:
             raw = handle.read()
-    items = json.loads(raw)
+    try:
+        items = json.loads(raw)
+    except RecursionError:
+        raise ValueError("input nests too deeply") from None
     if not isinstance(items, list):
         raise ValueError("input must be a JSON array of rational strings")
     series = QSeries.from_json(items)

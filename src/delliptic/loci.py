@@ -34,9 +34,13 @@ each profile label against that space's dual basis.
 
 Cover topologies are labelled by the pair of boundary strata containing the
 stabilized source and the marked target; the three types feeding the genus-3
-product-boundary surfaces are D1_D12 (the separating-boundary source carries
-a cover of the elliptic tail itself), D1_D13 (a marked genus-2 cover glued
-to an elliptic tail) and D11_D14 (an elliptic bridge between two isogenies).
+product surfaces (product_surfaces_m3) are D1_D13 (a marked genus-2 cover
+glued to an elliptic tail, 24 labellings of the branch points), D11_D14 (a
+two-marked elliptic bridge between a pair of isogenies, 24 labellings) and
+D1_D12 (the separating-boundary source carries a genus-2 cover of the
+elliptic tail itself, summed over the degree splitting, with multiplicity 2
+for the contracted bridge and 6 labellings). Each topology route is one
+pass over the label maps saying where each dual is realized.
 
 Every per-term sum of a route (the D1_D12 sum over the degree splitting,
 the chain windings over a | d) is one series.dot: int multiply-adds over the
@@ -52,6 +56,13 @@ only the columns of the M13 divisors that realise an M21 dual
 Delta_1_{1,3}. No M21 dual is realised in Delta_1_{1,2}, so that column's
 four entries reach no route, and a wrong entry there fails no check; the
 pairing probe in the tests lists exactly these four as its survivors.
+
+The label-map probe in the tests points each entry of the routes' four
+label maps at every other label of its basis. Three changes survive, all in
+_M21_DUAL_IN_M13: Delta_01a -> Delta_1_{1,2,3} and Delta_01b ->
+Delta_1_{2,3}, since the bridge term is 0 at both (2x - y/12 = 0 at
+Delta_1_{1,2,3}) and both profiles are conv2; and Xi_1 -> Delta_1_{1,2},
+since the bridge sums over both section curves {1,2} and {1,3}.
 
 All functions are pure in d, and every cache is an lru_cache holding
 read-only values (profiles and windings are MappingProxyTypes, classes
@@ -98,8 +109,7 @@ __all__ = [
     "boundary_profile_m21",
     "delliptic_class_m21",
     "delliptic_class_m21_closed",
-    "COVER_TYPES_M3",
-    "surface_contribution_m3",
+    "product_surfaces_m3",
     "boundary_profile_m3",
     "delliptic_class_m3",
     "triple_branch_chain_sum",
@@ -263,6 +273,11 @@ def _chain_windings(d: int) -> Mapping[str, Fraction]:
     )
 
 
+# The two M2 dual curves, both realized in the irreducible-nodal boundary
+# (whose interior is M12), by the M12 divisor each one meets.
+_M2_DUAL_IN_M12 = {"Delta_00": "Delta_0", "Delta_01": "Delta_1"}
+
+
 @lru_cache(maxsize=None)
 def boundary_profile_m2(d: int) -> Mapping[str, Fraction]:
     """Intersection numbers of the genus-2 d-elliptic locus with the two
@@ -276,25 +291,15 @@ def boundary_profile_m2(d: int) -> Mapping[str, Fraction]:
     closed = _closed("boundary_profile_m2", d)
 
     m12 = pointed_cover_profile_m12(d)
-    pair12 = lambda a, b: pairing_number("M12", a, 1, b, 1)
     windings = _chain_windings(d)
-    chain = lambda label: sum(windings[m13] for m13 in _M12_DIVISOR_PULLBACK[label])
-
-    # dual Delta_00, realized as the irreducible-nodal curve class:
-    #   bridge covers (x2 multiplicity), chain covers, double-chain covers
-    from_00 = (
-        2 * m12["Delta_0"]
-        + chain("Delta_0")
-        + 2 * conv2(d) * pair12("Delta_0", "Delta_0")
-    )
-    # dual Delta_01, realized in the irreducible-nodal boundary as well
-    from_01 = (
-        2 * m12["Delta_1"]
-        + chain("Delta_1")
-        + 2 * conv2(d) * pair12("Delta_1", "Delta_0")
-    )
-    for label, value in (("Delta_00", from_00), ("Delta_01", from_01)):
-        crosscheck(f"boundary_profile_m2[{label}]", d, topologies=value, closed=closed[label])
+    for dual, label in _M2_DUAL_IN_M12.items():
+        # bridge covers (x2 multiplicity), chain covers, double-chain covers
+        value = (
+            2 * m12[label]
+            + sum(windings[m13] for m13 in _M12_DIVISOR_PULLBACK[label])
+            + 2 * conv2(d) * pairing_number("M12", label, 1, "Delta_0", 1)
+        )
+        crosscheck(f"boundary_profile_m2[{dual}]", d, topologies=value, closed=closed[dual])
     return MappingProxyType(closed)
 
 
@@ -396,13 +401,6 @@ def _bridge_sections() -> Mapping[str, tuple[Fraction, Fraction]]:
     })
 
 
-def _double_chain_term(d: int) -> dict[str, Fraction]:
-    """Type (Delta_00, Delta_0) contribution per M13 divisor: two chains wound
-    a and b times, the splitting weight of d times the double-pair profile."""
-    total, _ = _splitting_weights(d)
-    return {label: total * value for label, value in DOUBLE_PAIR_PROFILE_M13.items()}
-
-
 @lru_cache(maxsize=None)
 def boundary_profile_m21(d: int) -> Mapping[str, Fraction]:
     """Intersection numbers of the marked genus-2 d-elliptic locus with the
@@ -418,38 +416,35 @@ def boundary_profile_m21(d: int) -> Mapping[str, Fraction]:
     closed = _closed("boundary_profile_m21", d)
 
     # bridge covers land on the section curves indexed {1,2} and {1,3},
-    # carrying the solved two-marked cover class
+    # carrying the solved two-marked cover class; double-chain covers carry
+    # the splitting weight of d times the double-pair profile
     cover_class = pointed_cover_class_m12(d)
     x = cover_class.coefficient("Delta_0")
     y = cover_class.coefficient("Delta_1")
     sections = _bridge_sections()
     windings = _chain_windings(d)
-    double_chain = _double_chain_term(d)
-    from_nodal = {
-        dual: x * sections[label][0] + y * sections[label][1]
-        + windings[label] + double_chain[label]
-        for dual, label in _M21_DUAL_IN_M13.items()
-    }
+    splitting, _ = _splitting_weights(d)
 
     # separating boundary: the diagonal decomposes as
     # [point x moduli] + [Delta_1 x point]; its numbers against the three
     # surfaces contained there reduce to the M12 pairing table
-    pair12 = lambda a, b: pairing_number("M12", a, 1, b, 1)
     diagonal_numbers = {
         "Delta_01a": F(1),  # moduli x point against point x moduli
-        "Delta_01b": pair12("Delta_1", "Delta_0"),
-        "Delta_11": pair12("Delta_1", "Delta_1"),
-    }
-    from_separating = {
-        dual: conv2(d) * value for dual, value in diagonal_numbers.items()
+        "Delta_01b": pairing_number("M12", "Delta_1", 1, "Delta_0", 1),
+        "Delta_11": pairing_number("M12", "Delta_1", 1, "Delta_1", 1),
     }
 
-    routes = {dual: {"closed": value} for dual, value in closed.items()}
-    for route, values in (("nodal", from_nodal), ("separating", from_separating)):
-        for dual, value in values.items():
-            routes[dual][route] = value
-    for dual, by_route in routes.items():
-        crosscheck(f"boundary_profile_m21[{dual}]", d, **by_route)
+    for dual, value in closed.items():
+        routes = {"closed": value}
+        if dual in _M21_DUAL_IN_M13:
+            label = _M21_DUAL_IN_M13[dual]
+            routes["nodal"] = (
+                x * sections[label][0] + y * sections[label][1]
+                + windings[label] + splitting * DOUBLE_PAIR_PROFILE_M13[label]
+            )
+        if dual in diagonal_numbers:
+            routes["separating"] = conv2(d) * diagonal_numbers[dual]
+        crosscheck(f"boundary_profile_m21[{dual}]", d, **routes)
     return MappingProxyType(closed)
 
 
@@ -471,8 +466,6 @@ def delliptic_class_m21(d: int) -> ChowClass:
 # ---------------------------------------------------------------------------
 # genus 3
 # ---------------------------------------------------------------------------
-
-COVER_TYPES_M3 = ("D1_D12", "D1_D13", "D11_D14")
 
 # Test surfaces in the separating boundary of M3, as products: an M21 surface
 # class times a point, or an M21 curve class times the elliptic-tail factor.
@@ -501,58 +494,38 @@ _FORGET_CURVE = {
 }
 
 
-def surface_contribution_m3(d: int, cover_type: str, surface_label: str) -> Fraction:
-    """Contribution of one cover topology to the intersection of the genus-3
-    d-elliptic locus with one registered test surface.
-
-    D1_D13 glues a marked genus-2 cover to an elliptic tail (24 labellings of
-    the branch points); D11_D14 splits off a two-marked elliptic bridge
-    between a pair of isogenies (24 labellings); D1_D12 carries a genus-2
-    cover of the elliptic tail itself, summed over the degree splitting, with
-    multiplicity 2 for the contracted bridge and 6 labellings.
-
-    The D1_D12 sum 12 sum_{d1 < d} sigma_1(d - d1) F(d1), F the genus-2
-    profile entry the forget map picks, reads F only at d1 < d. It is one
-    series.dot of the F(d1) against the sigma_1 values.
-    """
-    require_positive(d)
-    if cover_type not in COVER_TYPES_M3:
-        raise ValueError(f"unknown cover type {cover_type!r}")
-    if surface_label in _SURFACE_X_POINT:
-        m21_label, is_surface = _SURFACE_X_POINT[surface_label], True
-    elif surface_label in _CURVE_X_MODULI:
-        m21_label, is_surface = _CURVE_X_MODULI[surface_label], False
-    else:
-        raise ValueError(f"unregistered surface label {surface_label!r}")
-
-    if cover_type == "D1_D13":
-        if not is_surface:
-            return F(0)  # projection collapses curve x moduli factors
-        return 24 * boundary_profile_m21(d)[m21_label]
-
-    if cover_type == "D11_D14":
-        if is_surface:
-            return 24 * conv2(d) * pairing_number("M21", m21_label, 2, "Delta_01a", 2)
-        return 24 * conv2(d) * pairing_number("M21", "Delta_1", 1, m21_label, 3)
-
-    # D1_D12
-    forget, profile = (
-        (FORGET_M21_TO_M2, fixed_target_profile_m2) if is_surface
-        else (_FORGET_CURVE, boundary_profile_m2)
-    )
-    target = forget[m21_label]
+def _tail_cover_sum(d: int, profile, target: str | None) -> Fraction:
+    """The D1_D12 term 12 sum_{d1 < d} sigma_1(d - d1) profile(d1)[target],
+    one series.dot; 0 when the forget map contracts the surface (None)."""
     if target is None:
-        return F(0)  # the forget map contracts the surface
+        return F(0)
     return 12 * dot(
         [profile(d1)[target] for d1 in range(1, d)],
         [sigma(1, d - d1) for d1 in range(1, d)],
     )
 
 
-def _surface_total(d: int, surface_label: str) -> Fraction:
-    return sum(
-        (surface_contribution_m3(d, t, surface_label) for t in COVER_TYPES_M3), F(0)
-    )
+def product_surfaces_m3(d: int) -> Mapping[str, Fraction]:
+    """Product surface label -> the D1_D13, D11_D14 and D1_D12 terms summed.
+
+    A curve x moduli meets no D1_D13 cover: the projection collapses it.
+    """
+    require_positive(d)
+    m21 = boundary_profile_m21(d)
+    bridge = 24 * conv2(d)
+    totals = {}
+    for surface, dual in _SURFACE_X_POINT.items():
+        totals[surface] = (
+            24 * m21[dual]
+            + bridge * pairing_number("M21", dual, 2, "Delta_01a", 2)
+            + _tail_cover_sum(d, fixed_target_profile_m2, FORGET_M21_TO_M2[dual])
+        )
+    for surface, curve in _CURVE_X_MODULI.items():
+        totals[surface] = (
+            bridge * pairing_number("M21", "Delta_1", 1, curve, 3)
+            + _tail_cover_sum(d, boundary_profile_m2, _FORGET_CURVE[curve])
+        )
+    return MappingProxyType(totals)
 
 
 @lru_cache(maxsize=None)
@@ -576,22 +549,19 @@ def boundary_profile_m3(d: int) -> Mapping[str, Fraction]:
     windings = sum(count_dd2222(a) * (d // a) for a in divisors(d))
     squared = closed.pop("windings")
     crosscheck("boundary_profile_m3[windings]", d, windings=windings, closed=squared)
-    vanishing = _surface_total(d, "Delta_[7]")
-    crosscheck("boundary_profile_m3[Delta_[7]]", d, topologies=vanishing, vanishing=0)
+    surfaces = product_surfaces_m3(d)
+    crosscheck("boundary_profile_m3[Delta_[7]]", d, topologies=surfaces["Delta_[7]"], vanishing=0)
 
-    rows: dict[str, Fraction] = {}
-    for label in ("Delta_[1]", "Delta_[5]", "Delta_[6]", "Delta_[8]", "Delta_[10]"):
-        rows[label] = _surface_total(d, label)
+    rows = {label: surfaces[label] for label in ("Delta_[1]", "Delta_[5]", "Delta_[6]",
+                                                 "Delta_[8]", "Delta_[10]")}
     rows["Delta_[4]"] = squared / 2 - rows["Delta_[1]"]
-
     for label, value in rows.items():
-        name = f"boundary_profile_m3[{label}]"
-        crosscheck(name, d, topologies=value, closed=closed[label])
+        crosscheck(f"boundary_profile_m3[{label}]", d, topologies=value, closed=closed[label])
     crosscheck(
         "boundary_profile_m3[Delta_[11]]",
         d,
-        surface_x_point=_surface_total(d, "Delta_[11]a"),
-        curve_x_moduli=_surface_total(d, "Delta_[11]b"),
+        surface_x_point=surfaces["Delta_[11]a"],
+        curve_x_moduli=surfaces["Delta_[11]b"],
         closed=closed["Delta_[11]"],
     )
     return MappingProxyType(closed)

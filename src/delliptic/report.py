@@ -134,7 +134,7 @@ def _check_pointed_isogenies() -> str:
             ),
         }
         crosscheck("pointed-isogeny-count", d, **routes)
-    return f"brute force, HNF route and (d-1)sigma_1(d) agree for d <= {top}"
+    return f"brute force, structural route and (d-1)sigma_1(d) agree for d <= {top}"
 
 
 def _check_degeneration_identity() -> str:

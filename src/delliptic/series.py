@@ -29,6 +29,7 @@ share across threads.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -39,11 +40,16 @@ Scalar = Union[int, Fraction]
 __all__ = ["QSeries", "parse_rational", "format_rational", "dot"]
 
 
+#: "p/q" or "p": an optional sign and ASCII digits, then optionally "/" and digits
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into an exact Fraction; anything that is not such
-    a string, a zero q included, raises ValueError."""
-    if not isinstance(text, str):
-        raise ValueError(f"expected a rational string, got {text!r}")
+    a string, a zero q included, raises ValueError. Decimal points,
+    exponents and digit separators are refused before any number is built."""
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text.strip()):
+        raise ValueError(f'expected a rational string "p/q" or "p", got {text!r}')
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:

@@ -25,10 +25,9 @@ from delliptic.loci import (
     delliptic_class_m21,
     delliptic_class_m3,
     fixed_target_class_m2,
-    surface_contribution_m3,
+    product_surfaces_m3,
     triple_branch_cancellation,
     triple_branch_chain_sum,
-    COVER_TYPES_M3,
 )
 from delliptic.quasimodular import NotQuasimodular, QuasimodularFit, eisenstein, q_derivative
 
@@ -102,19 +101,11 @@ def test_criterion_4_internal_redundancy():
         assert profile["Delta_01"] == direct
 
         # the two product presentations of the same genus-3 test surface
-        route_a = sum(
-            surface_contribution_m3(d, t, "Delta_[11]a") for t in COVER_TYPES_M3
-        )
-        route_b = sum(
-            surface_contribution_m3(d, t, "Delta_[11]b") for t in COVER_TYPES_M3
-        )
-        assert route_a == route_b
+        surfaces = product_surfaces_m3(d)
+        assert surfaces["Delta_[11]a"] == surfaces["Delta_[11]b"]
 
         # the surface rationally equivalent to the vanishing one totals zero
-        vanishing = sum(
-            surface_contribution_m3(d, t, "Delta_[7]") for t in COVER_TYPES_M3
-        )
-        assert vanishing == 0
+        assert surfaces["Delta_[7]"] == 0
 
         boundary_profile_m3(d)  # raises on any internal route disagreement
     _passed(4, "dual routes, surface-route agreement and vanishing totals, d=1..30")

@@ -185,10 +185,22 @@ class TestQmodFitCommand:
         code, _, err = run(capsys, "qmod-fit", "--in", str(path))
         assert code == 2
 
-    @pytest.mark.parametrize("items", [[1, 2, 3], ["1", ["2"]], ["1/0", "1"]])
+    @pytest.mark.parametrize("items", [
+        [1, 2, 3], ["1", ["2"]], ["1/0", "1"],
+        # long enough to fit if the strings were read as numbers
+        ["0.5", "1e3", "1_000", *["0"] * 30],
+    ])
     def test_malformed_items(self, capsys, tmp_path, items):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(items))
+        code, out, err = run(capsys, "qmod-fit", "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_deep_nesting_refused(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
         code, out, err = run(capsys, "qmod-fit", "--in", str(path))
         assert code == 2
         assert out == ""
@@ -667,6 +679,41 @@ class TestMutationProbes:
             ("M13", (2, 1), row, "Delta_1_{1,2}") for row in chow.basis_labels("M13", 2)
         }
         assert len(survivors) == 4
+
+    def test_label_map_probe_survivors(self, mutate, clear_caches):
+        # every entry of the label maps the topology routes read, pointed at
+        # every other label of its basis, then the class checks to d = 3; the
+        # changes that pass them are the three loci's docstring explains
+        label_maps = {
+            "_M2_DUAL_IN_M12": chow.basis_labels("M12", 1),
+            "_M21_DUAL_IN_M13": chow.basis_labels("M13", 1),
+            "_SURFACE_X_POINT": chow.basis_labels("M21", 2),
+            "_CURVE_X_MODULI": chow.basis_labels("M21", 3),
+        }
+        changed, survivors = 0, set()
+        for name, basis in label_maps.items():
+            table = getattr(loci, name)
+            for key, image in list(table.items()):
+                for target in basis:
+                    if target == image:
+                        continue
+                    mutate.setitem(table, key, target)
+                    clear_caches(loci, linalg)
+                    changed += 1
+                    try:
+                        for _, family, agreed in report._CLASS_CHECKS:
+                            report._check_classes(family, agreed, 3)
+                    except CrossCheckError:
+                        pass
+                    else:
+                        survivors.add((name, key, target))
+                    mutate.undo()
+        assert changed == 44
+        assert survivors == {
+            ("_M21_DUAL_IN_M13", "Delta_01a", "Delta_1_{1,2,3}"),
+            ("_M21_DUAL_IN_M13", "Delta_01b", "Delta_1_{2,3}"),
+            ("_M21_DUAL_IN_M13", "Xi_1", "Delta_1_{1,2}"),
+        }
 
     def test_wrong_class_coefficient_fails_named_check(self, mutate):
         rows = loci.FAMILIES["m3"][4]

@@ -14,7 +14,7 @@ from delliptic.cli import main
 
 GOLDEN = {
     "verify --max-d 30 --N 30 --json":
-        "b4916eb786777561373c39430ec690a9014b32a5072a1e1da8be37febe339b74",
+        "6f27c74f1d14df73393b2b4c193dd65eafc78cd8177f0a721431be19cc72f146",
     "class m3 --d 200 --json":
         "fc62ca77fd94df9acd6894b7e41a5621f30bbc0baf6a222c1f58f952f33ee0cb",
     "series m3 lambda^2 --N 200 --json":

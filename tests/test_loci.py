@@ -23,7 +23,7 @@ from delliptic.loci import (
     fixed_target_class_m2,
     fixed_target_profile_m2,
     pointed_cover_class_m12,
-    surface_contribution_m3,
+    product_surfaces_m3,
     total_ramification_profile_m13,
     triple_branch_cancellation,
     triple_branch_chain_sum,
@@ -85,6 +85,7 @@ class TestAuxiliaryLoci:
             fixed_target_profile_m2(d),
             boundary_profile_m21(d),
             boundary_profile_m3(d),
+            product_surfaces_m3(d),
         ]
         for profile in profiles:
             label = next(iter(profile))
@@ -310,10 +311,11 @@ class TestHoistedConstants:
 class TestGenus3:
     def test_contribution_examples(self):
         for d in (2, 3, 5, 8):
-            assert surface_contribution_m3(d, "D1_D13", "Delta_[1]") == 96 * (
-                d - 1
-            ) * sigma(1, d)
-            assert surface_contribution_m3(d, "D11_D14", "Delta_[6]") == 0
+            surfaces = product_surfaces_m3(d)
+            # Delta_[1] collects only its D1_D13 term: Delta_00 pairs to 0
+            # with Delta_01a, and the forget map contracts it
+            assert surfaces["Delta_[1]"] == 96 * (d - 1) * sigma(1, d)
+            assert surfaces["Delta_[6]"] == 0
         for d in (3, 4, 6):
             # independent triple-sum oracle
             triple = sum(
@@ -322,13 +324,8 @@ class TestGenus3:
                 for b in range(1, d - a)
             )
             assert triple == conv3(d)
-            assert surface_contribution_m3(d, "D1_D12", "Delta_[11]a") == 24 * triple
-
-    def test_contribution_validation(self):
-        with pytest.raises(ValueError):
-            surface_contribution_m3(2, "D1_D13", "Delta_[2]")
-        with pytest.raises(ValueError):
-            surface_contribution_m3(2, "D9_D9", "Delta_[1]")
+            # the D1_D12 term of Delta_[11]a: Delta_11 forgets to Delta_1
+            assert loci._tail_cover_sum(d, fixed_target_profile_m2, "Delta_1") == 24 * triple
 
     def test_profile_values(self):
         assert all(v == 0 for v in boundary_profile_m3(1).values())
@@ -378,13 +375,21 @@ class TestIntegerRoutes:
         return 12 * total
 
     def assert_contributions_match(self, max_d):
-        surfaces = {**loci._SURFACE_X_POINT, **loci._CURVE_X_MODULI}
         for d in range(1, max_d + 1):
-            for cover_type in loci.COVER_TYPES_M3:
-                for surface in surfaces:
-                    value = surface_contribution_m3(d, cover_type, surface)
-                    assert isinstance(value, F)
-                    assert value == self.fraction_contribution(d, cover_type, surface)
+            for surface, value in product_surfaces_m3(d).items():
+                terms = {cover_type: self.fraction_contribution(d, cover_type, surface)
+                         for cover_type in ("D1_D12", "D1_D13", "D11_D14")}
+                assert isinstance(value, F)
+                assert value == sum(terms.values())
+                if surface in loci._SURFACE_X_POINT:
+                    profile = loci.fixed_target_profile_m2
+                    target = FORGET_M21_TO_M2[loci._SURFACE_X_POINT[surface]]
+                else:
+                    profile = loci.boundary_profile_m2
+                    target = loci._FORGET_CURVE[loci._CURVE_X_MODULI[surface]]
+                split = loci._tail_cover_sum(d, profile, target)
+                assert isinstance(split, F)
+                assert split == terms["D1_D12"]
 
     def test_surface_contributions(self):
         self.assert_contributions_match(80)

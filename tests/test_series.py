@@ -35,7 +35,9 @@ class TestRationals:
         assert format_rational(F(-1, 24)) == "-1/24"
         assert format_rational(F(7)) == "7"
 
-    @pytest.mark.parametrize("item", [1, ["2"], None, "1/0", "x"])
+    @pytest.mark.parametrize(
+        "item", [1, ["2"], None, "1/0", "x", "0.5", "1e3", "1_000", "\u0663"]
+    )
     def test_parse_rejects_non_rationals(self, item):
         with pytest.raises(ValueError):
             parse_rational(item)
