@@ -29,18 +29,17 @@ An intersection profile, the numbers a class is solved from, is a mapping
 from dual-basis label to an int or Fraction (`loci` returns read-only ones);
 solve_class checks each of its labels against the dual basis, once.
 
-Every operation is pure, but the registry is not frozen yet: a plain
-setitem on SPACES or on a space's pairings changes it. solve_class hands
-`linalg.solve_unique` the stored block itself (a `linalg.BlockRows`), whose
-factorisation is cached by the block object's identity, so a replaced block
-gets a new one; the lru_caches in `loci` are not keyed by the tables, and
-keep what they computed before.
+Every operation is pure and the registry is read-only (MappingProxyTypes
+down to the q_factors, tuples below them): a test replaces a table only
+through the `plant` fixture of tests/conftest.py, which empties every
+lru_cache of the package around the swap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
 from .linalg import BlockRows, solve_unique
@@ -75,6 +74,16 @@ class ChowSpace:
     pairings: Mapping[tuple[int, int], tuple[tuple[Fraction, ...], ...]]
     # degree -> upper label -> stable-graph automorphism order
     q_factors: Mapping[int, Mapping[str, int]]
+
+    def __post_init__(self):
+        for name in ("bases", "pairings", "q_factors"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+
+
+def _read_only(table: Mapping) -> Mapping:
+    """A MappingProxyType copy of `table`, its inner mappings read-only too."""
+    return MappingProxyType({key: _read_only(value) if isinstance(value, Mapping) else value
+                             for key, value in table.items()})
 
 
 def _build_registry() -> dict[str, ChowSpace]:
@@ -216,7 +225,7 @@ def _build_registry() -> dict[str, ChowSpace]:
     return spaces
 
 
-SPACES: dict[str, ChowSpace] = _build_registry()
+SPACES: Mapping[str, ChowSpace] = MappingProxyType(_build_registry())
 
 
 def space(space_id: str) -> ChowSpace:
@@ -345,9 +354,7 @@ def pairing(a: ChowClass, b: ChowClass) -> Fraction:
         (
             ca * cb * table[i][j]
             for i, ca in enumerate(a.coefficients)
-            if ca != 0
             for j, cb in enumerate(b.coefficients)
-            if cb != 0
         ),
         F(0),
     )
@@ -404,13 +411,13 @@ def to_q_class_basis(c: ChowClass) -> ChowClass:
 # member has the marked point on a collapsing component, and carries the other
 # two onto the boundary divisors with degree 1. The one M21 -> M2 forget map:
 # the pushforward and the genus-3 bridge contributions both read it.
-FORGET_M21_TO_M2 = {
+FORGET_M21_TO_M2 = MappingProxyType({
     "Delta_00": None,
     "Delta_01a": None,
     "Delta_01b": None,
     "Xi_1": "Delta_0",
     "Delta_11": "Delta_1",
-}
+})
 
 
 def pushforward_m21_to_m2(c: ChowClass) -> ChowClass:

@@ -47,7 +47,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, gcd, isqrt, prod
 from operator import add, index
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .divisors import Row, divisors, require_positive, rows
 
@@ -84,7 +84,7 @@ ISOGENY_DEGREE_CEILING = 1000
 
 #: count -> its closed form, a sigma polynomial row (divisors.Row), which
 #: verify's pointed-isogeny-count check reads as its closed-form route
-CLOSED_FORMS: dict[str, Row] = rows({
+CLOSED_FORMS: Mapping[str, Row] = rows({
     "count_pointed_isogenies": {(1, 1): 1, (0, 1): -1},  # (d - 1) sigma_1(d)
 })
 

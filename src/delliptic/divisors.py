@@ -38,6 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 from operator import mul
+from types import MappingProxyType
 from typing import Union
 
 from .errors import crosscheck
@@ -84,9 +85,11 @@ class Row(Mapping):
         return f"Row({self._terms!r})"
 
 
-def rows(table: Mapping[str, Mapping[tuple[int, int], Union[int, Fraction]]]) -> dict[str, Row]:
-    """{label: Row} from {label: {(j, k): c}}, each row's kernel built once."""
-    return {label: Row(terms) for label, terms in table.items()}
+def rows(
+    table: Mapping[str, Mapping[tuple[int, int], Union[int, Fraction]]]
+) -> Mapping[str, Row]:
+    """Read-only {label: Row} from {label: {(j, k): c}}, kernels built once."""
+    return MappingProxyType({label: Row(terms) for label, terms in table.items()})
 
 
 def require_positive(d: int) -> None:
@@ -115,18 +118,15 @@ def sigma(k: int, d: int) -> int:
     return sum(a**k for a in divisors(d))
 
 
-def sigma_polynomial(row: Mapping[tuple[int, int], Union[int, Fraction]], d: int) -> Fraction:
-    """sum c d^j sigma_k(d) over the row {(j, k): c}, exactly.
-
-    A Row is read through its kernel; any other mapping is made a Row first."""
-    if not isinstance(row, Row):
-        row = Row(row)
+def sigma_polynomial(row: Row, d: int) -> Fraction:
+    """sum c d^j sigma_k(d) over the row {(j, k): c}, exactly, read through
+    the row's kernel."""
     values = [d**j * sigma(k, d) for j, k in row.monomials]
     return Fraction(sum(map(mul, row.numerators, values)), row.scale)
 
 
 #: convolution -> its closed form, the row its direct sum must equal
-CLOSED_FORMS: dict[str, Row] = rows({
+CLOSED_FORMS: Mapping[str, Row] = rows({
     "conv2": {(1, 1): F(-1, 2), (0, 1): F(1, 12), (0, 3): F(5, 12)},
     "conv2_weighted": {(2, 1): F(-1, 4), (1, 1): F(1, 24), (1, 3): F(5, 24)},
     "conv3": {

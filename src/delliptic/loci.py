@@ -24,8 +24,8 @@ divisors.sigma_polynomial. The class rows sit in FAMILIES; the profile rows,
 the chain-winding total, the two-marked cover class and the two
 triple-branch sums sit in CLOSED_FORMS. The profile rows are written in
 sigma directly, so the closed route reads no convolution table. Every row
-is a read-only divisors.Row carrying its int kernel; the tables holding
-them are plain dicts, so a changed closed form replaces a row.
+is a read-only divisors.Row carrying its int kernel, in read-only tables;
+FAMILIES stays a dict, as the benchmark's tracer wraps the functions in it.
 
 Every profile is a read-only mapping (types.MappingProxyType) from
 dual-basis label to Fraction, and its readers index it directly. A family's
@@ -54,22 +54,25 @@ The M13 (2, 1) pairing table has one reader, _bridge_sections, and it reads
 only the columns of the M13 divisors that realise an M21 dual
 (_M21_DUAL_IN_M13): Delta_0, Delta_1_{2,3}, Delta_1_{1,2,3} and
 Delta_1_{1,3}. No M21 dual is realised in Delta_1_{1,2}, so that column's
-four entries reach no route, and a wrong entry there fails no check; the
-pairing probe in the tests lists exactly these four as its survivors.
+four entries, and that entry of DOUBLE_PAIR_PROFILE_M13, reach no route: a
+wrong one fails no check, and the mutation census in the tests pins them.
 
-The label-map probe in the tests points each entry of the routes' four
-label maps at every other label of its basis. Three changes survive, all in
-_M21_DUAL_IN_M13: Delta_01a -> Delta_1_{1,2,3} and Delta_01b ->
-Delta_1_{2,3}, since the bridge term is 0 at both (2x - y/12 = 0 at
-Delta_1_{1,2,3}) and both profiles are conv2; and Xi_1 -> Delta_1_{1,2},
-since the bridge sums over both section curves {1,2} and {1,3}.
+The census also points each entry of the routes' label maps at every other
+label of its basis. Nine changes survive. Three are in _M21_DUAL_IN_M13:
+Delta_01a -> Delta_1_{1,2,3} and Delta_01b -> Delta_1_{2,3}, since the
+bridge term is 0 at both (2x - y/12 = 0 at Delta_1_{1,2,3}) and both
+profiles are conv2; and Xi_1 -> Delta_1_{1,2}, since the bridge sums over
+both section curves {1,2} and {1,3}. Six retarget the Delta_1 entry of
+_M12_DIVISOR_PULLBACK among the four reducible M13 divisors, at each of
+which the chain windings are 0 (total_ramification_profile_m13 meets only
+Delta_0).
 
 All functions are pure in d, and every cache is an lru_cache holding
 read-only values (profiles and windings are MappingProxyTypes, classes
 frozen); lru_cache is thread-safe, so the d-sweep is safe to parallelize,
 at worst computing one cold entry twice. The caches are not keyed by the
-registered tables: a test that changes a table or patches an input of a
-cached function clears them before and after.
+registered tables, so a test swaps a table only through the `plant` fixture
+of tests/conftest.py, which empties them around the swap.
 """
 
 from __future__ import annotations
@@ -131,23 +134,23 @@ F = Fraction
 #: object -> {label: row}, every closed form of this module but the class rows
 #: in FAMILIES; a profile row is checked as "object[label]", the m12 class as
 #: "pointed_cover_class_m12", a triple-branch row as "triple_branch_<label>_sum"
-CLOSED_FORMS: dict[str, dict[str, Row]] = {name: rows(table) for name, table in {
-    "pointed_cover_class_m12": {
+CLOSED_FORMS: Mapping[str, Mapping[str, Row]] = MappingProxyType({
+    "pointed_cover_class_m12": rows({
         "Delta_0": {(1, 1): F(1, 24), (0, 1): F(-1, 24)},
         "Delta_1": {(1, 1): 1, (0, 1): -1},
-    },
-    "boundary_profile_m2": {
+    }),
+    "boundary_profile_m2": rows({
         "Delta_00": {(1, 1): 4, (0, 1): -4},
         "Delta_01": {(1, 1): -1, (0, 1): F(1, 6), (0, 3): F(5, 6)},
-    },
-    "boundary_profile_m21": {
+    }),
+    "boundary_profile_m21": rows({
         "Delta_00": {(1, 1): 4, (0, 1): -4},
         "Delta_01a": {(1, 1): F(-1, 2), (0, 1): F(1, 12), (0, 3): F(5, 12)},
         "Delta_01b": {(1, 1): F(-1, 2), (0, 1): F(1, 12), (0, 3): F(5, 12)},
         "Xi_1": {(1, 1): F(-1, 24), (0, 1): F(1, 24)},
         "Delta_11": {(1, 1): F(1, 48), (0, 1): F(-1, 288), (0, 3): F(-5, 288)},
-    },
-    "boundary_profile_m3": {
+    }),
+    "boundary_profile_m3": rows({
         "windings": {(1, 3): 48, (0, 1): -48},
         "Delta_[1]": {(1, 1): 96, (0, 1): -96},
         "Delta_[4]": {(1, 3): 24, (1, 1): -96, (0, 1): 72},
@@ -159,12 +162,12 @@ CLOSED_FORMS: dict[str, dict[str, Row]] = {name: rows(table) for name, table in 
             (2, 1): 3, (1, 1): -1, (0, 1): F(1, 24),
             (1, 3): F(-15, 4), (0, 3): F(5, 6), (0, 5): F(7, 8),
         },
-    },
-    "triple_branch": {
+    }),
+    "triple_branch": rows({
         "chain": {(1, 1): F(1, 6), (0, 1): F(1, 3), (1, 0): F(-1, 2)},
         "split": {(1, 1): -1, (0, 1): F(1, 12), (0, 3): F(5, 12), (1, 0): F(1, 2)},
-    },
-}.items()}
+    }),
+})
 
 
 def _closed(name: str, d: int) -> dict[str, Fraction]:
@@ -253,10 +256,10 @@ DOUBLE_PAIR_PROFILE_M13 = MappingProxyType({
 
 # Forgetting the third marked point pulls the M12 boundary divisors back to
 # these M13 boundary divisors.
-_M12_DIVISOR_PULLBACK = {
+_M12_DIVISOR_PULLBACK = MappingProxyType({
     "Delta_0": ("Delta_0",),
     "Delta_1": ("Delta_1_{1,2}", "Delta_1_{1,2,3}"),
-}
+})
 
 
 @lru_cache(maxsize=None)
@@ -275,7 +278,7 @@ def _chain_windings(d: int) -> Mapping[str, Fraction]:
 
 # The two M2 dual curves, both realized in the irreducible-nodal boundary
 # (whose interior is M12), by the M12 divisor each one meets.
-_M2_DUAL_IN_M12 = {"Delta_00": "Delta_0", "Delta_01": "Delta_1"}
+_M2_DUAL_IN_M12 = MappingProxyType({"Delta_00": "Delta_0", "Delta_01": "Delta_1"})
 
 
 @lru_cache(maxsize=None)
@@ -345,12 +348,12 @@ def fixed_target_class_m2(d: int) -> ChowClass:
 
 # The five M21 dual surfaces realized inside the irreducible-nodal boundary
 # (whose interior is M13); Delta_11 lives only in the separating boundary.
-_M21_DUAL_IN_M13 = {
+_M21_DUAL_IN_M13 = MappingProxyType({
     "Delta_00": "Delta_0",
     "Delta_01a": "Delta_1_{2,3}",
     "Delta_01b": "Delta_1_{1,2,3}",
     "Xi_1": "Delta_1_{1,3}",
-}
+})
 
 
 @lru_cache(maxsize=None)
@@ -469,29 +472,29 @@ def delliptic_class_m21(d: int) -> ChowClass:
 
 # Test surfaces in the separating boundary of M3, as products: an M21 surface
 # class times a point, or an M21 curve class times the elliptic-tail factor.
-_SURFACE_X_POINT = {
+_SURFACE_X_POINT = MappingProxyType({
     "Delta_[1]": "Delta_00",
     "Delta_[7]": "Delta_01b",
     "Delta_[8]": "Xi_1",
     "Delta_[10]": "Delta_01a",
     "Delta_[11]a": "Delta_11",
-}
-_CURVE_X_MODULI = {
+})
+_CURVE_X_MODULI = MappingProxyType({
     "Delta_[5]": "Gamma_(5)",
     "Delta_[6]": "Gamma_(6)",
     "Delta_[11]b": "Gamma_(11)",
-}
+})
 
 # Point-forgetting pushforwards feeding the bridge-type contribution.
 # The surface classes are carried by the M21 -> M2 forget map
 # (chow.FORGET_M21_TO_M2); the curve-class pushforwards are registered data
 # validated by the closed-form checks on every assembled row (the per-surface
 # map degrees have no other in-package derivation).
-_FORGET_CURVE = {
+_FORGET_CURVE = MappingProxyType({
     "Gamma_(5)": "Delta_00",
     "Gamma_(6)": None,
     "Gamma_(11)": "Delta_01",
-}
+})
 
 
 def _tail_cover_sum(d: int, profile, target: str | None) -> Fraction:

@@ -109,13 +109,13 @@ def _monomial_series(a: int, b: int, c: int, order: int) -> QSeries:
 def _monomials_up_to(max_weight: int) -> list[QModMonomial]:
     if max_weight < 0 or max_weight % 2 != 0:
         raise ValueError(f"max_weight must be an even integer >= 0, got {max_weight}")
-    found = [
+    candidates = (
         QModMonomial(a, b, c)
         for a in range(max_weight // 2 + 1)
         for b in range(max_weight // 4 + 1)
         for c in range(max_weight // 6 + 1)
-        if 2 * a + 4 * b + 6 * c <= max_weight
-    ]
+    )
+    found = [m for m in candidates if m.weight <= max_weight]
     return sorted(found, key=QModMonomial.sort_key)
 
 

@@ -180,7 +180,7 @@ class TestPairing:
         with pytest.raises(ValueError):
             pairing(a, a)
 
-    def test_unpaired_degrees_named(self, monkeypatch):
+    def test_unpaired_degrees_named(self, plant):
         # one message, from the one lookup, names the space and both degrees
         message = r"^degrees 1 and 2 are not paired on M21$"
         with pytest.raises(ValueError, match=message):
@@ -190,7 +190,9 @@ class TestPairing:
                 ChowClass.from_coefficients("M21", 1, {"Delta_1": 1}),
                 ChowClass.from_coefficients("M21", 2, {"Delta_00": 1}),
             )
-        monkeypatch.delitem(chow.SPACES["M21"].pairings, (1, 3))
+        plant(chow.SPACES, "M21", "pairings", change=lambda pairings: {
+            key: block for key, block in pairings.items() if key != (1, 3)
+        })
         profile = dict.fromkeys(basis_labels("M21", 3), 0)
         with pytest.raises(ValueError, match=r"^degrees 1 and 3 are not paired on M21$"):
             solve_class("M21", 1, profile)

@@ -1,54 +1,19 @@
 """Command-line surface: formatting, JSON schema, exit codes, determinism."""
 
-import copy
 import dataclasses
 import importlib
 import json
-import re
-from itertools import product
 from math import gcd
 
 import pytest
 
 from delliptic import chow, cli, covers, linalg, loci, quasimodular, report
 from delliptic.cli import main
-from delliptic.divisors import Row, sigma
+from delliptic.divisors import sigma
 from delliptic.errors import CrossCheckError
 
 # the package re-exports the function `divisors`, which shadows the module
 divisors = importlib.import_module("delliptic.divisors")
-
-#: every closed-form table of the package: table -> {label: row}
-CLOSED_FORM_TABLES = {
-    **{family: entry[4] for family, entry in loci.FAMILIES.items()},
-    **loci.CLOSED_FORMS,
-    "divisors": divisors.CLOSED_FORMS,
-    "covers": covers.CLOSED_FORMS,
-}
-
-#: every forget map -> (the map, what its entries may name, the checks that
-#: fail when one entry names something else); the surface map lands in the
-#: M2 divisors, the curve map in the M2 curve classes
-FORGET_MAPS = {
-    "FORGET_M21_TO_M2": (
-        chow.FORGET_M21_TO_M2,
-        (None, *chow.basis_labels("M2", 1)),
-        {"pointed-genus2-classes", "genus3-classes", "quasimodularity-certification"},
-    ),
-    "_FORGET_CURVE": (
-        loci._FORGET_CURVE,
-        (None, *chow.basis_labels("M2", 2)),
-        {"genus3-classes", "quasimodularity-certification"},
-    ),
-}
-#: (map, entry, wrong target): every retargeting of one forget-map entry
-FORGET_RETARGETINGS = [
-    (name, label, target)
-    for name, (table, targets, _) in FORGET_MAPS.items()
-    for label, image in table.items()
-    for target in targets
-    if target != image
-]
 
 
 def run(capsys, *argv):
@@ -228,7 +193,7 @@ class TestQmodFitCommand:
 
 
     @pytest.mark.parametrize("by_length", [True, False])
-    def test_order_ceiling(self, capsys, tmp_path, monkeypatch, by_length):
+    def test_order_ceiling(self, capsys, tmp_path, plant, by_length):
         # the order comes from the array length or from --N; a basis is built
         # at the ceiling and never above it
         class BasisBuilt(Exception):
@@ -237,8 +202,7 @@ class TestQmodFitCommand:
         def refuse(*args):
             raise BasisBuilt
 
-        monkeypatch.setattr(quasimodular, "quasimodular_basis", refuse)
-        quasimodular._fit_plan.cache_clear()
+        plant(quasimodular.quasimodular_basis, change=lambda original: refuse)
         n = cli.SERIES_ORDER_CEILING
         for order in (n, n + 1):
             path = tmp_path / "series.json"
@@ -444,13 +408,8 @@ class TestVerifyCommand:
         payload = json.loads(path.read_text())
         assert payload["passed"] is True
 
-    def test_corrupted_pairing_table_fails_named_check(self, capsys, monkeypatch):
-        table = chow.SPACES["M21"].pairings[(2, 2)]
-        corrupted = tuple(
-            tuple(v + 1 if (i, j) == (0, 3) else v for j, v in enumerate(row))
-            for i, row in enumerate(table)
-        )
-        monkeypatch.setitem(chow.SPACES["M21"].pairings, (2, 2), corrupted)
+    def test_corrupted_pairing_table_fails_named_check(self, capsys, plant):
+        plant(chow.SPACES, "M21", "pairings", (2, 2), 0, 3, change=lambda v: v + 1)
         result = report.run_verification(max_d=2, order=10)
         assert result["passed"] is False
         assert result["first_failure"] == "pairing-tables"
@@ -528,15 +487,9 @@ class TestVerifyCommand:
         )
         assert result["series"] == {}
 
-    def test_corrupted_table_fails_class_command(self, capsys, monkeypatch):
-        table = chow.SPACES["M21"].pairings[(2, 2)]
-        corrupted = tuple(
-            tuple(v + 1 if (i, j) == (4, 4) else v for j, v in enumerate(row))
-            for i, row in enumerate(table)
-        )
-        monkeypatch.setitem(chow.SPACES["M21"].pairings, (2, 2), corrupted)
-        # pick a degree no other test computes, so the memoized caches are cold
-        code, _, err = run(capsys, "class", "m21", "--d", "97")
+    def test_corrupted_table_fails_class_command(self, capsys, plant):
+        plant(chow.SPACES, "M21", "pairings", (2, 2), 4, 4, change=lambda v: v + 1)
+        code, _, err = run(capsys, "class", "m21", "--d", "6")
         assert code == 1
         assert "verification failure" in err
 
@@ -545,180 +498,48 @@ class TestMutationProbes:
     """Each planted error makes `verify` fail, with the checks that catch it
     named."""
 
-    @pytest.fixture
-    def mutate(self, monkeypatch, clear_caches):
-        originals = (covers.count_dd22, covers.count_dd2222, dict(chow.FORGET_M21_TO_M2),
-                     linalg._scaled_factorisation, chow.SPACES["M21"].pairings[(2, 2)],
-                     covers._order_d_subgroups, copy.deepcopy(CLOSED_FORM_TABLES))
-        clear_caches(loci, linalg)
-        yield monkeypatch
-        monkeypatch.undo()
-        clear_caches(loci, linalg)
-        assert (covers.count_dd22, covers.count_dd2222) == originals[:2]
-        assert (loci.count_dd22, loci.count_dd2222) == originals[:2]
-        assert (report.count_dd22, report.count_dd2222) == originals[:2]
-        assert chow.FORGET_M21_TO_M2 == originals[2]
-        assert linalg._scaled_factorisation is originals[3]
-        assert chow.SPACES["M21"].pairings[(2, 2)] is originals[4]
-        assert covers._order_d_subgroups is originals[5]
-        assert CLOSED_FORM_TABLES == originals[6]
-        assert loci.delliptic_class_m3(3) == loci.closed_class("m3", 3)
-
     @staticmethod
     def failed_checks(result):
         assert result["passed"] is False
         return {c["check"] for c in result["checks"] if not c["passed"]}
 
-    def bump_at_3(self, mutate, name):
-        original = getattr(covers, name)
-        for module in (covers, loci, report):
-            mutate.setattr(module, name, lambda d: original(d) + (d == 3))
+    @staticmethod
+    def bumped_at_3(original):
+        return lambda d: original(d) + (d == 3)
 
-    def test_wrong_dd22(self, mutate):
-        self.bump_at_3(mutate, "count_dd22")
+    def test_wrong_dd22(self, plant):
+        plant(covers.count_dd22, change=self.bumped_at_3)
         failed = self.failed_checks(report.run_verification(10, 20))
         assert {"degeneration-identity", "genus2-classes"} <= failed
 
-    def test_wrong_dd2222(self, mutate):
-        self.bump_at_3(mutate, "count_dd2222")
+    def test_wrong_dd2222(self, plant):
+        plant(covers.count_dd2222, change=self.bumped_at_3)
         failed = self.failed_checks(report.run_verification(10, 20))
         assert {"degeneration-identity", "genus3-classes"} <= failed
 
-    def test_missing_non_cyclic_subgroups(self, mutate):
-        original = covers._order_d_subgroups
-
-        def cyclic_only(d):
+    def test_missing_non_cyclic_subgroups(self, plant):
+        def cyclic_only(original):
             # (x, y), coded x*d + y, has order d exactly when gcd(x, y, d) = 1
-            return [h for h in original(d) if any(gcd(*divmod(c, d), d) == 1 for c in h)]
+            return lambda d: [
+                h for h in original(d) if any(gcd(*divmod(c, d), d) == 1 for c in h)
+            ]
 
-        mutate.setattr(covers, "_order_d_subgroups", cyclic_only)
+        plant(covers._order_d_subgroups, change=cyclic_only)
         result = report.run_verification(10, 20)
         assert self.failed_checks(result) == {"pointed-isogeny-count"}
         by_name = {c["check"]: c for c in result["checks"]}
         assert "(d=4): brute-force disagrees" in by_name["pointed-isogeny-count"]["detail"]
 
-    def test_wrong_divisor_list_fails_sublattice_count(self, mutate, clear_caches):
+    def test_wrong_divisor_list_fails_sublattice_count(self, plant):
         # count_sublattices and sigma both read the divisor list; the closed
         # route factorises d by trial division, so a wrong list fails the check
-        original = divisors.divisors
+        plant(divisors.divisors,
+              change=lambda original: lambda d: original(d)[:-1] if d == 6 else original(d))
+        with pytest.raises(CrossCheckError, match=r"^sublattice-count\(d=6\): "):
+            report._check_sublattices()
 
-        def faulty(d):
-            return original(d)[:-1] if d == 6 else original(d)
-
-        for module in (divisors, covers):
-            mutate.setattr(module, "divisors", faulty)
-        clear_caches(divisors)
-        try:
-            with pytest.raises(CrossCheckError, match=r"^sublattice-count\(d=6\): "):
-                report._check_sublattices()
-        finally:
-            mutate.undo()
-            clear_caches(divisors)
-        assert report._check_sublattices() == "count equals sigma_1(d) for d <= 50"
-
-    @staticmethod
-    def closed_form_probe(table, label):
-        """(the check a bumped row must fail, the call that runs it at the
-        smallest d where the row is checked)."""
-        if table in loci.FAMILIES:
-            return f"class[{table}](d=1)", lambda: loci.class_in_family(table, 1)
-        if table == "pointed_cover_class_m12":
-            return f"{table}(d=1)", lambda: loci.pointed_cover_class_m12(1)
-        if table == "triple_branch":
-            name = f"triple_branch_{label}_sum"
-            return f"{name}(d=1)", lambda: getattr(loci, name)(1)
-        if table == "divisors":
-            d = 3 if label == "conv3" else 2
-            return f"{label}(d={d})", lambda: getattr(divisors, label)(d)
-        if table == "covers":
-            return "pointed-isogeny-count(d=1)", report._check_pointed_isogenies
-        return f"{table}[{label}](d=1)", lambda: getattr(loci, table)(1)
-
-    @pytest.mark.parametrize("table", sorted(CLOSED_FORM_TABLES))
-    def test_every_closed_form_coefficient_is_caught(self, mutate, clear_caches, table):
-        rows = CLOSED_FORM_TABLES[table]
-        assert any(rows.values())
-        for label, row in rows.items():
-            check, call = self.closed_form_probe(table, label)
-            for key in list(row):
-                # rows are read-only: the bumped row replaces the registered one
-                mutate.setitem(rows, label, Row({**row, key: row[key] + 1}))
-                clear_caches(loci, divisors)
-                with pytest.raises(CrossCheckError, match=rf"^{re.escape(check)}: "):
-                    call()
-                mutate.undo()
-        clear_caches(loci, divisors)
-
-    def test_pairing_probe_survivors(self, mutate, clear_caches):
-        # every registered pairing entry bumped by 1 (its block replaced),
-        # then only the checks that read the pairing tables; the bumps that
-        # pass them are exactly the M13 column Delta_1_{1,2}, which no route
-        # reads (loci's docstring says why)
-        bumped, survivors = 0, set()
-        for space_id, sp in chow.SPACES.items():
-            for key, table in list(sp.pairings.items()):
-                rows, cols = sp.bases[key[0]], sp.bases[key[1]]
-                for i, j in product(range(len(rows)), range(len(cols))):
-                    mutate.setitem(sp.pairings, key, tuple(
-                        tuple(v + ((r, c) == (i, j)) for c, v in enumerate(row))
-                        for r, row in enumerate(table)
-                    ))
-                    clear_caches(loci, linalg)
-                    bumped += 1
-                    try:
-                        report._check_pairing_tables()
-                        for _, family, agreed in report._CLASS_CHECKS:
-                            report._check_classes(family, agreed, 3)
-                    except CrossCheckError:
-                        pass
-                    else:
-                        survivors.add((space_id, key, rows[i], cols[j]))
-                    mutate.undo()
-        assert bumped == 105
-        assert survivors == {
-            ("M13", (2, 1), row, "Delta_1_{1,2}") for row in chow.basis_labels("M13", 2)
-        }
-        assert len(survivors) == 4
-
-    def test_label_map_probe_survivors(self, mutate, clear_caches):
-        # every entry of the label maps the topology routes read, pointed at
-        # every other label of its basis, then the class checks to d = 3; the
-        # changes that pass them are the three loci's docstring explains
-        label_maps = {
-            "_M2_DUAL_IN_M12": chow.basis_labels("M12", 1),
-            "_M21_DUAL_IN_M13": chow.basis_labels("M13", 1),
-            "_SURFACE_X_POINT": chow.basis_labels("M21", 2),
-            "_CURVE_X_MODULI": chow.basis_labels("M21", 3),
-        }
-        changed, survivors = 0, set()
-        for name, basis in label_maps.items():
-            table = getattr(loci, name)
-            for key, image in list(table.items()):
-                for target in basis:
-                    if target == image:
-                        continue
-                    mutate.setitem(table, key, target)
-                    clear_caches(loci, linalg)
-                    changed += 1
-                    try:
-                        for _, family, agreed in report._CLASS_CHECKS:
-                            report._check_classes(family, agreed, 3)
-                    except CrossCheckError:
-                        pass
-                    else:
-                        survivors.add((name, key, target))
-                    mutate.undo()
-        assert changed == 44
-        assert survivors == {
-            ("_M21_DUAL_IN_M13", "Delta_01a", "Delta_1_{1,2,3}"),
-            ("_M21_DUAL_IN_M13", "Delta_01b", "Delta_1_{2,3}"),
-            ("_M21_DUAL_IN_M13", "Xi_1", "Delta_1_{1,2}"),
-        }
-
-    def test_wrong_class_coefficient_fails_named_check(self, mutate):
-        rows = loci.FAMILIES["m3"][4]
-        row = rows["kappa_2"]
-        mutate.setitem(rows, "kappa_2", Row({**row, (0, 3): row[(0, 3)] + 1}))
+    def test_wrong_class_coefficient_fails_named_check(self, plant):
+        plant(loci.FAMILIES, "m3", 4, "kappa_2", (0, 3), change=lambda c: c + 1)
         result = report.run_verification(3, 10)
         failed = self.failed_checks(result)
         assert failed == {"genus3-classes", "quasimodularity-certification"}
@@ -727,43 +548,16 @@ class TestMutationProbes:
             "CrossCheckError: class[m3](d=1): "
         )
 
-    def test_wrong_forget_map_target(self, mutate):
-        mutate.setitem(chow.FORGET_M21_TO_M2, "Delta_01a", "Delta_0")
-        failed = self.failed_checks(report.run_verification(10, 20))
-        assert {"pointed-genus2-classes", "genus3-classes"} <= failed
+    def test_wrong_class_factorisation(self, plant):
+        def bumped(original):
+            def factorisation(matrix):
+                scales, plan = original(matrix)
+                inverse = [list(row) for row in plan.inverse]
+                inverse[0][-1] += 1
+                return scales, dataclasses.replace(plan, inverse=tuple(map(tuple, inverse)))
+            return factorisation
 
-    @pytest.mark.parametrize(
-        ("name", "label", "target"), FORGET_RETARGETINGS,
-        ids=[f"{name}[{label}]->{target}" for name, label, target in FORGET_RETARGETINGS],
-    )
-    def test_every_forget_map_target_is_caught(self, mutate, name, label, target):
-        table, _, checks = FORGET_MAPS[name]
-        mutate.setitem(table, label, target)
-        assert self.failed_checks(report.run_verification(10, 20)) == checks
-
-    def test_changed_table_gets_a_new_factorisation(self, mutate, clear_caches):
-        # the solver's cache is keyed by the table object, not its labels:
-        # a warm factorisation must not survive a replaced table
-        loci.delliptic_class_m21(6)
-        table = chow.SPACES["M21"].pairings[(2, 2)]
-        mutate.setitem(chow.SPACES["M21"].pairings, (2, 2), tuple(
-            tuple(v + ((i, j) == (4, 4)) for j, v in enumerate(row))
-            for i, row in enumerate(table)
-        ))
-        clear_caches(loci)
-        with pytest.raises(CrossCheckError, match="class\\[m21\\]"):
-            loci.delliptic_class_m21(6)
-
-    def test_wrong_class_factorisation(self, mutate):
-        original = linalg._scaled_factorisation
-
-        def bumped(matrix):
-            scales, plan = original(matrix)
-            inverse = [list(row) for row in plan.inverse]
-            inverse[0][-1] += 1
-            return scales, dataclasses.replace(plan, inverse=tuple(map(tuple, inverse)))
-
-        mutate.setattr(linalg, "_scaled_factorisation", bumped)
+        plant(linalg._scaled_factorisation, change=bumped)
         result = report.run_verification(10, 20)
         assert "genus2-classes" in self.failed_checks(result)
         by_name = {c["check"]: c for c in result["checks"]}

@@ -9,7 +9,7 @@ import pytest
 
 from delliptic import report
 from delliptic.divisors import (
-    conv2, conv2_weighted, conv3, divisors, sigma, sigma_polynomial,
+    Row, conv2, conv2_weighted, conv3, divisors, sigma, sigma_polynomial,
 )
 from delliptic.errors import CrossCheckError
 
@@ -128,14 +128,14 @@ class TestConvolutions:
     def test_sigma_polynomial(self):
         # sigma_0 counts divisors; coefficients are exact and summed over one denominator
         for d in range(1, 41):
-            row = {(0, 0): 1, (1, 1): F(-1, 2), (2, 3): F(5, 6), (0, 5): F(-7, 10)}
+            row = Row({(0, 0): 1, (1, 1): F(-1, 2), (2, 3): F(5, 6), (0, 5): F(-7, 10)})
             expected = (
                 len(divisors(d)) - F(d, 2) * sigma(1, d) + F(5 * d * d, 6) * sigma(3, d)
                 - F(7, 10) * sigma(5, d)
             )
             assert sigma_polynomial(row, d) == expected
-        assert sigma_polynomial({}, 7) == 0
-        assert isinstance(sigma_polynomial({(0, 1): 2}, 6), F)
+        assert sigma_polynomial(Row({}), 7) == 0
+        assert isinstance(sigma_polynomial(Row({(0, 1): 2}), 6), F)
 
     def test_rejects_small_arguments(self):
         # below their range the convolutions are the empty sum 0
@@ -149,23 +149,9 @@ CONVOLUTIONS = {"conv2": conv2, "conv2_weighted": conv2_weighted, "conv3": conv3
 NAIVE = {"conv2": naive_conv2, "conv2_weighted": naive_conv2_weighted, "conv3": naive_conv3}
 
 
-@pytest.fixture
-def cold_convolutions(monkeypatch):
-    """Empty convolution caches; the builder and the caches are restored after."""
-    original = divisors_module._coefficients
-    cached = (original, *CONVOLUTIONS.values())
-    for fn in cached:
-        fn.cache_clear()
-    yield monkeypatch
-    monkeypatch.undo()
-    for fn in cached:
-        fn.cache_clear()
-    assert divisors_module._coefficients is original
-    assert conv3(150) == naive_conv3(150)
-
-
 class TestConvolutionTables:
-    def test_table_size_and_call_order_do_not_change_values(self, cold_convolutions):
+    def test_table_size_and_call_order_do_not_change_values(self, plant):
+        # `plant` empties the convolution caches, so the tables are built here
         assert conv3(200) == naive_conv3(200)
         for d in range(60, 1, -1):
             assert conv2(d) == naive_conv2(d)
@@ -174,17 +160,18 @@ class TestConvolutionTables:
                 assert conv3(d) == naive_conv3(d)
 
     @pytest.mark.parametrize("name", sorted(CONVOLUTIONS))
-    def test_perturbed_coefficient_is_caught(self, cold_convolutions, name):
+    def test_perturbed_coefficient_is_caught(self, plant, name):
         d = 150
-        original = divisors_module._coefficients
 
-        def bumped(table_name, n):
-            table = original(table_name, n)
-            if table_name != name or n < d:
-                return table
-            return table[:d] + (table[d] + 1,) + table[d + 1 :]
+        def bumped(original):
+            def coefficients(table_name, n):
+                table = original(table_name, n)
+                if table_name != name or n < d:
+                    return table
+                return table[:d] + (table[d] + 1,) + table[d + 1 :]
+            return coefficients
 
-        cold_convolutions.setattr(divisors_module, "_coefficients", bumped)
+        plant(divisors_module._coefficients, change=bumped)
         assert CONVOLUTIONS[name](d - 1) == NAIVE[name](d - 1)  # same table, untouched entry
         with pytest.raises(CrossCheckError, match=rf"^{name}\(d={d}\)"):
             CONVOLUTIONS[name](d)

@@ -130,3 +130,12 @@ def test_block_rows_need_an_immutable_block():
         solve_unique(BlockRows([(F(1),)], (0,), False), [F(1)])
     with pytest.raises(TypeError, match="tuple of row tuples"):
         solve_unique(BlockRows(([F(1)],), (0,), False), [F(1)])
+
+
+def test_a_replaced_block_gets_its_own_factorisation():
+    # the factorisation is found again by the block's identity: a changed
+    # copy of a block whose factorisation is cached is factorised afresh
+    block = ((F(1), F(2)), (F(0), F(1, 3)))
+    changed = ((F(1), F(2)), (F(0), F(1, 2)))
+    assert solve_unique(BlockRows(block, (0, 1), False), [F(5), F(1)]) == [F(-1), F(3)]
+    assert solve_unique(BlockRows(changed, (0, 1), False), [F(5), F(1)]) == [F(1), F(2)]

@@ -4,11 +4,10 @@ classes, triple-branch sums, and certification plumbing."""
 import importlib
 import re
 from fractions import Fraction as F
-from types import MappingProxyType
 
 import pytest
 
-from delliptic import linalg, loci, report
+from delliptic import chow, covers, linalg, loci, report
 from delliptic.divisors import Row, conv2, conv3, divisors, sigma
 from delliptic.errors import CrossCheckError
 from delliptic.loci import (
@@ -130,26 +129,19 @@ class TestFixedTarget:
         for d in range(1, 31):
             fixed_target_class_m2(d)  # raises on any route disagreement
 
-    def test_wrong_isogeny_count_is_caught(self, monkeypatch, clear_caches):
+    def test_wrong_isogeny_count_is_caught(self, plant):
         # the profile reads the count directly, so the solved class catches it
-        original = loci.count_pointed_isogenies
-        monkeypatch.setattr(loci, "count_pointed_isogenies", lambda d: original(d) + 1)
-        clear_caches(loci)
-        try:
-            with pytest.raises(CrossCheckError, match=r"class\[m2e\]"):
-                fixed_target_class_m2(5)
-            result = report.run_verification(10, 20)
-            failed = {c["check"] for c in result["checks"] if not c["passed"]}
-            # certification solves the same classes, so it fails with them
-            assert failed == {
-                "fixed-target-classes", "genus3-classes", "quasimodularity-certification"
-            }
-        finally:
-            monkeypatch.undo()
-            clear_caches(loci)
-        assert loci.count_pointed_isogenies is original
-        assert fixed_target_profile_m2(5)["Delta_0"] == 4 * sigma(1, 5)
-        fixed_target_class_m2(5)  # raises if a wrong count was left cached
+        plant(loci.count_pointed_isogenies, change=lambda original: lambda d: original(d) + 1)
+        with pytest.raises(CrossCheckError, match=r"class\[m2e\]"):
+            fixed_target_class_m2(5)
+        result = report.run_verification(10, 20)
+        failed = {c["check"] for c in result["checks"] if not c["passed"]}
+        # the count's own check fails; certification solves the same classes,
+        # so it fails with them
+        assert failed == {
+            "pointed-isogeny-count", "fixed-target-classes", "genus3-classes",
+            "quasimodularity-certification",
+        }
 
 
 class TestPointedGenus2:
@@ -217,33 +209,16 @@ class TestSplittingWeights:
         for d in range(2, 201):
             assert loci._splitting_weights(d)[0] == conv2(d)
 
-    @pytest.fixture
-    def fresh_caches(self, monkeypatch):
-        cached = (boundary_profile_m21, triple_branch_split_sum)
-        originals = (loci._splitting_weights, loci.DOUBLE_PAIR_PROFILE_M13)
-        for fn in cached:
-            fn.cache_clear()
-        yield monkeypatch
-        monkeypatch.undo()
-        for fn in cached:
-            fn.cache_clear()
-        assert (loci._splitting_weights, loci.DOUBLE_PAIR_PROFILE_M13) == originals
-        assert boundary_profile_m21(5)["Delta_01a"] == conv2(5)
-
-    def test_wrong_splitting_total_is_caught(self, fresh_caches):
-        original = loci._splitting_weights
-        fresh_caches.setattr(
-            loci, "_splitting_weights", lambda d: (original(d)[0] + 1, original(d)[1])
-        )
+    def test_wrong_splitting_total_is_caught(self, plant):
+        plant(loci._splitting_weights,
+              change=lambda original: lambda d: (original(d)[0] + 1, original(d)[1]))
         with pytest.raises(CrossCheckError, match=r"boundary_profile_m21\[Delta_01a\]"):
             boundary_profile_m21(5)
         with pytest.raises(CrossCheckError, match=r"triple_branch_split_sum"):
             triple_branch_split_sum(5)
 
-    def test_wrong_double_pair_entry_is_caught(self, fresh_caches):
-        bumped = dict(loci.DOUBLE_PAIR_PROFILE_M13)
-        bumped["Delta_1_{2,3}"] += 1
-        fresh_caches.setattr(loci, "DOUBLE_PAIR_PROFILE_M13", MappingProxyType(bumped))
+    def test_wrong_double_pair_entry_is_caught(self, plant):
+        plant(loci.DOUBLE_PAIR_PROFILE_M13, "Delta_1_{2,3}", change=lambda v: v + 1)
         with pytest.raises(CrossCheckError, match=r"boundary_profile_m21\[Delta_01a\]"):
             boundary_profile_m21(5)
 
@@ -252,26 +227,11 @@ class TestHoistedConstants:
     """What the per-d class path reads once, per table or per d, still
     follows the tables and stays read-only."""
 
-    @pytest.fixture
-    def fresh(self, monkeypatch, clear_caches):
-        originals = (dict(space("M13").pairings), linalg._scaled_factorisation)
-        clear_caches(loci, linalg)
-        yield monkeypatch
-        monkeypatch.undo()
-        clear_caches(loci, linalg)
-        assert (dict(space("M13").pairings), linalg._scaled_factorisation) == originals
-        assert boundary_profile_m21(2)["Delta_00"] == 12
-
-    def test_changed_bridge_entry_is_caught(self, fresh, clear_caches):
+    def test_changed_bridge_entry_is_caught(self, plant):
         delliptic_class_m21(2)  # warm: the bridge constants are read
-        table = space("M13").pairings[(2, 1)]
         row = basis_labels("M13", 2).index("Delta_01_{1,2}")
         col = basis_labels("M13", 1).index("Delta_0")
-        fresh.setitem(space("M13").pairings, (2, 1), tuple(
-            tuple(v + ((i, j) == (row, col)) for j, v in enumerate(entries))
-            for i, entries in enumerate(table)
-        ))
-        clear_caches(loci)
+        plant(chow.SPACES, "M13", "pairings", (2, 1), row, col, change=lambda v: v + 1)
         with pytest.raises(
             CrossCheckError, match=r"^boundary_profile_m21\[Delta_00\]\(d=2\): "
         ):
@@ -282,6 +242,7 @@ class TestHoistedConstants:
             *(entry[4] for entry in loci.FAMILIES.values()),
             *loci.CLOSED_FORMS.values(),
             divisors_module.CLOSED_FORMS,
+            covers.CLOSED_FORMS,
         ]
         for table in tables:
             for row in table.values():
@@ -292,17 +253,39 @@ class TestHoistedConstants:
                 with pytest.raises(TypeError):
                     del row[key]
 
-    def test_one_factorisation_per_class_system(self, fresh):
+    def test_registered_tables_are_read_only(self):
+        spaces = chow.SPACES.values()
+        tables = [
+            chow.SPACES, chow.FORGET_M21_TO_M2, loci.CLOSED_FORMS,
+            *loci.CLOSED_FORMS.values(), divisors_module.CLOSED_FORMS, covers.CLOSED_FORMS,
+            *(entry[4] for entry in loci.FAMILIES.values()),
+            *(sp.bases for sp in spaces), *(sp.pairings for sp in spaces),
+            *(sp.q_factors for sp in spaces),
+            *(factors for sp in spaces for factors in sp.q_factors.values()),
+            *(getattr(loci, name) for name in (
+                "_M12_DIVISOR_PULLBACK", "_M2_DUAL_IN_M12", "_M21_DUAL_IN_M13",
+                "_SURFACE_X_POINT", "_CURVE_X_MODULI", "_FORGET_CURVE",
+            )),
+        ]
+        for table in tables:
+            with pytest.raises(TypeError):
+                table[next(iter(table), "key")] = None
+        # the one exception: the benchmark's tracer assigns traced functions
+        # into FAMILIES, so it stays a plain dict until the tracer stops
+        assert type(loci.FAMILIES) is dict
+
+    def test_one_factorisation_per_class_system(self, plant):
         # M12 (the two-marked cover), M2 degree 1 (the pushforward's target)
         # and M21 degree 2: one factorisation each for the whole sweep
         calls = []
-        original = linalg._scaled_factorisation
 
-        def counted(matrix):
-            calls.append(len(matrix))
-            return original(matrix)
+        def counted(original):
+            def factorisation(matrix):
+                calls.append(len(matrix))
+                return original(matrix)
+            return factorisation
 
-        fresh.setattr(linalg, "_scaled_factorisation", counted)
+        plant(linalg._scaled_factorisation, change=counted)
         for d in range(1, 41):
             delliptic_class_m21(d)
         assert sorted(calls) == [2, 2, 5]
@@ -411,30 +394,19 @@ class TestIntegerRoutes:
             total += (d // a) * loci.total_ramification_profile_m13(a)[label]
         return total
 
-    def test_chain_windings(self, monkeypatch, clear_caches):
+    def test_chain_windings(self, plant):
         labels = basis_labels("M13", 1)
         for d in range(1, 81):
             windings = loci._chain_windings(d)
             assert tuple(windings) == labels
             assert all(windings[label] == self.fraction_windings(d, label) for label in labels)
-        # rational entries with a different denominator per winding; the
-        # windings are cached per d, so the caches are emptied around the patch
-        clear_caches(loci)
-        monkeypatch.setattr(loci, "total_ramification_profile_m13", lambda a: {
+        # rational entries with a different denominator per winding
+        plant(loci.total_ramification_profile_m13, change=lambda original: lambda a: {
             label: F(a * i - 3, a + i) for i, label in enumerate(labels)
         })
-        try:
-            for d in (1, 12, 30, 60):
-                windings = loci._chain_windings(d)
-                assert all(
-                    windings[label] == self.fraction_windings(d, label) for label in labels
-                )
-        finally:
-            monkeypatch.undo()
-            clear_caches(loci)
-        assert loci._chain_windings(12) == {
-            label: self.fraction_windings(12, label) for label in labels
-        }
+        for d in (1, 12, 30, 60):
+            windings = loci._chain_windings(d)
+            assert all(windings[label] == self.fraction_windings(d, label) for label in labels)
 
     @pytest.mark.parametrize(("profile", "label", "check"), [
         ("fixed_target_profile_m2", "Delta_0", "boundary_profile_m3[Delta_[8]]"),
@@ -442,30 +414,23 @@ class TestIntegerRoutes:
         ("boundary_profile_m2", "Delta_00", "boundary_profile_m3[Delta_[5]]"),
         ("boundary_profile_m2", "Delta_01", "boundary_profile_m3[Delta_[11]]"),
     ])
-    def test_planted_d1_d12_input_fails_its_first_reader(
-        self, monkeypatch, profile, label, check
-    ):
+    def test_planted_d1_d12_input_fails_its_first_reader(self, plant, profile, label, check):
         planted_at = 6
-        original = getattr(loci, profile)
 
-        def planted(d):
-            values = dict(original(d))
-            values[label] += F(1, 7) if d == planted_at else 0
-            return values
+        def planted(original):
+            def profile_at(d):
+                values = dict(original(d))
+                values[label] += F(1, 7) if d == planted_at else 0
+                return values
+            return profile_at
 
-        boundary_profile_m3.cache_clear()
-        monkeypatch.setattr(loci, profile, planted)
-        try:
-            for d in range(1, planted_at + 1):
-                boundary_profile_m3(d)  # reads the profile only below d
-            with pytest.raises(
-                CrossCheckError, match=rf"^{re.escape(check)}\(d={planted_at + 1}\): "
-            ):
-                boundary_profile_m3(planted_at + 1)
-        finally:
-            monkeypatch.undo()
-            boundary_profile_m3.cache_clear()
-        boundary_profile_m3(planted_at + 1)
+        plant(getattr(loci, profile), change=planted)
+        for d in range(1, planted_at + 1):
+            boundary_profile_m3(d)  # reads the profile only below d
+        with pytest.raises(
+            CrossCheckError, match=rf"^{re.escape(check)}\(d={planted_at + 1}\): "
+        ):
+            boundary_profile_m3(planted_at + 1)
 
 
 class TestTripleBranchSums:

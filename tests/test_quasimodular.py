@@ -312,47 +312,26 @@ class TestIntegerRoute:
         assert outcomes == {"inconsistent", "singular", "unique"}
 
 
-@pytest.fixture
-def probe(monkeypatch, clear_caches):
-    """Every linalg, quasimodular and loci cache cleared before and after,
-    with the originals restored and checked afterwards."""
-    originals = (
-        quasimodular._fit_plan, linalg._every_row_holds, linalg._scaled_factorisation
-    )
-    clear_caches(linalg, quasimodular, loci)
-    yield monkeypatch
-    monkeypatch.undo()
-    clear_caches(linalg, quasimodular, loci)
-    assert (
-        quasimodular._fit_plan, linalg._every_row_holds, linalg._scaled_factorisation
-    ) == originals
-    fit = fit_quasimodular(eisenstein(4, 20), 6, 20)
-    assert fit.as_dict() == {QModMonomial(0, 1, 0): F(1)}
-    assert fit_quasimodular(eisenstein(4, 20) + QSeries([0] * 20 + [1]), 6, 20) == (
-        NotQuasimodular(6, 20)
-    )
-
-
 class TestFitMutationProbes:
-    def test_bumped_inverse_fails_certification(self, probe):
-        original = quasimodular._fit_plan
+    def test_bumped_inverse_fails_certification(self, plant):
+        def bumped(original):
+            def fit_plan(max_weight, order):
+                monomials, plan = original(max_weight, order)
+                inverse = [list(row) for row in plan.inverse]
+                inverse[0][-1] += 1
+                return monomials, dataclasses.replace(
+                    plan, inverse=tuple(map(tuple, inverse))
+                )
+            return fit_plan
 
-        def bumped(max_weight, order):
-            monomials, plan = original(max_weight, order)
-            inverse = [list(row) for row in plan.inverse]
-            inverse[0][-1] += 1
-            return monomials, dataclasses.replace(
-                plan, inverse=tuple(map(tuple, inverse))
-            )
-
-        probe.setattr(quasimodular, "_fit_plan", bumped)
+        plant(quasimodular._fit_plan, change=bumped)
         result = report.run_verification(10, 20)
         assert result["passed"] is False
         failed = {c["check"] for c in result["checks"] if not c["passed"]}
         assert "quasimodularity-certification" in failed
 
-    def test_residual_accepting_everything_fails_reconstruction(self, probe):
-        probe.setattr(linalg, "_every_row_holds", lambda *args: True)
+    def test_residual_accepting_everything_fails_reconstruction(self, plant):
+        plant(linalg._every_row_holds, change=lambda original: lambda *args: True)
         base = QSeries.from_function(30, lambda d: 0 if d == 0 else sigma(3, d))
         corrupted = QSeries([c + (d == 20) for d, c in enumerate(base.coefficients)])
         with pytest.raises(CrossCheckError, match="fit reconstruction"):
