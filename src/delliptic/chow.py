@@ -26,8 +26,12 @@ curve classes Gamma_(i)). The solver refuses anything not resolvable from
 the stored numbers: unlisted intersection numbers are never fabricated.
 
 An intersection profile, the numbers a class is solved from, is a mapping
-from dual-basis label to an int or Fraction (`loci` returns read-only ones);
-solve_class checks each of its labels against the dual basis, once.
+from dual-basis label to an int or Fraction (`loci` returns read-only ones).
+Its labels, in their order, pick the rows of the class system: row r holds
+the pairings of the class basis with the r-th label. This module keeps one
+`linalg.System` per (space, degree, profile labels), built on first use, so
+each label is checked against the dual basis and each system factorised
+once; every later solve_class call reads its class off that System.
 
 Every operation is pure and the registry is read-only (MappingProxyTypes
 down to the q_factors, tuples below them): a test replaces a table only
@@ -39,10 +43,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .linalg import BlockRows, solve_unique
+from .linalg import System, solve_unique
 from .series import format_rational
 
 __all__ = [
@@ -308,29 +313,19 @@ def _position(labels: tuple[str, ...], label: str, space_id: str, degree: int) -
         ) from None
 
 
-def _registered_block(
-    sp: ChowSpace, degree_a: int, degree_b: int
-) -> tuple[tuple[tuple[Fraction, ...], ...], bool]:
-    """(table, flipped): the stored table pairing the two degrees, and whether
-    it is registered as (degree_b, degree_a); unpaired degrees raise
-    ValueError."""
-    if (degree_a, degree_b) in sp.pairings:
-        return sp.pairings[degree_a, degree_b], False
-    if (degree_b, degree_a) in sp.pairings:
-        return sp.pairings[degree_b, degree_a], True
-    raise ValueError(
-        f"degrees {degree_a} and {degree_b} are not paired on {sp.space_id}"
-    )
-
-
 def _pairing_block(
     sp: ChowSpace, degree_a: int, degree_b: int
 ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[tuple[Fraction, ...], ...]]:
     """(labels_a, labels_b, table), table[i][j] the stored intersection number
     of labels_a[i] and labels_b[j]. A block registered the other way round
     is transposed; unpaired degrees raise ValueError."""
-    table, flipped = _registered_block(sp, degree_a, degree_b)
-    return sp.bases[degree_a], sp.bases[degree_b], tuple(zip(*table)) if flipped else table
+    if (degree_a, degree_b) in sp.pairings:
+        table = sp.pairings[degree_a, degree_b]
+    elif (degree_b, degree_a) in sp.pairings:
+        table = tuple(zip(*sp.pairings[degree_b, degree_a]))
+    else:
+        raise ValueError(f"degrees {degree_a} and {degree_b} are not paired on {sp.space_id}")
+    return sp.bases[degree_a], sp.bases[degree_b], table
 
 
 def pairing_number(
@@ -360,6 +355,18 @@ def pairing(a: ChowClass, b: ChowClass) -> Fraction:
     )
 
 
+@lru_cache(maxsize=None)
+def _class_system(space_id: str, degree: int, dual_labels: tuple[str, ...]) -> System:
+    """The System whose row r pairs the degree-`degree` basis with
+    dual_labels[r], read off the stored block. Unpaired degrees and a label
+    outside the dual basis raise ValueError."""
+    sp = space(space_id)
+    dual_degree = sp.dimension - degree
+    _, duals, table = _pairing_block(sp, degree, dual_degree)
+    columns = tuple(zip(*table))
+    return System(columns[_position(duals, label, space_id, dual_degree)] for label in dual_labels)
+
+
 def solve_class(
     space_id: str, degree: int, profile: Mapping[str, Fraction | int]
 ) -> ChowClass:
@@ -371,18 +378,12 @@ def solve_class(
     the induced exact linear system must be uniquely solvable; a singular or
     inconsistent system raises the corresponding linalg error.
     """
-    sp = space(space_id)
-    dual_degree = sp.dimension - degree
-    table, flipped = _registered_block(sp, degree, dual_degree)
-    dual_labels = sp.bases[dual_degree]
-    # one row per profile label: its numbers against the basis, read off the
-    # stored block in place (a column of it unless it is registered flipped)
-    order = tuple(_position(dual_labels, label, space_id, dual_degree) for label in profile)
+    system = _class_system(space_id, degree, tuple(profile))
     values = list(profile.values())
     if not all(isinstance(v, (int, Fraction)) for v in values):
         raise TypeError(f"profile numbers must be int or Fraction, got {values!r}")
-    solution = solve_unique(BlockRows(table, order, not flipped), values)
-    return ChowClass(space_id, degree, sp.bases[degree], tuple(solution))
+    solution = solve_unique(system, values)
+    return ChowClass(space_id, degree, space(space_id).bases[degree], tuple(solution))
 
 
 def to_q_class_basis(c: ChowClass) -> ChowClass:

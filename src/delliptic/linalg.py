@@ -1,22 +1,21 @@
 """Exact linear solves: one fraction-free engine and a Fraction reference.
 
-`_factorise` picks the pivot columns of an integer matrix (those not in the
-span of earlier ones) and as many independent rows by fraction-free (Bareiss)
-elimination, and inverts that block as B / delta. `_solve(plan, numerators,
-scale)` takes the right-hand side as integers over one positive scale, as a
-`QSeries` holds it, and accepts X = B t only if the integer residual holds on
-every row. `solve_unique` scales each row of its matrix to integers and
-factorises the scaled rows; its right-hand side enters as integers
-over their common denominator, each times its row's scale; `quasimodular`
-fits hand `_solve` their target's numerators directly. `solve_any`, Fraction
-Gauss-Jordan with "first nonzero entry" pivots, is the tests' reference.
+A `System` is a matrix made ready for exact solves against it: its rational
+rows, each row's lcm scale to integers, and the factorisation of the scaled
+rows. `_factorise` picks the pivot columns of an integer matrix (those not in
+the span of earlier ones) and as many independent rows by fraction-free
+(Bareiss) elimination, and inverts that block as B / delta.
+`System.solve(numerators, scale)` takes the right-hand side as integers over
+one positive scale, as a `QSeries` holds it, multiplies each by its row's
+scale, and accepts X = B t only if the integer residual holds on every row.
 
-A `BlockRows` (the rows a class solve reads off a registered, immutable
-pairing block) is factorised once: the factorisation is found again by the
-block object's identity and the row order, through an lru_cache that holds
-the block, so no id can be reused while the entry lives, and a replaced
-block is a new object with a new factorisation. A plain matrix, which may be
-a fresh list on every call, is factorised on each solve.
+A System is built once by the code that owns its matrix and kept there:
+`chow` keeps one per class system (space, degree, profile labels), and
+`quasimodular` one per fit basis (max_weight, order), each in an lru_cache
+keyed by those names, which the registry's read-only tables keep valid.
+`solve_unique` takes a System or plain rows, which it makes into a System
+for that one solve. `solve_any`, Fraction Gauss-Jordan with "first nonzero
+entry" pivots, is the tests' reference.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 
 from .series import _over_common_denominator
@@ -32,7 +30,7 @@ from .series import _over_common_denominator
 __all__ = [
     "SingularSystemError",
     "InconsistentSystemError",
-    "BlockRows",
+    "System",
     "solve_unique",
     "solve_any",
 ]
@@ -121,22 +119,6 @@ def _every_row_holds(plan: _Factorisation, x: Sequence[int], rhs: Sequence[int])
     return all(sum(map(mul, row, x)) == b for row, b in zip(plan.on_pivots, rhs))
 
 
-def _solve(
-    plan: _Factorisation, scaled: Sequence[int], scale: int
-) -> list[Fraction] | None:
-    """The solution of A x = target, target[d] = scaled[d] / scale, with
-    non-pivot unknowns 0, or None when there is none: the same answer as
-    `solve_any`, in integers."""
-    picked = [scaled[r] for r in plan.pivot_rows]
-    x = [sum(b * t for b, t in zip(row, picked)) for row in plan.inverse]
-    if not _every_row_holds(plan, x, [plan.delta * t for t in scaled]):
-        return None
-    solution = [Fraction(0)] * plan.columns
-    for col, v in zip(plan.pivots, x):
-        solution[col] = Fraction(v, plan.delta * scale)
-    return solution
-
-
 def _eliminate(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """Row-reduce the augmented system; returns (rows, pivot_cols, consistent)."""
     m = len(matrix)
@@ -161,57 +143,53 @@ def _eliminate(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     return aug, pivot_cols, consistent
 
 
-class BlockRows(Sequence):
-    """The matrix whose row r is row order[r] of `block`, or its column
-    order[r] when `by_column`; `block` must be a tuple of row tuples, so that
-    its identity fixes its values. Two are equal, and hash alike, when they
-    read the same block object in the same way."""
+class System:
+    """The matrix `rows` made ready for exact solves: its rows as tuples
+    (`len` and indexing read them), each row's lcm scale to integers
+    (`scales`, None when every entry is an int), and the factorisation of
+    the scaled rows (`plan`). No rows raise ValueError."""
 
-    __slots__ = ("block", "order", "by_column")
+    __slots__ = ("rows", "scales", "plan")
 
-    def __init__(
-        self, block: tuple[tuple[Fraction, ...], ...], order: tuple[int, ...], by_column: bool
-    ):
-        self.block, self.order, self.by_column = block, order, by_column
+    def __init__(self, rows: Sequence[Sequence[Fraction]]):
+        self.rows = tuple(map(tuple, rows))
+        if not self.rows:
+            raise ValueError("a System needs at least one row")
+        # integer rows (a fit basis) are their own scaled rows, and a
+        # right-hand side then enters unscaled
+        if all(type(v) is int for row in self.rows for v in row):
+            integer_rows, self.scales = self.rows, None
+        else:
+            integer_rows, self.scales = zip(*map(_over_common_denominator, self.rows))
+        self.plan = _factorise(integer_rows)
 
     def __len__(self) -> int:
-        return len(self.order)
+        return len(self.rows)
 
     def __getitem__(self, r: int) -> tuple[Fraction, ...]:
-        i = self.order[r]
-        return tuple(row[i] for row in self.block) if self.by_column else tuple(self.block[i])
+        return self.rows[r]
 
-    def __hash__(self) -> int:
-        return hash((id(self.block), self.order, self.by_column))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BlockRows)
-            and self.block is other.block
-            and (self.order, self.by_column) == (other.order, other.by_column)
-        )
-
-
-def _scaled_factorisation(matrix: tuple[tuple[Fraction, ...], ...]):
-    """The lcm scaling each row of `matrix` to integers, and the factorisation
-    of the scaled rows."""
-    rows, scales = zip(*map(_over_common_denominator, matrix))
-    return scales, _factorise(rows)
+    def solve(self, numerators: Sequence[int], scale: int) -> list[Fraction] | None:
+        """The solution of A x = target, target[d] = numerators[d] / scale,
+        with non-pivot unknowns 0, or None when there is none: the same
+        answer as `solve_any`, in integers."""
+        plan = self.plan
+        scaled = numerators if self.scales is None else list(map(mul, self.scales, numerators))
+        picked = [scaled[r] for r in plan.pivot_rows]
+        x = [sum(b * t for b, t in zip(row, picked)) for row in plan.inverse]
+        if not _every_row_holds(plan, x, [plan.delta * t for t in scaled]):
+            return None
+        solution = [Fraction(0)] * plan.columns
+        for col, v in zip(plan.pivots, x):
+            solution[col] = Fraction(v, plan.delta * scale)
+        return solution
 
 
-@lru_cache(maxsize=None)
-def _block_factorisation(rows: BlockRows):
-    """_scaled_factorisation of `rows`, cached by its block's identity and its
-    row order; the cache holds `rows`, and with it the block. A block that
-    could change in place raises TypeError."""
-    if not (isinstance(rows.block, tuple) and all(isinstance(r, tuple) for r in rows.block)):
-        raise TypeError("a BlockRows block must be a tuple of row tuples")
-    return _scaled_factorisation(tuple(rows))
-
-
-def solve_unique(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
+def solve_unique(
+    matrix: Sequence[Sequence[Fraction]] | System, rhs: Sequence[Fraction]
+) -> list[Fraction]:
     """Solve an m x n system that must have exactly one solution; `matrix`
-    is a sequence of rows or a BlockRows.
+    is a sequence of rows or a System.
 
     Raises InconsistentSystemError when no solution exists and
     SingularSystemError when the solution is not unique; a right-hand side
@@ -221,18 +199,13 @@ def solve_unique(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) 
         raise ValueError(f"{len(matrix)} equations but {len(rhs)} right-hand sides")
     if not matrix:
         return []
-    if isinstance(matrix, BlockRows):
-        scales, plan = _block_factorisation(matrix)
-    else:
-        scales, plan = _scaled_factorisation(tuple(map(tuple, matrix)))
-    numerators, scale = _over_common_denominator(rhs)
-    solution = _solve(plan, list(map(mul, scales, numerators)), scale)
+    system = matrix if isinstance(matrix, System) else System(matrix)
+    solution = system.solve(*_over_common_denominator(rhs))
     if solution is None:
         raise InconsistentSystemError("system has no exact solution")
-    if len(plan.pivots) < len(solution):
-        raise SingularSystemError(
-            f"system determines only {len(plan.pivots)} of {len(solution)} unknowns"
-        )
+    rank = len(system.plan.pivots)
+    if rank < len(solution):
+        raise SingularSystemError(f"system determines only {rank} of {len(solution)} unknowns")
     return solution
 
 

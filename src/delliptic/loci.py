@@ -84,6 +84,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
+from . import covers
 from .chow import (
     FORGET_M21_TO_M2,
     ChowClass,
@@ -203,10 +204,12 @@ def pointed_cover_profile_m12(d: int) -> Mapping[str, Fraction]:
     marked points over one target point, against the M12 divisors.
 
     The irreducible-nodal divisor meets it in the pointed isogenies, of which
-    there are (d-1)sigma_1(d); the reducible divisor misses it entirely.
+    there are (d-1)sigma_1(d), read off their closed-form row; the reducible
+    divisor misses it entirely.
     """
     require_positive(d)
-    return MappingProxyType({"Delta_0": F((d - 1) * sigma(1, d)), "Delta_1": F(0)})
+    isogenies = sigma_polynomial(covers.CLOSED_FORMS["count_pointed_isogenies"], d)
+    return MappingProxyType({"Delta_0": isogenies, "Delta_1": F(0)})
 
 
 @lru_cache(maxsize=None)

@@ -19,10 +19,11 @@ held-out coefficients. A failure only certifies non-membership relative to
 weight; the refusal value therefore carries both parameters.
 
 Every basis coefficient is an integer, so the fit runs on `linalg`'s
-fraction-free engine: the basis rows are factorised once per
-(max_weight, N), the target enters as its integer numerators over its one
-denominator, and each fit is accepted only if the integer residual holds on
-every coefficient d = 0..N. Monomials in the span of earlier ones get 0.
+fraction-free engine: this module keeps one `linalg.System` of the basis
+rows per (max_weight, N), the target enters as its integer numerators over
+its one denominator, and each fit is accepted only if the integer residual
+holds on every coefficient d = 0..N. Monomials in the span of earlier ones
+get 0.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
 
-from . import linalg
 from .divisors import sigma
 from .errors import CrossCheckError
+from .linalg import System
 from .series import QSeries, _over_common_denominator, format_rational
 
 __all__ = [
@@ -142,16 +143,14 @@ def quasimodular_basis(max_weight: int, order: int) -> list[tuple[QModMonomial, 
 
 
 @lru_cache(maxsize=None)
-def _fit_plan(
-    max_weight: int, order: int
-) -> tuple[tuple[QModMonomial, ...], linalg._Factorisation]:
-    """The monomials of weight <= max_weight and the factorisation of their
-    integer coefficient rows q^0..q^order, built once per (max_weight, order).
+def _fit_plan(max_weight: int, order: int) -> tuple[tuple[QModMonomial, ...], System]:
+    """The monomials of weight <= max_weight and the System of their integer
+    coefficient rows q^0..q^order, built once per (max_weight, order).
     Every basis series has denominator 1, so its numerators are its
     coefficients."""
     basis = quasimodular_basis(max_weight, order)
-    rows = list(zip(*(expansion.numerators for _, expansion in basis)))
-    return tuple(m for m, _ in basis), linalg._factorise(rows)
+    rows = zip(*(expansion.numerators for _, expansion in basis))
+    return tuple(m for m, _ in basis), System(rows)
 
 
 @dataclass(frozen=True)
@@ -208,23 +207,24 @@ FitResult = Union[QuasimodularFit, NotQuasimodular]
 def fit_quasimodular(f: QSeries, max_weight: int, order: int) -> FitResult:
     """Express f exactly in the weight-bounded monomial basis, or refuse.
 
-    Solves the linear system over coefficients q^0..q^order in integers, with
-    the factorisation cached per (max_weight, order) (see the module
-    docstring). Success requires an exact match on every one of those
+    Solves the linear system over coefficients q^0..q^order in integers,
+    against the System kept per (max_weight, order) (see the module
+    docstring); a series shorter than `order` is refused first, before that
+    System is built. Success requires an exact match on every one of those
     coefficients, including the held-out ones beyond the basis size; a
     mismatch on any of them refuses. Monomials in the span of earlier ones
     get coefficient 0. An underdetermined call (order <= basis size) is a
     precondition failure (ValueError), not a fit failure.
     """
-    monomials, plan = _fit_plan(max_weight, order)
+    if f.order < order:
+        raise ValueError(f"series order {f.order} is below the fit order {order}")
+    monomials, system = _fit_plan(max_weight, order)
     if order <= len(monomials):
         raise ValueError(
             f"order {order} must strictly exceed the basis size {len(monomials)}"
         )
-    if f.order < order:
-        raise ValueError(f"series order {f.order} is below the fit order {order}")
     target = f.truncate(order)
-    solution = linalg._solve(plan, target.numerators, target.denominator)
+    solution = system.solve(target.numerators, target.denominator)
     if solution is None:
         return NotQuasimodular(max_weight, order)
     fit = QuasimodularFit(

@@ -268,11 +268,17 @@ class TestSolveClass:
         wrong_dual = {"Delta_0": 1, "Delta_1": 0}
         with pytest.raises(ValueError):
             solve_class("M2", 1, wrong_dual)  # duals of degree 1 are degree 2
+        with pytest.raises(ValueError, match="at least one row"):
+            solve_class("M2", 1, {})
 
     @pytest.mark.parametrize("inexact", [0.5, "1/2"])
     def test_inexact_profile_number_refused(self, inexact):
         with pytest.raises(TypeError, match="must be int or Fraction"):
             solve_class("M12", 1, {"Delta_0": inexact, "Delta_1": 0})
+
+    def test_unknown_label_refused_before_inexact_number(self):
+        with pytest.raises(ValueError, match=r"'Delta_99' not in the degree-2 basis of M2"):
+            solve_class("M2", 1, {"Delta_99": 0.5})
 
 
 class TestQClassConversion:

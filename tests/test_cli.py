@@ -1,5 +1,6 @@
 """Command-line surface: formatting, JSON schema, exit codes, determinism."""
 
+import copy
 import dataclasses
 import importlib
 import json
@@ -7,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from delliptic import chow, cli, covers, linalg, loci, quasimodular, report
+from delliptic import chow, cli, covers, loci, quasimodular, report
 from delliptic.cli import main
 from delliptic.divisors import sigma
 from delliptic.errors import CrossCheckError
@@ -550,14 +551,15 @@ class TestMutationProbes:
 
     def test_wrong_class_factorisation(self, plant):
         def bumped(original):
-            def factorisation(matrix):
-                scales, plan = original(matrix)
-                inverse = [list(row) for row in plan.inverse]
+            def class_system(*key):
+                system = copy.copy(original(*key))
+                inverse = [list(row) for row in system.plan.inverse]
                 inverse[0][-1] += 1
-                return scales, dataclasses.replace(plan, inverse=tuple(map(tuple, inverse)))
-            return factorisation
+                system.plan = dataclasses.replace(system.plan, inverse=tuple(map(tuple, inverse)))
+                return system
+            return class_system
 
-        plant(linalg._scaled_factorisation, change=bumped)
+        plant(chow._class_system, change=bumped)
         result = report.run_verification(10, 20)
         assert "genus2-classes" in self.failed_checks(result)
         by_name = {c["check"]: c for c in result["checks"]}

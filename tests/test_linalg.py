@@ -6,9 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from delliptic.linalg import (
-    BlockRows,
     InconsistentSystemError,
     SingularSystemError,
+    System,
     solve_any,
     solve_unique,
 )
@@ -115,27 +115,27 @@ def test_rhs_length_must_match_rows(solve, matrix, rhs):
         solve(matrix, rhs)
 
 
-def test_block_rows_read_rows_or_columns():
-    block = ((F(1), F(2)), (F(0), F(1, 3)))
-    assert list(BlockRows(block, (1, 0), False)) == [block[1], block[0]]
-    assert list(BlockRows(block, (1,), True)) == [(F(2), F(1, 3))]
-    # x + 2y = 5, y/3 = 1
-    assert solve_unique(BlockRows(block, (0, 1), False), [F(5), F(1)]) == [F(-1), F(3)]
+def test_system_reads_back_its_rows():
+    matrix = [[F(1), F(2)], [F(0), F(1, 3)]]
+    system = System(matrix)
+    assert len(system) == 2
+    assert system[1] == (F(0), F(1, 3))
+    assert list(system) == [(F(1), F(2)), (F(0), F(1, 3))]
+    assert system.scales == (1, 3)
 
 
-def test_block_rows_need_an_immutable_block():
-    # a factorisation cached by the block's identity must not outlive a
-    # change of its values
-    with pytest.raises(TypeError, match="tuple of row tuples"):
-        solve_unique(BlockRows([(F(1),)], (0,), False), [F(1)])
-    with pytest.raises(TypeError, match="tuple of row tuples"):
-        solve_unique(BlockRows(([F(1)],), (0,), False), [F(1)])
-
-
-def test_a_replaced_block_gets_its_own_factorisation():
-    # the factorisation is found again by the block's identity: a changed
-    # copy of a block whose factorisation is cached is factorised afresh
-    block = ((F(1), F(2)), (F(0), F(1, 3)))
-    changed = ((F(1), F(2)), (F(0), F(1, 2)))
-    assert solve_unique(BlockRows(block, (0, 1), False), [F(5), F(1)]) == [F(-1), F(3)]
-    assert solve_unique(BlockRows(changed, (0, 1), False), [F(5), F(1)]) == [F(1), F(2)]
+@pytest.mark.parametrize(
+    "matrix,rhs,outcome",
+    [
+        ([[F(1), F(2)], [F(0), F(1, 3)]], [F(5), F(1)], None),  # x + 2y = 5, y/3 = 1
+        ([[F(1, 2), F(1)], [F(1), F(2)]], [F(3), F(6)], SingularSystemError),
+        ([[F(1, 2), F(1)], [F(1), F(2)]], [F(3), F(7)], InconsistentSystemError),
+    ],
+)
+def test_system_solves_as_its_rows(matrix, rhs, outcome):
+    if outcome is None:
+        assert solve_unique(System(matrix), rhs) == solve_unique(matrix, rhs) == [F(-1), F(3)]
+        return
+    for solved in (System(matrix), matrix):
+        with pytest.raises(outcome):
+            solve_unique(solved, rhs)

@@ -1,5 +1,6 @@
 """Eisenstein expansions, derivative identities, and exact fitting."""
 
+import copy
 import dataclasses
 import random
 from fractions import Fraction as F
@@ -206,6 +207,14 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_quasimodular(QSeries.zero(10), 6, 20)
 
+    def test_short_series_refused_before_its_basis_is_built(self):
+        # the basis System of (24, 200) takes about a minute to build; a
+        # series too short to fit must be refused without it
+        before = quasimodular._fit_plan.cache_info()
+        with pytest.raises(ValueError, match="series order 4 is below the fit order 200"):
+            fit_quasimodular(QSeries.from_function(4, lambda d: d), 24, 200)
+        assert quasimodular._fit_plan.cache_info() == before
+
     def test_json_shapes(self):
         refused = NotQuasimodular(6, 30).to_json_dict()
         assert refused == {"not_quasimodular": {"max_weight": 6, "order": 30}}
@@ -285,7 +294,8 @@ class TestIntegerRoute:
                        [0] * 9, c5]
             rows = [list(r) for r in zip(*columns)]
             rows[6:] = [rows[0][:], rows[1][:], rows[2][:]]
-            plan = linalg._factorise(rows)
+            system = linalg.System(rows)
+            plan = system.plan
             matrix = [[F(x) for x in row] for row in rows]
             _, pivots, _ = linalg._eliminate(matrix, [F(0)] * 9)
             assert list(plan.pivots) == pivots
@@ -299,7 +309,7 @@ class TestIntegerRoute:
             noise = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(9)]
             for rhs in (consistent, noise, [F(0)] * 9):
                 numerators, scale = _over_common_denominator(rhs)
-                assert linalg._solve(plan, numerators, scale) == linalg.solve_any(matrix, rhs)
+                assert system.solve(numerators, scale) == linalg.solve_any(matrix, rhs)
             # rational rows: each scaled by its own rational, and the
             # independent columns alone, so that every outcome occurs
             scaled = [[F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7)) * v
@@ -316,12 +326,14 @@ class TestFitMutationProbes:
     def test_bumped_inverse_fails_certification(self, plant):
         def bumped(original):
             def fit_plan(max_weight, order):
-                monomials, plan = original(max_weight, order)
-                inverse = [list(row) for row in plan.inverse]
+                monomials, system = original(max_weight, order)
+                system = copy.copy(system)
+                inverse = [list(row) for row in system.plan.inverse]
                 inverse[0][-1] += 1
-                return monomials, dataclasses.replace(
-                    plan, inverse=tuple(map(tuple, inverse))
+                system.plan = dataclasses.replace(
+                    system.plan, inverse=tuple(map(tuple, inverse))
                 )
+                return monomials, system
             return fit_plan
 
         plant(quasimodular._fit_plan, change=bumped)
