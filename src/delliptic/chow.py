@@ -73,7 +73,6 @@ class ChowSpace:
     """A registered moduli space: graded basis, pairings, substack factors."""
 
     space_id: str
-    dimension: int
     bases: Mapping[int, tuple[str, ...]]
     # (degree_a, degree_b) -> row-major matrix over (basis_a x basis_b)
     pairings: Mapping[tuple[int, int], tuple[tuple[Fraction, ...], ...]]
@@ -97,7 +96,6 @@ def _build_registry() -> dict[str, ChowSpace]:
     # ---- M12: divisors Delta_0 (irreducible nodal), Delta_1 (reducible) ----
     spaces["M12"] = ChowSpace(
         space_id="M12",
-        dimension=2,
         bases={1: ("Delta_0", "Delta_1")},
         pairings={
             (1, 1): (
@@ -134,7 +132,6 @@ def _build_registry() -> dict[str, ChowSpace]:
     )
     spaces["M13"] = ChowSpace(
         space_id="M13",
-        dimension=3,
         bases={1: m13_div, 2: m13_curves},
         pairings={(2, 1): m13_table},
         q_factors={},
@@ -143,7 +140,6 @@ def _build_registry() -> dict[str, ChowSpace]:
     # ---- M2: divisors Delta_0, Delta_1; curves Delta_00, Delta_01 ----
     spaces["M2"] = ChowSpace(
         space_id="M2",
-        dimension=3,
         bases={1: ("Delta_0", "Delta_1"), 2: ("Delta_00", "Delta_01")},
         pairings={
             # rows Delta_0, Delta_1 x columns Delta_00, Delta_01
@@ -169,7 +165,6 @@ def _build_registry() -> dict[str, ChowSpace]:
     )
     spaces["M21"] = ChowSpace(
         space_id="M21",
-        dimension=4,
         bases={
             1: ("Delta_1",),
             2: m21_mid,
@@ -221,7 +216,6 @@ def _build_registry() -> dict[str, ChowSpace]:
     )
     spaces["M3"] = ChowSpace(
         space_id="M3",
-        dimension=6,
         bases={2: m3_codim2, 4: m3_surfaces},
         pairings={(4, 2): m3_table},
         # the codim-2 basis is already in substack terms
@@ -358,10 +352,13 @@ def pairing(a: ChowClass, b: ChowClass) -> Fraction:
 @lru_cache(maxsize=None)
 def _class_system(space_id: str, degree: int, dual_labels: tuple[str, ...]) -> System:
     """The System whose row r pairs the degree-`degree` basis with
-    dual_labels[r], read off the stored block. Unpaired degrees and a label
-    outside the dual basis raise ValueError."""
+    dual_labels[r], read off the space's one stored block with that degree.
+    A degree with no block and a label outside the dual basis raise
+    ValueError."""
     sp = space(space_id)
-    dual_degree = sp.dimension - degree
+    dual_degree = next((b if a == degree else a for a, b in sp.pairings if degree in (a, b)), None)
+    if dual_degree is None:
+        raise ValueError(f"degree {degree} is not paired on {space_id}")
     _, duals, table = _pairing_block(sp, degree, dual_degree)
     columns = tuple(zip(*table))
     return System(columns[_position(duals, label, space_id, dual_degree)] for label in dual_labels)

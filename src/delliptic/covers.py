@@ -68,6 +68,7 @@ __all__ = [
     "count_pointed_isogenies",
     "count_pointed_isogenies_enumerated",
     "CLOSED_FORMS",
+    "count_dd3",
     "count_dd22",
     "count_dd2222",
 ]
@@ -386,6 +387,18 @@ def count_pointed_isogenies_enumerated(d: int) -> int:
     (Z/d)^2; the reference route, for d <= SUBGROUP_ENUMERATION_BUDGET."""
     _check_isogeny_degree(d, SUBGROUP_ENUMERATION_BUDGET, "subgroup enumeration budget")
     return sum(len(g) - 1 for g in _order_d_subgroups(d))
+
+
+def count_dd3(d: int) -> Fraction:
+    """Degree-d genus-1 covers of P^1 with profiles (d), (d) and
+    (3, 1^{d-3}), totally ramified at two points and with one triple point:
+    the one-part Hurwitz number (d-1)(d-2)/6, 0 at d = 1 and 2.
+
+    `verify` checks it against hurwitz_number for d = 3..7; the triple-branch
+    chain sum reads it at every winding.
+    """
+    require_positive(d)
+    return Fraction((d - 1) * (d - 2), 6)
 
 
 def count_dd22(d: int) -> int:

@@ -47,8 +47,15 @@ the chain windings over a | d) is one series.dot: int multiply-adds over the
 terms' common denominator, then one Fraction per route value. What does not
 depend on d is read once: the bridge term's pairing numbers
 (_bridge_sections). What two profiles share at one d is computed once per
-d: the chain windings (m2 and m21) and the splitting weights (m21 and the
-split sum).
+d: the chain windings (m2 and m21).
+
+The double-chain covers (the m21 profile and the split sum) weigh m*b over
+the splittings a*m + b*n = d, which totals sum_k sigma_1(k) sigma_1(d - k) =
+conv2(d); both read divisors.conv2, the shared primitive. So at Delta_01a
+and Delta_01b the nodal and separating routes both read conv2: they still
+compare the registered bridge pairings, double-pair entries and diagonal
+numbers, and conv2's own value is checked where it is owned (A*A against
+its row, to d = 200 in convolution-identities) and by the closed row.
 
 The M13 (2, 1) pairing table has one reader, _bridge_sections, and it reads
 only the columns of the M13 divisors that realise an M21 dual
@@ -79,8 +86,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import isqrt
-from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
@@ -94,7 +99,7 @@ from .chow import (
     solve_class,
     to_q_class_basis,
 )
-from .covers import count_dd22, count_dd2222, count_pointed_isogenies
+from .covers import count_dd3, count_dd22, count_dd2222, count_pointed_isogenies
 from .divisors import Row, conv2, divisors, require_positive, rows, sigma, sigma_polynomial
 from .errors import crosscheck
 from .quasimodular import FitResult, fit_quasimodular
@@ -243,7 +248,7 @@ def total_ramification_profile_m13(a: int) -> Mapping[str, Fraction]:
 #: pair identified to a node). It meets the two reducible divisors that keep
 #: the simple branch point on the genus-1 part, once each, whatever (a, b):
 #: so every pair has this one profile, and the double-chain sums reduce to
-#: one integer splitting weight per d (_splitting_weights).
+#: one splitting weight per d, conv2(d).
 DOUBLE_PAIR_PROFILE_M13 = MappingProxyType({
     "Delta_0": F(0),
     "Delta_1_{1,2}": F(0),
@@ -360,36 +365,6 @@ _M21_DUAL_IN_M13 = MappingProxyType({
 
 
 @lru_cache(maxsize=None)
-def _splitting_weights(d: int) -> tuple[int, int]:
-    """(total, diagonal): m*b summed over the splittings a*m + b*n = d (all
-    >= 1), and over those with a = b; total = conv2(d), reached from the
-    divisor lists alone, never through sigma.
-
-    For a winding a, the b-sum at multiplicity m runs over the divisors of
-    d - a*m, so a's terms are one strided int dot of m = 1, 2, ... against
-    the divisor sums of d - a, d - 2a, ...; that is the walk for a <= sqrt(d),
-    and the larger windings, which admit only m < sqrt(d), are walked per m
-    instead. An equal winding b = a divides d - a*m exactly when a | d, and
-    then contributes a*m for m < d/a. The m21 profile and the split sum both
-    read it, so it runs once per d.
-    """
-    divisor_sums = [0, *map(sum, map(divisors, range(1, d)))]
-    small = isqrt(d - 1)
-    total = 0
-    for a in range(1, small + 1):
-        total += sum(map(mul, range(1, d), divisor_sums[d - a:0:-a]))
-    # the windings a > small have multiplicities m < d / small: one strided
-    # sum per m over those windings
-    for m in range(1, (d - 1) // (small + 1) + 1):
-        total += m * sum(divisor_sums[d - (small + 1) * m:0:-m])
-    diagonal = 0
-    for a in divisors(d)[:-1]:
-        k = d // a - 1
-        diagonal += a * k * (k + 1) // 2
-    return total, diagonal
-
-
-@lru_cache(maxsize=None)
 def _bridge_sections() -> Mapping[str, tuple[Fraction, Fraction]]:
     """M13 divisor label -> (the pairings of Delta_01_S with it, summed over
     the section curves S = {1,2}, {1,3}; the same sum for Delta_11_S): the
@@ -423,13 +398,12 @@ def boundary_profile_m21(d: int) -> Mapping[str, Fraction]:
 
     # bridge covers land on the section curves indexed {1,2} and {1,3},
     # carrying the solved two-marked cover class; double-chain covers carry
-    # the splitting weight of d times the double-pair profile
+    # the splitting weight conv2(d) times the double-pair profile
     cover_class = pointed_cover_class_m12(d)
     x = cover_class.coefficient("Delta_0")
     y = cover_class.coefficient("Delta_1")
     sections = _bridge_sections()
     windings = _chain_windings(d)
-    splitting, _ = _splitting_weights(d)
 
     # separating boundary: the diagonal decomposes as
     # [point x moduli] + [Delta_1 x point]; its numbers against the three
@@ -446,7 +420,7 @@ def boundary_profile_m21(d: int) -> Mapping[str, Fraction]:
             label = _M21_DUAL_IN_M13[dual]
             routes["nodal"] = (
                 x * sections[label][0] + y * sections[label][1]
-                + windings[label] + splitting * DOUBLE_PAIR_PROFILE_M13[label]
+                + windings[label] + conv2(d) * DOUBLE_PAIR_PROFILE_M13[label]
             )
         if dual in diagonal_numbers:
             routes["separating"] = conv2(d) * diagonal_numbers[dual]
@@ -588,13 +562,13 @@ def delliptic_class_m3(d: int) -> ChowClass:
 @lru_cache(maxsize=None)
 def triple_branch_chain_sum(d: int) -> Fraction:
     """Single-chain covers through a triple point: over each winding a | d,
-    (a-1)(a-2)/6 covers with multiplicity m = d/a.
+    count_dd3(a) = (a-1)(a-2)/6 covers with multiplicity m = d/a.
 
     Equals (d/6 + 1/3) sigma_1(d) - d sigma_0(d)/2; the divisor-count term
     makes the generating series non-quasimodular on its own.
     """
     require_positive(d)
-    direct = sum(F((a - 1) * (a - 2), 6) * (d // a) for a in divisors(d))
+    direct = sum(count_dd3(a) * (d // a) for a in divisors(d))
     closed = sigma_polynomial(CLOSED_FORMS["triple_branch"]["chain"], d)
     return crosscheck("triple_branch_chain_sum", d, direct=direct, closed=closed)
 
@@ -605,14 +579,17 @@ def triple_branch_split_sum(d: int) -> Fraction:
     a*m + b*n = d with distinct windings a != b (equal windings admit no
     connected cover).
 
-    All splitting weights less the equal-winding ones (_splitting_weights),
-    checked against conv2(d) - d sigma_1(d)/2 + d sigma_0(d)/2, written in
-    sigma; the opposite divisor-count term cancels the one in the
-    single-chain sum.
+    All splitting weights, conv2(d), less the equal-winding ones: a = b
+    divides d, and m = 1..k with k = d/a - 1 gives a*k(k+1)/2. Checked
+    against conv2(d) - d sigma_1(d)/2 + d sigma_0(d)/2, written in sigma;
+    the opposite divisor-count term cancels the one in the single-chain sum.
     """
     require_positive(d)
-    total, diagonal = _splitting_weights(d)
-    direct = total - diagonal
+    equal = 0
+    for a in divisors(d)[:-1]:
+        k = d // a - 1
+        equal += a * k * (k + 1) // 2
+    direct = conv2(d) - equal
     closed = sigma_polynomial(CLOSED_FORMS["triple_branch"]["split"], d)
     return crosscheck("triple_branch_split_sum", d, closed=closed, direct=direct)
 

@@ -1,6 +1,6 @@
 """Mutation census over the registered data: through the `plant` fixture,
-every number (row coefficient; pairing entry, substack factor and dimension
-of a space; double-pair entry) is bumped by 1 and every label-map and
+every number (row coefficient; pairing entry and substack factor of a
+space; double-pair entry) is bumped by 1 and every label-map and
 forget-map entry is pointed at every other label it may name. The planted
 errors that pass the checks reading their table are pinned with reasons;
 every other one must be caught."""
@@ -162,12 +162,9 @@ M13_COLUMN = chow.basis_labels("M13", 1).index("Delta_1_{1,2}")
 #: kind -> (how many errors it plants, the survivors with their reasons)
 CENSUS = {
     "row": (125, {}),
-    # 105 pairing entries, 16 substack factors and 5 dimensions
-    "space": (126, {
-        **{("SPACES", "M13", "pairings", (2, 1), row, M13_COLUMN): UNREAD_COLUMN
-           for row in range(len(chow.basis_labels("M13", 2)))},
-        ("SPACES", "M13", "dimension"): "M13 is never solved: only its pairing table is read",
-    }),
+    # 105 pairing entries and 16 substack factors
+    "space": (121, {("SPACES", "M13", "pairings", (2, 1), row, M13_COLUMN): UNREAD_COLUMN
+                    for row in range(len(chow.basis_labels("M13", 2)))}),
     "double_pair": (5, {("DOUBLE_PAIR_PROFILE_M13", "Delta_1_{1,2}"): UNREAD_COLUMN}),
     "label_map": (56, {
         ("_M21_DUAL_IN_M13", "Delta_01a", "Delta_1_{1,2,3}"): ZERO_BRIDGE,

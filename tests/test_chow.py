@@ -144,6 +144,12 @@ class TestTranscription:
             assert pairing(a, b) == value
             assert pairing(b, a) == value
 
+    def test_each_degree_in_one_pairing_block(self):
+        # a class solve reads its dual degree off the one block with its degree
+        for sp in chow.SPACES.values():
+            for degree in sp.bases:
+                assert sum(degree in key for key in sp.pairings) <= 1, (sp.space_id, degree)
+
     def test_reference_covers_whole_registry(self):
         # every registered entry is pinned: count entries per space
         expected = {"M12": 3, "M13": 20, "M2": 4, "M21": 18, "M3": 49}
@@ -181,7 +187,8 @@ class TestPairing:
             pairing(a, a)
 
     def test_unpaired_degrees_named(self, plant):
-        # one message, from the one lookup, names the space and both degrees
+        # a pairing lookup names the space and both degrees; a class solve,
+        # which reads its dual degree off the blocks, names its one degree
         message = r"^degrees 1 and 2 are not paired on M21$"
         with pytest.raises(ValueError, match=message):
             pairing_number("M21", "Delta_1", 1, "Delta_00", 2)
@@ -194,7 +201,7 @@ class TestPairing:
             key: block for key, block in pairings.items() if key != (1, 3)
         })
         profile = dict.fromkeys(basis_labels("M21", 3), 0)
-        with pytest.raises(ValueError, match=r"^degrees 1 and 3 are not paired on M21$"):
+        with pytest.raises(ValueError, match=r"^degree 1 is not paired on M21$"):
             solve_class("M21", 1, profile)
 
     @pytest.mark.parametrize(

@@ -220,6 +220,30 @@ class TestQmodFitCommand:
             assert out == ""
             assert str(n) in err
 
+    @pytest.mark.parametrize("command", ["series", "qmod-fit"])
+    def test_weight_ceiling(self, capsys, tmp_path, plant, command):
+        # a basis is built at the ceiling; above it the command exits 2
+        # before any class or basis work
+        class Worked(Exception):
+            pass
+
+        def refuse(*args):
+            raise Worked
+
+        plant(quasimodular.quasimodular_basis, change=lambda original: refuse)
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(["0"] * 201))
+        argv = {"series": ["series", "m2", "delta_0", "--N", "30"],
+                "qmod-fit": ["qmod-fit", "--in", str(path)]}[command]
+        w = cli.FIT_WEIGHT_CEILING
+        with pytest.raises(Worked):
+            main([*argv, "--weight", str(w)])
+        plant(loci.coefficient_series, change=lambda original: refuse)
+        code, out, err = run(capsys, *argv, "--weight", str(w + 2))
+        assert code == 2
+        assert out == ""
+        assert f"exceeds the ceiling {w}" in err
+
 
 class TestHurwitzCommand:
     def test_count(self, capsys):
@@ -512,6 +536,12 @@ class TestMutationProbes:
         plant(covers.count_dd22, change=self.bumped_at_3)
         failed = self.failed_checks(report.run_verification(10, 20))
         assert {"degeneration-identity", "genus2-classes"} <= failed
+
+    def test_wrong_dd3(self, plant):
+        # the brute force and the chain sum read the same one-part count
+        plant(covers.count_dd3, change=lambda original: lambda d: original(d) + 1)
+        failed = self.failed_checks(report.run_verification(10, 20))
+        assert {"hurwitz-closed-forms", "triple-branch-sums"} <= failed
 
     def test_wrong_dd2222(self, plant):
         plant(covers.count_dd2222, change=self.bumped_at_3)

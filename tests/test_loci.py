@@ -93,7 +93,9 @@ class TestAuxiliaryLoci:
             assert all(type(v) is F for v in profile.values())
         # each family's profile sits on the dual basis of the space it declares
         for family, (space_id, degree, _, profile_fn, _) in loci.FAMILIES.items():
-            dual_degree = space(space_id).dimension - degree
+            pairings = space(space_id).pairings
+            (dual_degree,) = {b for b in space(space_id).bases
+                              if (degree, b) in pairings or (b, degree) in pairings}
             assert tuple(profile_fn(d)) == basis_labels(space_id, dual_degree), family
 
 
@@ -180,38 +182,23 @@ class TestPointedGenus2:
 class TestSplittingWeights:
     def test_against_four_loop_oracle(self):
         # every (a, m, b, n) >= 1 with a*m + b*n = d; the bounds drop only
-        # tuples whose sum already exceeds d
+        # tuples whose sum already exceeds d. The double-chain weight is
+        # conv2 over all of them, the split sum over a != b.
         for d in range(1, 41):
-            total = diagonal = 0
+            total = split = 0
             for a in range(1, d):
                 for m in range(1, d // a + 1):
                     for b in range(1, d):
                         for n in range(1, d // b + 1):
                             if a * m + b * n == d:
                                 total += m * b
-                                if a == b:
-                                    diagonal += m * b
-            assert loci._splitting_weights(d) == (total, diagonal)
-
-    def test_against_triple_loop(self):
-        # the walk over (a, m, b) with b | d - a*m that the strided dots replace
-        for d in range(1, 151):
-            total = diagonal = 0
-            for a in range(1, d):
-                for m in range(1, (d - 1) // a + 1):
-                    for b in divisors(d - a * m):
-                        total += m * b
-                        if b == a:
-                            diagonal += m * b
-            assert loci._splitting_weights(d) == (total, diagonal), d
-
-    def test_total_is_conv2(self):
-        for d in range(2, 201):
-            assert loci._splitting_weights(d)[0] == conv2(d)
+                                if a != b:
+                                    split += m * b
+            assert conv2(d) == total, d
+            assert triple_branch_split_sum(d) == split, d
 
     def test_wrong_splitting_total_is_caught(self, plant):
-        plant(loci._splitting_weights,
-              change=lambda original: lambda d: (original(d)[0] + 1, original(d)[1]))
+        plant(divisors_module.conv2, change=lambda original: lambda d: original(d) + 1)
         with pytest.raises(CrossCheckError, match=r"boundary_profile_m21\[Delta_01a\]"):
             boundary_profile_m21(5)
         with pytest.raises(CrossCheckError, match=r"triple_branch_split_sum"):
