@@ -331,7 +331,8 @@ def _order_d_subgroups(d: int) -> list[frozenset[int]]:
     subgroup of (Z/d)^2 is Z/m + Z/n with n | m and n > 1, the direct sum
     A + B of cyclic subgroups with |A| = m, |B| = n and A & B = {0}; so the
     non-cyclic order-d subgroups are the sums of such pairs with mn = d,
-    that is with n^2 | d.
+    that is with n^2 | d. A B inside a sum already built with the same A
+    gives that sum again (A + B lies in it, as large), so it is skipped.
     """
     residues = list(range(d)) * d  # residues[i] = i mod d for i < d^2
     x_codes = [x * d for x in residues]
@@ -356,12 +357,14 @@ def _order_d_subgroups(d: int) -> list[frozenset[int]]:
             continue
         m = d // n
         for a, ax, ay in cyclic[m]:
+            sums: list[frozenset[int]] = []
             for b, bx, by in cyclic[n]:
-                if len(a & b) == 1:
-                    found.add(frozenset(
+                if len(a & b) == 1 and not any(b <= h for h in sums):
+                    sums.append(frozenset(
                         (i * ax + j * bx) % d * d + (i * ay + j * by) % d
                         for i in range(m) for j in range(n)
                     ))
+            found.update(sums)
     return list(found)
 
 

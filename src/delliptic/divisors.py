@@ -8,7 +8,7 @@ assignment raises TypeError; a changed closed form is a new Row) and carries
 its int kernel, built once with it: its monomials (j, k), its coefficients'
 numerators over the lcm of their denominators, and that lcm. So reading a
 row at d is one int multiply-add against the values d^j sigma_k(d) and one
-Fraction.
+Fraction; sigma_series reads it so at every d <= n into one QSeries.
 
 The three convolutions of sigma_1 over ordered compositions of d have such
 rows (CLOSED_FORMS):
@@ -37,7 +37,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from operator import mul
+from operator import add, mul
 from types import MappingProxyType
 from typing import Union
 
@@ -46,7 +46,7 @@ from .series import QSeries, _over_common_denominator
 
 __all__ = [
     "require_positive", "divisors", "sigma", "Row", "rows", "sigma_polynomial",
-    "CLOSED_FORMS", "conv2", "conv2_weighted", "conv3",
+    "sigma_series", "CLOSED_FORMS", "conv2", "conv2_weighted", "conv3",
 ]
 
 F = Fraction
@@ -123,6 +123,15 @@ def sigma_polynomial(row: Row, d: int) -> Fraction:
     the row's kernel."""
     values = [d**j * sigma(k, d) for j, k in row.monomials]
     return Fraction(sum(map(mul, row.numerators, values)), row.scale)
+
+
+def sigma_series(row: Row, n: int) -> QSeries:
+    """sum_{d=1..n} sigma_polynomial(row, d) q^d (q^0 is 0): the kernel's int
+    multiply-adds, one monomial at a time, over the row's one denominator."""
+    sums = [0] * n
+    for c, (j, k) in zip(row.numerators, row.monomials):
+        sums = list(map(add, sums, [c * d**j * sigma(k, d) for d in range(1, n + 1)]))
+    return QSeries([0, *sums]) * Fraction(1, row.scale)
 
 
 #: convolution -> its closed form, the row its direct sum must equal

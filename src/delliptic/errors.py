@@ -32,3 +32,17 @@ def crosscheck(name: str, d: int, /, **routes):
         f"{name}(d={d}): {', '.join(odd)} {verb} "
         f"({', '.join(f'{route} {value}' for route, value in routes.items())})"
     )
+
+
+def crosscheck_series(name: str, /, **routes):
+    """The series every route built for `name` (the first route's), the q^d
+    coefficient of each being its value at d. Unless all are equal, crosscheck
+    runs at the first d where they differ, raising what a sweep over d would.
+    """
+    series = list(routes.values())
+    if len(series) > 1 and series.count(series[0]) == len(series):
+        return series[0]
+    # series of two orders that agree on the shorter one raise at its end
+    d = next((d for d in range(max((s.order for s in series), default=0) + 1)
+              if len({s.coefficient(d) for s in series}) > 1), 0)
+    return crosscheck(name, d, **{route: s.coefficient(d) for route, s in routes.items()})

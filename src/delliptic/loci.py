@@ -14,9 +14,10 @@ contribution sums over the counting oracles and once from its closed form,
 and the two must agree exactly. The fixed-target profile (m2e) is read
 directly off the isogeny count and conv2, so it is checked through its
 class alone. Every solved class is compared against its closed form in the
-substack basis. Each comparison goes through errors.crosscheck, which raises
-CrossCheckError naming the route that disagrees; these checks are the
-package's defense against transcription errors in the pairing tables.
+substack basis. Each comparison goes through errors.crosscheck (or
+crosscheck_series, which runs it at the first d where whole series differ),
+raising CrossCheckError that names the route that disagrees; these checks
+are the package's defense against transcription errors in the tables.
 
 Every closed form is data, not code: a row {(j, k): c} meaning
 sum c d^j sigma_k(d) (sigma_0 the divisor count), read by the one reader
@@ -42,12 +43,13 @@ elliptic tail itself, summed over the degree splitting, with multiplicity 2
 for the contracted bridge and 6 labellings). Each topology route is one
 pass over the label maps saying where each dual is realized.
 
-Every per-term sum of a route (the D1_D12 sum over the degree splitting,
-the chain windings over a | d) is one series.dot: int multiply-adds over the
-terms' common denominator, then one Fraction per route value. What does not
-depend on d is read once: the bridge term's pairing numbers
-(_bridge_sections). What two profiles share at one d is computed once per
-d: the chain windings (m2 and m21).
+The routes of m2, m21 and m3 run on whole series: one table per family and
+order n (_profile_table_<family>, an lru_cache) builds each route to q^n and
+checks it against the closed rows read as series (divisors.sigma_series). A
+profile at d reads the table at the next power of two n >= d, so a sweep
+builds each table once per power of two. The chain windings over a | d are
+one divisor sieve, the D1_D12 tail over d1 < d one product 12 A*F; the m2e
+profile, the m12 class and the class solve stay per d.
 
 The double-chain covers (the m21 profile and the split sum) weigh m*b over
 the splittings a*m + b*n = d, which totals sum_k sigma_1(k) sigma_1(d - k) =
@@ -57,7 +59,7 @@ compare the registered bridge pairings, double-pair entries and diagonal
 numbers, and conv2's own value is checked where it is owned (A*A against
 its row, to d = 200 in convolution-identities) and by the closed row.
 
-The M13 (2, 1) pairing table has one reader, _bridge_sections, and it reads
+The M13 (2, 1) pairing table has one reader, the m21 bridge term, and it reads
 only the columns of the M13 divisors that realise an M21 dual
 (_M21_DUAL_IN_M13): Delta_0, Delta_1_{2,3}, Delta_1_{1,2,3} and
 Delta_1_{1,3}. No M21 dual is realised in Delta_1_{1,2}, so that column's
@@ -75,8 +77,8 @@ which the chain windings are 0 (total_ramification_profile_m13 meets only
 Delta_0).
 
 All functions are pure in d, and every cache is an lru_cache holding
-read-only values (profiles and windings are MappingProxyTypes, classes
-frozen); lru_cache is thread-safe, so the d-sweep is safe to parallelize,
+read-only values (profiles and tables are MappingProxyTypes, series and
+classes immutable); lru_cache is thread-safe, so the d-sweep is safe to parallelize,
 at worst computing one cold entry twice. The caches are not keyed by the
 registered tables, so a test swaps a table only through the `plant` fixture
 of tests/conftest.py, which empties them around the swap.
@@ -100,10 +102,11 @@ from .chow import (
     to_q_class_basis,
 )
 from .covers import count_dd3, count_dd22, count_dd2222, count_pointed_isogenies
-from .divisors import Row, conv2, divisors, require_positive, rows, sigma, sigma_polynomial
-from .errors import crosscheck
+from .divisors import (Row, conv2, divisors, require_positive, rows, sigma, sigma_polynomial,
+                       sigma_series)
+from .errors import crosscheck, crosscheck_series
 from .quasimodular import FitResult, fit_quasimodular
-from .series import QSeries, dot
+from .series import QSeries
 
 __all__ = [
     "pointed_cover_profile_m12",
@@ -176,9 +179,38 @@ CLOSED_FORMS: Mapping[str, Mapping[str, Row]] = MappingProxyType({
 })
 
 
-def _closed(name: str, d: int) -> dict[str, Fraction]:
-    """The closed forms CLOSED_FORMS[name] at d, by label."""
-    return {label: sigma_polynomial(row, d) for label, row in CLOSED_FORMS[name].items()}
+def _closed(name: str, n: int) -> dict[str, QSeries]:
+    """The closed forms CLOSED_FORMS[name] as series to q^n, by label."""
+    return {label: sigma_series(row, n) for label, row in CLOSED_FORMS[name].items()}
+
+
+def _order(d: int, cap: int | None = None) -> int:
+    """The order of the table read at d: the next power of two >= d, as
+    divisors._convolution builds its products; at most cap when d <= cap."""
+    require_positive(d)
+    n = 1 << (d - 1).bit_length()
+    return min(n, cap) if cap and d <= cap else n
+
+
+def _series(n: int, fn) -> QSeries:
+    """sum_{d=1..n} fn(d) q^d (q^0 is 0)."""
+    return QSeries([0, *map(fn, range(1, n + 1))], n)
+
+
+def _read(table: Mapping[str, QSeries], d: int) -> Mapping[str, Fraction]:
+    """A table's q^d coefficients by label, read-only."""
+    return MappingProxyType({label: s.coefficient(d) for label, s in table.items()})
+
+
+def _windings(n: int, count) -> QSeries:
+    """sum_{a | d} count(a) * (d/a) to q^n: one divisor sieve over the
+    counts' common denominator."""
+    counts = _series(n, count)
+    sums = [0] * (n + 1)
+    for a, c in enumerate(counts.numerators):
+        for m, d in enumerate(range(a, n + 1, a) if c else (), 1):
+            sums[d] += m * c
+    return QSeries(sums) * F(1, counts.denominator)
 
 
 def closed_class(family: str, d: int) -> ChowClass:
@@ -224,7 +256,9 @@ def pointed_cover_class_m12(d: int) -> ChowClass:
     Solved from its intersection profile and checked against the closed form.
     """
     solved = solve_class("M12", 1, pointed_cover_profile_m12(d))
-    closed = ChowClass.from_coefficients("M12", 1, _closed("pointed_cover_class_m12", d))
+    forms = CLOSED_FORMS["pointed_cover_class_m12"]
+    closed = ChowClass.from_coefficients("M12", 1, {
+        label: sigma_polynomial(row, d) for label, row in forms.items()})
     return crosscheck("pointed_cover_class_m12", d, solver=solved, closed=closed)
 
 
@@ -270,23 +304,34 @@ _M12_DIVISOR_PULLBACK = MappingProxyType({
 })
 
 
-@lru_cache(maxsize=None)
-def _chain_windings(d: int) -> Mapping[str, Fraction]:
-    """Type (Delta_0, Delta_0) contribution per M13 divisor: chains of
-    rational curves wound a times around an irreducible nodal target,
-    weighted by multiplicity m per divisor splitting d = a*m. Each label's
-    sum over a | d is one series.dot; the m2 and m21 profiles both read it,
-    so it runs once per d."""
-    profiles = [total_ramification_profile_m13(a) for a in divisors(d)]
-    weights = [d // a for a in divisors(d)]
-    return MappingProxyType(
-        {label: dot([p[label] for p in profiles], weights) for label in profiles[0]}
-    )
+def _m13_windings(n: int, label: str) -> QSeries:
+    """Type (Delta_0, Delta_0) contributions to q^n at one M13 divisor:
+    chains of rational curves wound a times around an irreducible nodal
+    target, weighted by multiplicity m per divisor splitting d = a*m."""
+    return _windings(n, lambda a: total_ramification_profile_m13(a)[label])
 
 
 # The two M2 dual curves, both realized in the irreducible-nodal boundary
 # (whose interior is M12), by the M12 divisor each one meets.
 _M2_DUAL_IN_M12 = MappingProxyType({"Delta_00": "Delta_0", "Delta_01": "Delta_1"})
+
+
+@lru_cache(maxsize=None)
+def _profile_table_m2(n: int) -> Mapping[str, QSeries]:
+    """boundary_profile_m2 to q^n, by dual label, each route checked whole."""
+    closed = _closed("boundary_profile_m2", n)
+    conv = _series(n, conv2)
+    for dual, label in _M2_DUAL_IN_M12.items():
+        # bridge covers (x2 multiplicity), chain covers, double-chain covers
+        topologies = (
+            2 * _series(n, lambda d: pointed_cover_profile_m12(d)[label])
+            + sum((_m13_windings(n, m13) for m13 in _M12_DIVISOR_PULLBACK[label]),
+                  QSeries.zero(n))
+            + conv * (2 * pairing_number("M12", label, 1, "Delta_0", 1))
+        )
+        crosscheck_series(f"boundary_profile_m2[{dual}]", topologies=topologies,
+                          closed=closed[dual])
+    return MappingProxyType(closed)
 
 
 @lru_cache(maxsize=None)
@@ -298,20 +343,7 @@ def boundary_profile_m2(d: int) -> Mapping[str, Fraction]:
     the irreducible-nodal boundary, and checked against the closed forms
     4(d-1)sigma_1(d) and 2*conv2(d), both written in sigma.
     """
-    require_positive(d)
-    closed = _closed("boundary_profile_m2", d)
-
-    m12 = pointed_cover_profile_m12(d)
-    windings = _chain_windings(d)
-    for dual, label in _M2_DUAL_IN_M12.items():
-        # bridge covers (x2 multiplicity), chain covers, double-chain covers
-        value = (
-            2 * m12[label]
-            + sum(windings[m13] for m13 in _M12_DIVISOR_PULLBACK[label])
-            + 2 * conv2(d) * pairing_number("M12", label, 1, "Delta_0", 1)
-        )
-        crosscheck(f"boundary_profile_m2[{dual}]", d, topologies=value, closed=closed[dual])
-    return MappingProxyType(closed)
+    return _read(_profile_table_m2(_order(d)), d)
 
 
 @lru_cache(maxsize=None)
@@ -326,6 +358,11 @@ def delliptic_class_m2(d: int) -> ChowClass:
 # ---------------------------------------------------------------------------
 
 
+def _fixed_target_numbers(d: int) -> dict[str, Fraction]:
+    """fixed_target_profile_m2 at d, uncached: what the m3 table reads."""
+    return {"Delta_0": F(count_pointed_isogenies(d)), "Delta_1": F(2 * conv2(d))}
+
+
 @lru_cache(maxsize=None)
 def fixed_target_profile_m2(d: int) -> Mapping[str, Fraction]:
     """Intersection numbers with the M2 divisors of the locus of genus-2
@@ -338,10 +375,7 @@ def fixed_target_profile_m2(d: int) -> Mapping[str, Fraction]:
     involution, and each cover meets the test curve with multiplicity 2.
     The profile is checked through its class (class[m2e]).
     """
-    require_positive(d)
-    return MappingProxyType(
-        {"Delta_0": F(count_pointed_isogenies(d)), "Delta_1": F(2 * conv2(d))}
-    )
+    return MappingProxyType(_fixed_target_numbers(d))
 
 
 @lru_cache(maxsize=None)
@@ -365,45 +399,20 @@ _M21_DUAL_IN_M13 = MappingProxyType({
 
 
 @lru_cache(maxsize=None)
-def _bridge_sections() -> Mapping[str, tuple[Fraction, Fraction]]:
-    """M13 divisor label -> (the pairings of Delta_01_S with it, summed over
-    the section curves S = {1,2}, {1,3}; the same sum for Delta_11_S): the
-    bridge term's factors, which do not depend on d, read from the M13 table
-    once."""
-
-    def sections(curve: str, m13_label: str) -> Fraction:
-        return sum(
-            pairing_number("M13", f"{curve}_{s}", 2, m13_label, 1) for s in ("{1,2}", "{1,3}")
-        )
-
-    return MappingProxyType({
-        label: (sections("Delta_01", label), sections("Delta_11", label))
-        for label in _M21_DUAL_IN_M13.values()
-    })
-
-
-@lru_cache(maxsize=None)
-def boundary_profile_m21(d: int) -> Mapping[str, Fraction]:
-    """Intersection numbers of the marked genus-2 d-elliptic locus with the
-    five boundary surface classes of M21.
-
-    Duals realized in the irreducible-nodal boundary collect bridge, chain
-    and double-chain cover contributions; duals realized in the separating
-    boundary collect the isogeny-pair contribution against the diagonal
-    decomposition. Every entry must match its closed form, and the two
-    surfaces visible from both boundaries are computed both ways as well.
-    """
-    require_positive(d)
-    closed = _closed("boundary_profile_m21", d)
+def _profile_table_m21(n: int) -> Mapping[str, QSeries]:
+    """boundary_profile_m21 to q^n, by dual label, each route checked whole."""
+    closed = _closed("boundary_profile_m21", n)
 
     # bridge covers land on the section curves indexed {1,2} and {1,3},
     # carrying the solved two-marked cover class; double-chain covers carry
     # the splitting weight conv2(d) times the double-pair profile
-    cover_class = pointed_cover_class_m12(d)
-    x = cover_class.coefficient("Delta_0")
-    y = cover_class.coefficient("Delta_1")
-    sections = _bridge_sections()
-    windings = _chain_windings(d)
+    classes = [pointed_cover_class_m12(d) for d in range(1, n + 1)]
+    x, y = (QSeries([0, *(c.coefficient(k) for c in classes)]) for k in ("Delta_0", "Delta_1"))
+    conv = _series(n, conv2)
+
+    def sections(curve: str, m13_label: str) -> Fraction:
+        return sum(pairing_number("M13", f"{curve}_{s}", 2, m13_label, 1)
+                   for s in ("{1,2}", "{1,3}"))
 
     # separating boundary: the diagonal decomposes as
     # [point x moduli] + [Delta_1 x point]; its numbers against the three
@@ -419,13 +428,27 @@ def boundary_profile_m21(d: int) -> Mapping[str, Fraction]:
         if dual in _M21_DUAL_IN_M13:
             label = _M21_DUAL_IN_M13[dual]
             routes["nodal"] = (
-                x * sections[label][0] + y * sections[label][1]
-                + windings[label] + conv2(d) * DOUBLE_PAIR_PROFILE_M13[label]
+                x * sections("Delta_01", label) + y * sections("Delta_11", label)
+                + _m13_windings(n, label) + conv * DOUBLE_PAIR_PROFILE_M13[label]
             )
         if dual in diagonal_numbers:
-            routes["separating"] = conv2(d) * diagonal_numbers[dual]
-        crosscheck(f"boundary_profile_m21[{dual}]", d, **routes)
+            routes["separating"] = conv * diagonal_numbers[dual]
+        crosscheck_series(f"boundary_profile_m21[{dual}]", **routes)
     return MappingProxyType(closed)
+
+
+@lru_cache(maxsize=None)
+def boundary_profile_m21(d: int) -> Mapping[str, Fraction]:
+    """Intersection numbers of the marked genus-2 d-elliptic locus with the
+    five boundary surface classes of M21.
+
+    Duals realized in the irreducible-nodal boundary collect bridge, chain
+    and double-chain cover contributions; duals realized in the separating
+    boundary collect the isogeny-pair contribution against the diagonal
+    decomposition. Every entry must match its closed form, and the two
+    surfaces visible from both boundaries are computed both ways as well.
+    """
+    return _read(_profile_table_m21(_order(d)), d)
 
 
 @lru_cache(maxsize=None)
@@ -474,38 +497,71 @@ _FORGET_CURVE = MappingProxyType({
 })
 
 
-def _tail_cover_sum(d: int, profile, target: str | None) -> Fraction:
-    """The D1_D12 term 12 sum_{d1 < d} sigma_1(d - d1) profile(d1)[target],
-    one series.dot; 0 when the forget map contracts the surface (None)."""
-    if target is None:
-        return F(0)
-    return 12 * dot(
-        [profile(d1)[target] for d1 in range(1, d)],
-        [sigma(1, d - d1) for d1 in range(1, d)],
-    )
+def _surface_series(n: int) -> dict[str, QSeries]:
+    """Product surface label -> the D1_D13, D11_D14 and D1_D12 terms summed,
+    as series to q^n. A curve x moduli meets no D1_D13 cover: the projection
+    collapses it. The D1_D12 term 12 sum_{d1 < d} sigma_1(d - d1) F(d1)[target]
+    is 12 A*F, A = sum sigma_1(m) q^m, and 0 where the forget map contracts
+    the surface (None); A has no q^0, so F is read for d1 < n only."""
+    fixed = [_fixed_target_numbers(d) for d in range(1, n)]
+    m2e = {label: QSeries([0, *(f[label] for f in fixed), 0]) for label in ("Delta_0", "Delta_1")}
+    m2, m21 = _profile_table_m2(_order(n)), _profile_table_m21(_order(n))
+    a = _series(n, partial(sigma, 1))
+    bridge = 24 * _series(n, conv2)
 
+    def tail(profile, target):
+        return QSeries.zero(n) if target is None else 12 * (a * profile[target])
 
-def product_surfaces_m3(d: int) -> Mapping[str, Fraction]:
-    """Product surface label -> the D1_D13, D11_D14 and D1_D12 terms summed.
-
-    A curve x moduli meets no D1_D13 cover: the projection collapses it.
-    """
-    require_positive(d)
-    m21 = boundary_profile_m21(d)
-    bridge = 24 * conv2(d)
     totals = {}
     for surface, dual in _SURFACE_X_POINT.items():
         totals[surface] = (
             24 * m21[dual]
             + bridge * pairing_number("M21", dual, 2, "Delta_01a", 2)
-            + _tail_cover_sum(d, fixed_target_profile_m2, FORGET_M21_TO_M2[dual])
+            + tail(m2e, FORGET_M21_TO_M2[dual])
         )
     for surface, curve in _CURVE_X_MODULI.items():
         totals[surface] = (
             bridge * pairing_number("M21", "Delta_1", 1, curve, 3)
-            + _tail_cover_sum(d, boundary_profile_m2, _FORGET_CURVE[curve])
+            + tail(m2, _FORGET_CURVE[curve])
         )
-    return MappingProxyType(totals)
+    return totals
+
+
+@lru_cache(maxsize=None)
+def _profile_table_m3(n: int) -> tuple[Mapping[str, QSeries], Mapping[str, QSeries]]:
+    """(boundary_profile_m3, product_surfaces_m3) to q^n, by label, every
+    check of the profile run on whole series."""
+    closed = _closed("boundary_profile_m3", n)
+    squared = closed.pop("windings")
+    windings = _windings(n, count_dd2222)
+    crosscheck_series("boundary_profile_m3[windings]", windings=windings, closed=squared)
+    surfaces = _surface_series(n)
+    crosscheck_series("boundary_profile_m3[Delta_[7]]", topologies=surfaces["Delta_[7]"],
+                      vanishing=QSeries.zero(n))
+
+    rows = {label: surfaces[label] for label in ("Delta_[1]", "Delta_[5]", "Delta_[6]",
+                                                 "Delta_[8]", "Delta_[10]")}
+    rows["Delta_[4]"] = squared * F(1, 2) - rows["Delta_[1]"]
+    for label, value in rows.items():
+        crosscheck_series(f"boundary_profile_m3[{label}]", topologies=value, closed=closed[label])
+    crosscheck_series(
+        "boundary_profile_m3[Delta_[11]]",
+        surface_x_point=surfaces["Delta_[11]a"],
+        curve_x_moduli=surfaces["Delta_[11]b"],
+        closed=closed["Delta_[11]"],
+    )
+    return MappingProxyType(closed), MappingProxyType(surfaces)
+
+
+#: the m3 table's order for every d up to here: its tail reads the isogeny
+#: count below the order, which refuses d > covers.ISOGENY_DEGREE_CEILING
+_M3_ORDER_CAP = covers.ISOGENY_DEGREE_CEILING + 1
+
+
+def product_surfaces_m3(d: int) -> Mapping[str, Fraction]:
+    """Product surface label -> the D1_D13, D11_D14 and D1_D12 terms summed
+    at d (see _surface_series), read off the checked m3 table."""
+    return _read(_profile_table_m3(_order(d, _M3_ORDER_CAP))[1], d)
 
 
 @lru_cache(maxsize=None)
@@ -524,27 +580,7 @@ def boundary_profile_m3(d: int) -> Mapping[str, Fraction]:
     Delta_[6]) must cancel to zero; the chain-winding sum must match its
     closed form; and every assembled row must match its closed form.
     """
-    require_positive(d)
-    closed = _closed("boundary_profile_m3", d)
-    windings = sum(count_dd2222(a) * (d // a) for a in divisors(d))
-    squared = closed.pop("windings")
-    crosscheck("boundary_profile_m3[windings]", d, windings=windings, closed=squared)
-    surfaces = product_surfaces_m3(d)
-    crosscheck("boundary_profile_m3[Delta_[7]]", d, topologies=surfaces["Delta_[7]"], vanishing=0)
-
-    rows = {label: surfaces[label] for label in ("Delta_[1]", "Delta_[5]", "Delta_[6]",
-                                                 "Delta_[8]", "Delta_[10]")}
-    rows["Delta_[4]"] = squared / 2 - rows["Delta_[1]"]
-    for label, value in rows.items():
-        crosscheck(f"boundary_profile_m3[{label}]", d, topologies=value, closed=closed[label])
-    crosscheck(
-        "boundary_profile_m3[Delta_[11]]",
-        d,
-        surface_x_point=surfaces["Delta_[11]a"],
-        curve_x_moduli=surfaces["Delta_[11]b"],
-        closed=closed["Delta_[11]"],
-    )
-    return MappingProxyType(closed)
+    return _read(_profile_table_m3(_order(d, _M3_ORDER_CAP))[0], d)
 
 
 @lru_cache(maxsize=None)
@@ -604,12 +640,7 @@ def triple_branch_cancellation(order: int) -> tuple[FitResult, FitResult, FitRes
     Each part carries a d*sigma_0(d) term of opposite sign, so the parts refuse
     the fit individually while the sum succeeds.
     """
-    chain = QSeries.from_function(
-        order, lambda d: 0 if d == 0 else triple_branch_chain_sum(d)
-    )
-    split = QSeries.from_function(
-        order, lambda d: 0 if d == 0 else triple_branch_split_sum(d)
-    )
+    chain, split = _series(order, triple_branch_chain_sum), _series(order, triple_branch_split_sum)
     return (
         fit_quasimodular(chain, CERTIFICATION_WEIGHT, order),
         fit_quasimodular(split, CERTIFICATION_WEIGHT, order),
@@ -676,10 +707,7 @@ def coefficient_series(family: str, label: str, order: int) -> QSeries:
     """Generating series of one substack coefficient across d = 1..order."""
     if label not in family_labels(family):
         raise ValueError(f"unknown coefficient label {label!r} for family {family!r}")
-    return QSeries.from_function(
-        order,
-        lambda d: 0 if d == 0 else class_in_family(family, d).coefficient(label),
-    )
+    return _series(order, lambda d: class_in_family(family, d).coefficient(label))
 
 
 def certify_quasimodularity(order: int) -> dict[str, dict[str, FitResult]]:

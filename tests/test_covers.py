@@ -277,6 +277,7 @@ class TestCountingOracles:
         for d in range(1, SUBGROUP_ENUMERATION_BUDGET + 1):
             subgroups = decoded_subgroups(d)
             assert len(set(subgroups)) == len(subgroups)
+            assert len(subgroups) == sigma(1, d)  # one per Hermite normal form
             for h in subgroups:
                 assert len(h) == d
                 assert (0, 0) in h

@@ -1,10 +1,12 @@
-"""The shared cross-check: agreed values, and which routes a failure names."""
+"""The shared cross-check, per value and per series: agreed values, and
+which routes a failure names."""
 
 from fractions import Fraction as F
 
 import pytest
 
-from delliptic.errors import CrossCheckError, crosscheck
+from delliptic.errors import CrossCheckError, crosscheck, crosscheck_series
+from delliptic.series import QSeries
 
 
 def test_returns_agreed_value():
@@ -40,3 +42,37 @@ def test_hyphenated_route_names_are_kept():
 def test_one_route_is_refused():
     with pytest.raises(ValueError):
         crosscheck("x", 1, only=1)
+
+
+def series(*values):
+    return QSeries([0, *values])
+
+
+@pytest.mark.parametrize("routes", [
+    {"direct": series(1, F(1, 2), 3), "closed": series(1, F(1, 2), 3)},
+    {"a": series(4, 0, -2), "b": series(4, 0, -2), "c": series(4, 0, -2)},
+])
+def test_series_agreed_returns_the_first(routes):
+    assert crosscheck_series("x", **routes) is routes[next(iter(routes))]
+
+
+@pytest.mark.parametrize("routes", [
+    {"direct": series(1, 2, 3, 4), "closed": series(1, 2, F(7, 2), 5)},
+    {"a": series(1, 2, 3, 4), "b": series(1, 2, 5, 4), "c": series(1, 2, 3, 9)},
+    {"a": series(1, 2, 3, 4), "b": series(1, 2, 5, 4), "c": series(1, 2, 6, 4)},
+])
+def test_series_mismatch_raises_crosschecks_error_at_the_first_d(routes):
+    # q^3 is the first coefficient the routes disagree on
+    with pytest.raises(CrossCheckError) as expected:
+        crosscheck("x", 3, **{route: s.coefficient(3) for route, s in routes.items()})
+    with pytest.raises(CrossCheckError) as exc:
+        crosscheck_series("x", **routes)
+    assert str(exc.value) == str(expected.value)
+    assert str(exc.value).startswith("x(d=3): ")
+
+
+def test_series_of_one_route_or_two_orders_are_refused():
+    with pytest.raises(ValueError):
+        crosscheck_series("x", only=series(1))
+    with pytest.raises(ValueError):
+        crosscheck_series("x", a=series(1), b=series(1, 2))
