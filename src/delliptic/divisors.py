@@ -22,13 +22,16 @@ Below its range (d = 1, and for conv3 also d = 2) each convolution is the
 empty sum 0, and so is its row; every d >= 1 is accepted, and d < 1 raises
 ValueError through require_positive, the package's one d >= 1 check. These
 identities carry the whole assembly downstream, so every convolution is
-evaluated BOTH by direct summation and by its row, and the two must agree
-exactly (CrossCheckError otherwise). The direct sums are the int
-coefficients of the QSeries products A*A, (DA)*A and (A*A)*A (A = sum
-s1(m)q^m, DA = sum m s1(m)q^m), built to the next power of two >= d and
-cached, so a sweep to D builds each product once per power of two; each
-product is one big-int multiplication (Kronecker substitution in
-series). Divisor enumeration is trial division up to sqrt(d).
+evaluated BOTH by direct summation and by its row, compared per table
+(CrossCheckError at the first d where they differ). The direct sums are the
+int coefficients of the QSeries products A*A, (DA)*A and (A*A)*A (A = sum
+s1(m)q^m, DA = sum m s1(m)q^m), one cached table per convolution and order
+n; a read at d takes the table at table_order(d), the next power of two >= d
+and the one order rule of every sum over d in the package, so a sweep to D
+builds each product once per power of two, and a wrong entry fails every
+read of its table. Each product is one big-int multiplication (Kronecker
+substitution in series). Divisor enumeration is trial division up to
+sqrt(d).
 """
 
 from __future__ import annotations
@@ -41,12 +44,13 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Union
 
-from .errors import crosscheck
+from .errors import crosscheck_series
 from .series import QSeries, _over_common_denominator
 
 __all__ = [
     "require_positive", "divisors", "sigma", "Row", "rows", "sigma_polynomial",
-    "sigma_series", "CLOSED_FORMS", "conv2", "conv2_weighted", "conv3",
+    "sigma_series", "CLOSED_FORMS", "table_order", "convolution_table", "conv2",
+    "conv2_weighted", "conv3",
 ]
 
 F = Fraction
@@ -145,24 +149,29 @@ CLOSED_FORMS: Mapping[str, Row] = rows({
 })
 
 
+def table_order(d: int) -> int:
+    """The order of the table read at d >= 1: the next power of two >= d, so
+    a sweep to D builds each table once per power of two."""
+    require_positive(d)
+    return 1 << (d - 1).bit_length()
+
+
 @lru_cache(maxsize=None)
-def _coefficients(name: str, n: int) -> tuple[int, ...]:
-    """q^0..q^n of the product ``name`` sums: A*A, DA*A or (A*A)*A."""
+def convolution_table(name: str, n: int) -> QSeries:
+    """The product ``name`` sums to q^n, A*A, DA*A or (A*A)*A (int
+    coefficients), checked whole against its closed row."""
     a = QSeries([0] + [sigma(1, m) for m in range(1, n + 1)])
     if name == "conv3":
-        left = QSeries(_coefficients("conv2", n))
+        left = convolution_table("conv2", n)
     elif name == "conv2_weighted":
         left = QSeries([m * s for m, s in enumerate(a.numerators)])
     else:
         left = a
-    return (left * a).numerators
+    return crosscheck_series(name, direct=left * a, closed=sigma_series(CLOSED_FORMS[name], n))
 
 
 def _convolution(name: str, d: int) -> int:
-    require_positive(d)
-    direct = _coefficients(name, 1 << (d - 1).bit_length())[d]
-    closed = sigma_polynomial(CLOSED_FORMS[name], d)
-    return crosscheck(name, d, direct=direct, closed=closed)
+    return convolution_table(name, table_order(d)).numerators[d]
 
 
 @lru_cache(maxsize=None)

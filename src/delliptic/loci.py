@@ -43,21 +43,21 @@ elliptic tail itself, summed over the degree splitting, with multiplicity 2
 for the contracted bridge and 6 labellings). Each topology route is one
 pass over the label maps saying where each dual is realized.
 
-The routes of m2, m21 and m3 run on whole series: one table per family and
-order n (_profile_table_<family>, an lru_cache) builds each route to q^n and
-checks it against the closed rows read as series (divisors.sigma_series). A
-profile at d reads the table at the next power of two n >= d, so a sweep
-builds each table once per power of two. The chain windings over a | d are
-one divisor sieve, the D1_D12 tail over d1 < d one product 12 A*F; the m2e
-profile, the m12 class and the class solve stay per d.
+The routes of m2, m21, m3 and the triple-branch sums run on whole series:
+one lru_cached table per family and order n (_profile_table_<family>,
+_triple_branch_table) builds each route to q^n and checks it against the
+closed rows read as series (divisors.sigma_series). A value at d reads the
+table at divisors.table_order(d), so a sweep builds each once per power of
+two. The windings over a | d are one divisor sieve, the D1_D12 tail one
+product 12 A*F; the m2e profile, the m12 class and the class solve stay per d.
 
 The double-chain covers (the m21 profile and the split sum) weigh m*b over
 the splittings a*m + b*n = d, which totals sum_k sigma_1(k) sigma_1(d - k) =
-conv2(d); both read divisors.conv2, the shared primitive. So at Delta_01a
-and Delta_01b the nodal and separating routes both read conv2: they still
-compare the registered bridge pairings, double-pair entries and diagonal
-numbers, and conv2's own value is checked where it is owned (A*A against
-its row, to d = 200 in convolution-identities) and by the closed row.
+conv2(d); both read the conv2 table (divisors.convolution_table). So at
+Delta_01a and Delta_01b the nodal and separating routes both read conv2:
+they still compare the registered bridge pairings, double-pair entries and
+diagonal numbers, and the conv2 table is checked where it is owned (A*A
+against its row, in divisors) and by the closed row.
 
 The M13 (2, 1) pairing table has one reader, the m21 bridge term, and it reads
 only the columns of the M13 divisors that realise an M21 dual
@@ -102,8 +102,8 @@ from .chow import (
     to_q_class_basis,
 )
 from .covers import count_dd3, count_dd22, count_dd2222, count_pointed_isogenies
-from .divisors import (Row, conv2, divisors, require_positive, rows, sigma, sigma_polynomial,
-                       sigma_series)
+from .divisors import (Row, conv2, convolution_table, require_positive, rows, sigma,
+                       sigma_polynomial, sigma_series, table_order)
 from .errors import crosscheck, crosscheck_series
 from .quasimodular import FitResult, fit_quasimodular
 from .series import QSeries
@@ -182,14 +182,6 @@ CLOSED_FORMS: Mapping[str, Mapping[str, Row]] = MappingProxyType({
 def _closed(name: str, n: int) -> dict[str, QSeries]:
     """The closed forms CLOSED_FORMS[name] as series to q^n, by label."""
     return {label: sigma_series(row, n) for label, row in CLOSED_FORMS[name].items()}
-
-
-def _order(d: int, cap: int | None = None) -> int:
-    """The order of the table read at d: the next power of two >= d, as
-    divisors._convolution builds its products; at most cap when d <= cap."""
-    require_positive(d)
-    n = 1 << (d - 1).bit_length()
-    return min(n, cap) if cap and d <= cap else n
 
 
 def _series(n: int, fn) -> QSeries:
@@ -320,7 +312,7 @@ _M2_DUAL_IN_M12 = MappingProxyType({"Delta_00": "Delta_0", "Delta_01": "Delta_1"
 def _profile_table_m2(n: int) -> Mapping[str, QSeries]:
     """boundary_profile_m2 to q^n, by dual label, each route checked whole."""
     closed = _closed("boundary_profile_m2", n)
-    conv = _series(n, conv2)
+    conv = convolution_table("conv2", n)
     for dual, label in _M2_DUAL_IN_M12.items():
         # bridge covers (x2 multiplicity), chain covers, double-chain covers
         topologies = (
@@ -343,7 +335,7 @@ def boundary_profile_m2(d: int) -> Mapping[str, Fraction]:
     the irreducible-nodal boundary, and checked against the closed forms
     4(d-1)sigma_1(d) and 2*conv2(d), both written in sigma.
     """
-    return _read(_profile_table_m2(_order(d)), d)
+    return _read(_profile_table_m2(table_order(d)), d)
 
 
 @lru_cache(maxsize=None)
@@ -408,7 +400,7 @@ def _profile_table_m21(n: int) -> Mapping[str, QSeries]:
     # the splitting weight conv2(d) times the double-pair profile
     classes = [pointed_cover_class_m12(d) for d in range(1, n + 1)]
     x, y = (QSeries([0, *(c.coefficient(k) for c in classes)]) for k in ("Delta_0", "Delta_1"))
-    conv = _series(n, conv2)
+    conv = convolution_table("conv2", n)
 
     def sections(curve: str, m13_label: str) -> Fraction:
         return sum(pairing_number("M13", f"{curve}_{s}", 2, m13_label, 1)
@@ -448,7 +440,7 @@ def boundary_profile_m21(d: int) -> Mapping[str, Fraction]:
     decomposition. Every entry must match its closed form, and the two
     surfaces visible from both boundaries are computed both ways as well.
     """
-    return _read(_profile_table_m21(_order(d)), d)
+    return _read(_profile_table_m21(table_order(d)), d)
 
 
 @lru_cache(maxsize=None)
@@ -505,9 +497,9 @@ def _surface_series(n: int) -> dict[str, QSeries]:
     the surface (None); A has no q^0, so F is read for d1 < n only."""
     fixed = [_fixed_target_numbers(d) for d in range(1, n)]
     m2e = {label: QSeries([0, *(f[label] for f in fixed), 0]) for label in ("Delta_0", "Delta_1")}
-    m2, m21 = _profile_table_m2(_order(n)), _profile_table_m21(_order(n))
+    m2, m21 = _profile_table_m2(table_order(n)), _profile_table_m21(table_order(n))
     a = _series(n, partial(sigma, 1))
-    bridge = 24 * _series(n, conv2)
+    bridge = 24 * convolution_table("conv2", table_order(n))
 
     def tail(profile, target):
         return QSeries.zero(n) if target is None else 12 * (a * profile[target])
@@ -558,10 +550,15 @@ def _profile_table_m3(n: int) -> tuple[Mapping[str, QSeries], Mapping[str, QSeri
 _M3_ORDER_CAP = covers.ISOGENY_DEGREE_CEILING + 1
 
 
+def _order(d: int) -> int:
+    """The m3 table's order at d: divisors.table_order, capped while d is."""
+    return table_order(d) if d > _M3_ORDER_CAP else min(table_order(d), _M3_ORDER_CAP)
+
+
 def product_surfaces_m3(d: int) -> Mapping[str, Fraction]:
     """Product surface label -> the D1_D13, D11_D14 and D1_D12 terms summed
     at d (see _surface_series), read off the checked m3 table."""
-    return _read(_profile_table_m3(_order(d, _M3_ORDER_CAP))[1], d)
+    return _read(_profile_table_m3(_order(d))[1], d)
 
 
 @lru_cache(maxsize=None)
@@ -580,7 +577,7 @@ def boundary_profile_m3(d: int) -> Mapping[str, Fraction]:
     Delta_[6]) must cancel to zero; the chain-winding sum must match its
     closed form; and every assembled row must match its closed form.
     """
-    return _read(_profile_table_m3(_order(d, _M3_ORDER_CAP))[0], d)
+    return _read(_profile_table_m3(_order(d))[0], d)
 
 
 @lru_cache(maxsize=None)
@@ -596,6 +593,18 @@ def delliptic_class_m3(d: int) -> ChowClass:
 
 
 @lru_cache(maxsize=None)
+def _triple_branch_table(n: int) -> Mapping[str, QSeries]:
+    """The two triple-branch sums to q^n, by label, each checked whole."""
+    closed = _closed("triple_branch", n)
+    crosscheck_series("triple_branch_chain_sum", direct=_windings(n, count_dd3),
+                      closed=closed["chain"])
+    equal = _windings(n, lambda m: m * (m - 1) // 2)
+    crosscheck_series("triple_branch_split_sum", closed=closed["split"],
+                      direct=convolution_table("conv2", n) - equal)
+    return MappingProxyType(closed)
+
+
+@lru_cache(maxsize=None)
 def triple_branch_chain_sum(d: int) -> Fraction:
     """Single-chain covers through a triple point: over each winding a | d,
     count_dd3(a) = (a-1)(a-2)/6 covers with multiplicity m = d/a.
@@ -603,10 +612,7 @@ def triple_branch_chain_sum(d: int) -> Fraction:
     Equals (d/6 + 1/3) sigma_1(d) - d sigma_0(d)/2; the divisor-count term
     makes the generating series non-quasimodular on its own.
     """
-    require_positive(d)
-    direct = sum(count_dd3(a) * (d // a) for a in divisors(d))
-    closed = sigma_polynomial(CLOSED_FORMS["triple_branch"]["chain"], d)
-    return crosscheck("triple_branch_chain_sum", d, direct=direct, closed=closed)
+    return _triple_branch_table(table_order(d))["chain"].coefficient(d)
 
 
 @lru_cache(maxsize=None)
@@ -615,19 +621,12 @@ def triple_branch_split_sum(d: int) -> Fraction:
     a*m + b*n = d with distinct windings a != b (equal windings admit no
     connected cover).
 
-    All splitting weights, conv2(d), less the equal-winding ones: a = b
-    divides d, and m = 1..k with k = d/a - 1 gives a*k(k+1)/2. Checked
+    All splitting weights, conv2(d), less the equal-winding ones, a = b | d
+    with weight a*k(k+1)/2 (k = d/a - 1): the windings of m(m-1)/2. Checked
     against conv2(d) - d sigma_1(d)/2 + d sigma_0(d)/2, written in sigma;
     the opposite divisor-count term cancels the one in the single-chain sum.
     """
-    require_positive(d)
-    equal = 0
-    for a in divisors(d)[:-1]:
-        k = d // a - 1
-        equal += a * k * (k + 1) // 2
-    direct = conv2(d) - equal
-    closed = sigma_polynomial(CLOSED_FORMS["triple_branch"]["split"], d)
-    return crosscheck("triple_branch_split_sum", d, closed=closed, direct=direct)
+    return _triple_branch_table(table_order(d))["split"].coefficient(d)
 
 
 #: the weight every certification fit (classes and triple-branch pair) uses
@@ -640,7 +639,8 @@ def triple_branch_cancellation(order: int) -> tuple[FitResult, FitResult, FitRes
     Each part carries a d*sigma_0(d) term of opposite sign, so the parts refuse
     the fit individually while the sum succeeds.
     """
-    chain, split = _series(order, triple_branch_chain_sum), _series(order, triple_branch_split_sum)
+    table = _triple_branch_table(table_order(order))
+    chain, split = (table[label].truncate(order) for label in ("chain", "split"))
     return (
         fit_quasimodular(chain, CERTIFICATION_WEIGHT, order),
         fit_quasimodular(split, CERTIFICATION_WEIGHT, order),

@@ -4,10 +4,6 @@ Scalars are `fractions.Fraction` throughout: always in lowest terms with a
 positive denominator, so equality is structural. A Fraction serializes to the
 string "p/q" ("p" when the denominator is 1), which is exactly `str()`.
 
-dot(values, weights) is the one exact weighted sum of scalars by ints: it
-multiplies and adds int numerators over the values' common denominator and
-builds one Fraction.
-
 A QSeries is a formal power series truncated at a fixed order N. It holds the
 integer numerators of q^0 .. q^N over one common denominator, in normal form:
 the denominator is positive, shares no factor with every numerator at once,
@@ -32,12 +28,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Callable, Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
-__all__ = ["QSeries", "parse_rational", "format_rational", "dot"]
+__all__ = ["QSeries", "parse_rational", "format_rational"]
 
 
 #: "p/q" or "p": an optional sign and ASCII digits, then optionally "/" and digits
@@ -66,13 +62,6 @@ def _over_common_denominator(values: Sequence[Scalar]) -> tuple[list[int], int]:
     denominators."""
     scale = lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
-def dot(values: Sequence[Scalar], weights: Sequence[int]) -> Fraction:
-    """sum values[i] * weights[i] for int weights: one int multiply-add over
-    the values' common denominator, then one Fraction (0 for no terms)."""
-    numerators, scale = _over_common_denominator(values)
-    return Fraction(sum(map(mul, numerators, weights)), scale)
 
 
 def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -173,7 +173,7 @@ def test_criterion_8_counting_oracles():
 
 def test_criterion_9_convolutions_and_derivative_identities():
     for d in range(2, 201):
-        conv2(d)           # each call cross-checks direct sum vs closed form
+        conv2(d)           # each reads a table whose direct sums equal its closed form
         conv2_weighted(d)
         if d >= 3:
             conv3(d)

@@ -69,14 +69,14 @@ def row_check(table, label):
     checked, and the name that check fails with."""
     if table in loci.FAMILIES:
         return partial(loci.class_in_family, table, 1), f"class[{table}](d=1)"
-    if table == "divisors":
-        d = 3 if label == "conv3" else 2
-        return partial(getattr(divisors, label), d), f"{label}(d={d})"
     if table == "covers":
         return report._check_pointed_isogenies, "pointed-isogeny-count(d=1)"
-    name = f"triple_branch_{label}_sum" if table == "triple_branch" else table
+    if table == "divisors":
+        module, name = divisors, label
+    else:
+        module, name = loci, f"triple_branch_{label}_sum" if table == "triple_branch" else table
     check = f"{table}[{label}]" if table.startswith("boundary_profile") else name
-    return partial(getattr(loci, name), 1), f"{check}(d=1)"
+    return partial(getattr(module, name), 1), f"{check}(d=1)"
 
 
 def site(name, root, judge, path=(), targets=None, caught_by=None):

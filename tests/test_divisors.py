@@ -12,6 +12,7 @@ from delliptic.divisors import (
     Row, conv2, conv2_weighted, conv3, divisors, sigma, sigma_polynomial,
 )
 from delliptic.errors import CrossCheckError
+from delliptic.series import QSeries
 
 # the package re-exports the function `divisors`, which shadows the module
 divisors_module = importlib.import_module("delliptic.divisors")
@@ -163,18 +164,20 @@ class TestConvolutionTables:
     def test_perturbed_coefficient_is_caught(self, plant, name):
         d = 150
 
+        # the closed route of every table to q^n >= d is wrong at q^d
         def bumped(original):
-            def coefficients(table_name, n):
-                table = original(table_name, n)
-                if table_name != name or n < d:
+            def series(row, n):
+                table = original(row, n)
+                if row is not divisors_module.CLOSED_FORMS[name] or n < d:
                     return table
-                return table[:d] + (table[d] + 1,) + table[d + 1 :]
-            return coefficients
+                return table + QSeries.from_function(n, lambda k: int(k == d))
+            return series
 
-        plant(divisors_module._coefficients, change=bumped)
-        assert CONVOLUTIONS[name](d - 1) == NAIVE[name](d - 1)  # same table, untouched entry
-        with pytest.raises(CrossCheckError, match=rf"^{name}\(d={d}\)"):
-            CONVOLUTIONS[name](d)
+        plant(divisors_module.sigma_series, change=bumped)
+        assert CONVOLUTIONS[name](128) == NAIVE[name](128)  # its own table, to q^128
+        for read in (d - 1, d):  # a wrong entry fails every read of the 256-table
+            with pytest.raises(CrossCheckError, match=rf"^{name}\(d={d}\)"):
+                CONVOLUTIONS[name](read)
 
         result = report.run_verification(max_d=2, order=10)
         assert len(result["checks"]) == 14

@@ -200,7 +200,14 @@ class TestSplittingWeights:
             assert triple_branch_split_sum(d) == split, d
 
     def test_wrong_splitting_total_is_caught(self, plant):
-        plant(divisors_module.conv2, change=lambda original: lambda d: original(d) + 1)
+        # conv2(d) + 1 at every d >= 1, in the table both routes read
+        def bumped(original):
+            def table(name, n):
+                bump = QSeries.from_function(n, lambda d: int(d > 0 and name == "conv2"))
+                return original(name, n) + bump
+            return table
+
+        plant(divisors_module.convolution_table, change=bumped)
         with pytest.raises(CrossCheckError, match=r"boundary_profile_m21\[Delta_01a\]"):
             boundary_profile_m21(5)
         with pytest.raises(CrossCheckError, match=r"triple_branch_split_sum"):
@@ -318,18 +325,25 @@ class TestGenus3:
         )
 
     def test_one_table_per_power_of_two(self):
-        tables = (loci._profile_table_m2, loci._profile_table_m21, loci._profile_table_m3)
+        tables = (loci._profile_table_m2, loci._profile_table_m21, loci._profile_table_m3,
+                  loci._triple_branch_table, loci.convolution_table)
         for value in vars(loci).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
         for d in range(1, 101):
             delliptic_class_m21(d)
-        # n = 1, 2, 4, ..., 128; the pushforward check reads the m2 class
-        assert [table.cache_info().misses for table in tables] == [8, 8, 0]
+        # n = 1, 2, 4, ..., 128; the pushforward check reads the m2 class,
+        # and the m2 and m21 tables read one conv2 table per n
+        assert [table.cache_info().misses for table in tables] == [8, 8, 0, 0, 8]
         for d in range(1, 101):
             delliptic_class_m3(d)
             delliptic_class_m2(d)
-        assert [table.cache_info().misses for table in tables] == [8, 8, 8]
+        assert [table.cache_info().misses for table in tables] == [8, 8, 8, 0, 8]
+        for d in range(1, 101):
+            triple_branch_chain_sum(d)
+            triple_branch_split_sum(d)
+        triple_branch_cancellation(100)  # the q^128 table, truncated
+        assert [table.cache_info().misses for table in tables] == [8, 8, 8, 8, 8]
 
     def test_table_order_stops_at_the_isogeny_ceiling(self):
         # the tail reads count_pointed_isogenies below the table's order

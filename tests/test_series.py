@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from delliptic.series import QSeries, dot, format_rational, parse_rational
+from delliptic.series import QSeries, format_rational, parse_rational
 
 
 class TestRationals:
@@ -57,26 +57,6 @@ class TestRationals:
             assert a * b == b * a
             if b != 0:
                 assert (a / b) * b == a
-
-
-class TestDot:
-    def test_ints_only(self):
-        result = dot([1, 2, 3], [4, 5, 6])
-        assert result == 32
-        assert type(result) is F
-
-    def test_mixed_denominators(self):
-        values = [F(1, 2), 3, F(-5, 6), F(7, 4), F(2, 9)]
-        weights = [4, -1, 3, 2, 5]
-        result = dot(values, weights)
-        assert result == sum(F(v) * w for v, w in zip(values, weights)) == F(10, 9)
-        assert type(result) is F
-        assert dot([F(1, 6), F(1, 3)], [2, -1]) == 0
-
-    def test_empty_is_zero(self):
-        result = dot([], [])
-        assert result == 0
-        assert type(result) is F
 
 
 class TestQSeries:
