@@ -3,11 +3,13 @@
 Subcommands: class, series, qmod-fit, hurwitz, count, verify. Every number
 is printed exactly ("p/q" strings in JSON, never floats), output is
 deterministic, and exit codes are 0 (success), 1 (verification failure),
-2 (usage error). `class --d` and `verify --max-d` are bounded by
-CLASS_DEGREE_CEILING; `series --N`, `verify --N` and the order of `qmod-fit`
-(its --N, else its array length less one) by SERIES_ORDER_CEILING; the fit
-weight of `series` and `qmod-fit` by FIT_WEIGHT_CEILING. Above them the
-command exits 2 before computing anything.
+2 (usage error). `class --d`, `count --d` and `verify --max-d` are bounded by
+the library's one table budget, divisors.TABLE_ORDER_CEILING, whose
+ValueError exits 2. Two ceilings bound the fit's System, which no table
+budget covers: `series --N`, `verify --N` and the order of `qmod-fit` (its
+--N, else its array length less one) stop at SERIES_ORDER_CEILING, and the
+fit weight of `series` and `qmod-fit` at FIT_WEIGHT_CEILING. Above any of
+them the command exits 2 before computing anything.
 """
 
 from __future__ import annotations
@@ -31,16 +33,14 @@ from .series import QSeries, format_rational
 
 SCHEMA = report.SCHEMA
 
-#: largest d `class` accepts; the genus-3 class, the slowest family (its
-#: profile sums the fixed-target profile over every d1 < d), is instant here
-CLASS_DEGREE_CEILING = 200
-
-#: largest N `series` accepts; it solves every class d <= N of the family and
-#: fits an (N + 1)-row system, under a second at the ceiling
+#: largest fit order N `series`, `verify` and `qmod-fit` accept: it bounds
+#: the fit's (N + 1)-row System, which no table budget covers; `series` at
+#: the ceiling solves every class d <= N and fits, under a second
 SERIES_ORDER_CEILING = 200
 
-#: largest --weight `series` and `qmod-fit` accept; the fit's monomial basis
-#: grows as weight^3: at order 200, on a 2-vCPU Xeon VM, weight 16 builds its
+#: largest --weight `series` and `qmod-fit` accept: it bounds the fit's
+#: System, which no table budget covers, and whose monomial basis grows as
+#: weight^3: at order 200, on a 2-vCPU Xeon VM, weight 16 builds its
 #: System in half a second and weight 24 takes about a minute
 FIT_WEIGHT_CEILING = 16
 
@@ -97,7 +97,6 @@ def _format_class(cls) -> str:
 
 
 def _cmd_class(args) -> int:
-    _check_ceiling("d", args.d, CLASS_DEGREE_CEILING)
     cls = loci.class_in_family(args.space, args.d)
     payload = {
         "schema": SCHEMA,
@@ -177,7 +176,6 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_ceiling("max-d", args.max_d, CLASS_DEGREE_CEILING)
     _check_ceiling("N", args.N, SERIES_ORDER_CEILING)
     result = report.run_verification(max_d=args.max_d, order=args.N)
     lines = [

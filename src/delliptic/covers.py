@@ -30,14 +30,16 @@ Hermite normal form basis (a, 0), (b, c) with ac = d and 0 <= b < a, and the
 order-d subgroups of the d-torsion (Z/d)^2 are their images mod d. There are
 a such forms for each divisor a of d, so count_sublattices is sigma_1(d),
 and each subgroup has d - 1 nonzero elements, so count_pointed_isogenies is
-(d - 1) * sigma_1(d). The brute-force enumeration of all order-d subgroups
-is kept as an independent reference, count_pointed_isogenies_enumerated,
-within SUBGROUP_ENUMERATION_BUDGET. It reads no divisor sum and no Hermite
-normal form: it codes each element (x, y) of (Z/d)^2 as the int x*d + y,
-walks every cyclic subgroup once, skipping the generators already met with
-a bytearray of marks, and by the invariant-factor theorem each non-cyclic
-order-d subgroup is Z/m + Z/n with n | m, n > 1 and mn = d, the direct sum
-of a cyclic subgroup of order m and one of order n that meet only in 0.
+(d - 1) * sigma_1(d). Both accept d up to divisors.TABLE_ORDER_CEILING, the
+order of the largest table that reads them. The brute-force enumeration of
+all order-d subgroups is kept as an independent reference,
+count_pointed_isogenies_enumerated, within SUBGROUP_ENUMERATION_BUDGET. It
+reads no divisor sum and no Hermite normal form: it codes each element
+(x, y) of (Z/d)^2 as the int x*d + y, walks every cyclic subgroup once,
+skipping the generators already met with a bytearray of marks, and by the
+invariant-factor theorem each non-cyclic order-d subgroup is Z/m + Z/n with
+n | m, n > 1 and mn = d, the direct sum of a cyclic subgroup of order m and
+one of order n that meet only in 0.
 """
 
 from __future__ import annotations
@@ -49,12 +51,11 @@ from math import factorial, gcd, isqrt, prod
 from operator import add, index
 from typing import Iterable, Mapping, Sequence
 
-from .divisors import Row, divisors, require_positive, rows
+from .divisors import Row, divisors, require_positive, require_within_ceiling, rows
 
 __all__ = [
     "Partition",
     "ENUMERATION_BUDGET",
-    "ISOGENY_DEGREE_CEILING",
     "SUBGROUP_ENUMERATION_BUDGET",
     "cycle_type",
     "compose",
@@ -77,11 +78,6 @@ __all__ = [
 #: class); it also enumerates at most 8! tuples, counted with the two
 #: largest classes pinned and forced
 ENUMERATION_BUDGET = 8
-
-#: largest d count_sublattices and count_pointed_isogenies accept; their
-#: work is one divisor sum (trial division up to sqrt(d)), instant at the
-#: ceiling
-ISOGENY_DEGREE_CEILING = 1000
 
 #: count -> its closed form, a sigma polynomial row (divisors.Row), which
 #: verify's pointed-isogeny-count check reads as its closed-form route
@@ -312,9 +308,9 @@ def count_sublattices(d: int) -> int:
 
     A sublattice has a unique basis (a, 0), (b, c) with a, c > 0, ac = d and
     0 <= b < a: a forms for each divisor a of d, sigma_1(d) in all, for
-    d <= ISOGENY_DEGREE_CEILING.
+    d <= TABLE_ORDER_CEILING (d < 1 fails in divisors).
     """
-    _check_isogeny_degree(d, ISOGENY_DEGREE_CEILING, "structural isogeny ceiling")
+    require_within_ceiling(d)
     return sum(divisors(d))
 
 
@@ -368,27 +364,24 @@ def _order_d_subgroups(d: int) -> list[frozenset[int]]:
     return list(found)
 
 
-def _check_isogeny_degree(d: int, limit: int, name: str) -> None:
-    require_positive(d)
-    if d > limit:
-        raise ValueError(f"d = {d} exceeds the {name} {limit}")
-
-
 def count_pointed_isogenies(d: int) -> int:
     """Pairs (order-d subgroup G of (Z/d)^2, nonzero element of G).
 
     The order-d subgroups are the images mod d of the index-d sublattices of
     Z^2, one per Hermite normal form, and each has d - 1 nonzero elements:
-    (d - 1) * count_sublattices(d), for d <= ISOGENY_DEGREE_CEILING.
+    (d - 1) * count_sublattices(d), for d <= TABLE_ORDER_CEILING.
     """
-    _check_isogeny_degree(d, ISOGENY_DEGREE_CEILING, "structural isogeny ceiling")
+    require_within_ceiling(d)
     return (d - 1) * count_sublattices(d)
 
 
 def count_pointed_isogenies_enumerated(d: int) -> int:
     """count_pointed_isogenies by enumerating every order-d subgroup of
     (Z/d)^2; the reference route, for d <= SUBGROUP_ENUMERATION_BUDGET."""
-    _check_isogeny_degree(d, SUBGROUP_ENUMERATION_BUDGET, "subgroup enumeration budget")
+    require_positive(d)
+    if d > SUBGROUP_ENUMERATION_BUDGET:
+        raise ValueError(f"d = {d} exceeds the subgroup enumeration budget "
+                         f"{SUBGROUP_ENUMERATION_BUDGET}")
     return sum(len(g) - 1 for g in _order_d_subgroups(d))
 
 

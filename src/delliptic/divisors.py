@@ -19,19 +19,22 @@ rows (CLOSED_FORMS):
                                            + (-5d/32 + 5/96) s3(d) + 7/192 s5(d)
 
 Below its range (d = 1, and for conv3 also d = 2) each convolution is the
-empty sum 0, and so is its row; every d >= 1 is accepted, and d < 1 raises
-ValueError through require_positive, the package's one d >= 1 check. These
-identities carry the whole assembly downstream, so every convolution is
-evaluated BOTH by direct summation and by its row, compared per table
-(CrossCheckError at the first d where they differ). The direct sums are the
-int coefficients of the QSeries products A*A, (DA)*A and (A*A)*A (A = sum
-s1(m)q^m, DA = sum m s1(m)q^m), one cached table per convolution and order
-n; a read at d takes the table at table_order(d), the next power of two >= d
-and the one order rule of every sum over d in the package, so a sweep to D
-builds each product once per power of two, and a wrong entry fails every
-read of its table. Each product is one big-int multiplication (Kronecker
-substitution in series). Divisor enumeration is trial division up to
-sqrt(d).
+empty sum 0, and so is its row; d < 1 raises ValueError through
+require_positive, the package's one d >= 1 check. These identities carry the
+whole assembly downstream, so every convolution is evaluated BOTH by direct
+summation and by its row, compared per table (CrossCheckError at the first d
+where they differ). The direct sums are the int coefficients of the QSeries
+products A*A, (DA)*A and (A*A)*A (A = sum s1(m)q^m, DA = sum m s1(m)q^m),
+one cached table per convolution and order n; a read at d takes the table at
+table_order(d), the next power of two >= d and the one order rule of every
+sum over d in the package, so a sweep to D builds each product once per
+power of two, and a wrong entry fails every read of its table. Each product
+is one big-int multiplication (Kronecker substitution in series). Divisor
+enumeration is trial division up to sqrt(d). TABLE_ORDER_CEILING, a power of
+two, is the one budget of work that grows with d: table_order refuses a
+larger d before any table is built, and the isogeny counts,
+coefficient_series and run_verification refuse a larger d, order or max_d up
+front (require_within_ceiling).
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ from .series import QSeries, _over_common_denominator
 
 __all__ = [
     "require_positive", "divisors", "sigma", "Row", "rows", "sigma_polynomial",
-    "sigma_series", "CLOSED_FORMS", "table_order", "convolution_table", "conv2",
-    "conv2_weighted", "conv3",
+    "sigma_series", "CLOSED_FORMS", "TABLE_ORDER_CEILING", "require_within_ceiling",
+    "table_order", "convolution_table", "conv2", "conv2_weighted", "conv3",
 ]
 
 F = Fraction
@@ -149,10 +152,22 @@ CLOSED_FORMS: Mapping[str, Row] = rows({
 })
 
 
+#: the largest d a table is read at and the largest table order; with empty
+#: caches on a 2-vCPU Xeon VM, the genus-3 class there takes about 0.1 s
+TABLE_ORDER_CEILING = 1024
+
+
+def require_within_ceiling(value: int, name: str = "d") -> None:
+    """Raise ValueError if value > TABLE_ORDER_CEILING, naming both."""
+    if value > TABLE_ORDER_CEILING:
+        raise ValueError(f"{name} = {value} exceeds the table order ceiling {TABLE_ORDER_CEILING}")
+
+
 def table_order(d: int) -> int:
-    """The order of the table read at d >= 1: the next power of two >= d, so
-    a sweep to D builds each table once per power of two."""
+    """The order of the table read at 1 <= d <= TABLE_ORDER_CEILING: the next
+    power of two >= d, so a sweep to D builds each table once per power of two."""
     require_positive(d)
+    require_within_ceiling(d)
     return 1 << (d - 1).bit_length()
 
 

@@ -48,8 +48,10 @@ one lru_cached table per family and order n (_profile_table_<family>,
 _triple_branch_table) builds each route to q^n and checks it against the
 closed rows read as series (divisors.sigma_series). A value at d reads the
 table at divisors.table_order(d), so a sweep builds each once per power of
-two. The windings over a | d are one divisor sieve, the D1_D12 tail one
-product 12 A*F; the m2e profile, the m12 class and the class solve stay per d.
+two; a d above divisors.TABLE_ORDER_CEILING is refused before any is built.
+The windings over a | d are one divisor sieve, the D1_D12 tail one product
+12 A*F (its m2e F reads the isogeny count as a series); the m2e profile, the
+m12 class and the class solve stay per d.
 
 The double-chain covers (the m21 profile and the split sum) weigh m*b over
 the splittings a*m + b*n = d, which totals sum_k sigma_1(k) sigma_1(d - k) =
@@ -102,8 +104,8 @@ from .chow import (
     to_q_class_basis,
 )
 from .covers import count_dd3, count_dd22, count_dd2222, count_pointed_isogenies
-from .divisors import (Row, conv2, convolution_table, require_positive, rows, sigma,
-                       sigma_polynomial, sigma_series, table_order)
+from .divisors import (Row, conv2, convolution_table, require_positive, require_within_ceiling,
+                       rows, sigma, sigma_polynomial, sigma_series, table_order)
 from .errors import crosscheck, crosscheck_series
 from .quasimodular import FitResult, fit_quasimodular
 from .series import QSeries
@@ -350,11 +352,6 @@ def delliptic_class_m2(d: int) -> ChowClass:
 # ---------------------------------------------------------------------------
 
 
-def _fixed_target_numbers(d: int) -> dict[str, Fraction]:
-    """fixed_target_profile_m2 at d, uncached: what the m3 table reads."""
-    return {"Delta_0": F(count_pointed_isogenies(d)), "Delta_1": F(2 * conv2(d))}
-
-
 @lru_cache(maxsize=None)
 def fixed_target_profile_m2(d: int) -> Mapping[str, Fraction]:
     """Intersection numbers with the M2 divisors of the locus of genus-2
@@ -367,7 +364,8 @@ def fixed_target_profile_m2(d: int) -> Mapping[str, Fraction]:
     involution, and each cover meets the test curve with multiplicity 2.
     The profile is checked through its class (class[m2e]).
     """
-    return MappingProxyType(_fixed_target_numbers(d))
+    return MappingProxyType({"Delta_0": F(count_pointed_isogenies(d)),
+                             "Delta_1": F(2 * conv2(d))})
 
 
 @lru_cache(maxsize=None)
@@ -494,12 +492,13 @@ def _surface_series(n: int) -> dict[str, QSeries]:
     as series to q^n. A curve x moduli meets no D1_D13 cover: the projection
     collapses it. The D1_D12 term 12 sum_{d1 < d} sigma_1(d - d1) F(d1)[target]
     is 12 A*F, A = sum sigma_1(m) q^m, and 0 where the forget map contracts
-    the surface (None); A has no q^0, so F is read for d1 < n only."""
-    fixed = [_fixed_target_numbers(d) for d in range(1, n)]
-    m2e = {label: QSeries([0, *(f[label] for f in fixed), 0]) for label in ("Delta_0", "Delta_1")}
+    the surface (None). The m2e profile F is read as series: the isogeny
+    count and twice the conv2 table."""
     m2, m21 = _profile_table_m2(table_order(n)), _profile_table_m21(table_order(n))
+    conv = convolution_table("conv2", table_order(n))
+    m2e = {"Delta_0": _series(n, count_pointed_isogenies), "Delta_1": 2 * conv}
     a = _series(n, partial(sigma, 1))
-    bridge = 24 * convolution_table("conv2", table_order(n))
+    bridge = 24 * conv
 
     def tail(profile, target):
         return QSeries.zero(n) if target is None else 12 * (a * profile[target])
@@ -545,20 +544,10 @@ def _profile_table_m3(n: int) -> tuple[Mapping[str, QSeries], Mapping[str, QSeri
     return MappingProxyType(closed), MappingProxyType(surfaces)
 
 
-#: the m3 table's order for every d up to here: its tail reads the isogeny
-#: count below the order, which refuses d > covers.ISOGENY_DEGREE_CEILING
-_M3_ORDER_CAP = covers.ISOGENY_DEGREE_CEILING + 1
-
-
-def _order(d: int) -> int:
-    """The m3 table's order at d: divisors.table_order, capped while d is."""
-    return table_order(d) if d > _M3_ORDER_CAP else min(table_order(d), _M3_ORDER_CAP)
-
-
 def product_surfaces_m3(d: int) -> Mapping[str, Fraction]:
     """Product surface label -> the D1_D13, D11_D14 and D1_D12 terms summed
     at d (see _surface_series), read off the checked m3 table."""
-    return _read(_profile_table_m3(_order(d))[1], d)
+    return _read(_profile_table_m3(table_order(d))[1], d)
 
 
 @lru_cache(maxsize=None)
@@ -577,7 +566,7 @@ def boundary_profile_m3(d: int) -> Mapping[str, Fraction]:
     Delta_[6]) must cancel to zero; the chain-winding sum must match its
     closed form; and every assembled row must match its closed form.
     """
-    return _read(_profile_table_m3(_order(d))[0], d)
+    return _read(_profile_table_m3(table_order(d))[0], d)
 
 
 @lru_cache(maxsize=None)
@@ -704,9 +693,11 @@ def class_in_family(family: str, d: int) -> ChowClass:
 
 
 def coefficient_series(family: str, label: str, order: int) -> QSeries:
-    """Generating series of one substack coefficient across d = 1..order."""
+    """Generating series of one substack coefficient across d = 1..order,
+    order <= TABLE_ORDER_CEILING (refused before the first solve)."""
     if label not in family_labels(family):
         raise ValueError(f"unknown coefficient label {label!r} for family {family!r}")
+    require_within_ceiling(order, "order")
     return _series(order, lambda d: class_in_family(family, d).coefficient(label))
 
 

@@ -27,7 +27,7 @@ from .covers import (
     count_sublattices,
     hurwitz_number,
 )
-from .divisors import conv2, conv2_weighted, conv3, sigma_polynomial
+from .divisors import conv2, conv2_weighted, conv3, require_within_ceiling, sigma_polynomial
 from .errors import CrossCheckError, crosscheck
 from .linalg import solve_unique
 from .quasimodular import NotQuasimodular, QuasimodularFit, eisenstein, q_derivative
@@ -231,6 +231,8 @@ def run_verification(max_d: int = 30, order: int = 30) -> dict:
         raise ValueError(f"max_d must be >= 1, got {max_d}")
     if order < 8:
         raise ValueError(f"order must be >= 8 (overdetermined fits), got {order}")
+    require_within_ceiling(max_d, "max_d")
+    require_within_ceiling(order, "order")
     # fitted once: the certification check and the series section share it;
     # it stays empty when certification raises
     certification: dict = {}

@@ -11,11 +11,22 @@ def _package_modules():
             if name.partition(".")[0] == "delliptic"]
 
 
+def _caches():
+    return [value for module in _package_modules()
+            for value in vars(module).values() if hasattr(value, "cache_clear")]
+
+
 def _clear_caches():
-    for module in _package_modules():
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+    for cache in _caches():
+        cache.cache_clear()
+
+
+@pytest.fixture
+def empty_caches():
+    """Every lru_cache of the package, emptied: a refusal that comes only
+    after some work leaves that work cached."""
+    _clear_caches()
+    return _caches()
 
 
 def _changed(node, path, change):

@@ -10,7 +10,7 @@ import pytest
 
 from delliptic import chow, cli, covers, loci, quasimodular, report
 from delliptic.cli import main
-from delliptic.divisors import sigma
+from delliptic.divisors import TABLE_ORDER_CEILING, sigma
 from delliptic.errors import CrossCheckError
 
 # the package re-exports the function `divisors`, which shadows the module
@@ -64,22 +64,21 @@ class TestClassCommand:
         assert exc.value.code == 2
 
     def test_at_ceiling(self, capsys):
-        d = cli.CLASS_DEGREE_CEILING
+        d = TABLE_ORDER_CEILING
         code, out, _ = run(capsys, "class", "m2", "--d", str(d), "--json")
         assert code == 0
         coeffs = json.loads(out)["class"]["coeffs"]
         assert coeffs["delta_1"] == str(4 * sigma(3, d) - 4 * sigma(1, d))
 
-    def test_above_ceiling(self, capsys, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("solved above the ceiling")
-
-        monkeypatch.setattr(loci, "class_in_family", refuse)
-        d = cli.CLASS_DEGREE_CEILING + 1
-        code, out, err = run(capsys, "class", "m3", "--d", str(d))
-        assert code == 2
-        assert out == ""
-        assert str(cli.CLASS_DEGREE_CEILING) in err
+    def test_above_ceiling(self, capsys, empty_caches):
+        # the library refuses before it builds a table
+        d = TABLE_ORDER_CEILING + 1
+        for space in loci.FAMILIES:
+            code, out, err = run(capsys, "class", space, "--d", str(d))
+            assert code == 2
+            assert out == ""
+            assert f"d = {d} exceeds the table order ceiling {TABLE_ORDER_CEILING}" in err
+        assert [cache for cache in empty_caches if cache.cache_info().currsize] == []
 
 
 class TestSeriesCommand:
@@ -327,22 +326,22 @@ class TestCountCommand:
             raise AssertionError("enumerated above the ceiling")
 
         monkeypatch.setattr(covers, "count_sublattices", refuse)
-        d = covers.ISOGENY_DEGREE_CEILING + 1
+        d = TABLE_ORDER_CEILING + 1
         code, out, err = run(capsys, "count", "pointed-isogenies", "--d", str(d))
         assert code == 2
         assert out == ""
-        assert str(covers.ISOGENY_DEGREE_CEILING) in err
+        assert str(TABLE_ORDER_CEILING) in err
 
     def test_sublattices_above_ceiling(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("listed divisors above the ceiling")
 
         monkeypatch.setattr(covers, "divisors", refuse)
-        d = covers.ISOGENY_DEGREE_CEILING + 1
+        d = TABLE_ORDER_CEILING + 1
         code, out, err = run(capsys, "count", "sublattices", "--d", str(d))
         assert code == 2
         assert out == ""
-        assert str(covers.ISOGENY_DEGREE_CEILING) in err
+        assert str(TABLE_ORDER_CEILING) in err
 
 
 VERIFY_CHECKS = (
@@ -380,28 +379,27 @@ class TestVerifyCommand:
         code, _, _ = run(
             capsys,
             "verify",
-            "--max-d", str(cli.CLASS_DEGREE_CEILING),
+            "--max-d", str(TABLE_ORDER_CEILING),
             "--N", str(cli.SERIES_ORDER_CEILING),
         )
         assert code == 0
-        assert calls == [(cli.CLASS_DEGREE_CEILING, cli.SERIES_ORDER_CEILING)]
+        assert calls == [(TABLE_ORDER_CEILING, cli.SERIES_ORDER_CEILING)]
 
     @pytest.mark.parametrize(
         "max_d,n,ceiling",
         [
-            (cli.CLASS_DEGREE_CEILING + 1, 30, cli.CLASS_DEGREE_CEILING),
+            (TABLE_ORDER_CEILING + 1, 30, TABLE_ORDER_CEILING),
             (30, cli.SERIES_ORDER_CEILING + 1, cli.SERIES_ORDER_CEILING),
         ],
     )
-    def test_above_ceiling(self, capsys, monkeypatch, max_d, n, ceiling):
-        def refuse(*args, **kwargs):
-            raise AssertionError("verified above the ceiling")
-
-        monkeypatch.setattr(report, "run_verification", refuse)
+    def test_above_ceiling(self, capsys, empty_caches, max_d, n, ceiling):
+        # max_d is refused by the library, N by the command, both before any
+        # check runs
         code, out, err = run(capsys, "verify", "--max-d", str(max_d), "--N", str(n))
         assert code == 2
         assert out == ""
         assert str(ceiling) in err
+        assert [cache for cache in empty_caches if cache.cache_info().currsize] == []
 
     def test_small_sweep_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-d", "3", "--N", "10")

@@ -1,6 +1,7 @@
 """Locus classes: auxiliary profiles, assembled boundary profiles, solved
 classes, triple-branch sums, and certification plumbing."""
 
+import functools
 import importlib
 import re
 from fractions import Fraction as F
@@ -8,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from delliptic import chow, covers, linalg, loci, report
-from delliptic.divisors import Row, conv2, conv3, divisors, sigma
+from delliptic.divisors import TABLE_ORDER_CEILING, Row, conv2, conv3, divisors, sigma
 from delliptic.errors import CrossCheckError
 from delliptic.loci import (
     boundary_profile_m2,
@@ -345,12 +346,13 @@ class TestGenus3:
         triple_branch_cancellation(100)  # the q^128 table, truncated
         assert [table.cache_info().misses for table in tables] == [8, 8, 8, 8, 8]
 
-    def test_table_order_stops_at_the_isogeny_ceiling(self):
-        # the tail reads count_pointed_isogenies below the table's order
-        for d in (1000, 1001):
+    def test_table_order_stops_at_the_ceiling(self):
+        # every d up to the ceiling reads the one table at TABLE_ORDER_CEILING,
+        # whose tail reads count_pointed_isogenies to the same order
+        for d in (1000, 1002, TABLE_ORDER_CEILING):
             assert delliptic_class_m3(d) == closed_class("m3", d)
-        with pytest.raises(ValueError, match="d = 1001 exceeds the structural isogeny ceiling"):
-            delliptic_class_m3(1002)
+        with pytest.raises(ValueError, match="^d = 1025 exceeds the table order ceiling 1024$"):
+            delliptic_class_m3(TABLE_ORDER_CEILING + 1)
 
     def test_squared_curve_identity(self):
         for d in range(1, 31):
@@ -403,9 +405,8 @@ class TestIntegerRoutes:
         def rational(d):
             return F(d % 5, d + 1) if d else 0
 
-        plant(loci._fixed_target_numbers, change=lambda original: lambda d: {
-            label: v + rational(d) for label, v in original(d).items()
-        })
+        plant(loci.count_pointed_isogenies,
+              change=lambda original: lambda d: original(d) + rational(d))
         plant(loci._profile_table_m2, change=lambda original: lambda n: {
             label: s + QSeries.from_function(n, rational) for label, s in original(n).items()
         })
@@ -438,29 +439,31 @@ class TestIntegerRoutes:
 
     @pytest.mark.parametrize(("profile", "label", "check"), [
         ("fixed_target_profile_m2", "Delta_0", "boundary_profile_m3[Delta_[8]]"),
-        ("fixed_target_profile_m2", "Delta_1", "boundary_profile_m3[Delta_[11]]"),
         ("boundary_profile_m2", "Delta_00", "boundary_profile_m3[Delta_[5]]"),
         ("boundary_profile_m2", "Delta_01", "boundary_profile_m3[Delta_[11]]"),
     ])
     def test_planted_d1_d12_input_fails_its_first_reader(self, plant, profile, label, check):
-        # the m3 table reads the m2e numbers per d and the m2 profile as a
-        # table; either way a wrong value at d1 = 6 first fails at d = 7
-        source = {"fixed_target_profile_m2": "_fixed_target_numbers",
-                  "boundary_profile_m2": "_profile_table_m2"}[profile]
+        # the m3 table reads the m2e isogeny count and the m2 profile as
+        # series; either way a wrong value at d1 = 6 first fails at d = 7.
+        # (The m2e Delta_1 input is the conv2 table, whose bump
+        # TestSplittingWeights catches.)
         planted_at = 6
 
         def at(d):
             return F(1, 7) if d == planted_at else 0
 
-        def planted(original):
-            def read(x):
-                values = dict(original(x))
-                values[label] += (at(x) if source == "_fixed_target_numbers"
-                                  else QSeries.from_function(x, at))
-                return values
-            return read
+        if profile == "fixed_target_profile_m2":
+            plant(loci.count_pointed_isogenies,
+                  change=lambda original: lambda d: original(d) + at(d))
+        else:
+            def planted(original):
+                def read(n):
+                    values = dict(original(n))
+                    values[label] += QSeries.from_function(n, at)
+                    return values
+                return read
 
-        plant(getattr(loci, source), change=planted)
+            plant(loci._profile_table_m2, change=planted)
         for d in range(1, 5):
             boundary_profile_m3(d)  # tables to q^4 read the profile only below 4
         with pytest.raises(
@@ -518,3 +521,48 @@ class TestCertificationPlumbing:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             coefficient_series("m2", "delta_7", 10)
+
+
+
+ABOVE = TABLE_ORDER_CEILING + 1
+
+#: every public reader of a table, with the name its refusal gives the value
+TABLE_READERS = {
+    "conv2": ("d", conv2),
+    "conv2_weighted": ("d", divisors_module.conv2_weighted),
+    "conv3": ("d", conv3),
+    "count_sublattices": ("d", covers.count_sublattices),
+    "count_pointed_isogenies": ("d", covers.count_pointed_isogenies),
+    "boundary_profile_m2": ("d", boundary_profile_m2),
+    "fixed_target_profile_m2": ("d", fixed_target_profile_m2),
+    "boundary_profile_m21": ("d", boundary_profile_m21),
+    "boundary_profile_m3": ("d", boundary_profile_m3),
+    "product_surfaces_m3": ("d", product_surfaces_m3),
+    "delliptic_class_m2": ("d", delliptic_class_m2),
+    "fixed_target_class_m2": ("d", fixed_target_class_m2),
+    "delliptic_class_m21": ("d", delliptic_class_m21),
+    "delliptic_class_m3": ("d", delliptic_class_m3),
+    **{f"class_in_family[{family}]": ("d", functools.partial(loci.class_in_family, family))
+       for family in loci.FAMILIES},
+    "triple_branch_chain_sum": ("d", triple_branch_chain_sum),
+    "triple_branch_split_sum": ("d", triple_branch_split_sum),
+    "triple_branch_cancellation": ("d", triple_branch_cancellation),
+    "coefficient_series": ("order", functools.partial(coefficient_series, "m3", "kappa_2")),
+    "certify_quasimodularity": ("order", loci.certify_quasimodularity),
+    "run_verification[max_d]": ("max_d", lambda n: report.run_verification(max_d=n, order=30)),
+    "run_verification[order]": ("order", lambda n: report.run_verification(max_d=30, order=n)),
+}
+
+
+class TestTableOrderCeiling:
+    @pytest.mark.parametrize("reader", TABLE_READERS)
+    def test_refused_above_the_ceiling_before_any_work(self, empty_caches, reader):
+        name, read = TABLE_READERS[reader]
+        message = rf"^{name} = {ABOVE} exceeds the table order ceiling {TABLE_ORDER_CEILING}$"
+        with pytest.raises(ValueError, match=message):
+            read(ABOVE)
+        assert [cache for cache in empty_caches if cache.cache_info().currsize] == []
+
+    def test_ceiling_is_the_largest_table_order(self):
+        assert TABLE_ORDER_CEILING & (TABLE_ORDER_CEILING - 1) == 0
+        assert divisors_module.table_order(TABLE_ORDER_CEILING) == TABLE_ORDER_CEILING
