@@ -27,11 +27,11 @@ the stored numbers: unlisted intersection numbers are never fabricated.
 
 An intersection profile, the numbers a class is solved from, is a mapping
 from dual-basis label to an int or Fraction (`loci` returns read-only ones).
-Its labels, in their order, pick the rows of the class system: row r holds
-the pairings of the class basis with the r-th label. This module keeps one
-`linalg.System` per (space, degree, profile labels), built on first use, so
-each label is checked against the dual basis and each system factorised
-once; every later solve_class call reads its class off that System.
+Its labels, in their order, pick the rows of the class system: row r pairs
+the class basis with the r-th label. One `linalg.System` per (space, degree,
+profile labels), built on first use, checks each label against the dual
+basis and is factorised once; solve_class reads each class off it, and
+solve_class_series a class series off profile series.
 
 Every operation is pure and the registry is read-only (MappingProxyTypes
 down to the q_factors, tuples below them): a test replaces a table only
@@ -47,8 +47,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .linalg import System, solve_unique
-from .series import format_rational
+from .linalg import System, require_unique, solve_unique
+from .series import QSeries, format_rational
 
 __all__ = [
     "ChowSpace",
@@ -60,6 +60,7 @@ __all__ = [
     "pairing",
     "pairing_number",
     "solve_class",
+    "solve_class_series",
     "to_q_class_basis",
     "FORGET_M21_TO_M2",
     "pushforward_m21_to_m2",
@@ -381,6 +382,15 @@ def solve_class(
         raise TypeError(f"profile numbers must be int or Fraction, got {values!r}")
     solution = solve_unique(system, values)
     return ChowClass(space_id, degree, space(space_id).bases[degree], tuple(solution))
+
+
+def solve_class_series(space_id: str, degree: int,
+                       table: Mapping[str, QSeries]) -> Mapping[str, QSeries]:
+    """solve_class at every q^d of {dual label: profile series}: read-only
+    {basis label: class series}, with solve_class's System, checks and errors."""
+    system = _class_system(space_id, degree, tuple(table))
+    solution = require_unique(system, system.solve_series(list(table.values())))
+    return MappingProxyType(dict(zip(space(space_id).bases[degree], solution)))
 
 
 def to_q_class_basis(c: ChowClass) -> ChowClass:

@@ -25,23 +25,24 @@ whole assembly downstream, so every convolution is evaluated BOTH by direct
 summation and by its row, compared per table (CrossCheckError at the first d
 where they differ). The direct sums are the int coefficients of the QSeries
 products A*A, (DA)*A and (A*A)*A (A = sum s1(m)q^m, DA = sum m s1(m)q^m),
-one cached table per convolution and order n; a read at d takes the table at
-table_order(d), the next power of two >= d and the one order rule of every
-sum over d in the package, so a sweep to D builds each product once per
-power of two, and a wrong entry fails every read of its table. Each product
-is one big-int multiplication (Kronecker substitution in series). Divisor
-enumeration is trial division up to sqrt(d). TABLE_ORDER_CEILING, a power of
-two, is the one budget of work that grows with d: table_order refuses a
-larger d before any table is built, and the isogeny counts,
+one held table per convolution (growing_table, the package's table cache),
+rebuilt only for a d past its end, at table_order(d): the next power of two
+>= d and the one order rule of every sum over d in the package. A wrong
+entry fails every read of its table. Each product is one big-int
+multiplication (Kronecker substitution in series). Divisor enumeration is
+trial division up to sqrt(d). TABLE_ORDER_CEILING, a power of two, is the
+one budget of work that grows with d: table_order refuses a larger d
+before any table is built, and the isogeny counts,
 coefficient_series and run_verification refuse a larger d, order or max_d up
 front (require_within_ceiling).
 """
 
 from __future__ import annotations
 
+from collections import Counter, namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import isqrt
 from operator import add, mul
 from types import MappingProxyType
@@ -53,7 +54,7 @@ from .series import QSeries, _over_common_denominator
 __all__ = [
     "require_positive", "divisors", "sigma", "Row", "rows", "sigma_polynomial",
     "sigma_series", "CLOSED_FORMS", "TABLE_ORDER_CEILING", "require_within_ceiling",
-    "table_order", "convolution_table", "conv2", "conv2_weighted", "conv3",
+    "table_order", "growing_table", "convolution_table", "conv2", "conv2_weighted", "conv3",
 ]
 
 F = Fraction
@@ -165,19 +166,48 @@ def require_within_ceiling(value: int, name: str = "d") -> None:
 
 def table_order(d: int) -> int:
     """The order of the table read at 1 <= d <= TABLE_ORDER_CEILING: the next
-    power of two >= d, so a sweep to D builds each table once per power of two."""
+    power of two >= d, so a growing_table grows at most once per power of two."""
     require_positive(d)
     require_within_ceiling(d)
     return 1 << (d - 1).bit_length()
 
 
-@lru_cache(maxsize=None)
-def convolution_table(name: str, n: int) -> QSeries:
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def growing_table(build):
+    """Decorator: build(*key, n), a table to q^n, cached as the largest built
+    per key. A read at (*key, d) past it builds the table at table_order(d) in
+    its place (a build that raises holds nothing new). cache_info() counts
+    reads as lru_cache's does, and held tables as currsize."""
+    held, counts = {}, Counter()
+
+    @wraps(build)
+    def read(*args):
+        *key, d = args
+        key, order = tuple(key), table_order(d)
+        built = held.get(key, (0, None))
+        counts["hits" if built[0] >= order else "misses"] += 1
+        if built[0] < order:
+            built = held[key] = order, build(*key, order)
+        return built[1]
+
+    def cache_clear() -> None:
+        held.clear()
+        counts.clear()
+
+    read.cache_info = lambda: CacheInfo(counts["hits"], counts["misses"], None, len(held))
+    read.cache_clear = cache_clear
+    return read
+
+
+@growing_table
+def _products(name: str, n: int) -> QSeries:
     """The product ``name`` sums to q^n, A*A, DA*A or (A*A)*A (int
     coefficients), checked whole against its closed row."""
     a = QSeries([0] + [sigma(1, m) for m in range(1, n + 1)])
     if name == "conv3":
-        left = convolution_table("conv2", n)
+        left = _products("conv2", n)
     elif name == "conv2_weighted":
         left = QSeries([m * s for m, s in enumerate(a.numerators)])
     else:
@@ -185,23 +215,26 @@ def convolution_table(name: str, n: int) -> QSeries:
     return crosscheck_series(name, direct=left * a, closed=sigma_series(CLOSED_FORMS[name], n))
 
 
-def _convolution(name: str, d: int) -> int:
-    return convolution_table(name, table_order(d)).numerators[d]
+def convolution_table(name: str, n: int) -> QSeries:
+    """The checked product ``name`` to exactly q^n, read off its held table."""
+    require_within_ceiling(n, "order")
+    table = _products(name, n)
+    return table.truncate(n) if table.order > n else table
 
 
 @lru_cache(maxsize=None)
 def conv2(d: int) -> int:
     """sum over d1+d2=d (d1,d2 >= 1) of sigma_1(d1)sigma_1(d2)."""
-    return _convolution("conv2", d)
+    return _products("conv2", d).numerators[d]
 
 
 @lru_cache(maxsize=None)
 def conv2_weighted(d: int) -> int:
     """sum over d1+d2=d of d1*sigma_1(d1)sigma_1(d2)."""
-    return _convolution("conv2_weighted", d)
+    return _products("conv2_weighted", d).numerators[d]
 
 
 @lru_cache(maxsize=None)
 def conv3(d: int) -> int:
     """sum over d1+d2+d3=d (all >= 1) of sigma_1(d1)sigma_1(d2)sigma_1(d3)."""
-    return _convolution("conv3", d)
+    return _products("conv3", d).numerators[d]

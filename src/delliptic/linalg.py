@@ -7,7 +7,8 @@ the span of earlier ones) and as many independent rows by fraction-free
 (Bareiss) elimination, and inverts that block as B / delta.
 `System.solve(numerators, scale)` takes the right-hand side as integers over
 one positive scale, as a `QSeries` holds it, multiplies each by its row's
-scale, and accepts X = B t only if the integer residual holds on every row.
+scale, and accepts X = B t only if the integer residual holds on every row;
+`System.solve_series` does so at every q^d of right-hand side series at once.
 
 A System is built once by the code that owns its matrix and kept there:
 `chow` keeps one per class system (space, degree, profile labels), and
@@ -25,13 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .series import _over_common_denominator
+from .series import QSeries, _over_common_denominator
 
 __all__ = [
     "SingularSystemError",
     "InconsistentSystemError",
     "System",
     "solve_unique",
+    "require_unique",
     "solve_any",
 ]
 
@@ -184,6 +186,33 @@ class System:
             solution[col] = Fraction(v, plan.delta * scale)
         return solution
 
+    def solve_series(self, series: Sequence[QSeries]) -> list[QSeries] | None:
+        """`solve` at every q^d at once (series[r] is row r's right-hand side):
+        one series per column, truncated to the smallest order, or None."""
+        plan = self.plan
+        scaled = series if self.scales is None else list(map(mul, series, self.scales))
+        zero = QSeries.zero(min(s.order for s in scaled))
+
+        def combine(row: Sequence[int], terms: Sequence[QSeries]) -> QSeries:
+            return sum((t * c for c, t in zip(row, terms) if c), zero)
+
+        x = [combine(row, [scaled[r] for r in plan.pivot_rows]) for row in plan.inverse]
+        if any(combine(row, x) != zero + plan.delta * t for row, t in zip(plan.on_pivots, scaled)):
+            return None
+        solution = dict(zip(plan.pivots, x))
+        return [solution.get(col, zero) * Fraction(1, plan.delta) for col in range(plan.columns)]
+
+
+def require_unique(system: System, solution: list | None) -> list:
+    """A solution that exists (or InconsistentSystemError) and is unique (or
+    SingularSystemError), as `system` returned it."""
+    if solution is None:
+        raise InconsistentSystemError("system has no exact solution")
+    rank, columns = len(system.plan.pivots), system.plan.columns
+    if rank < columns:
+        raise SingularSystemError(f"system determines only {rank} of {columns} unknowns")
+    return solution
+
 
 def solve_unique(
     matrix: Sequence[Sequence[Fraction]] | System, rhs: Sequence[Fraction]
@@ -200,13 +229,7 @@ def solve_unique(
     if not matrix:
         return []
     system = matrix if isinstance(matrix, System) else System(matrix)
-    solution = system.solve(*_over_common_denominator(rhs))
-    if solution is None:
-        raise InconsistentSystemError("system has no exact solution")
-    rank = len(system.plan.pivots)
-    if rank < len(solution):
-        raise SingularSystemError(f"system determines only {rank} of {len(solution)} unknowns")
-    return solution
+    return require_unique(system, system.solve(*_over_common_denominator(rhs)))
 
 
 def solve_any(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:

@@ -43,15 +43,14 @@ elliptic tail itself, summed over the degree splitting, with multiplicity 2
 for the contracted bridge and 6 labellings). Each topology route is one
 pass over the label maps saying where each dual is realized.
 
-The routes of m2, m21, m3 and the triple-branch sums run on whole series:
-one lru_cached table per family and order n (_profile_table_<family>,
-_triple_branch_table) builds each route to q^n and checks it against the
-closed rows read as series (divisors.sigma_series). A value at d reads the
-table at divisors.table_order(d), so a sweep builds each once per power of
-two; a d above divisors.TABLE_ORDER_CEILING is refused before any is built.
-The windings over a | d are one divisor sieve, the D1_D12 tail one product
-12 A*F (its m2e F reads the isogeny count as a series); the m2e profile, the
-m12 class and the class solve stay per d.
+The routes of m2, m21, m3, the m12 class and the triple-branch sums run on
+whole series: one divisors.growing_table per family builds each route to q^n
+and checks it against the closed rows read as series (sigma_series). A read
+at d past the held table rebuilds it at table_order(d), so a sweep that reads
+its top d first (coefficient_series) builds each once. The windings over
+a | d are one divisor sieve, the D1_D12 tail one product 12 A*F, the m12
+class one series solve (chow.solve_class_series); the m2e profile and the
+class solve stay per d.
 
 The double-chain covers (the m21 profile and the split sum) weigh m*b over
 the splittings a*m + b*n = d, which totals sum_k sigma_1(k) sigma_1(d - k) =
@@ -78,10 +77,10 @@ _M12_DIVISOR_PULLBACK among the four reducible M13 divisors, at each of
 which the chain windings are 0 (total_ramification_profile_m13 meets only
 Delta_0).
 
-All functions are pure in d, and every cache is an lru_cache holding
-read-only values (profiles and tables are MappingProxyTypes, series and
-classes immutable); lru_cache is thread-safe, so the d-sweep is safe to parallelize,
-at worst computing one cold entry twice. The caches are not keyed by the
+All functions are pure in d, and every cache holds read-only values
+(MappingProxyTypes, immutable series and classes); a growing_table stores a
+table in one dict assignment, so the d-sweep is safe to parallelize, a racing
+read at worst building one table twice. The caches are not keyed by the
 registered tables, so a test swaps a table only through the `plant` fixture
 of tests/conftest.py, which empties them around the swap.
 """
@@ -94,18 +93,11 @@ from types import MappingProxyType
 from typing import Mapping
 
 from . import covers
-from .chow import (
-    FORGET_M21_TO_M2,
-    ChowClass,
-    pairing_number,
-    pushforward_m21_to_m2,
-    q_basis_labels,
-    solve_class,
-    to_q_class_basis,
-)
+from .chow import (FORGET_M21_TO_M2, ChowClass, pairing_number, pushforward_m21_to_m2,
+                   q_basis_labels, solve_class, solve_class_series, to_q_class_basis)
 from .covers import count_dd3, count_dd22, count_dd2222, count_pointed_isogenies
-from .divisors import (Row, conv2, convolution_table, require_positive, require_within_ceiling,
-                       rows, sigma, sigma_polynomial, sigma_series, table_order)
+from .divisors import (Row, conv2, convolution_table, growing_table, require_positive,
+                       require_within_ceiling, rows, sigma, sigma_polynomial, sigma_series)
 from .errors import crosscheck, crosscheck_series
 from .quasimodular import FitResult, fit_quasimodular
 from .series import QSeries
@@ -243,17 +235,20 @@ def pointed_cover_profile_m12(d: int) -> Mapping[str, Fraction]:
     return MappingProxyType({"Delta_0": isogenies, "Delta_1": F(0)})
 
 
-@lru_cache(maxsize=None)
-def pointed_cover_class_m12(d: int) -> ChowClass:
-    """The M12 class of the two-marked cover locus: (d-1)sigma_1(d) (Delta_0/24 + Delta_1).
+@growing_table
+def _class_table_m12(n: int) -> Mapping[str, QSeries]:
+    """pointed_cover_class_m12 to q^n by basis label: one series solve, checked whole."""
+    isogenies = sigma_series(covers.CLOSED_FORMS["count_pointed_isogenies"], n)
+    solved = solve_class_series("M12", 1, {"Delta_0": isogenies, "Delta_1": QSeries.zero(n)})
+    for label, closed in _closed("pointed_cover_class_m12", n).items():
+        crosscheck_series("pointed_cover_class_m12", solver=solved[label], closed=closed)
+    return solved
 
-    Solved from its intersection profile and checked against the closed form.
-    """
-    solved = solve_class("M12", 1, pointed_cover_profile_m12(d))
-    forms = CLOSED_FORMS["pointed_cover_class_m12"]
-    closed = ChowClass.from_coefficients("M12", 1, {
-        label: sigma_polynomial(row, d) for label, row in forms.items()})
-    return crosscheck("pointed_cover_class_m12", d, solver=solved, closed=closed)
+
+def pointed_cover_class_m12(d: int) -> ChowClass:
+    """The M12 class of the two-marked cover locus, (d-1)sigma_1(d) (Delta_0/24 + Delta_1)."""
+    table = _class_table_m12(d)
+    return ChowClass("M12", 1, tuple(table), tuple(s.coefficient(d) for s in table.values()))
 
 
 @lru_cache(maxsize=None)
@@ -310,7 +305,7 @@ def _m13_windings(n: int, label: str) -> QSeries:
 _M2_DUAL_IN_M12 = MappingProxyType({"Delta_00": "Delta_0", "Delta_01": "Delta_1"})
 
 
-@lru_cache(maxsize=None)
+@growing_table
 def _profile_table_m2(n: int) -> Mapping[str, QSeries]:
     """boundary_profile_m2 to q^n, by dual label, each route checked whole."""
     closed = _closed("boundary_profile_m2", n)
@@ -337,7 +332,7 @@ def boundary_profile_m2(d: int) -> Mapping[str, Fraction]:
     the irreducible-nodal boundary, and checked against the closed forms
     4(d-1)sigma_1(d) and 2*conv2(d), both written in sigma.
     """
-    return _read(_profile_table_m2(table_order(d)), d)
+    return _read(_profile_table_m2(d), d)
 
 
 @lru_cache(maxsize=None)
@@ -388,7 +383,7 @@ _M21_DUAL_IN_M13 = MappingProxyType({
 })
 
 
-@lru_cache(maxsize=None)
+@growing_table
 def _profile_table_m21(n: int) -> Mapping[str, QSeries]:
     """boundary_profile_m21 to q^n, by dual label, each route checked whole."""
     closed = _closed("boundary_profile_m21", n)
@@ -396,8 +391,7 @@ def _profile_table_m21(n: int) -> Mapping[str, QSeries]:
     # bridge covers land on the section curves indexed {1,2} and {1,3},
     # carrying the solved two-marked cover class; double-chain covers carry
     # the splitting weight conv2(d) times the double-pair profile
-    classes = [pointed_cover_class_m12(d) for d in range(1, n + 1)]
-    x, y = (QSeries([0, *(c.coefficient(k) for c in classes)]) for k in ("Delta_0", "Delta_1"))
+    x, y = (_class_table_m12(n)[label] for label in ("Delta_0", "Delta_1"))
     conv = convolution_table("conv2", n)
 
     def sections(curve: str, m13_label: str) -> Fraction:
@@ -438,7 +432,7 @@ def boundary_profile_m21(d: int) -> Mapping[str, Fraction]:
     decomposition. Every entry must match its closed form, and the two
     surfaces visible from both boundaries are computed both ways as well.
     """
-    return _read(_profile_table_m21(table_order(d)), d)
+    return _read(_profile_table_m21(d), d)
 
 
 @lru_cache(maxsize=None)
@@ -494,8 +488,8 @@ def _surface_series(n: int) -> dict[str, QSeries]:
     is 12 A*F, A = sum sigma_1(m) q^m, and 0 where the forget map contracts
     the surface (None). The m2e profile F is read as series: the isogeny
     count and twice the conv2 table."""
-    m2, m21 = _profile_table_m2(table_order(n)), _profile_table_m21(table_order(n))
-    conv = convolution_table("conv2", table_order(n))
+    m2, m21 = _profile_table_m2(n), _profile_table_m21(n)
+    conv = convolution_table("conv2", n)
     m2e = {"Delta_0": _series(n, count_pointed_isogenies), "Delta_1": 2 * conv}
     a = _series(n, partial(sigma, 1))
     bridge = 24 * conv
@@ -518,7 +512,7 @@ def _surface_series(n: int) -> dict[str, QSeries]:
     return totals
 
 
-@lru_cache(maxsize=None)
+@growing_table
 def _profile_table_m3(n: int) -> tuple[Mapping[str, QSeries], Mapping[str, QSeries]]:
     """(boundary_profile_m3, product_surfaces_m3) to q^n, by label, every
     check of the profile run on whole series."""
@@ -547,7 +541,7 @@ def _profile_table_m3(n: int) -> tuple[Mapping[str, QSeries], Mapping[str, QSeri
 def product_surfaces_m3(d: int) -> Mapping[str, Fraction]:
     """Product surface label -> the D1_D13, D11_D14 and D1_D12 terms summed
     at d (see _surface_series), read off the checked m3 table."""
-    return _read(_profile_table_m3(table_order(d))[1], d)
+    return _read(_profile_table_m3(d)[1], d)
 
 
 @lru_cache(maxsize=None)
@@ -566,7 +560,7 @@ def boundary_profile_m3(d: int) -> Mapping[str, Fraction]:
     Delta_[6]) must cancel to zero; the chain-winding sum must match its
     closed form; and every assembled row must match its closed form.
     """
-    return _read(_profile_table_m3(table_order(d))[0], d)
+    return _read(_profile_table_m3(d)[0], d)
 
 
 @lru_cache(maxsize=None)
@@ -581,7 +575,7 @@ def delliptic_class_m3(d: int) -> ChowClass:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@growing_table
 def _triple_branch_table(n: int) -> Mapping[str, QSeries]:
     """The two triple-branch sums to q^n, by label, each checked whole."""
     closed = _closed("triple_branch", n)
@@ -593,7 +587,6 @@ def _triple_branch_table(n: int) -> Mapping[str, QSeries]:
     return MappingProxyType(closed)
 
 
-@lru_cache(maxsize=None)
 def triple_branch_chain_sum(d: int) -> Fraction:
     """Single-chain covers through a triple point: over each winding a | d,
     count_dd3(a) = (a-1)(a-2)/6 covers with multiplicity m = d/a.
@@ -601,10 +594,9 @@ def triple_branch_chain_sum(d: int) -> Fraction:
     Equals (d/6 + 1/3) sigma_1(d) - d sigma_0(d)/2; the divisor-count term
     makes the generating series non-quasimodular on its own.
     """
-    return _triple_branch_table(table_order(d))["chain"].coefficient(d)
+    return _triple_branch_table(d)["chain"].coefficient(d)
 
 
-@lru_cache(maxsize=None)
 def triple_branch_split_sum(d: int) -> Fraction:
     """Split covers through a triple point: weight m*b over the splittings
     a*m + b*n = d with distinct windings a != b (equal windings admit no
@@ -615,7 +607,7 @@ def triple_branch_split_sum(d: int) -> Fraction:
     against conv2(d) - d sigma_1(d)/2 + d sigma_0(d)/2, written in sigma;
     the opposite divisor-count term cancels the one in the single-chain sum.
     """
-    return _triple_branch_table(table_order(d))["split"].coefficient(d)
+    return _triple_branch_table(d)["split"].coefficient(d)
 
 
 #: the weight every certification fit (classes and triple-branch pair) uses
@@ -628,8 +620,8 @@ def triple_branch_cancellation(order: int) -> tuple[FitResult, FitResult, FitRes
     Each part carries a d*sigma_0(d) term of opposite sign, so the parts refuse
     the fit individually while the sum succeeds.
     """
-    table = _triple_branch_table(table_order(order))
-    chain, split = (table[label].truncate(order) for label in ("chain", "split"))
+    require_within_ceiling(order, "order")
+    chain, split = (_triple_branch_table(order)[k].truncate(order) for k in ("chain", "split"))
     return (
         fit_quasimodular(chain, CERTIFICATION_WEIGHT, order),
         fit_quasimodular(split, CERTIFICATION_WEIGHT, order),
@@ -693,11 +685,12 @@ def class_in_family(family: str, d: int) -> ChowClass:
 
 
 def coefficient_series(family: str, label: str, order: int) -> QSeries:
-    """Generating series of one substack coefficient across d = 1..order,
-    order <= TABLE_ORDER_CEILING (refused before the first solve)."""
+    """Generating series of one substack coefficient across d = 1..order <=
+    TABLE_ORDER_CEILING (refused first); the profile read at order first builds each table once."""
     if label not in family_labels(family):
         raise ValueError(f"unknown coefficient label {label!r} for family {family!r}")
     require_within_ceiling(order, "order")
+    FAMILIES[family][3](max(order, 1))
     return _series(order, lambda d: class_in_family(family, d).coefficient(label))
 
 

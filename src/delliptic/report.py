@@ -161,6 +161,7 @@ _CLASS_CHECKS = (
 
 
 def _check_classes(family: str, agreed: str, max_d: int) -> str:
+    loci.FAMILIES[family][3](max_d)  # the profile at max_d builds each table once
     for d in range(1, max_d + 1):
         loci.class_in_family(family, d)
     return f"{agreed} for d <= {max_d}"

@@ -15,9 +15,11 @@ from delliptic.chow import (
     pushforward_m21_to_m2,
     q_basis_labels,
     solve_class,
+    solve_class_series,
     to_q_class_basis,
 )
 from delliptic.linalg import InconsistentSystemError, SingularSystemError
+from delliptic.series import QSeries
 
 # Reference intersection tables, transcribed independently of the registry.
 # Keys are (row label, row degree, column label, column degree).
@@ -286,6 +288,49 @@ class TestSolveClass:
     def test_unknown_label_refused_before_inexact_number(self):
         with pytest.raises(ValueError, match=r"'Delta_99' not in the degree-2 basis of M2"):
             solve_class("M2", 1, {"Delta_99": 0.5})
+
+
+def _series_table(profiles):
+    """{label: QSeries} whose q^d coefficient is profiles[d][label]."""
+    return {label: QSeries([profile[label] for profile in profiles]) for label in profiles[0]}
+
+
+class TestSolveClassSeries:
+    @pytest.mark.parametrize(
+        "space_id,degree,dual_degree",
+        [("M12", 1, 1), ("M2", 1, 2), ("M2", 2, 1), ("M21", 2, 2), ("M3", 2, 4)],
+    )
+    def test_solve_class_at_every_coefficient(self, space_id, degree, dual_degree):
+        rng = random.Random(909)
+        duals = basis_labels(space_id, dual_degree)
+        profiles = [{label: F(rng.randint(-12, 12), rng.randint(1, 6)) for label in duals}
+                    for _ in range(8)]
+        solved = solve_class_series(space_id, degree, _series_table(profiles))
+        assert tuple(solved) == basis_labels(space_id, degree)
+        with pytest.raises(TypeError):
+            solved[duals[0]] = None  # read-only
+        for d, profile in enumerate(profiles):
+            cls = solve_class(space_id, degree, profile)
+            assert tuple(s.coefficient(d) for s in solved.values()) == cls.coefficients
+
+    def test_singular_system(self):
+        labels = basis_labels("M21", 2)[:4]
+        with pytest.raises(SingularSystemError):
+            solve_class_series("M21", 2, {label: QSeries.zero(5) for label in labels})
+
+    def test_inconsistent_at_one_coefficient(self):
+        # consistent (all zero) but at q^3, as in TestSolveClass
+        labels = basis_labels("M13", 1)
+        profiles = [{label: 0 for label in labels} for _ in range(6)]
+        profiles[3]["Delta_1_{2,3}"] = 1
+        with pytest.raises(InconsistentSystemError):
+            solve_class_series("M13", 2, _series_table(profiles))
+
+    def test_unknown_profile_label(self):
+        with pytest.raises(ValueError, match=r"'Delta_99' not in the degree-2 basis of M2"):
+            solve_class_series("M2", 1, {"Delta_99": QSeries.zero(3)})
+        with pytest.raises(ValueError):
+            solve_class_series("M2", 1, {"Delta_0": QSeries.zero(3), "Delta_1": QSeries.zero(3)})
 
 
 class TestQClassConversion:

@@ -3,13 +3,15 @@
 import importlib
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import pytest
 
 from delliptic import report
 from delliptic.divisors import (
-    Row, conv2, conv2_weighted, conv3, divisors, sigma, sigma_polynomial,
+    Row, conv2, conv2_weighted, conv3, divisors, growing_table, sigma, sigma_polynomial,
 )
 from delliptic.errors import CrossCheckError
 from delliptic.series import QSeries
@@ -186,3 +188,66 @@ class TestConvolutionTables:
         failed = [c for c in result["checks"] if not c["passed"]]
         assert [c["check"] for c in failed] == ["convolution-identities"]
         assert f"{name}(d={d})" in failed[0]["detail"]
+
+
+class TestGrowingTable:
+    @staticmethod
+    def counted():
+        """A growing table of q^d -> key * d, recording each build."""
+        built = []
+
+        @growing_table
+        def table(key, n):
+            built.append((key, n))
+            if n == 256:
+                raise ValueError("refused build")
+            return QSeries([key * d for d in range(n + 1)])
+
+        return table, built
+
+    def test_holds_the_largest_table_per_key(self):
+        table, built = self.counted()
+        for d in (3, 1, 4, 2, 5, 100, 7):
+            assert table(2, d).coefficient(d) == 2 * d
+        assert built == [(2, 4), (2, 8), (2, 128)]
+        table(3, 1)
+        assert built[-1] == (3, 1)
+        assert table.cache_info() == (4, 4, None, 2)
+        assert table(2, 64).order == 128  # a read within is the held table
+        for d, error in ((0, "d must be >= 1"), (1025, "d = 1025 exceeds")):
+            with pytest.raises(ValueError, match=error):
+                table(2, d)
+        assert len(built) == 4
+        table.cache_clear()
+        assert table.cache_info() == (0, 0, None, 0)
+        table(2, 5)
+        assert built[-1] == (2, 8)
+
+    def test_failed_build_holds_nothing_new(self):
+        table, built = self.counted()
+        held = table(2, 100)
+        with pytest.raises(ValueError, match="refused build"):
+            table(2, 200)
+        assert table(2, 128) is held
+        assert built == [(2, 128), (2, 256)]
+        assert table.cache_info() == (1, 2, None, 1)
+
+    def test_racing_reads_each_get_a_covering_table(self):
+        table, built = self.counted()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def reader(seed):
+            rng = random.Random(seed)
+            for _ in range(200):
+                d = rng.choice([*range(1, 129), *range(257, 1025)])  # 256 refuses
+                assert table(1, d).coefficient(d) == d
+
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                for future in [pool.submit(reader, seed) for seed in range(8)]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert table.cache_info().currsize == 1
+        assert all(n & (n - 1) == 0 for _, n in built)

@@ -12,6 +12,8 @@ from delliptic.linalg import (
     solve_any,
     solve_unique,
 )
+from delliptic.quasimodular import quasimodular_basis
+from delliptic.series import QSeries, _over_common_denominator
 
 
 def test_round_trip_random_systems():
@@ -139,3 +141,61 @@ def test_system_solves_as_its_rows(matrix, rhs, outcome):
     for solved in (System(matrix), matrix):
         with pytest.raises(outcome):
             solve_unique(solved, rhs)
+
+
+def _random_series(rng, order):
+    return QSeries([F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(order + 1)])
+
+
+def _right_hand_sides(system, unknowns):
+    """Row r's right-hand side series, sum_c A[r][c] unknowns[c]."""
+    return [sum((x * a for a, x in zip(row, unknowns)), QSeries.zero(unknowns[0].order))
+            for row in system.rows]
+
+
+def _solved_per_coefficient(system, series):
+    """System.solve at each q^d, as columns of coefficients, or None."""
+    order = series[0].order
+    per_d = [system.solve(*_over_common_denominator([s.coefficient(d) for s in series]))
+             for d in range(order + 1)]
+    return None if None in per_d else [list(column) for column in zip(*per_d)]
+
+
+def _coefficients(solution):
+    return None if solution is None else [list(s.coefficients) for s in solution]
+
+
+#: rational rows (with scales), an integer fit basis (columns in the span of
+#: earlier ones included), and an overdetermined consistent system
+SERIES_SYSTEMS = {
+    "rational": [[F(1), F(2)], [F(0), F(1, 3)]],
+    "fit-basis": list(zip(*(s.numerators for _, s in quasimodular_basis(6, 12)))),
+    "overdetermined": [[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]],
+}
+
+
+@pytest.mark.parametrize("name", SERIES_SYSTEMS)
+def test_solve_series_is_solve_at_every_coefficient(name):
+    rng = random.Random(2727)
+    system = System(SERIES_SYSTEMS[name])
+    assert (system.scales is None) == (name == "fit-basis")
+    for _ in range(5):
+        unknowns = [_random_series(rng, 9) for _ in range(system.plan.columns)]
+        series = _right_hand_sides(system, unknowns)
+        solution = system.solve_series(series)
+        assert solution is not None
+        assert all(isinstance(s, QSeries) and s.order == 9 for s in solution)
+        assert _coefficients(solution) == _solved_per_coefficient(system, series)
+
+
+@pytest.mark.parametrize("name", ["fit-basis", "overdetermined"])
+def test_solve_series_refuses_one_inconsistent_coefficient(name):
+    rng = random.Random(2828)
+    system = System(SERIES_SYSTEMS[name])
+    unknowns = [_random_series(rng, 9) for _ in range(system.plan.columns)]
+    series = _right_hand_sides(system, unknowns)
+    series[-1] = series[-1] + QSeries.from_function(9, lambda d: F(1, 7) if d == 6 else 0)
+    assert system.solve_series(series) is None
+    assert _solved_per_coefficient(system, series) is None
+    # only that coefficient breaks: the truncation below it still solves
+    assert system.solve_series([s.truncate(5) for s in series]) is not None

@@ -9,7 +9,8 @@ from fractions import Fraction as F
 import pytest
 
 from delliptic import chow, covers, linalg, loci, report
-from delliptic.divisors import TABLE_ORDER_CEILING, Row, conv2, conv3, divisors, sigma
+from delliptic.divisors import (TABLE_ORDER_CEILING, Row, conv2, conv3, divisors, sigma,
+                                sigma_polynomial)
 from delliptic.errors import CrossCheckError
 from delliptic.loci import (
     boundary_profile_m2,
@@ -35,6 +36,7 @@ from delliptic.chow import (
     basis_labels,
     pairing_number,
     pushforward_m21_to_m2,
+    solve_class,
     space,
 )
 from delliptic.quasimodular import NotQuasimodular, QuasimodularFit
@@ -55,6 +57,36 @@ class TestAuxiliaryLoci:
         cls = pointed_cover_class_m12(3)
         assert cls.coefficient("Delta_0") == F(1, 3)
         assert cls.coefficient("Delta_1") == 8
+
+    def test_pointed_cover_class_is_the_per_d_solve(self):
+        # one series solve of the whole table, read at d
+        for d in range(1, 65):
+            solved = solve_class("M12", 1, loci.pointed_cover_profile_m12(d))
+            assert pointed_cover_class_m12(d) == solved
+
+    @staticmethod
+    def first_wrong_m12(top):
+        """The first d <= top where the per-d M12 solve misses the closed rows."""
+        forms = loci.CLOSED_FORMS["pointed_cover_class_m12"]
+        for d in range(1, top + 1):
+            solved = solve_class("M12", 1, loci.pointed_cover_profile_m12(d))
+            if solved.coefficients != tuple(sigma_polynomial(forms[label], d)
+                                            for label in solved.labels):
+                return d
+        return None
+
+    @pytest.mark.parametrize("site", [
+        *((chow.SPACES, "M12", "pairings", (1, 1), i, j) for i in (0, 1) for j in (0, 1)),
+        *((loci.CLOSED_FORMS, "pointed_cover_class_m12", label, key)
+          for label, row in loci.CLOSED_FORMS["pointed_cover_class_m12"].items() for key in row),
+    ], ids=lambda site: "-".join(map(str, site[1:])))
+    def test_planted_m12_error_fails_at_its_first_wrong_d(self, plant, site):
+        root, *path = site
+        plant(root, *path, change=lambda v: v + 1)
+        first = self.first_wrong_m12(64)
+        assert first is not None
+        with pytest.raises(CrossCheckError, match=rf"^pointed_cover_class_m12\(d={first}\): "):
+            pointed_cover_class_m12(64)
 
     def test_total_ramification_profile(self):
         assert all(v == 0 for v in total_ramification_profile_m13(1).values())
@@ -325,26 +357,48 @@ class TestGenus3:
             (-25056 + 13560 - 960) * 3 + (11184 - 5400) * 9 + 252 * 33
         )
 
-    def test_one_table_per_power_of_two(self):
-        tables = (loci._profile_table_m2, loci._profile_table_m21, loci._profile_table_m3,
-                  loci._triple_branch_table, loci.convolution_table)
-        for value in vars(loci).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+    def test_one_table_per_family(self, empty_caches, plant):
+        tables = {"m2": loci._profile_table_m2, "m21": loci._profile_table_m21,
+                  "m3": loci._profile_table_m3, "conv2": divisors_module._products,
+                  "m12": loci._class_table_m12, "triple": loci._triple_branch_table}
+
+        def info(field):
+            return {name: getattr(table.cache_info(), field) for name, table in tables.items()}
+
+        # every sweep of the certificate reads its profile at the top order
+        # first: each table is built once, at q^64
+        loci.certify_quasimodularity(60)
+        assert info("misses") == {**dict.fromkeys(tables, 1), "triple": 0}
+        for cache in empty_caches:
+            cache.cache_clear()
+        # an ascending sweep grows each table at n = 1, 2, 4, ..., 128 and
+        # holds the last; the m3 table is not read
         for d in range(1, 101):
             delliptic_class_m21(d)
-        # n = 1, 2, 4, ..., 128; the pushforward check reads the m2 class,
-        # and the m2 and m21 tables read one conv2 table per n
-        assert [table.cache_info().misses for table in tables] == [8, 8, 0, 0, 8]
-        for d in range(1, 101):
-            delliptic_class_m3(d)
-            delliptic_class_m2(d)
-        assert [table.cache_info().misses for table in tables] == [8, 8, 8, 0, 8]
-        for d in range(1, 101):
             triple_branch_chain_sum(d)
             triple_branch_split_sum(d)
+        assert info("currsize") == {**dict.fromkeys(tables, 1), "m3": 0}
+        built = info("misses")
+        assert built == {**dict.fromkeys(tables, 8), "m3": 0}
         triple_branch_cancellation(100)  # the q^128 table, truncated
-        assert [table.cache_info().misses for table in tables] == [8, 8, 8, 8, 8]
+        for d in range(1, 129):
+            delliptic_class_m21(d)
+            boundary_profile_m2(d)
+            triple_branch_split_sum(d)
+        assert info("misses") == built
+        # the m3 table to q^4 reads the larger held tables, truncated
+        assert delliptic_class_m3(3) == closed_class("m3", 3)
+        assert info("misses") == {**built, "m3": 1}
+        # a build that raises keeps the held table: the conv2 row read as a
+        # series is wrong at q^150 only
+        plant(divisors_module.sigma_series, change=lambda original: lambda row, n: (
+            original(row, n) + QSeries.from_function(n, lambda d: int(d == 150))))
+        conv2(100)
+        with pytest.raises(CrossCheckError, match=r"^conv2\(d=150\): "):
+            conv2(150)
+        built = info("misses")
+        assert conv2(128) == sum(sigma(1, k) * sigma(1, 128 - k) for k in range(1, 128))
+        assert info("misses") == built
 
     def test_table_order_stops_at_the_ceiling(self):
         # every d up to the ceiling reads the one table at TABLE_ORDER_CEILING,
@@ -531,6 +585,8 @@ TABLE_READERS = {
     "conv2": ("d", conv2),
     "conv2_weighted": ("d", divisors_module.conv2_weighted),
     "conv3": ("d", conv3),
+    "convolution_table": ("order", functools.partial(divisors_module.convolution_table, "conv2")),
+    "pointed_cover_class_m12": ("d", pointed_cover_class_m12),
     "count_sublattices": ("d", covers.count_sublattices),
     "count_pointed_isogenies": ("d", covers.count_pointed_isogenies),
     "boundary_profile_m2": ("d", boundary_profile_m2),
@@ -546,7 +602,7 @@ TABLE_READERS = {
        for family in loci.FAMILIES},
     "triple_branch_chain_sum": ("d", triple_branch_chain_sum),
     "triple_branch_split_sum": ("d", triple_branch_split_sum),
-    "triple_branch_cancellation": ("d", triple_branch_cancellation),
+    "triple_branch_cancellation": ("order", triple_branch_cancellation),
     "coefficient_series": ("order", functools.partial(coefficient_series, "m3", "kappa_2")),
     "certify_quasimodularity": ("order", loci.certify_quasimodularity),
     "run_verification[max_d]": ("max_d", lambda n: report.run_verification(max_d=n, order=30)),
