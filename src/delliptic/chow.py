@@ -266,22 +266,6 @@ class ChowClass:
         if len(self.labels) != len(self.coefficients):
             raise ValueError("labels and coefficients must have equal length")
 
-    @classmethod
-    def from_coefficients(
-        cls, space_id: str, degree: int, values: Mapping[str, Fraction | int]
-    ) -> ChowClass:
-        """Class on the registered basis from a label -> value mapping."""
-        labels = basis_labels(space_id, degree)
-        unknown = set(values) - set(labels)
-        if unknown:
-            raise ValueError(f"labels {sorted(unknown)} not in basis of {space_id}")
-        return cls(
-            space_id,
-            degree,
-            labels,
-            tuple(F(values.get(label, 0)) for label in labels),
-        )
-
     def coefficient(self, label: str) -> Fraction:
         try:
             return self.coefficients[self.labels.index(label)]

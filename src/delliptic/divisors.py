@@ -3,12 +3,12 @@
 sigma_k(d) = sum of a^k over the positive divisors a of d, so sigma_0(d) is
 the number of divisors. Every closed form in the package is a sigma
 polynomial, held as data: a Row {(j, k): c} means sum c d^j sigma_k(d), and
-sigma_polynomial(row, d) is its one reader. A Row is read-only (item
-assignment raises TypeError; a changed closed form is a new Row) and carries
-its int kernel, built once with it: its monomials (j, k), its coefficients'
-numerators over the lcm of their denominators, and that lcm. So reading a
-row at d is one int multiply-add against the values d^j sigma_k(d) and one
-Fraction; sigma_series reads it so at every d <= n into one QSeries.
+sigma_series(row, n), the row at every d <= n as one QSeries, is its one
+reader (a value at d is a q^d coefficient of a held table). A Row is read-only
+(item assignment raises TypeError; a changed closed form is a new Row) and
+carries its int kernel, built once with it: its monomials (j, k), its
+coefficients' numerators over the lcm of their denominators, and that lcm, so
+a row is read in int multiply-adds over one denominator.
 
 The three convolutions of sigma_1 over ordered compositions of d have such
 rows (CLOSED_FORMS):
@@ -33,8 +33,8 @@ multiplication (Kronecker substitution in series). Divisor enumeration is
 trial division up to sqrt(d). TABLE_ORDER_CEILING, a power of two, is the
 one budget of work that grows with d: table_order refuses a larger d
 before any table is built, and the isogeny counts,
-coefficient_series and run_verification refuse a larger d, order or max_d up
-front (require_within_ceiling).
+class_series, sigma_series and run_verification refuse a larger d, order or
+max_d up front (require_within_ceiling, require_order).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, wraps
 from math import isqrt
-from operator import add, mul
+from operator import add
 from types import MappingProxyType
 from typing import Union
 
@@ -52,9 +52,9 @@ from .errors import crosscheck_series
 from .series import QSeries, _over_common_denominator
 
 __all__ = [
-    "require_positive", "divisors", "sigma", "Row", "rows", "sigma_polynomial",
-    "sigma_series", "CLOSED_FORMS", "TABLE_ORDER_CEILING", "require_within_ceiling",
-    "table_order", "growing_table", "convolution_table", "conv2", "conv2_weighted", "conv3",
+    "require_positive", "divisors", "sigma", "Row", "rows", "sigma_series", "CLOSED_FORMS",
+    "TABLE_ORDER_CEILING", "require_within_ceiling", "require_order", "table_order",
+    "growing_table", "convolution_table", "conv2", "conv2_weighted", "conv3",
 ]
 
 F = Fraction
@@ -126,16 +126,10 @@ def sigma(k: int, d: int) -> int:
     return sum(a**k for a in divisors(d))
 
 
-def sigma_polynomial(row: Row, d: int) -> Fraction:
-    """sum c d^j sigma_k(d) over the row {(j, k): c}, exactly, read through
-    the row's kernel."""
-    values = [d**j * sigma(k, d) for j, k in row.monomials]
-    return Fraction(sum(map(mul, row.numerators, values)), row.scale)
-
-
 def sigma_series(row: Row, n: int) -> QSeries:
-    """sum_{d=1..n} sigma_polynomial(row, d) q^d (q^0 is 0): the kernel's int
-    multiply-adds, one monomial at a time, over the row's one denominator."""
+    """sum_{d=1..n} (sum c d^j sigma_k(d) over the row {(j, k): c}) q^d to
+    q^n (require_order): int multiply-adds, one monomial at a time."""
+    require_order(n)
     sums = [0] * n
     for c, (j, k) in zip(row.numerators, row.monomials):
         sums = list(map(add, sums, [c * d**j * sigma(k, d) for d in range(1, n + 1)]))
@@ -164,6 +158,13 @@ def require_within_ceiling(value: int, name: str = "d") -> None:
         raise ValueError(f"{name} = {value} exceeds the table order ceiling {TABLE_ORDER_CEILING}")
 
 
+def require_order(order: int, least: int = 0) -> None:
+    """Raise ValueError unless least <= order <= TABLE_ORDER_CEILING, naming the order."""
+    if order < least:
+        raise ValueError(f"order must be >= {least}, got {order}")
+    require_within_ceiling(order, "order")
+
+
 def table_order(d: int) -> int:
     """The order of the table read at 1 <= d <= TABLE_ORDER_CEILING: the next
     power of two >= d, so a growing_table grows at most once per power of two."""
@@ -178,7 +179,9 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 def growing_table(build):
     """Decorator: build(*key, n), a table to q^n, cached as the largest built
     per key. A read at (*key, d) past it builds the table at table_order(d) in
-    its place (a build that raises holds nothing new). cache_info() counts
+    its place (a build that raises holds nothing new). A read returns the held
+    table, whose order may exceed table_order(d): a build that reads another
+    table truncates it to q^n, as convolution_table does. cache_info() counts
     reads as lru_cache's does, and held tables as currsize."""
     held, counts = {}, Counter()
 

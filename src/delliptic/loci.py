@@ -20,8 +20,8 @@ raising CrossCheckError that names the route that disagrees; these checks
 are the package's defense against transcription errors in the tables.
 
 Every closed form is data, not code: a row {(j, k): c} meaning
-sum c d^j sigma_k(d) (sigma_0 the divisor count), read by the one reader
-divisors.sigma_polynomial. The class rows sit in FAMILIES; the profile rows,
+sum c d^j sigma_k(d) (sigma_0 the divisor count), read as a series by the one
+reader divisors.sigma_series. The class rows sit in FAMILIES; the profile rows,
 the chain-winding total, the two-marked cover class and the two
 triple-branch sums sit in CLOSED_FORMS. The profile rows are written in
 sigma directly, so the closed route reads no convolution table. Every row
@@ -45,12 +45,12 @@ pass over the label maps saying where each dual is realized.
 
 The routes of m2, m21, m3, the m12 class and the triple-branch sums run on
 whole series: one divisors.growing_table per family builds each route to q^n
-and checks it against the closed rows read as series (sigma_series). A read
-at d past the held table rebuilds it at table_order(d), so a sweep that reads
-its top d first (coefficient_series) builds each once. The windings over
-a | d are one divisor sieve, the D1_D12 tail one product 12 A*F, the m12
-class one series solve (chow.solve_class_series); the m2e profile and the
-class solve stay per d.
+and checks it against the closed rows read as series; the m12 profile and
+each family's class rows are such tables too. A read at d past the held table
+rebuilds it at table_order(d), so the one class sweep, class_series, reads
+its top d first and builds each table once. The windings over a | d are one divisor sieve,
+the D1_D12 tail one product 12 A*F, the m12 class one series solve
+(chow.solve_class_series); the m2e profile and the class solve stay per d.
 
 The double-chain covers (the m21 profile and the split sum) weigh m*b over
 the splittings a*m + b*n = d, which totals sum_k sigma_1(k) sigma_1(d - k) =
@@ -96,8 +96,8 @@ from . import covers
 from .chow import (FORGET_M21_TO_M2, ChowClass, pairing_number, pushforward_m21_to_m2,
                    q_basis_labels, solve_class, solve_class_series, to_q_class_basis)
 from .covers import count_dd3, count_dd22, count_dd2222, count_pointed_isogenies
-from .divisors import (Row, conv2, convolution_table, growing_table, require_positive,
-                       require_within_ceiling, rows, sigma, sigma_polynomial, sigma_series)
+from .divisors import (Row, conv2, convolution_table, growing_table, require_order,
+                       require_positive, rows, sigma, sigma_series)
 from .errors import crosscheck, crosscheck_series
 from .quasimodular import FitResult, fit_quasimodular
 from .series import QSeries
@@ -126,6 +126,7 @@ __all__ = [
     "closed_class",
     "family_labels",
     "class_in_family",
+    "class_series",
     "coefficient_series",
     "CERTIFICATION_WEIGHT",
     "certify_quasimodularity",
@@ -199,13 +200,18 @@ def _windings(n: int, count) -> QSeries:
     return QSeries(sums) * F(1, counts.denominator)
 
 
-def closed_class(family: str, d: int) -> ChowClass:
-    """One family's closed-form class at d, read off its rows in FAMILIES."""
-    require_positive(d)
+@growing_table
+def _closed_class_table(family: str, n: int) -> tuple[QSeries, ...]:
+    """One family's class rows in FAMILIES as series to q^n, in q_basis_labels order."""
     space_id, degree, _, _, rows = FAMILIES[family]
-    labels = q_basis_labels(space_id, degree)
-    values = tuple(sigma_polynomial(rows[label], d) for label in labels)
-    return ChowClass(space_id, degree, labels, values)
+    return tuple(sigma_series(rows[label], n) for label in q_basis_labels(space_id, degree))
+
+
+def closed_class(family: str, d: int) -> ChowClass:
+    """One family's closed-form class at d, read off its table of class rows."""
+    space_id, degree = FAMILIES[family][:2]
+    values = tuple(s.coefficient(d) for s in _closed_class_table(family, d))
+    return ChowClass(space_id, degree, q_basis_labels(space_id, degree), values)
 
 
 def _solved_class(family: str, d: int) -> ChowClass:
@@ -221,7 +227,13 @@ def _solved_class(family: str, d: int) -> ChowClass:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@growing_table
+def _profile_table_m12(n: int) -> Mapping[str, QSeries]:
+    """pointed_cover_profile_m12 to q^n, by dual label."""
+    isogenies = sigma_series(covers.CLOSED_FORMS["count_pointed_isogenies"], n)
+    return MappingProxyType({"Delta_0": isogenies, "Delta_1": QSeries.zero(n)})
+
+
 def pointed_cover_profile_m12(d: int) -> Mapping[str, Fraction]:
     """Intersection numbers of the locus of genus-1 covers carrying two
     marked points over one target point, against the M12 divisors.
@@ -230,16 +242,14 @@ def pointed_cover_profile_m12(d: int) -> Mapping[str, Fraction]:
     there are (d-1)sigma_1(d), read off their closed-form row; the reducible
     divisor misses it entirely.
     """
-    require_positive(d)
-    isogenies = sigma_polynomial(covers.CLOSED_FORMS["count_pointed_isogenies"], d)
-    return MappingProxyType({"Delta_0": isogenies, "Delta_1": F(0)})
+    return _read(_profile_table_m12(d), d)
 
 
 @growing_table
 def _class_table_m12(n: int) -> Mapping[str, QSeries]:
     """pointed_cover_class_m12 to q^n by basis label: one series solve, checked whole."""
-    isogenies = sigma_series(covers.CLOSED_FORMS["count_pointed_isogenies"], n)
-    solved = solve_class_series("M12", 1, {"Delta_0": isogenies, "Delta_1": QSeries.zero(n)})
+    profile = {label: s.truncate(n) for label, s in _profile_table_m12(n).items()}
+    solved = solve_class_series("M12", 1, profile)
     for label, closed in _closed("pointed_cover_class_m12", n).items():
         crosscheck_series("pointed_cover_class_m12", solver=solved[label], closed=closed)
     return solved
@@ -313,7 +323,7 @@ def _profile_table_m2(n: int) -> Mapping[str, QSeries]:
     for dual, label in _M2_DUAL_IN_M12.items():
         # bridge covers (x2 multiplicity), chain covers, double-chain covers
         topologies = (
-            2 * _series(n, lambda d: pointed_cover_profile_m12(d)[label])
+            2 * _profile_table_m12(n)[label]
             + sum((_m13_windings(n, m13) for m13 in _M12_DIVISOR_PULLBACK[label]),
                   QSeries.zero(n))
             + conv * (2 * pairing_number("M12", label, 1, "Delta_0", 1))
@@ -620,7 +630,7 @@ def triple_branch_cancellation(order: int) -> tuple[FitResult, FitResult, FitRes
     Each part carries a d*sigma_0(d) term of opposite sign, so the parts refuse
     the fit individually while the sum succeeds.
     """
-    require_within_ceiling(order, "order")
+    require_order(order, 1)
     chain, split = (_triple_branch_table(order)[k].truncate(order) for k in ("chain", "split"))
     return (
         fit_quasimodular(chain, CERTIFICATION_WEIGHT, order),
@@ -684,29 +694,35 @@ def class_in_family(family: str, d: int) -> ChowClass:
     return FAMILIES[family][2](d)
 
 
+def class_series(family: str, order: int) -> dict[str, QSeries]:
+    """Every coefficient series of one family to q^order (require_order), by label: its
+    tables read at the top d once, then each class solved and checked, d ascending."""
+    labels = family_labels(family)
+    require_order(order)
+    if order:
+        FAMILIES[family][3](order)
+        closed_class(family, order)
+    classes = [class_in_family(family, d) for d in range(1, order + 1)]
+    return {label: QSeries([0, *(c.coefficient(label) for c in classes)], order)
+            for label in labels}
+
+
 def coefficient_series(family: str, label: str, order: int) -> QSeries:
-    """Generating series of one substack coefficient across d = 1..order <=
-    TABLE_ORDER_CEILING (refused first); the profile read at order first builds each table once."""
+    """Generating series of one substack coefficient, d = 1..order: read off class_series."""
     if label not in family_labels(family):
         raise ValueError(f"unknown coefficient label {label!r} for family {family!r}")
-    require_within_ceiling(order, "order")
-    FAMILIES[family][3](max(order, 1))
-    return _series(order, lambda d: class_in_family(family, d).coefficient(label))
+    return class_series(family, order)[label]
 
 
 def certify_quasimodularity(order: int) -> dict[str, dict[str, FitResult]]:
     """Fit every coefficient series of every class family at
-    CERTIFICATION_WEIGHT.
+    CERTIFICATION_WEIGHT, one class_series sweep per family.
 
     Returns {family: {label: FitResult}}; membership of all four generating
     series in the quasimodular ring means every fit succeeds.
     """
     return {
-        family: {
-            label: fit_quasimodular(
-                coefficient_series(family, label, order), CERTIFICATION_WEIGHT, order
-            )
-            for label in family_labels(family)
-        }
+        family: {label: fit_quasimodular(series, CERTIFICATION_WEIGHT, order)
+                 for label, series in class_series(family, order).items()}
         for family in FAMILIES
     }

@@ -27,7 +27,8 @@ from .covers import (
     count_sublattices,
     hurwitz_number,
 )
-from .divisors import conv2, conv2_weighted, conv3, require_within_ceiling, sigma_polynomial
+from .divisors import (conv2, conv2_weighted, conv3, require_order, require_within_ceiling,
+                       sigma_series)
 from .errors import CrossCheckError, crosscheck
 from .linalg import solve_unique
 from .quasimodular import NotQuasimodular, QuasimodularFit, eisenstein, q_derivative
@@ -122,13 +123,12 @@ def _check_sublattices() -> str:
 
 def _check_pointed_isogenies() -> str:
     top = SUBGROUP_ENUMERATION_BUDGET
+    closed = sigma_series(covers.CLOSED_FORMS["count_pointed_isogenies"], top)
     for d in range(1, top + 1):
         routes = {
             "brute-force": count_pointed_isogenies_enumerated(d),
             "structural": count_pointed_isogenies(d),
-            "closed-form": sigma_polynomial(
-                covers.CLOSED_FORMS["count_pointed_isogenies"], d
-            ),
+            "closed-form": closed.coefficient(d),
         }
         crosscheck("pointed-isogeny-count", d, **routes)
     return f"brute force, structural route and (d-1)sigma_1(d) agree for d <= {top}"
@@ -161,9 +161,7 @@ _CLASS_CHECKS = (
 
 
 def _check_classes(family: str, agreed: str, max_d: int) -> str:
-    loci.FAMILIES[family][3](max_d)  # the profile at max_d builds each table once
-    for d in range(1, max_d + 1):
-        loci.class_in_family(family, d)
+    loci.class_series(family, max_d)
     return f"{agreed} for d <= {max_d}"
 
 
@@ -230,10 +228,8 @@ def run_verification(max_d: int = 30, order: int = 30) -> dict:
     """Run every named check; returns the JSON-ready report."""
     if max_d < 1:
         raise ValueError(f"max_d must be >= 1, got {max_d}")
-    if order < 8:
-        raise ValueError(f"order must be >= 8 (overdetermined fits), got {order}")
     require_within_ceiling(max_d, "max_d")
-    require_within_ceiling(order, "order")
+    require_order(order, 8)  # the certification fits are overdetermined from order 8
     # fitted once: the certification check and the series section share it;
     # it stays empty when certification raises
     certification: dict = {}

@@ -12,6 +12,7 @@ from delliptic import chow, cli, covers, loci, quasimodular, report
 from delliptic.cli import main
 from delliptic.divisors import TABLE_ORDER_CEILING, sigma
 from delliptic.errors import CrossCheckError
+from delliptic.series import QSeries
 
 # the package re-exports the function `divisors`, which shadows the module
 divisors = importlib.import_module("delliptic.divisors")
@@ -445,17 +446,21 @@ class TestVerifyCommand:
         assert "FIRST FAILURE: pairing-tables" in out
 
     @pytest.mark.parametrize(
-        "attr,route",
+        "attr,route,one",
         [
-            ("count_pointed_isogenies_enumerated", "brute-force"),
-            ("count_pointed_isogenies", "structural"),
-            # the closed form is a row, read by sigma_polynomial
-            pytest.param("sigma_polynomial", "closed-form", id="sigma-closed-form"),
+            pytest.param("count_pointed_isogenies_enumerated", "brute-force", 1,
+                         id="count_pointed_isogenies_enumerated-brute-force"),
+            pytest.param("count_pointed_isogenies", "structural", 1,
+                         id="count_pointed_isogenies-structural"),
+            # the closed form is a row, read as one series: wrong at every q^d
+            pytest.param("sigma_series", "closed-form",
+                         QSeries([1] * (covers.SUBGROUP_ENUMERATION_BUDGET + 1)),
+                         id="sigma-closed-form"),
         ],
     )
-    def test_wrong_isogeny_route_is_named(self, monkeypatch, attr, route):
+    def test_wrong_isogeny_route_is_named(self, monkeypatch, attr, route, one):
         original = getattr(report, attr)
-        monkeypatch.setattr(report, attr, lambda *args: original(*args) + 1)
+        monkeypatch.setattr(report, attr, lambda *args: original(*args) + one)
         with pytest.raises(CrossCheckError) as exc:
             report._check_pointed_isogenies()
         assert f": {route} disagrees" in str(exc.value)

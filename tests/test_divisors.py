@@ -11,7 +11,7 @@ import pytest
 
 from delliptic import report
 from delliptic.divisors import (
-    Row, conv2, conv2_weighted, conv3, divisors, growing_table, sigma, sigma_polynomial,
+    Row, conv2, conv2_weighted, conv3, divisors, growing_table, sigma, sigma_series,
 )
 from delliptic.errors import CrossCheckError
 from delliptic.series import QSeries
@@ -124,9 +124,9 @@ class TestConvolutions:
         rows = divisors_module.CLOSED_FORMS
         assert sorted(rows) == sorted(CONVOLUTIONS)
         for row in rows.values():
-            assert sigma_polynomial(row, 1) == 0
-        assert sigma_polynomial(rows["conv3"], 2) == 0
-        assert sigma_polynomial(rows["conv2"], 2) == 1
+            assert sigma_series(row, 1).coefficient(1) == 0
+        assert sigma_series(rows["conv3"], 2).coefficient(2) == 0
+        assert sigma_series(rows["conv2"], 2).coefficient(2) == 1
 
     def test_sigma_polynomial(self):
         # sigma_0 counts divisors; coefficients are exact and summed over one denominator
@@ -136,9 +136,9 @@ class TestConvolutions:
                 len(divisors(d)) - F(d, 2) * sigma(1, d) + F(5 * d * d, 6) * sigma(3, d)
                 - F(7, 10) * sigma(5, d)
             )
-            assert sigma_polynomial(row, d) == expected
-        assert sigma_polynomial(Row({}), 7) == 0
-        assert isinstance(sigma_polynomial(Row({(0, 1): 2}), 6), F)
+            assert sigma_series(row, d).coefficient(d) == expected
+        assert sigma_series(Row({}), 7).coefficient(7) == 0
+        assert isinstance(sigma_series(Row({(0, 1): 2}), 6).coefficient(6), F)
 
     def test_rejects_small_arguments(self):
         # below their range the convolutions are the empty sum 0

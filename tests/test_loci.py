@@ -10,7 +10,7 @@ import pytest
 
 from delliptic import chow, covers, linalg, loci, report
 from delliptic.divisors import (TABLE_ORDER_CEILING, Row, conv2, conv3, divisors, sigma,
-                                sigma_polynomial)
+                                sigma_series)
 from delliptic.errors import CrossCheckError
 from delliptic.loci import (
     boundary_profile_m2,
@@ -64,13 +64,22 @@ class TestAuxiliaryLoci:
             solved = solve_class("M12", 1, loci.pointed_cover_profile_m12(d))
             assert pointed_cover_class_m12(d) == solved
 
+    def test_class_reads_a_longer_profile_table(self, empty_caches):
+        # the m12 profile held at q^128 is cut to q^8 for the class table's solve
+        loci.pointed_cover_profile_m12(128)
+        assert pointed_cover_class_m12(5) == solve_class("M12", 1,
+                                                         loci.pointed_cover_profile_m12(5))
+        held = loci._profile_table_m12.cache_info()
+        assert (held.misses, held.currsize) == (1, 1)
+
     @staticmethod
     def first_wrong_m12(top):
         """The first d <= top where the per-d M12 solve misses the closed rows."""
         forms = loci.CLOSED_FORMS["pointed_cover_class_m12"]
+        closed = {label: sigma_series(row, top) for label, row in forms.items()}
         for d in range(1, top + 1):
             solved = solve_class("M12", 1, loci.pointed_cover_profile_m12(d))
-            if solved.coefficients != tuple(sigma_polynomial(forms[label], d)
+            if solved.coefficients != tuple(closed[label].coefficient(d)
                                             for label in solved.labels):
                 return d
         return None
@@ -365,10 +374,25 @@ class TestGenus3:
         def info(field):
             return {name: getattr(table.cache_info(), field) for name, table in tables.items()}
 
-        # every sweep of the certificate reads its profile at the top order
-        # first: each table is built once, at q^64
+        calls = dict.fromkeys(loci.FAMILIES, 0)
+
+        def counted(families):
+            def count(family, solve):
+                def read(d):
+                    calls[family] += 1
+                    return solve(d)
+                return read
+            return {family: (space_id, degree, count(family, solve), *rest)
+                    for family, (space_id, degree, solve, *rest) in families.items()}
+
+        # one class sweep per family, which reads its profile and its closed
+        # rows at the top order first: each table is built once, at q^64
+        plant(loci.FAMILIES, change=counted)
         loci.certify_quasimodularity(60)
         assert info("misses") == {**dict.fromkeys(tables, 1), "triple": 0}
+        assert calls == dict.fromkeys(loci.FAMILIES, 60)
+        closed = loci._closed_class_table.cache_info()
+        assert (closed.misses, closed.currsize) == (len(loci.FAMILIES), len(loci.FAMILIES))
         for cache in empty_caches:
             cache.cache_clear()
         # an ascending sweep grows each table at n = 1, 2, 4, ..., 128 and
@@ -576,6 +600,37 @@ class TestCertificationPlumbing:
         with pytest.raises(ValueError):
             coefficient_series("m2", "delta_7", 10)
 
+    def test_class_series_is_every_coefficient_series(self):
+        for family in loci.FAMILIES:
+            series = loci.class_series(family, 60)
+            assert tuple(series) == family_labels(family)
+            for label, value in series.items():
+                assert value == coefficient_series(family, label, 60)
+                assert value.coefficient(60) == loci.class_in_family(family, 60).coefficient(label)
+
+    @pytest.mark.parametrize("family", sorted(loci.FAMILIES))
+    def test_planted_class_row_fails_at_its_first_wrong_d(self, plant, family):
+        # d sigma_1(d) - sigma_3(d) added to one row: 0 at d = 1 only
+        label = family_labels(family)[0]
+        plant(loci.FAMILIES, family, 4, label, change=lambda row: Row({
+            **row, (1, 1): row.get((1, 1), 0) + 1, (0, 3): row.get((0, 3), 0) - 1}))
+        first = next(d for d in range(1, 11) if d * sigma(1, d) != sigma(3, d))
+        with pytest.raises(CrossCheckError, match=rf"^class\[{family}\]\(d={first}\): "):
+            loci.class_series(family, 10)
+
+    @pytest.mark.parametrize("read,message", [
+        (lambda: coefficient_series("m2", "delta_0", -1), "order must be >= 0, got -1"),
+        (lambda: loci.class_series("m3", -1), "order must be >= 0, got -1"),
+        (lambda: sigma_series(covers.CLOSED_FORMS["count_pointed_isogenies"], -2),
+         "order must be >= 0, got -2"),
+        (lambda: triple_branch_cancellation(0), "order must be >= 1, got 0"),
+    ], ids=["coefficient_series", "class_series", "sigma_series", "triple_branch_cancellation"])
+    def test_bad_order_refused_before_any_work(self, empty_caches, read, message):
+        before = [cache.cache_info() for cache in empty_caches]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read()
+        assert [cache.cache_info() for cache in empty_caches] == before
+
 
 
 ABOVE = TABLE_ORDER_CEILING + 1
@@ -586,6 +641,9 @@ TABLE_READERS = {
     "conv2_weighted": ("d", divisors_module.conv2_weighted),
     "conv3": ("d", conv3),
     "convolution_table": ("order", functools.partial(divisors_module.convolution_table, "conv2")),
+    "sigma_series": ("order", functools.partial(
+        sigma_series, covers.CLOSED_FORMS["count_pointed_isogenies"])),
+    "pointed_cover_profile_m12": ("d", loci.pointed_cover_profile_m12),
     "pointed_cover_class_m12": ("d", pointed_cover_class_m12),
     "count_sublattices": ("d", covers.count_sublattices),
     "count_pointed_isogenies": ("d", covers.count_pointed_isogenies),
@@ -600,6 +658,8 @@ TABLE_READERS = {
     "delliptic_class_m3": ("d", delliptic_class_m3),
     **{f"class_in_family[{family}]": ("d", functools.partial(loci.class_in_family, family))
        for family in loci.FAMILIES},
+    "closed_class": ("d", functools.partial(closed_class, "m3")),
+    "class_series": ("order", functools.partial(loci.class_series, "m3")),
     "triple_branch_chain_sum": ("d", triple_branch_chain_sum),
     "triple_branch_split_sum": ("d", triple_branch_split_sum),
     "triple_branch_cancellation": ("order", triple_branch_cancellation),
