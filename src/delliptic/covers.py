@@ -51,7 +51,7 @@ from math import factorial, gcd, isqrt, prod
 from operator import add, index
 from typing import Iterable, Mapping, Sequence
 
-from .divisors import Row, divisors, require_positive, require_within_ceiling, rows
+from .divisors import divisors, require_positive, require_within_ceiling, rows
 
 __all__ = [
     "Partition",
@@ -79,9 +79,10 @@ __all__ = [
 #: largest classes pinned and forced
 ENUMERATION_BUDGET = 8
 
-#: count -> its closed form, a sigma polynomial row (divisors.Row), which
-#: verify's pointed-isogeny-count check reads as its closed-form route
-CLOSED_FORMS: Mapping[str, Row] = rows({
+#: count -> its closed form, a read-only sigma polynomial row {(j, k): c}
+#: (divisors.rows), which verify's pointed-isogeny-count check reads as its
+#: closed-form route
+CLOSED_FORMS: Mapping[str, Mapping[tuple[int, int], int]] = rows({
     "count_pointed_isogenies": {(1, 1): 1, (0, 1): -1},  # (d - 1) sigma_1(d)
 })
 

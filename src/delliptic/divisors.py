@@ -2,13 +2,13 @@
 
 sigma_k(d) = sum of a^k over the positive divisors a of d, so sigma_0(d) is
 the number of divisors. Every closed form in the package is a sigma
-polynomial, held as data: a Row {(j, k): c} means sum c d^j sigma_k(d), and
+polynomial, held as data: a row {(j, k): c} means sum c d^j sigma_k(d), and
 sigma_series(row, n), the row at every d <= n as one QSeries, is its one
-reader (a value at d is a q^d coefficient of a held table). A Row is read-only
-(item assignment raises TypeError; a changed closed form is a new Row) and
-carries its int kernel, built once with it: its monomials (j, k), its
-coefficients' numerators over the lcm of their denominators, and that lcm, so
-a row is read in int multiply-adds over one denominator.
+reader (a value at d is a q^d coefficient of a held table). rows() makes each
+row a read-only mapping (types.MappingProxyType: item assignment raises
+TypeError; a changed closed form is a new row). sigma_series reads any such
+mapping: once per call it puts the coefficients over the lcm of their
+denominators, then sums int multiply-adds over that one denominator.
 
 The three convolutions of sigma_1 over ordered compositions of d have such
 rows (CLOSED_FORMS):
@@ -19,11 +19,11 @@ rows (CLOSED_FORMS):
                                            + (-5d/32 + 5/96) s3(d) + 7/192 s5(d)
 
 Below its range (d = 1, and for conv3 also d = 2) each convolution is the
-empty sum 0, and so is its row; d < 1 raises ValueError through
-require_positive, the package's one d >= 1 check. These identities carry the
-whole assembly downstream, so every convolution is evaluated BOTH by direct
-summation and by its row, compared per table (CrossCheckError at the first d
-where they differ). The direct sums are the int coefficients of the QSeries
+empty sum 0, and so is its row; d < 1 raises ValueError and a non-integer
+d (operator.index) TypeError through require_positive, the package's one d
+check. These identities carry the whole assembly downstream, so every
+convolution is evaluated BOTH by direct summation and by its row, compared
+per table (CrossCheckError at the first d where they differ). The direct sums are the int coefficients of the QSeries
 products A*A, (DA)*A and (A*A)*A (A = sum s1(m)q^m, DA = sum m s1(m)q^m),
 one held table per convolution (growing_table, the package's table cache),
 rebuilt only for a d past its end, at table_order(d): the next power of two
@@ -44,7 +44,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, wraps
 from math import isqrt
-from operator import add
+from operator import add, index
 from types import MappingProxyType
 from typing import Union
 
@@ -52,7 +52,7 @@ from .errors import crosscheck_series
 from .series import QSeries, _over_common_denominator
 
 __all__ = [
-    "require_positive", "divisors", "sigma", "Row", "rows", "sigma_series", "CLOSED_FORMS",
+    "require_positive", "divisors", "sigma", "rows", "sigma_series", "CLOSED_FORMS",
     "TABLE_ORDER_CEILING", "require_within_ceiling", "require_order", "table_order",
     "growing_table", "convolution_table", "conv2", "conv2_weighted", "conv3",
 ]
@@ -60,50 +60,27 @@ __all__ = [
 F = Fraction
 
 
-class Row(Mapping):
-    """A read-only sigma polynomial {(j, k): c}, sum c d^j sigma_k(d), with
-    its int kernel: `monomials` (the keys (j, k) in order), `numerators`
-    (each c over `scale`) and `scale` (the lcm of the denominators)."""
-
-    __slots__ = ("_terms", "monomials", "numerators", "scale")
-
-    def __init__(self, terms: Mapping[tuple[int, int], Union[int, Fraction]]):
-        terms = dict(terms)
-        numerators, scale = _over_common_denominator(list(terms.values()))
-        for name, value in (("_terms", terms), ("monomials", tuple(terms)),
-                            ("numerators", tuple(numerators)), ("scale", scale)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Row is read-only")
-
-    def __getitem__(self, key: tuple[int, int]) -> Union[int, Fraction]:
-        return self._terms[key]
-
-    def __iter__(self):
-        return iter(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __reduce__(self):
-        return Row, (self._terms,)
-
-    def __repr__(self) -> str:
-        return f"Row({self._terms!r})"
-
-
 def rows(
     table: Mapping[str, Mapping[tuple[int, int], Union[int, Fraction]]]
-) -> Mapping[str, Row]:
-    """Read-only {label: Row} from {label: {(j, k): c}}, kernels built once."""
-    return MappingProxyType({label: Row(terms) for label, terms in table.items()})
+) -> Mapping[str, Mapping[tuple[int, int], Union[int, Fraction]]]:
+    """Read-only {label: read-only {(j, k): c}} from {label: {(j, k): c}}."""
+    return MappingProxyType({label: MappingProxyType(dict(row)) for label, row in table.items()})
 
 
-def require_positive(d: int) -> None:
-    """Raise ValueError unless d >= 1."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+def _require_at_least(value: int, least: int, name: str) -> None:
+    """Raise TypeError unless value is an integer (operator.index), and
+    ValueError unless value >= least, naming the argument."""
+    try:
+        index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def require_positive(d: int, name: str = "d") -> None:
+    """Raise TypeError unless d is an integer, ValueError unless d >= 1."""
+    _require_at_least(d, 1, name)
 
 
 @lru_cache(maxsize=None)
@@ -126,18 +103,20 @@ def sigma(k: int, d: int) -> int:
     return sum(a**k for a in divisors(d))
 
 
-def sigma_series(row: Row, n: int) -> QSeries:
+def sigma_series(row: Mapping[tuple[int, int], Union[int, Fraction]], n: int) -> QSeries:
     """sum_{d=1..n} (sum c d^j sigma_k(d) over the row {(j, k): c}) q^d to
-    q^n (require_order): int multiply-adds, one monomial at a time."""
+    q^n (require_order): int multiply-adds over the coefficients' lcm, one
+    monomial at a time."""
     require_order(n)
+    numerators, scale = _over_common_denominator(list(row.values()))
     sums = [0] * n
-    for c, (j, k) in zip(row.numerators, row.monomials):
+    for c, (j, k) in zip(numerators, row):
         sums = list(map(add, sums, [c * d**j * sigma(k, d) for d in range(1, n + 1)]))
-    return QSeries([0, *sums]) * Fraction(1, row.scale)
+    return QSeries([0, *sums]) * Fraction(1, scale)
 
 
 #: convolution -> its closed form, the row its direct sum must equal
-CLOSED_FORMS: Mapping[str, Row] = rows({
+CLOSED_FORMS: Mapping[str, Mapping[tuple[int, int], Fraction]] = rows({
     "conv2": {(1, 1): F(-1, 2), (0, 1): F(1, 12), (0, 3): F(5, 12)},
     "conv2_weighted": {(2, 1): F(-1, 4), (1, 1): F(1, 24), (1, 3): F(5, 24)},
     "conv3": {
@@ -159,9 +138,9 @@ def require_within_ceiling(value: int, name: str = "d") -> None:
 
 
 def require_order(order: int, least: int = 0) -> None:
-    """Raise ValueError unless least <= order <= TABLE_ORDER_CEILING, naming the order."""
-    if order < least:
-        raise ValueError(f"order must be >= {least}, got {order}")
+    """Raise TypeError unless the order is an integer, ValueError unless
+    least <= order <= TABLE_ORDER_CEILING, naming the order."""
+    _require_at_least(order, least, "order")
     require_within_ceiling(order, "order")
 
 
@@ -220,7 +199,7 @@ def _products(name: str, n: int) -> QSeries:
 
 def convolution_table(name: str, n: int) -> QSeries:
     """The checked product ``name`` to exactly q^n, read off its held table."""
-    require_within_ceiling(n, "order")
+    require_order(n, 1)
     table = _products(name, n)
     return table.truncate(n) if table.order > n else table
 

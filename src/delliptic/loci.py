@@ -25,8 +25,8 @@ reader divisors.sigma_series. The class rows sit in FAMILIES; the profile rows,
 the chain-winding total, the two-marked cover class and the two
 triple-branch sums sit in CLOSED_FORMS. The profile rows are written in
 sigma directly, so the closed route reads no convolution table. Every row
-is a read-only divisors.Row carrying its int kernel, in read-only tables;
-FAMILIES stays a dict, as the benchmark's tracer wraps the functions in it.
+is a read-only mapping (divisors.rows), in read-only tables; FAMILIES stays
+a dict, as the benchmark's tracer wraps the functions in it.
 
 Every profile is a read-only mapping (types.MappingProxyType) from
 dual-basis label to Fraction, and its readers index it directly. A family's
@@ -96,7 +96,7 @@ from . import covers
 from .chow import (FORGET_M21_TO_M2, ChowClass, pairing_number, pushforward_m21_to_m2,
                    q_basis_labels, solve_class, solve_class_series, to_q_class_basis)
 from .covers import count_dd3, count_dd22, count_dd2222, count_pointed_isogenies
-from .divisors import (Row, conv2, convolution_table, growing_table, require_order,
+from .divisors import (conv2, convolution_table, growing_table, require_order,
                        require_positive, rows, sigma, sigma_series)
 from .errors import crosscheck, crosscheck_series
 from .quasimodular import FitResult, fit_quasimodular
@@ -138,7 +138,7 @@ F = Fraction
 #: object -> {label: row}, every closed form of this module but the class rows
 #: in FAMILIES; a profile row is checked as "object[label]", the m12 class as
 #: "pointed_cover_class_m12", a triple-branch row as "triple_branch_<label>_sum"
-CLOSED_FORMS: Mapping[str, Mapping[str, Row]] = MappingProxyType({
+CLOSED_FORMS: Mapping[str, Mapping[str, Mapping]] = MappingProxyType({
     "pointed_cover_class_m12": rows({
         "Delta_0": {(1, 1): F(1, 24), (0, 1): F(-1, 24)},
         "Delta_1": {(1, 1): 1, (0, 1): -1},
@@ -209,7 +209,7 @@ def _closed_class_table(family: str, n: int) -> tuple[QSeries, ...]:
 
 def closed_class(family: str, d: int) -> ChowClass:
     """One family's closed-form class at d, read off its table of class rows."""
-    space_id, degree = FAMILIES[family][:2]
+    space_id, degree = _family(family)[:2]
     values = tuple(s.coefficient(d) for s in _closed_class_table(family, d))
     return ChowClass(space_id, degree, q_basis_labels(space_id, degree), values)
 
@@ -269,7 +269,7 @@ def total_ramification_profile_m13(a: int) -> Mapping[str, Fraction]:
     Meets the irreducible-nodal divisor in the 2(a^2 - 1) doubly totally
     ramified pencils (count_dd22) and misses every reducible divisor.
     """
-    require_positive(a)
+    require_positive(a, "a")
     values = {"Delta_0": F(count_dd22(a))}
     for s in ("{1,2}", "{1,3}", "{2,3}", "{1,2,3}"):
         values[f"Delta_1_{s}"] = F(0)
@@ -680,18 +680,20 @@ delliptic_class_m2_closed = partial(closed_class, "m2")
 delliptic_class_m21_closed = partial(closed_class, "m21")
 
 
-def family_labels(family: str) -> tuple[str, ...]:
-    """Substack coefficient labels of one class family."""
+def _family(family: str) -> tuple:
+    """FAMILIES[family]; ValueError for an unknown family."""
     if family not in FAMILIES:
         raise ValueError(f"unknown class family {family!r}")
-    space_id, degree = FAMILIES[family][:2]
-    return q_basis_labels(space_id, degree)
+    return FAMILIES[family]
+
+
+def family_labels(family: str) -> tuple[str, ...]:
+    """Substack coefficient labels of one class family."""
+    return q_basis_labels(*_family(family)[:2])
 
 
 def class_in_family(family: str, d: int) -> ChowClass:
-    if family not in FAMILIES:
-        raise ValueError(f"unknown class family {family!r}")
-    return FAMILIES[family][2](d)
+    return _family(family)[2](d)
 
 
 def class_series(family: str, order: int) -> dict[str, QSeries]:

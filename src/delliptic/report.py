@@ -27,8 +27,8 @@ from .covers import (
     count_sublattices,
     hurwitz_number,
 )
-from .divisors import (conv2, conv2_weighted, conv3, require_order, require_within_ceiling,
-                       sigma_series)
+from .divisors import (conv2, conv2_weighted, conv3, require_order, require_positive,
+                       require_within_ceiling, sigma_series)
 from .errors import CrossCheckError, crosscheck
 from .linalg import solve_unique
 from .quasimodular import NotQuasimodular, QuasimodularFit, eisenstein, q_derivative
@@ -226,8 +226,7 @@ def _detailed_sections(max_d: int, certification: dict) -> tuple[dict, dict]:
 
 def run_verification(max_d: int = 30, order: int = 30) -> dict:
     """Run every named check; returns the JSON-ready report."""
-    if max_d < 1:
-        raise ValueError(f"max_d must be >= 1, got {max_d}")
+    require_positive(max_d, "max_d")
     require_within_ceiling(max_d, "max_d")
     require_order(order, 8)  # the certification fits are overdetermined from order 8
     # fitted once: the certification check and the series section share it;

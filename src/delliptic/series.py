@@ -214,14 +214,6 @@ class QSeries:
     def __rmul__(self, other: Scalar) -> QSeries:
         return self.__mul__(other)
 
-    def __pow__(self, exponent: int) -> QSeries:
-        if exponent < 0:
-            raise ValueError("negative powers are not defined for truncated series")
-        result = QSeries.one(self.order)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     # -- comparison / hashing ---------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -39,7 +39,7 @@ def _changed(node, path, change):
         return dataclasses.replace(node, **{key: _changed(getattr(node, key), rest, change)})
     if isinstance(node, tuple):
         return (*node[:key], _changed(node[key], rest, change), *node[key + 1:])
-    return type(node)({**node, key: _changed(node[key], rest, change)})  # dict, proxy, Row
+    return type(node)({**node, key: _changed(node[key], rest, change)})  # dict or proxy
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import pytest
 
 from delliptic import report
 from delliptic.divisors import (
-    Row, conv2, conv2_weighted, conv3, divisors, growing_table, sigma, sigma_series,
+    conv2, conv2_weighted, conv3, divisors, growing_table, sigma, sigma_series,
 )
 from delliptic.errors import CrossCheckError
 from delliptic.series import QSeries
@@ -131,14 +131,14 @@ class TestConvolutions:
     def test_sigma_polynomial(self):
         # sigma_0 counts divisors; coefficients are exact and summed over one denominator
         for d in range(1, 41):
-            row = Row({(0, 0): 1, (1, 1): F(-1, 2), (2, 3): F(5, 6), (0, 5): F(-7, 10)})
+            row = {(0, 0): 1, (1, 1): F(-1, 2), (2, 3): F(5, 6), (0, 5): F(-7, 10)}
             expected = (
                 len(divisors(d)) - F(d, 2) * sigma(1, d) + F(5 * d * d, 6) * sigma(3, d)
                 - F(7, 10) * sigma(5, d)
             )
             assert sigma_series(row, d).coefficient(d) == expected
-        assert sigma_series(Row({}), 7).coefficient(7) == 0
-        assert isinstance(sigma_series(Row({(0, 1): 2}), 6).coefficient(6), F)
+        assert sigma_series({}, 7).coefficient(7) == 0
+        assert isinstance(sigma_series({(0, 1): 2}, 6).coefficient(6), F)
 
     def test_rejects_small_arguments(self):
         # below their range the convolutions are the empty sum 0

@@ -5,12 +5,12 @@ import functools
 import importlib
 import re
 from fractions import Fraction as F
+from types import MappingProxyType
 
 import pytest
 
 from delliptic import chow, covers, linalg, loci, report
-from delliptic.divisors import (TABLE_ORDER_CEILING, Row, conv2, conv3, divisors, sigma,
-                                sigma_series)
+from delliptic.divisors import TABLE_ORDER_CEILING, conv2, conv3, divisors, sigma, sigma_series
 from delliptic.errors import CrossCheckError
 from delliptic.loci import (
     boundary_profile_m2,
@@ -284,7 +284,7 @@ class TestHoistedConstants:
         ]
         for table in tables:
             for row in table.values():
-                assert isinstance(row, Row)
+                assert isinstance(row, MappingProxyType)
                 key = next(iter(row), (0, 1))
                 with pytest.raises(TypeError):
                     row[key] = 1
@@ -600,6 +600,18 @@ class TestCertificationPlumbing:
         with pytest.raises(ValueError):
             coefficient_series("m2", "delta_7", 10)
 
+    @pytest.mark.parametrize("read", [
+        loci.family_labels,
+        functools.partial(loci.class_in_family, d=3),
+        functools.partial(loci.class_series, order=3),
+        functools.partial(coefficient_series, label="delta_0", order=3),
+        functools.partial(closed_class, d=3),
+    ], ids=["family_labels", "class_in_family", "class_series", "coefficient_series",
+            "closed_class"])
+    def test_unknown_family_refused(self, read):
+        with pytest.raises(ValueError, match=r"^unknown class family 'm9'$"):
+            read("m9")
+
     def test_class_series_is_every_coefficient_series(self):
         for family in loci.FAMILIES:
             series = loci.class_series(family, 60)
@@ -612,8 +624,8 @@ class TestCertificationPlumbing:
     def test_planted_class_row_fails_at_its_first_wrong_d(self, plant, family):
         # d sigma_1(d) - sigma_3(d) added to one row: 0 at d = 1 only
         label = family_labels(family)[0]
-        plant(loci.FAMILIES, family, 4, label, change=lambda row: Row({
-            **row, (1, 1): row.get((1, 1), 0) + 1, (0, 3): row.get((0, 3), 0) - 1}))
+        plant(loci.FAMILIES, family, 4, label, change=lambda row: {
+            **row, (1, 1): row.get((1, 1), 0) + 1, (0, 3): row.get((0, 3), 0) - 1})
         first = next(d for d in range(1, 11) if d * sigma(1, d) != sigma(3, d))
         with pytest.raises(CrossCheckError, match=rf"^class\[{family}\]\(d={first}\): "):
             loci.class_series(family, 10)
@@ -669,6 +681,16 @@ TABLE_READERS = {
     "run_verification[order]": ("order", lambda n: report.run_verification(max_d=30, order=n)),
 }
 
+#: every table reader and the closed-form counts, which read no table: each
+#: refuses a d or order that is not an integer
+INTEGER_READERS = {
+    **TABLE_READERS,
+    "count_dd3": ("d", covers.count_dd3),
+    "count_dd22": ("d", covers.count_dd22),
+    "count_dd2222": ("d", covers.count_dd2222),
+    "total_ramification_profile_m13": ("a", total_ramification_profile_m13),
+}
+
 
 class TestTableOrderCeiling:
     @pytest.mark.parametrize("reader", TABLE_READERS)
@@ -678,6 +700,15 @@ class TestTableOrderCeiling:
         with pytest.raises(ValueError, match=message):
             read(ABOVE)
         assert [cache for cache in empty_caches if cache.cache_info().currsize] == []
+
+    @pytest.mark.parametrize("reader", INTEGER_READERS)
+    def test_non_integer_refused_before_any_work(self, empty_caches, reader):
+        # nothing read or held; an lru_cache counts its miss before its function refuses
+        name, read = INTEGER_READERS[reader]
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got 3\.5$"):
+            read(3.5)
+        infos = [cache.cache_info() for cache in empty_caches]
+        assert [info for info in infos if info.hits or info.currsize] == []
 
     def test_ceiling_is_the_largest_table_order(self):
         assert TABLE_ORDER_CEILING & (TABLE_ORDER_CEILING - 1) == 0
