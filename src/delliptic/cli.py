@@ -41,7 +41,7 @@ SERIES_ORDER_CEILING = 200
 #: largest --weight `series` and `qmod-fit` accept: it bounds the fit's
 #: System, which no table budget covers, and whose monomial basis grows as
 #: weight^3: at order 200, on a 2-vCPU Xeon VM, weight 16 builds its
-#: System in half a second and weight 24 takes about a minute
+#: basis and System in 0.36 s and weight 24 in about 40 s
 FIT_WEIGHT_CEILING = 16
 
 _COUNTS = {

@@ -95,11 +95,12 @@ def divisors(d: int) -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def sigma(k: int, d: int) -> int:
-    """sigma_k(d): sum of k-th powers of the divisors of d."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    """sigma_k(d): sum of k-th powers of the divisors of d. The cache keys
+    each argument with its type, so 3.0 misses the entry of 3 and is refused
+    (TypeError) in every cache state."""
+    _require_at_least(k, 0, "k")
     return sum(a**k for a in divisors(d))
 
 

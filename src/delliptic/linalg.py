@@ -4,7 +4,11 @@ A `System` is a matrix made ready for exact solves against it: its rational
 rows, each row's lcm scale to integers, and the factorisation of the scaled
 rows. `_factorise` picks the pivot columns of an integer matrix (those not in
 the span of earlier ones) and as many independent rows by fraction-free
-(Bareiss) elimination, and inverts that block as B / delta.
+(Bareiss) elimination, and inverts that block as B / delta. It eliminates
+leading blocks of rows that double from the column count until one has
+full column rank, which every fit basis has in its first few rows: the
+plan is the one elimination over all rows gives, and the residual still
+reads every row.
 `System.solve(numerators, scale)` takes the right-hand side as integers over
 one positive scale, as a `QSeries` holds it, multiplies each by its row's
 scale, and accepts X = B t only if the integer residual holds on every row;
@@ -62,37 +66,50 @@ class _Factorisation:
 
 
 def _factorise(rows: Sequence[Sequence[int]]) -> _Factorisation:
-    """Bareiss elimination on a copy of `rows`, columns left to right.
+    """Bareiss elimination on a copy of the leading rows, columns left to
+    right.
 
     A column with no nonzero entry below the current rank is in the span of
     the earlier ones and is skipped, so the pivots are the columns
     `solve_any` picks; the rows that supplied them are independent on
     those columns. Every division is exact (Sylvester's identity).
+
+    The leading block starts at the column count and doubles until every
+    column gets a pivot in it, or it holds every row. A step changes a row
+    only through itself and the pivot row, so a block of full column rank
+    finds each pivot where elimination over all rows would: the plan is the
+    one all rows give, and its residual still reads every row.
     """
-    work = [list(row) for row in rows]
-    origin = list(range(len(work)))
-    pivots: list[int] = []
-    previous = 1
-    for col in range(len(rows[0])):
-        rank = len(pivots)
-        found = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if found is None:
-            continue
-        work[rank], work[found] = work[found], work[rank]
-        origin[rank], origin[found] = origin[found], origin[rank]
-        top = work[rank]
-        p = top[col]
-        for row in work[rank + 1:]:
-            a = row[col]
-            for c in range(col + 1, len(row)):
-                row[c] = (p * row[c] - a * top[c]) // previous
-            row[col] = 0
-        previous = p
-        pivots.append(col)
+    columns = len(rows[0])
+    block = max(columns, 1)
+    while True:
+        work = [list(row) for row in rows[:block]]
+        origin = list(range(len(work)))
+        pivots: list[int] = []
+        previous = 1
+        for col in range(columns):
+            rank = len(pivots)
+            found = next((r for r in range(rank, len(work)) if work[r][col]), None)
+            if found is None:
+                continue
+            work[rank], work[found] = work[found], work[rank]
+            origin[rank], origin[found] = origin[found], origin[rank]
+            top = work[rank]
+            p = top[col]
+            for row in work[rank + 1:]:
+                a = row[col]
+                for c in range(col + 1, columns):
+                    row[c] = (p * row[c] - a * top[c]) // previous
+                row[col] = 0
+            previous = p
+            pivots.append(col)
+        if len(pivots) == columns or block >= len(rows):
+            break
+        block *= 2
     pivot_rows = tuple(origin[: len(pivots)])
     on_pivots = tuple(tuple(row[c] for c in pivots) for row in rows)
     inverse, delta = _integer_inverse([list(on_pivots[r]) for r in pivot_rows])
-    return _Factorisation(on_pivots, len(rows[0]), tuple(pivots), pivot_rows, inverse, delta)
+    return _Factorisation(on_pivots, columns, tuple(pivots), pivot_rows, inverse, delta)
 
 
 def _integer_inverse(square: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
 
-from .divisors import sigma
+from .divisors import _require_at_least, sigma
 from .errors import CrossCheckError
 from .linalg import System
 from .series import QSeries, _over_common_denominator, format_rational
@@ -52,13 +52,14 @@ __all__ = [
 _EISENSTEIN = {2: (-24, 1), 4: (240, 3), 6: (-504, 5)}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def eisenstein(k: int, order: int) -> QSeries:
-    """Normalized Eisenstein series E_k truncated at `order`, k in {2, 4, 6}."""
+    """Normalized Eisenstein series E_k truncated at `order`, k in {2, 4, 6}.
+    A non-integer order raises TypeError in every cache state (the cache
+    keys each argument with its type)."""
     if k not in _EISENSTEIN:
         raise ValueError(f"k must be one of 2, 4, 6, got {k}")
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _require_at_least(order, 0, "order")
     scale, power = _EISENSTEIN[k]
     return QSeries.from_function(
         order, lambda d: 1 if d == 0 else scale * sigma(power, d)
@@ -108,8 +109,8 @@ def _monomial_series(a: int, b: int, c: int, order: int) -> QSeries:
 
 
 def _monomials_up_to(max_weight: int) -> list[QModMonomial]:
-    if max_weight < 0 or max_weight % 2 != 0:
-        raise ValueError(f"max_weight must be an even integer >= 0, got {max_weight}")
+    if max_weight % 2 != 0:
+        raise ValueError(f"max_weight must be even, got {max_weight}")
     candidates = (
         QModMonomial(a, b, c)
         for a in range(max_weight // 2 + 1)
@@ -126,8 +127,11 @@ def quasimodular_basis(max_weight: int, order: int) -> list[tuple[QModMonomial, 
     Requires order >= number of monomials, so downstream fits are
     overdetermined. The max_weight // 2 + 1 powers of E2 are among them, so an
     order below that many is refused before the ~max_weight^3 / 48 monomials
-    are listed.
+    are listed. A non-integer max_weight or order raises TypeError, before
+    any cache is read.
     """
+    _require_at_least(max_weight, 0, "max_weight")
+    _require_at_least(order, 0, "order")
     if max_weight // 2 + 1 > order:
         raise ValueError(
             f"order {order} is below the {max_weight // 2 + 1} powers of E2 "
@@ -214,8 +218,11 @@ def fit_quasimodular(f: QSeries, max_weight: int, order: int) -> FitResult:
     coefficients, including the held-out ones beyond the basis size; a
     mismatch on any of them refuses. Monomials in the span of earlier ones
     get coefficient 0. An underdetermined call (order <= basis size) is a
-    precondition failure (ValueError), not a fit failure.
+    precondition failure (ValueError), not a fit failure, and a non-integer
+    max_weight or order is refused (TypeError) before any cache is read.
     """
+    _require_at_least(max_weight, 0, "max_weight")
+    _require_at_least(order, 0, "order")
     if f.order < order:
         raise ValueError(f"series order {f.order} is below the fit order {order}")
     monomials, system = _fit_plan(max_weight, order)

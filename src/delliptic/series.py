@@ -59,8 +59,13 @@ def format_rational(value: Scalar) -> str:
 
 def _over_common_denominator(values: Sequence[Scalar]) -> tuple[list[int], int]:
     """(numerators, L) with values[i] == numerators[i] / L, L the lcm of the
-    denominators."""
-    scale = lcm(*(v.denominator for v in values))
+    denominators. A value with no denominator (a float, a string) raises
+    TypeError naming it, as QSeries does."""
+    try:
+        scale = lcm(*(v.denominator for v in values))
+    except AttributeError:
+        inexact = next(v for v in values if not hasattr(v, "denominator"))
+        raise TypeError(f"coefficients must be int or Fraction, got {inexact!r}") from None
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 

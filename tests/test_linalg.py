@@ -5,14 +5,24 @@ from fractions import Fraction as F
 
 import pytest
 
+from delliptic import linalg, loci
+from delliptic.divisors import sigma_series
 from delliptic.linalg import (
     InconsistentSystemError,
     SingularSystemError,
     System,
+    _factorise,
+    _Factorisation,
+    _integer_inverse,
     solve_any,
     solve_unique,
 )
-from delliptic.quasimodular import quasimodular_basis
+from delliptic.quasimodular import (
+    NotQuasimodular,
+    QuasimodularFit,
+    fit_quasimodular,
+    quasimodular_basis,
+)
 from delliptic.series import QSeries, _over_common_denominator
 
 
@@ -199,3 +209,128 @@ def test_solve_series_refuses_one_inconsistent_coefficient(name):
     assert _solved_per_coefficient(system, series) is None
     # only that coefficient breaks: the truncation below it still solves
     assert system.solve_series([s.truncate(5) for s in series]) is not None
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: sigma_series({(0, 1): 0.5}, 3),
+    lambda: solve_unique([[F(1)]], [0.5]),
+    lambda: System([[0.5, 1]]),
+], ids=["sigma_series", "solve_unique", "System"])
+def test_float_refused_naming_it(solve):
+    with pytest.raises(TypeError, match=r"^coefficients must be int or Fraction, got 0\.5$"):
+        solve()
+
+
+def _factorise_over_all_rows(rows):
+    """The reference plan: Bareiss elimination over every row, which
+    `_factorise` must equal in every field."""
+    work = [list(row) for row in rows]
+    origin = list(range(len(work)))
+    pivots = []
+    previous = 1
+    for col in range(len(rows[0])):
+        rank = len(pivots)
+        found = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if found is None:
+            continue
+        work[rank], work[found] = work[found], work[rank]
+        origin[rank], origin[found] = origin[found], origin[rank]
+        top = work[rank]
+        p = top[col]
+        for row in work[rank + 1:]:
+            a = row[col]
+            for c in range(col + 1, len(row)):
+                row[c] = (p * row[c] - a * top[c]) // previous
+            row[col] = 0
+        previous = p
+        pivots.append(col)
+    pivot_rows = tuple(origin[: len(pivots)])
+    on_pivots = tuple(tuple(row[c] for c in pivots) for row in rows)
+    inverse, delta = _integer_inverse([list(on_pivots[r]) for r in pivot_rows])
+    return _Factorisation(on_pivots, len(rows[0]), tuple(pivots), pivot_rows, inverse, delta)
+
+
+def _basis_rows(max_weight, order):
+    basis = quasimodular_basis(max_weight, order)
+    return [tuple(row) for row in zip(*(s.numerators for _, s in basis))]
+
+
+@pytest.mark.parametrize("max_weight", range(2, 17, 2))
+def test_fit_bases_factorise_as_over_all_rows(max_weight):
+    size = len(quasimodular_basis(max_weight, 200))
+    for order in sorted({size, 60, 200}):
+        rows = _basis_rows(max_weight, order)
+        assert _factorise(rows) == _factorise_over_all_rows(rows)
+
+
+def test_class_systems_factorise_as_over_all_rows(plant):
+    built = []
+
+    def recorded(original):
+        class Recorded(original):
+            def __init__(self, rows):
+                super().__init__(rows)
+                built.append(self)
+        return Recorded
+
+    plant(linalg.System, change=recorded)
+    for family in loci.FAMILIES:
+        loci.class_series(family, 8)
+    # one class System per family, and the M12 one the m21 profile reads
+    assert len(built) == len(loci.FAMILIES) + 1
+    for system in built:
+        rows = [_over_common_denominator(row)[0] for row in system.rows]
+        assert system.plan == _factorise_over_all_rows(rows)
+
+
+def _matrices_whose_block_grows(count, seed):
+    """Seeded integer matrices, tall and mostly of deficient leading rows:
+    zero or dependent leading rows, columns in the span of earlier ones, or
+    sparse entries."""
+    rng = random.Random(seed)
+    for i in range(count):
+        columns = rng.randint(1, 6)
+        height = rng.randint(columns, 5 * columns + 4)
+        rows = [[rng.randint(-9, 9) for _ in range(columns)] for _ in range(height)]
+        kind = i % 4
+        if kind == 0:  # zero leading rows
+            for r in range(rng.randint(1, height)):
+                rows[r] = [0] * columns
+        elif kind == 1:  # leading rows multiples of the first
+            for r in range(1, rng.randint(1, height)):
+                rows[r] = [rng.randint(-3, 3) * x for x in rows[0]]
+        elif kind == 2:  # a column in the span of earlier ones: rank-deficient
+            c = rng.randrange(columns)
+            for row in rows:
+                row[c] = sum(rng.randint(-2, 2) * x for x in row[:c])
+        else:  # sparse
+            rows = [[x if rng.random() < 0.25 else 0 for x in row] for row in rows]
+        yield rows
+
+
+def test_random_matrices_factorise_as_over_all_rows():
+    grown = stopped_early = 0
+    for rows in _matrices_whose_block_grows(400, 3030):
+        want = _factorise_over_all_rows(rows)
+        assert _factorise(rows) == want
+        columns = len(rows[0])
+        if len(_factorise_over_all_rows(rows[:columns]).pivots) < columns:
+            grown += 1
+            # a doubled block, still short of every row, of full column rank
+            stopped_early += any(
+                len(_factorise_over_all_rows(rows[:block]).pivots) == columns
+                for block in (columns << k for k in range(1, len(rows).bit_length()))
+                if block < len(rows))
+    # the block grows in most cases, and some stop short of every row
+    assert grown >= 200 and stopped_early >= 50
+
+
+def test_fit_refuses_a_change_past_the_block():
+    # the weight-8 basis has full column rank in its leading 11 rows; a
+    # change at q^150 alone is still refused by the residual
+    basis = quasimodular_basis(8, 150)
+    planted = sum((F(k + 1, 3) * s for k, (_, s) in enumerate(basis)), QSeries.zero(150))
+    assert isinstance(fit_quasimodular(planted, 8, 150), QuasimodularFit)
+    changed = planted + QSeries.from_function(150, lambda d: int(d == 150))
+    assert fit_quasimodular(changed, 8, 150) == NotQuasimodular(8, 150)
+    assert len(_factorise_over_all_rows(_basis_rows(8, 150)[:len(basis)]).pivots) == len(basis)

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -214,6 +215,31 @@ class TestFit:
         with pytest.raises(ValueError, match="series order 4 is below the fit order 200"):
             fit_quasimodular(QSeries.from_function(4, lambda d: d), 24, 200)
         assert quasimodular._fit_plan.cache_info() == before
+
+    @pytest.mark.parametrize("call,integer_call,message", [
+        (lambda: eisenstein(4, 30.0), lambda: eisenstein(4, 30),
+         "order must be an integer, got 30.0"),
+        (lambda: quasimodular_basis(6, 30.0), lambda: quasimodular_basis(6, 30),
+         "order must be an integer, got 30.0"),
+        (lambda: quasimodular_basis(6.0, 30), lambda: quasimodular_basis(6, 30),
+         "max_weight must be an integer, got 6.0"),
+        (lambda: fit_quasimodular(eisenstein(4, 30), 6, 30.0),
+         lambda: fit_quasimodular(eisenstein(4, 30), 6, 30), "order must be an integer, got 30.0"),
+        (lambda: fit_quasimodular(eisenstein(4, 30), 6.0, 30),
+         lambda: fit_quasimodular(eisenstein(4, 30), 6, 30),
+         "max_weight must be an integer, got 6.0"),
+        (lambda: sigma(1, 3.0), lambda: sigma(1, 3), "d must be an integer, got 3.0"),
+        (lambda: sigma(1.0, 3), lambda: sigma(1, 3), "k must be an integer, got 1.0"),
+    ], ids=["eisenstein", "basis-order", "basis-weight", "fit-order", "fit-weight",
+            "sigma-d", "sigma-k"])
+    def test_non_integer_refused_in_every_cache_state(self, empty_caches, call, integer_call,
+                                                      message):
+        # before the integer call (empty caches) and after it (its entry
+        # held, under a key equal to the refused one's)
+        for _ in range(2):
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                call()
+            integer_call()
 
     def test_json_shapes(self):
         refused = NotQuasimodular(6, 30).to_json_dict()
