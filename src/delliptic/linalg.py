@@ -3,15 +3,19 @@
 A `System` is a matrix made ready for exact solves against it: its rational
 rows, each row's lcm scale to integers, and the factorisation of the scaled
 rows. `_factorise` picks the pivot columns of an integer matrix (those not in
-the span of earlier ones) and as many independent rows by fraction-free
-(Bareiss) elimination, and inverts that block as B / delta. It eliminates
-leading blocks of rows that double from the column count until one has
-full column rank, which every fit basis has in its first few rows: the
-plan is the one elimination over all rows gives, and the residual still
-reads every row.
+the span of earlier ones) and as many independent rows by one fraction-free
+(Bareiss) elimination, and keeps what it leaves as the factor F B = U of
+that pivot block B: U upper-triangular with the pivots on its diagonal,
+the last one delta, and F the integer lower-triangular rows its steps apply
+to B's rows. It eliminates leading blocks of rows that double from the
+column count until one has full column rank, which every fit basis has in
+its first few rows: the plan is the one elimination over all rows gives,
+and the residual still reads every row.
 `System.solve(numerators, scale)` takes the right-hand side as integers over
 one positive scale, as a `QSeries` holds it, multiplies each by its row's
-scale, and accepts X = B t only if the integer residual holds on every row;
+scale, computes X = delta x by back-substitution through U of delta F t
+(every division exact, by Cramer), divides X and delta by their gcd, and
+accepts X only if the integer residual holds on every row;
 `System.solve_series` does so at every q^d of right-hand side series at once.
 
 A System is built once by the code that owns its matrix and kept there:
@@ -28,6 +32,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .series import QSeries, _over_common_denominator
@@ -53,21 +58,26 @@ class InconsistentSystemError(ValueError):
 @dataclass(frozen=True)
 class _Factorisation:
     """An integer matrix A with its pivot columns, as many independent rows,
-    and the inverse of A[pivot_rows][pivots] held as inverse / delta. Of A
-    itself it keeps every row restricted to the pivot columns, all the
-    residual reads, and the column count."""
+    and the fraction-free LU factor of the pivot block B = A[pivot_rows][pivots]
+    that Bareiss elimination leaves: integer lower-triangular `forward` rows
+    F and upper-triangular `upper` rows U with F B = U. Row j of `forward`
+    holds F[j][:j + 1], row j of `upper` holds U[j][j:], so U[j][j] is the
+    j-th pivot and `delta`, the last one, is +-det B. Of A itself it keeps
+    every row restricted to the pivot columns, all the residual reads, and
+    the column count."""
 
     on_pivots: tuple[tuple[int, ...], ...]
     columns: int
     pivots: tuple[int, ...]
     pivot_rows: tuple[int, ...]
-    inverse: tuple[tuple[int, ...], ...]
+    forward: tuple[tuple[int, ...], ...]
+    upper: tuple[tuple[int, ...], ...]
     delta: int
 
 
 def _factorise(rows: Sequence[Sequence[int]]) -> _Factorisation:
     """Bareiss elimination on a copy of the leading rows, columns left to
-    right.
+    right, kept as the factor F B = U.
 
     A column with no nonzero entry below the current rank is in the span of
     the earlier ones and is skipped, so the pivots are the columns
@@ -79,6 +89,12 @@ def _factorise(rows: Sequence[Sequence[int]]) -> _Factorisation:
     only through itself and the pivot row, so a block of full column rank
     finds each pivot where elimination over all rows would: the plan is the
     one all rows give, and its residual still reads every row.
+
+    Each step leaves its multiplier in the pivot column of the rows it
+    changes (where elimination would write 0), so pivot row j ends holding
+    its multipliers left of the diagonal and U[j] from it on. Replaying the
+    steps on the unit vectors then gives F, whose row j has p_{j-1} (the
+    previous pivot, 1 for j = 0) on the diagonal.
     """
     columns = len(rows[0])
     block = max(columns, 1)
@@ -100,37 +116,39 @@ def _factorise(rows: Sequence[Sequence[int]]) -> _Factorisation:
                 a = row[col]
                 for c in range(col + 1, columns):
                     row[c] = (p * row[c] - a * top[c]) // previous
-                row[col] = 0
             previous = p
             pivots.append(col)
         if len(pivots) == columns or block >= len(rows):
             break
         block *= 2
-    pivot_rows = tuple(origin[: len(pivots)])
+    eliminated = [[work[j][c] for c in pivots] for j in range(len(pivots))]
+    forward: list[tuple[int, ...]] = []
+    for j, row in enumerate(eliminated):
+        below, previous = [], 1
+        for k in range(j):
+            p, a = eliminated[k][k], row[k]
+            below = [(p * x - a * y) // previous for x, y in zip(below + [0], forward[k])]
+            previous = p
+        forward.append((*below, previous))
+    upper = tuple(tuple(row[j:]) for j, row in enumerate(eliminated))
     on_pivots = tuple(tuple(row[c] for c in pivots) for row in rows)
-    inverse, delta = _integer_inverse([list(on_pivots[r]) for r in pivot_rows])
-    return _Factorisation(on_pivots, columns, tuple(pivots), pivot_rows, inverse, delta)
+    return _Factorisation(
+        on_pivots, columns, tuple(pivots), tuple(origin[: len(pivots)]),
+        tuple(forward), upper, upper[-1][0] if upper else 1,
+    )
 
 
-def _integer_inverse(square: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(B, delta) with square^-1 = B / delta, B integral and delta > 0, by
-    fraction-free Gauss-Jordan elimination of [square | I]."""
-    n = len(square)
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(square)]
-    previous = 1
-    for k in range(n):
-        found = next(i for i in range(k, n) if aug[i][k])
-        aug[k], aug[found] = aug[found], aug[k]
-        top = aug[k]
-        p = top[k]
-        for i, row in enumerate(aug):
-            if i != k:
-                a = row[k]
-                aug[i] = [(p * x - a * y) // previous for x, y in zip(row, top)]
-        previous = p
-    # every diagonal entry is now `previous`, which is +-det(square)
-    sign = 1 if previous > 0 else -1
-    return tuple(tuple(sign * x for x in row[n:]) for row in aug), sign * previous
+def _back_substitute(plan: _Factorisation, picked: Sequence[int]) -> list[int]:
+    """X = delta x for the solution x of B x = picked on the pivot block:
+    U X = delta F picked, solved from the last row up. X is integral
+    (Cramer), so every division by a pivot is exact. Each new unknown
+    enters X as 0, so U[j][j:] reads all of X and its diagonal adds 0."""
+    delta = plan.delta
+    X: list[int] = []
+    for forward, upper in zip(reversed(plan.forward), reversed(plan.upper)):
+        X.insert(0, 0)
+        X[0] = (delta * sum(map(mul, forward, picked)) - sum(map(mul, upper, X))) // upper[0]
+    return X
 
 
 def _every_row_holds(plan: _Factorisation, x: Sequence[int], rhs: Sequence[int]) -> bool:
@@ -191,21 +209,27 @@ class System:
     def solve(self, numerators: Sequence[int], scale: int) -> list[Fraction] | None:
         """The solution of A x = target, target[d] = numerators[d] / scale,
         with non-pivot unknowns 0, or None when there is none: the same
-        answer as `solve_any`, in integers."""
+        answer as `solve_any`, in integers. X = delta x comes from the
+        factor and is put in lowest terms with delta before the residual."""
         plan = self.plan
         scaled = numerators if self.scales is None else list(map(mul, self.scales, numerators))
-        picked = [scaled[r] for r in plan.pivot_rows]
-        x = [sum(b * t for b, t in zip(row, picked)) for row in plan.inverse]
-        if not _every_row_holds(plan, x, [plan.delta * t for t in scaled]):
+        X = _back_substitute(plan, [scaled[r] for r in plan.pivot_rows])
+        content = gcd(plan.delta, *X)
+        delta = plan.delta // content
+        X = [v // content for v in X]
+        if not _every_row_holds(plan, X, [delta * t for t in scaled]):
             return None
         solution = [Fraction(0)] * plan.columns
-        for col, v in zip(plan.pivots, x):
-            solution[col] = Fraction(v, plan.delta * scale)
+        denominator = delta * scale
+        for col, v in zip(plan.pivots, X):
+            solution[col] = Fraction(v, denominator)
         return solution
 
     def solve_series(self, series: Sequence[QSeries]) -> list[QSeries] | None:
         """`solve` at every q^d at once (series[r] is row r's right-hand side):
-        one series per column, truncated to the smallest order, or None."""
+        one series per column, truncated to the smallest order, or None.
+        Series arithmetic is exact over Q, so it back-substitutes x itself
+        from U x = F t, dividing by each pivot, with no delta to clear."""
         plan = self.plan
         scaled = series if self.scales is None else list(map(mul, series, self.scales))
         zero = QSeries.zero(min(s.order for s in scaled))
@@ -213,11 +237,14 @@ class System:
         def combine(row: Sequence[int], terms: Sequence[QSeries]) -> QSeries:
             return sum((t * c for c, t in zip(row, terms) if c), zero)
 
-        x = [combine(row, [scaled[r] for r in plan.pivot_rows]) for row in plan.inverse]
-        if any(combine(row, x) != zero + plan.delta * t for row, t in zip(plan.on_pivots, scaled)):
+        picked = [scaled[r] for r in plan.pivot_rows]
+        x: list[QSeries] = []
+        for forward, upper in zip(reversed(plan.forward), reversed(plan.upper)):
+            x.insert(0, (combine(forward, picked) - combine(upper[1:], x)) * Fraction(1, upper[0]))
+        if any(combine(row, x) != zero + t for row, t in zip(plan.on_pivots, scaled)):
             return None
         solution = dict(zip(plan.pivots, x))
-        return [solution.get(col, zero) * Fraction(1, plan.delta) for col in range(plan.columns)]
+        return [solution.get(col, zero) for col in range(plan.columns)]
 
 
 def require_unique(system: System, solution: list | None) -> list:

@@ -586,9 +586,9 @@ class TestMutationProbes:
         def bumped(original):
             def class_system(*key):
                 system = copy.copy(original(*key))
-                inverse = [list(row) for row in system.plan.inverse]
-                inverse[0][-1] += 1
-                system.plan = dataclasses.replace(system.plan, inverse=tuple(map(tuple, inverse)))
+                upper = [list(row) for row in system.plan.upper]
+                upper[0][0] += 1
+                system.plan = dataclasses.replace(system.plan, upper=tuple(map(tuple, upper)))
                 return system
             return class_system
 

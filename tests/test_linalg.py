@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -12,8 +13,6 @@ from delliptic.linalg import (
     SingularSystemError,
     System,
     _factorise,
-    _Factorisation,
-    _integer_inverse,
     solve_any,
     solve_unique,
 )
@@ -222,8 +221,9 @@ def test_float_refused_naming_it(solve):
 
 
 def _factorise_over_all_rows(rows):
-    """The reference plan: Bareiss elimination over every row, which
-    `_factorise` must equal in every field."""
+    """The reference plan: Bareiss elimination over every row, as (pivots,
+    pivot rows, the eliminated pivot rows U[j][j:] on the pivot columns,
+    delta), which `_factorise` must find."""
     work = [list(row) for row in rows]
     origin = list(range(len(work)))
     pivots = []
@@ -244,10 +244,25 @@ def _factorise_over_all_rows(rows):
             row[col] = 0
         previous = p
         pivots.append(col)
-    pivot_rows = tuple(origin[: len(pivots)])
-    on_pivots = tuple(tuple(row[c] for c in pivots) for row in rows)
-    inverse, delta = _integer_inverse([list(on_pivots[r]) for r in pivot_rows])
-    return _Factorisation(on_pivots, len(rows[0]), tuple(pivots), pivot_rows, inverse, delta)
+    upper = tuple(tuple(work[j][c] for c in pivots[j:]) for j in range(len(pivots)))
+    return tuple(pivots), tuple(origin[: len(pivots)]), upper, previous
+
+
+def assert_factorises_as_over_all_rows(plan, rows):
+    """`plan` has the reference's pivots, pivot rows, U and delta, keeps
+    every row on the pivot columns, and its forward rows F satisfy F B = U
+    on the pivot block B (which, B being invertible, fixes F)."""
+    pivots, pivot_rows, upper, delta = _factorise_over_all_rows(rows)
+    assert (plan.pivots, plan.pivot_rows, plan.upper, plan.delta) == (
+        pivots, pivot_rows, upper, delta)
+    assert plan.columns == len(rows[0])
+    assert plan.on_pivots == tuple(tuple(row[c] for c in pivots) for row in rows)
+    square = [[rows[r][c] for c in pivots] for r in pivot_rows]
+    assert len(plan.forward) == len(square)
+    for j, (f, u) in enumerate(zip(plan.forward, upper)):
+        assert len(f) == j + 1
+        product = [sum(x * square[i][c] for i, x in enumerate(f)) for c in range(len(square))]
+        assert product == [0] * j + list(u)
 
 
 def _basis_rows(max_weight, order):
@@ -260,7 +275,7 @@ def test_fit_bases_factorise_as_over_all_rows(max_weight):
     size = len(quasimodular_basis(max_weight, 200))
     for order in sorted({size, 60, 200}):
         rows = _basis_rows(max_weight, order)
-        assert _factorise(rows) == _factorise_over_all_rows(rows)
+        assert_factorises_as_over_all_rows(_factorise(rows), rows)
 
 
 def test_class_systems_factorise_as_over_all_rows(plant):
@@ -280,7 +295,7 @@ def test_class_systems_factorise_as_over_all_rows(plant):
     assert len(built) == len(loci.FAMILIES) + 1
     for system in built:
         rows = [_over_common_denominator(row)[0] for row in system.rows]
-        assert system.plan == _factorise_over_all_rows(rows)
+        assert_factorises_as_over_all_rows(system.plan, rows)
 
 
 def _matrices_whose_block_grows(count, seed):
@@ -311,14 +326,13 @@ def _matrices_whose_block_grows(count, seed):
 def test_random_matrices_factorise_as_over_all_rows():
     grown = stopped_early = 0
     for rows in _matrices_whose_block_grows(400, 3030):
-        want = _factorise_over_all_rows(rows)
-        assert _factorise(rows) == want
+        assert_factorises_as_over_all_rows(_factorise(rows), rows)
         columns = len(rows[0])
-        if len(_factorise_over_all_rows(rows[:columns]).pivots) < columns:
+        if len(_factorise_over_all_rows(rows[:columns])[0]) < columns:
             grown += 1
             # a doubled block, still short of every row, of full column rank
             stopped_early += any(
-                len(_factorise_over_all_rows(rows[:block]).pivots) == columns
+                len(_factorise_over_all_rows(rows[:block])[0]) == columns
                 for block in (columns << k for k in range(1, len(rows).bit_length()))
                 if block < len(rows))
     # the block grows in most cases, and some stop short of every row
@@ -333,4 +347,36 @@ def test_fit_refuses_a_change_past_the_block():
     assert isinstance(fit_quasimodular(planted, 8, 150), QuasimodularFit)
     changed = planted + QSeries.from_function(150, lambda d: int(d == 150))
     assert fit_quasimodular(changed, 8, 150) == NotQuasimodular(8, 150)
-    assert len(_factorise_over_all_rows(_basis_rows(8, 150)[:len(basis)]).pivots) == len(basis)
+    assert len(_factorise_over_all_rows(_basis_rows(8, 150)[:len(basis)])[0]) == len(basis)
+
+
+def test_solves_in_lowest_terms_match_the_reference():
+    """Seeded square and tall systems, many with a negative delta (the
+    pivot block's determinant after its row swaps) or with X = delta x
+    sharing a factor with delta: `solve` and `solve_series` return exactly
+    `solve_any`'s Fractions, consistent or not."""
+    rng = random.Random(3131)
+    negative = swapped_negative = content = 0
+    for _ in range(300):
+        columns = rng.randint(1, 5)
+        rows = [[rng.randint(-6, 6) * rng.choice((0, 1, 1, 2, 3)) for _ in range(columns)]
+                for _ in range(columns + rng.randint(0, 3))]
+        system = System(rows)
+        plan = system.plan
+        matrix = [[F(v) for v in row] for row in rows]
+        x = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(columns)]
+        consistent = [sum(a * v for a, v in zip(row, x)) for row in matrix]
+        noise = [F(rng.randint(-9, 9)) for _ in rows]
+        for rhs in (consistent, noise):
+            numerators, scale = _over_common_denominator(rhs)
+            assert system.solve(numerators, scale) == solve_any(matrix, rhs)
+        numerators, _ = _over_common_denominator(consistent)
+        X = linalg._back_substitute(plan, [numerators[r] for r in plan.pivot_rows])
+        negative += plan.delta < 0
+        swapped_negative += plan.delta < 0 and plan.pivot_rows != tuple(sorted(plan.pivot_rows))
+        content += gcd(plan.delta, *X) > 1
+        unknowns = [_random_series(rng, 3) for _ in range(columns)]
+        series = _right_hand_sides(system, unknowns)
+        want = [solve_any(matrix, [s.coefficient(d) for s in series]) for d in range(4)]
+        assert _coefficients(system.solve_series(series)) == [list(c) for c in zip(*want)]
+    assert negative >= 100 and swapped_negative >= 20 and content >= 100

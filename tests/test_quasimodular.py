@@ -326,10 +326,12 @@ class TestIntegerRoute:
             _, pivots, _ = linalg._eliminate(matrix, [F(0)] * 9)
             assert list(plan.pivots) == pivots
             square = [[rows[r][c] for c in plan.pivots] for r in plan.pivot_rows]
-            for i, row in enumerate(plan.inverse):
-                for j in range(len(square)):
-                    entry = sum(b * square[k][j] for k, b in enumerate(row))
-                    assert entry == plan.delta * (i == j)
+            # F B = U on the pivot block, U upper-triangular ending in delta
+            for j, (f, u) in enumerate(zip(plan.forward, plan.upper)):
+                entries = [sum(b * square[k][c] for k, b in enumerate(f))
+                           for c in range(len(square))]
+                assert entries == [0] * j + list(u)
+            assert plan.upper[-1] == (plan.delta,)
             x = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)]
             consistent = [sum(a * v for a, v in zip(row, x)) for row in matrix]
             noise = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(9)]
@@ -349,24 +351,25 @@ class TestIntegerRoute:
 
 
 class TestFitMutationProbes:
-    def test_bumped_inverse_fails_certification(self, plant):
+    def test_bumped_factor_fails_certification(self, plant):
         def bumped(original):
             def fit_plan(max_weight, order):
                 monomials, system = original(max_weight, order)
                 system = copy.copy(system)
-                inverse = [list(row) for row in system.plan.inverse]
-                inverse[0][-1] += 1
-                system.plan = dataclasses.replace(
-                    system.plan, inverse=tuple(map(tuple, inverse))
-                )
+                upper = [list(row) for row in system.plan.upper]
+                upper[0][0] += 1
+                system.plan = dataclasses.replace(system.plan, upper=tuple(map(tuple, upper)))
                 return monomials, system
             return fit_plan
 
         plant(quasimodular._fit_plan, change=bumped)
         result = report.run_verification(10, 20)
         assert result["passed"] is False
-        failed = {c["check"] for c in result["checks"] if not c["passed"]}
-        assert "quasimodularity-certification" in failed
+        by_name = {c["check"]: c for c in result["checks"] if not c["passed"]}
+        assert "quasimodularity-certification" in by_name
+        assert by_name["quasimodularity-certification"]["detail"].startswith(
+            "CrossCheckError: series not quasimodular"
+        )
 
     def test_residual_accepting_everything_fails_reconstruction(self, plant):
         plant(linalg._every_row_holds, change=lambda original: lambda *args: True)
