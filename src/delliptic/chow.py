@@ -30,8 +30,10 @@ from dual-basis label to an int or Fraction (`loci` returns read-only ones).
 Its labels, in their order, pick the rows of the class system: row r pairs
 the class basis with the r-th label. One `linalg.System` per (space, degree,
 profile labels), built on first use, checks each label against the dual
-basis and is factorised once; solve_class reads each class off it, and
-solve_class_series a class series off profile series.
+basis and is factorised once; solve_class reads one class off it, and
+solve_class_series every class of a profile table at once, one series per
+basis label. `loci` solves each table-backed family this way and reads its
+per-d classes off a ClassSeries; only m2e still calls solve_class per d.
 
 Every operation is pure and the registry is read-only (MappingProxyTypes
 down to the q_factors, tuples below them): a test replaces a table only
@@ -41,7 +43,7 @@ lru_cache of the package around the swap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -53,6 +55,7 @@ from .series import QSeries, format_rational
 __all__ = [
     "ChowSpace",
     "ChowClass",
+    "ClassSeries",
     "SPACES",
     "space",
     "basis_labels",
@@ -281,6 +284,29 @@ class ChowClass:
                 for label, c in zip(self.labels, self.coefficients)
             },
         }
+
+
+@dataclass(frozen=True)
+class ClassSeries:
+    """sum_d c_d q^d for classes c_d on one basis, held as one QSeries per
+    label, all to q^order. It reads like a QSeries, coefficient(d) being the
+    ChowClass c_d, so errors.crosscheck_series compares two of them."""
+
+    space_id: str
+    degree: int
+    labels: tuple[str, ...]
+    series: tuple[QSeries, ...]
+
+    @property
+    def order(self) -> int:
+        return self.series[0].order
+
+    def coefficient(self, d: int) -> ChowClass:
+        return ChowClass(self.space_id, self.degree, self.labels,
+                         tuple(s.coefficient(d) for s in self.series))
+
+    def truncate(self, order: int) -> ClassSeries:
+        return replace(self, series=tuple(s.truncate(order) for s in self.series))
 
 
 def _position(labels: tuple[str, ...], label: str, space_id: str, degree: int) -> int:

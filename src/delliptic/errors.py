@@ -36,8 +36,9 @@ def crosscheck(name: str, d: int, /, **routes):
 
 def crosscheck_series(name: str, /, **routes):
     """The series every route built for `name` (the first route's), the q^d
-    coefficient of each being its value at d. Unless all are equal, crosscheck
-    runs at the first d where they differ, raising what a sweep over d would.
+    coefficient of each being its value at d: a QSeries, or a chow.ClassSeries
+    whose coefficient is a whole class. Unless all are equal, crosscheck runs
+    at the first d where they differ, raising what a sweep over d would.
     """
     series = list(routes.values())
     if len(series) > 1 and series.count(series[0]) == len(series):

@@ -15,8 +15,12 @@ and the residual still reads every row.
 one positive scale, as a `QSeries` holds it, multiplies each by its row's
 scale, computes X = delta x by back-substitution through U of delta F t
 (every division exact, by Cramer), divides X and delta by their gcd, and
-accepts X only if the integer residual holds on every row;
-`System.solve_series` does so at every q^d of right-hand side series at once.
+accepts X only if the integer residual holds on every row.
+`System.solve_series` runs the same integer algebra on whole columns of
+coefficients, every q^d of right-hand side series at once: the series over
+one lcm of their denominators, X back-substituted column by column, the
+residual on every row and coefficient, and each unknown's series put in
+lowest terms once at the end. It does no series arithmetic per step.
 
 A System is built once by the code that owns its matrix and kept there:
 `chow` keeps one per class system (space, degree, profile labels), and
@@ -32,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .series import QSeries, _over_common_denominator
@@ -156,6 +160,16 @@ def _every_row_holds(plan: _Factorisation, x: Sequence[int], rhs: Sequence[int])
     return all(sum(map(mul, row, x)) == b for row, b in zip(plan.on_pivots, rhs))
 
 
+def _column_sum(coefficients: Sequence[int], columns: Sequence[Sequence[int]],
+                order: int) -> list[int]:
+    """sum_k coefficients[k] columns[k], entry by entry, over order + 1 entries."""
+    total = [0] * (order + 1)
+    for c, column in zip(coefficients, columns):
+        if c:
+            total = [t + c * v for t, v in zip(total, column)]
+    return total
+
+
 def _eliminate(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """Row-reduce the augmented system; returns (rows, pivot_cols, consistent)."""
     m = len(matrix)
@@ -226,24 +240,31 @@ class System:
         return solution
 
     def solve_series(self, series: Sequence[QSeries]) -> list[QSeries] | None:
-        """`solve` at every q^d at once (series[r] is row r's right-hand side):
-        one series per column, truncated to the smallest order, or None.
-        Series arithmetic is exact over Q, so it back-substitutes x itself
-        from U x = F t, dividing by each pivot, with no delta to clear."""
-        plan = self.plan
-        scaled = series if self.scales is None else list(map(mul, series, self.scales))
-        zero = QSeries.zero(min(s.order for s in scaled))
-
-        def combine(row: Sequence[int], terms: Sequence[QSeries]) -> QSeries:
-            return sum((t * c for c, t in zip(row, terms) if c), zero)
-
+        """`solve` at every q^d of right-hand side series at once (series[r]
+        is row r's right-hand side): one series per column, truncated to the
+        smallest order, or None. The same integer algebra, on columns of
+        coefficients: every series over one lcm L of their denominators and
+        times its row's scale, X = delta x back-substituted through U column
+        by column, the residual checked on every row, and X_j / (delta L)
+        put in lowest terms with a positive denominator."""
+        plan, delta = self.plan, self.plan.delta
+        order = min(s.order for s in series)
+        common = lcm(*(s.denominator for s in series))
+        scales = self.scales or (1,) * len(series)
+        scaled = [[v * (scale * common // s.denominator) for v in s.numerators[: order + 1]]
+                  for s, scale in zip(series, scales)]
         picked = [scaled[r] for r in plan.pivot_rows]
-        x: list[QSeries] = []
+        X: list[list[int]] = []
         for forward, upper in zip(reversed(plan.forward), reversed(plan.upper)):
-            x.insert(0, (combine(forward, picked) - combine(upper[1:], x)) * Fraction(1, upper[0]))
-        if any(combine(row, x) != zero + t for row, t in zip(plan.on_pivots, scaled)):
+            total = _column_sum([delta * c for c in forward], picked, order)
+            below = _column_sum(upper[1:], X, order)
+            X.insert(0, [(t - b) // upper[0] for t, b in zip(total, below)])
+        if any(_column_sum(row, X, order) != [delta * v for v in t]
+               for row, t in zip(plan.on_pivots, scaled)):
             return None
-        solution = dict(zip(plan.pivots, x))
+        sign, zero = (-1 if delta < 0 else 1), QSeries.zero(order)
+        solution = {col: QSeries._reduced([sign * v for v in column], sign * delta * common)
+                    for col, column in zip(plan.pivots, X)}
         return [solution.get(col, zero) for col in range(plan.columns)]
 
 

@@ -48,9 +48,13 @@ whole series: one divisors.growing_table per family builds each route to q^n
 and checks it against the closed rows read as series; the m12 profile and
 each family's class rows are such tables too. A read at d past the held table
 rebuilds it at table_order(d), so the one class sweep, class_series, reads
-its top d first and builds each table once. The windings over a | d are one divisor sieve,
-the D1_D12 tail one product 12 A*F, the m12 class one series solve
-(chow.solve_class_series); the m2e profile and the class solve stay per d.
+its top d first and builds each table once. The windings over a | d are one
+divisor sieve, the D1_D12 tail one product 12 A*F. The m12, m2, m21 and m3
+classes are read off class tables: the profile table solved whole
+(chow.solve_class_series) and checked whole against the closed rows. A
+family's class table (_class_table) is built at the order of its held
+profile table, so it grows only with it. The m2e profile reads the isogeny
+count per d, so it has no table and its class is solved per d.
 
 The double-chain covers (the m21 profile and the split sum) weigh m*b over
 the splittings a*m + b*n = d, which totals sum_k sigma_1(k) sigma_1(d - k) =
@@ -93,8 +97,9 @@ from types import MappingProxyType
 from typing import Mapping
 
 from . import covers
-from .chow import (FORGET_M21_TO_M2, ChowClass, pairing_number, pushforward_m21_to_m2,
-                   q_basis_labels, solve_class, solve_class_series, to_q_class_basis)
+from .chow import (FORGET_M21_TO_M2, ChowClass, ClassSeries, pairing_number,
+                   pushforward_m21_to_m2, q_basis_labels, solve_class, solve_class_series,
+                   space, to_q_class_basis)
 from .covers import count_dd3, count_dd22, count_dd2222, count_pointed_isogenies
 from .divisors import (conv2, convolution_table, growing_table, require_order,
                        require_positive, rows, sigma, sigma_series)
@@ -201,25 +206,42 @@ def _windings(n: int, count) -> QSeries:
 
 
 @growing_table
-def _closed_class_table(family: str, n: int) -> tuple[QSeries, ...]:
-    """One family's class rows in FAMILIES as series to q^n, in q_basis_labels order."""
-    space_id, degree, _, _, rows = FAMILIES[family]
-    return tuple(sigma_series(rows[label], n) for label in q_basis_labels(space_id, degree))
+def _closed_class_table(family: str, n: int) -> ClassSeries:
+    """One family's class rows in FAMILIES as series to q^n."""
+    space_id, degree, _, _, rows, _ = FAMILIES[family]
+    labels = q_basis_labels(space_id, degree)
+    return ClassSeries(space_id, degree, labels,
+                       tuple(sigma_series(rows[label], n) for label in labels))
 
 
 def closed_class(family: str, d: int) -> ChowClass:
     """One family's closed-form class at d, read off its table of class rows."""
-    space_id, degree = _family(family)[:2]
-    values = tuple(s.coefficient(d) for s in _closed_class_table(family, d))
-    return ChowClass(space_id, degree, q_basis_labels(space_id, degree), values)
+    _family(family)
+    return _closed_class_table(family, d).coefficient(d)
 
 
-def _solved_class(family: str, d: int) -> ChowClass:
-    """One family's class at d: its profile solved against the pairing
-    table, in the substack basis, and equal to its closed form."""
-    space_id, degree, _, profile, _ = FAMILIES[family]
-    solved = to_q_class_basis(solve_class(space_id, degree, profile(d)))
-    return crosscheck(f"class[{family}]", d, solver=solved, closed=closed_class(family, d))
+@growing_table
+def _class_table(family: str, n: int) -> ClassSeries:
+    """One family's classes to q^n: its profile table solved whole
+    (chow.solve_class_series), scaled into the substack basis by q_factors,
+    and checked whole against its closed class table, raising
+    class[family](d=k) at the smallest k where any label differs, with both
+    whole classes at k, as a sweep over d would."""
+    space_id, degree, _, _, _, profile_table = FAMILIES[family]
+    solved = solve_class_series(space_id, degree, profile_table(n))
+    factors = space(space_id).q_factors[degree]
+    table = ClassSeries(space_id, degree, q_basis_labels(space_id, degree),
+                        tuple(s * factors[label] for label, s in solved.items()))
+    closed = _closed_class_table(family, table.order).truncate(table.order)
+    return crosscheck_series(f"class[{family}]", solver=table, closed=closed)
+
+
+def _table_class(family: str, d: int) -> ChowClass:
+    """One family's class at d, read off its class table at the order of its
+    held profile table, so a sweep builds the class table only when the
+    profile table grows."""
+    profile = FAMILIES[family][5](d)
+    return _class_table(family, next(iter(profile.values())).order).coefficient(d)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +370,8 @@ def boundary_profile_m2(d: int) -> Mapping[str, Fraction]:
 @lru_cache(maxsize=None)
 def delliptic_class_m2(d: int) -> ChowClass:
     """The genus-2 d-elliptic divisor class, solved from its boundary profile
-    and verified against the closed form. Zero at d = 1."""
-    return _solved_class("m2", d)
+    and verified against the closed form (read off _class_table). Zero at d = 1."""
+    return _table_class("m2", d)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +397,13 @@ def fixed_target_profile_m2(d: int) -> Mapping[str, Fraction]:
 
 @lru_cache(maxsize=None)
 def fixed_target_class_m2(d: int) -> ChowClass:
-    """Class of genus-2 covers of a fixed elliptic curve, solved and verified."""
-    return _solved_class("m2e", d)
+    """Class of genus-2 covers of a fixed elliptic curve: its profile at d
+    solved against the pairing table, in the substack basis, and equal to
+    its closed form. The profile reads the isogeny count one d at a time, so
+    this class has no table and is solved per d."""
+    space_id, degree = FAMILIES["m2e"][:2]
+    solved = to_q_class_basis(solve_class(space_id, degree, fixed_target_profile_m2(d)))
+    return crosscheck("class[m2e]", d, solver=solved, closed=closed_class("m2e", d))
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +475,9 @@ def boundary_profile_m21(d: int) -> Mapping[str, Fraction]:
 @lru_cache(maxsize=None)
 def delliptic_class_m21(d: int) -> ChowClass:
     """The marked genus-2 d-elliptic class, solved through the middle pairing
-    and verified against the closed form; forgetting the marked point must
-    recover the unpointed class."""
-    solved = _solved_class("m21", d)
+    and verified against the closed form (read off _class_table); forgetting
+    the marked point must recover the unpointed class, checked at each d."""
+    solved = _table_class("m21", d)
     crosscheck(
         "pushforward[m21]",
         d,
@@ -576,8 +603,9 @@ def boundary_profile_m3(d: int) -> Mapping[str, Fraction]:
 @lru_cache(maxsize=None)
 def delliptic_class_m3(d: int) -> ChowClass:
     """The genus-3 d-elliptic class: the exact 7x7 solve of the boundary
-    profile, verified coefficient by coefficient against the closed form."""
-    return _solved_class("m3", d)
+    profile, verified coefficient by coefficient against the closed form
+    (read off _class_table)."""
+    return _table_class("m3", d)
 
 
 # ---------------------------------------------------------------------------
@@ -644,23 +672,24 @@ def triple_branch_cancellation(order: int) -> tuple[FitResult, FitResult, FitRes
 # ---------------------------------------------------------------------------
 
 #: family -> (space, degree, class fn, profile fn, closed-form rows by
-#: substack label), the one declaration of each family that every caller reads
+#: substack label, profile table fn or None), the one declaration of each
+#: family that every caller reads; m2e has no profile table
 FAMILIES = {
     "m2": ("M2", 1, delliptic_class_m2, boundary_profile_m2, rows({
         "delta_0": {(1, 1): -2, (0, 3): 2},
         "delta_1": {(0, 1): -4, (0, 3): 4},
-    })),
+    }), _profile_table_m2),
     "m2e": ("M2", 2, fixed_target_class_m2, fixed_target_profile_m2, rows({
         "delta_00": {(1, 1): F(-22, 5), (0, 1): F(2, 5), (0, 3): 4},
         "delta_01": {(1, 1): F(-12, 5), (0, 1): F(-8, 5), (0, 3): 4},
-    })),
+    }), None),
     "m21": ("M21", 2, delliptic_class_m21, boundary_profile_m21, rows({
         "delta_00": {(1, 1): F(-1, 12), (0, 3): F(1, 12)},
         "delta_01a": {(0, 1): F(1, 12), (0, 3): F(-1, 12)},
         "delta_01b": {(1, 1): -1, (0, 1): F(-1, 12), (0, 3): F(13, 12)},
         "xi_1": {(1, 1): -2, (0, 3): 2},
         "delta_11": {(0, 1): -4, (0, 3): 4},
-    })),
+    }), _profile_table_m21),
     "m3": ("M3", 2, delliptic_class_m3, boundary_profile_m3, rows({
         "lambda^2": {(2, 1): -6264, (1, 1): 6780, (0, 1): -960,
                      (1, 3): 5592, (0, 3): -5400, (0, 5): 252},
@@ -672,7 +701,7 @@ FAMILIES = {
         "delta_0*delta_1": {(2, 1): -216, (1, 1): 36, (0, 1): -12, (1, 3): 192},
         "delta_1^2": {(2, 1): -216, (1, 1): -132, (0, 1): 36, (1, 3): 192, (0, 3): 120},
         "kappa_2": {(2, 1): 216, (1, 1): -444, (0, 1): 60, (1, 3): -192, (0, 3): 360},
-    })),
+    }), lambda n: _profile_table_m3(n)[0]),
 }
 
 # the benchmark's correctness gates (perfbench/test_perfbench.py) read these two
@@ -698,7 +727,8 @@ def class_in_family(family: str, d: int) -> ChowClass:
 
 def class_series(family: str, order: int) -> dict[str, QSeries]:
     """Every coefficient series of one family to q^order (require_order), by label: its
-    tables read at the top d once, then each class solved and checked, d ascending."""
+    profile and closed rows read at the top d once, so the class table is built
+    once, then each class read at d ascending (m2e's solved and checked per d)."""
     labels = family_labels(family)
     require_order(order)
     if order:

@@ -199,7 +199,7 @@ def _check_certification(report: dict, order: int) -> str:
 
 def class_report(family: str, d: int) -> dict:
     """Profile, solved class, closed-form class and agreement flag at one d."""
-    space_id, _, _, profile_fn, _ = loci.FAMILIES[family]
+    space_id, _, _, profile_fn, *_ = loci.FAMILIES[family]
     numbers = {label: format_rational(v) for label, v in profile_fn(d).items()}
     solved = loci.class_in_family(family, d)  # cached, solved once by the checks
     closed = loci.closed_class(family, d)

@@ -210,6 +210,39 @@ def test_solve_series_refuses_one_inconsistent_coefficient(name):
     assert system.solve_series([s.truncate(5) for s in series]) is not None
 
 
+def test_solve_series_over_unequal_orders_and_denominators():
+    # right-hand sides of orders 4..12 over different lcms: the solution is
+    # cut to the smallest order, a change past it is ignored and one at it
+    # refused on a tall system, each coefficient as solve_any gives it
+    rng = random.Random(3232)
+    outcomes, mixed = set(), 0
+    for name, rows in SERIES_SYSTEMS.items():
+        system = System(rows)
+        matrix = [[F(v) for v in row] for row in system.rows]
+        for _ in range(20):
+            unknowns = [_random_series(rng, 12) for _ in range(system.plan.columns)]
+            series = [s.truncate(rng.randint(4, 12))
+                      for s in _right_hand_sides(system, unknowns)]
+            order = min(s.order for s in series)
+            mixed += len({s.denominator for s in series}) > 1
+            r, d = rng.randrange(len(series)), rng.choice((order, order + 1))
+            if d <= series[r].order:
+                series[r] = series[r] + QSeries.from_function(
+                    series[r].order, lambda k: F(1, 5) if k == d else 0)
+            want = [solve_any(matrix, [s.coefficient(k) for s in series])
+                    for k in range(order + 1)]
+            solution = system.solve_series(series)
+            if None in want:
+                assert solution is None
+            else:
+                assert all(s.order == order for s in solution)
+                assert _coefficients(solution) == [list(c) for c in zip(*want)]
+            outcomes.add((name, solution is None))
+    assert outcomes == {(name, False) for name in SERIES_SYSTEMS} | {
+        ("fit-basis", True), ("overdetermined", True)}
+    assert mixed >= 50
+
+
 @pytest.mark.parametrize("solve", [
     lambda: sigma_series({(0, 1): 0.5}, 3),
     lambda: solve_unique([[F(1)]], [0.5]),

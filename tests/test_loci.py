@@ -3,6 +3,7 @@ classes, triple-branch sums, and certification plumbing."""
 
 import functools
 import importlib
+import random
 import re
 from fractions import Fraction as F
 from types import MappingProxyType
@@ -136,7 +137,7 @@ class TestAuxiliaryLoci:
                 profile[label] = F(0)
             assert all(type(v) is F for v in profile.values())
         # each family's profile sits on the dual basis of the space it declares
-        for family, (space_id, degree, _, profile_fn, _) in loci.FAMILIES.items():
+        for family, (space_id, degree, _, profile_fn, *_) in loci.FAMILIES.items():
             pairings = space(space_id).pairings
             (dual_degree,) = {b for b in space(space_id).bases
                               if (degree, b) in pairings or (b, degree) in pairings}
@@ -629,6 +630,67 @@ class TestCertificationPlumbing:
         first = next(d for d in range(1, 11) if d * sigma(1, d) != sigma(3, d))
         with pytest.raises(CrossCheckError, match=rf"^class\[{family}\]\(d={first}\): "):
             loci.class_series(family, 10)
+
+    @pytest.mark.parametrize("family", sorted(loci.FAMILIES))
+    def test_planted_rows_fail_at_the_first_wrong_d_of_any_label(self, plant, family):
+        # the first label's row is wrong from d = 3 on (d sigma_1 - sigma_3
+        # - 3 sigma_1 + 3 d sigma_0 vanishes at d = 1, 2), the last label's
+        # from d = 2 on (d sigma_1 - sigma_3): the check names d = 2 and both
+        # whole classes there, as a sweep over d would
+        labels = family_labels(family)
+        true, true_at_3 = closed_class(family, 2), closed_class(family, 3)
+
+        def plus(extra):
+            return lambda row: {key: row.get(key, 0) + extra.get(key, 0) for key in {*row, *extra}}
+
+        plant(loci.FAMILIES, family, 4, labels[0],
+              change=plus({(1, 1): 1, (0, 3): -1, (0, 1): -3, (1, 0): 3}))
+        plant(loci.FAMILIES, family, 4, labels[-1], change=plus({(1, 1): 1, (0, 3): -1}))
+        wrong = closed_class(family, 2)
+        assert wrong.coefficients == (*true.coefficients[:-1], true.coefficients[-1] - 3)
+        assert closed_class(family, 3).coefficients[0] == true_at_3.coefficients[0] - 10
+        with pytest.raises(CrossCheckError) as caught:
+            loci.class_series(family, 10)
+        assert str(caught.value) == (
+            f"class[{family}](d=2): solver, closed disagree (solver {true}, closed {wrong})")
+
+    def test_class_tables_are_the_per_d_solve(self):
+        # the tables' series solve, read at d, against one solve of each profile
+        for family in ("m2", "m21", "m3"):
+            space_id, degree, class_fn, profile_fn, *_ = loci.FAMILIES[family]
+            for d in (1, 2, 7, 30, 64, 65, 100):
+                solved = chow.to_q_class_basis(solve_class(space_id, degree, profile_fn(d)))
+                assert class_fn(d) == solved, (family, d)
+
+    def test_one_class_table_per_profile_table(self, empty_caches, plant):
+        # classes of m2, m21 and m3 are read off their tables: the only per-d
+        # solve left is m2e's, whose profile has no table
+        solved = []
+
+        def counted(original):
+            def solve(space_id, degree, profile):
+                solved.append((space_id, degree))
+                return original(space_id, degree, profile)
+            return solve
+
+        plant(chow.solve_class, change=counted)
+        loci.certify_quasimodularity(60)
+        assert loci._class_table.cache_info().misses == 3
+        assert solved == [loci.FAMILIES["m2e"][:2]] * 60
+        # a shuffled sweep builds a class table only when its profile table
+        # grows: m21's own and the m2 one its pushforward check reads
+        for cache in empty_caches:
+            cache.cache_clear()
+        ds = list(range(1, 121))
+        random.Random(89).shuffle(ds)  # 6, 25, 77 first grow the tables: q^8, 32, 128
+        for d in ds:
+            delliptic_class_m21(d)
+        profiles = (loci._profile_table_m2.cache_info().misses
+                    + loci._profile_table_m21.cache_info().misses)
+        assert profiles == 6
+        assert loci._class_table.cache_info().misses == profiles
+        assert loci._class_table.cache_info().currsize == 2
+        assert solved == [loci.FAMILIES["m2e"][:2]] * 60
 
     @pytest.mark.parametrize("read,message", [
         (lambda: coefficient_series("m2", "delta_0", -1), "order must be >= 0, got -1"),
