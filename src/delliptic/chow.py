@@ -438,9 +438,9 @@ FORGET_M21_TO_M2 = MappingProxyType({
 })
 
 
-def pushforward_m21_to_m2(c: ChowClass) -> ChowClass:
-    """Pushforward of a substack-basis M21 degree-2 class under the
-    point-forgetting map, onto the substack divisor classes of M2.
+def pushforward_m21_to_m2(c: ChowClass | ClassSeries) -> ChowClass | ClassSeries:
+    """Pushforward of a substack-basis M21 degree-2 class, or of a ClassSeries
+    of them, under the point-forgetting map onto the substack divisors of M2.
 
     Every surface the map keeps (Xi_1, Delta_11) has the automorphism order
     of its image divisor (Delta_0, Delta_1) in q_factors, so on substack
@@ -449,9 +449,12 @@ def pushforward_m21_to_m2(c: ChowClass) -> ChowClass:
     """
     if (c.space_id, c.degree, c.labels) != ("M21", 2, q_basis_labels("M21", 2)):
         raise ValueError("pushforward needs an M21 degree-2 class on the substack basis")
-    totals = dict.fromkeys(q_basis_labels("M2", 1), F(0))
-    for label, coeff in zip(space("M21").bases[2], c.coefficients):
+    field = "series" if isinstance(c, ClassSeries) else "coefficients"
+    zero = QSeries.zero(c.order) if field == "series" else F(0)
+    totals = dict.fromkeys(q_basis_labels("M2", 1), zero)
+    for label, value in zip(space("M21").bases[2], getattr(c, field)):
         image = FORGET_M21_TO_M2[label]
         if image is not None:
-            totals[image.lower()] += coeff
-    return ChowClass("M2", 1, tuple(totals), tuple(totals.values()))
+            totals[image.lower()] += value
+    return replace(c, space_id="M2", degree=1, labels=tuple(totals),
+                   **{field: tuple(totals.values())})

@@ -1,14 +1,15 @@
 """Divisor-power sums, the sigma-polynomial reader, and convolution identities.
 
-sigma_k(d) = sum of a^k over the positive divisors a of d, so sigma_0(d) is
-the number of divisors. Every closed form in the package is a sigma
-polynomial, held as data: a row {(j, k): c} means sum c d^j sigma_k(d), and
-sigma_series(row, n), the row at every d <= n as one QSeries, is its one
-reader (a value at d is a q^d coefficient of a held table). rows() makes each
-row a read-only mapping (types.MappingProxyType: item assignment raises
-TypeError; a changed closed form is a new row). sigma_series reads any such
-mapping: once per call it puts the coefficients over the lcm of their
-denominators, then sums int multiply-adds over that one denominator.
+sigma_k(d) = sum of a^k over the positive divisors a of d, so sigma_0(d) is the
+number of divisors. Every closed form in the package is a sigma polynomial,
+held as data: a row {(j, k): c} means sum c d^j sigma_k(d), and
+sigma_series(row, n), the row at every d <= n as one QSeries, is its one reader
+(a value at d is a q^d coefficient of a held table). rows() makes each row a
+read-only mapping (types.MappingProxyType: item assignment raises TypeError; a
+changed closed form is a new row). sigma_series reads any such mapping: it puts
+the coefficients over their lcm once, then sums int multiply-adds, reading each
+sigma_k off _sigma_table, one divisor sieve per k (O(n log n), no trial
+division), once every k is checked: the table cache would take 3.0 for 3.
 
 The three convolutions of sigma_1 over ordered compositions of d have such
 rows (CLOSED_FORMS):
@@ -19,22 +20,23 @@ rows (CLOSED_FORMS):
                                            + (-5d/32 + 5/96) s3(d) + 7/192 s5(d)
 
 Below its range (d = 1, and for conv3 also d = 2) each convolution is the
-empty sum 0, and so is its row; d < 1 raises ValueError and a non-integer
-d (operator.index) TypeError through require_positive, the package's one d
+empty sum 0, and so is its row; d < 1 raises ValueError and a non-integer d
+(operator.index) TypeError through require_positive, the package's one d
 check. These identities carry the whole assembly downstream, so every
-convolution is evaluated BOTH by direct summation and by its row, compared
-per table (CrossCheckError at the first d where they differ). The direct sums are the int coefficients of the QSeries
-products A*A, (DA)*A and (A*A)*A (A = sum s1(m)q^m, DA = sum m s1(m)q^m),
-one held table per convolution (growing_table, the package's table cache),
-rebuilt only for a d past its end, at table_order(d): the next power of two
->= d and the one order rule of every sum over d in the package. A wrong
-entry fails every read of its table. Each product is one big-int
-multiplication (Kronecker substitution in series). Divisor enumeration is
-trial division up to sqrt(d). TABLE_ORDER_CEILING, a power of two, is the
-one budget of work that grows with d: table_order refuses a larger d
-before any table is built, and the isogeny counts,
-class_series, sigma_series and run_verification refuse a larger d, order or
-max_d up front (require_within_ceiling, require_order).
+convolution is evaluated BOTH by direct summation and by its row, compared per
+table (CrossCheckError at the first d where they differ). The direct sums are
+the int coefficients of the QSeries products A*A, (DA)*A and (A*A)*A (A = sum
+s1(m)q^m, DA = sum m s1(m)q^m), one held table per convolution (growing_table,
+the package's table cache), rebuilt only for a d past its end, at
+table_order(d): the next power of two >= d and the one order rule of every sum
+over d in the package. A wrong entry fails every read of its table. Each
+product is one big-int multiplication (Kronecker substitution in series). The
+per-d sigma and divisors are trial division up to sqrt(d), valid past the
+ceiling; A reads sigma, so each identity also compares it with the sieve.
+TABLE_ORDER_CEILING, a power of two, is the one budget of work that grows with
+d: table_order refuses a larger d before any table is built, and the isogeny
+counts, class_series, sigma_series and run_verification refuse a larger d,
+order or max_d up front (require_within_ceiling, require_order).
 """
 
 from __future__ import annotations
@@ -106,14 +108,16 @@ def sigma(k: int, d: int) -> int:
 
 def sigma_series(row: Mapping[tuple[int, int], Union[int, Fraction]], n: int) -> QSeries:
     """sum_{d=1..n} (sum c d^j sigma_k(d) over the row {(j, k): c}) q^d to
-    q^n (require_order): int multiply-adds over the coefficients' lcm, one
-    monomial at a time."""
+    q^n (require_order), over the coefficients' lcm, each sigma_k read to q^n
+    off its sieve (_sigma_table) once every k is checked; n = 0 reads none."""
     require_order(n)
     numerators, scale = _over_common_denominator(list(row.values()))
-    sums = [0] * n
-    for c, (j, k) in zip(numerators, row):
-        sums = list(map(add, sums, [c * d**j * sigma(k, d) for d in range(1, n + 1)]))
-    return QSeries([0, *sums]) * Fraction(1, scale)
+    for _, k in row:
+        _require_at_least(k, 0, "k")
+    sums = [0] * (n + 1)
+    for c, (j, k) in zip(numerators, row) if n else ():
+        sums = list(map(add, sums, (c * d**j * s for d, s in enumerate(_sigma_table(k, n)))))
+    return QSeries._reduced(sums, scale)
 
 
 #: convolution -> its closed form, the row its direct sum must equal
@@ -182,6 +186,17 @@ def growing_table(build):
     read.cache_info = lambda: CacheInfo(counts["hits"], counts["misses"], None, len(held))
     read.cache_clear = cache_clear
     return read
+
+
+@growing_table
+def _sigma_table(k: int, n: int) -> tuple[int, ...]:
+    """(sigma_k(0) = 0, sigma_k(1), ..., sigma_k(n)): a^k added at every multiple of a."""
+    sums = [0] * (n + 1)
+    for a in range(1, n + 1):
+        power = a**k
+        for m in range(a, n + 1, a):
+            sums[m] += power
+    return tuple(sums)
 
 
 @growing_table

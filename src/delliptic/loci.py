@@ -12,12 +12,13 @@ multiplicity.
 Every assembled profile but one is computed twice, once from per-topology
 contribution sums over the counting oracles and once from its closed form,
 and the two must agree exactly. The fixed-target profile (m2e) is read
-directly off the isogeny count and conv2, so it is checked through its
-class alone. Every solved class is compared against its closed form in the
-substack basis. Each comparison goes through errors.crosscheck (or
-crosscheck_series, which runs it at the first d where whole series differ),
-raising CrossCheckError that names the route that disagrees; these checks
-are the package's defense against transcription errors in the tables.
+directly off the isogeny count and conv2, so it is checked through its class
+alone. Every solved class is compared against its closed form in the
+substack basis, and the m21 classes, pushed forward, against the m2 ones.
+Each comparison goes through errors.crosscheck (or crosscheck_series, which
+runs it at the first d where whole series differ), raising CrossCheckError
+that names the route that disagrees; these checks are the package's defense
+against transcription errors in the tables.
 
 Every closed form is data, not code: a row {(j, k): c} meaning
 sum c d^j sigma_k(d) (sigma_0 the divisor count), read as a series by the one
@@ -51,10 +52,10 @@ rebuilds it at table_order(d), so the one class sweep, class_series, reads
 its top d first and builds each table once. The windings over a | d are one
 divisor sieve, the D1_D12 tail one product 12 A*F. The m12, m2, m21 and m3
 classes are read off class tables: the profile table solved whole
-(chow.solve_class_series) and checked whole against the closed rows. A
-family's class table (_class_table) is built at the order of its held
-profile table, so it grows only with it. The m2e profile reads the isogeny
-count per d, so it has no table and its class is solved per d.
+(chow.solve_class_series) and checked whole against the closed rows, the
+m21 table also pushed forward whole against the m2 one. Each class table
+(_class_table) is built at the order of its held profile table. The m2e
+profile reads the isogeny count per d: no table, its class solved per d.
 
 The double-chain covers (the m21 profile and the split sum) weigh m*b over
 the splittings a*m + b*n = d, which totals sum_k sigma_1(k) sigma_1(d - k) =
@@ -233,7 +234,11 @@ def _class_table(family: str, n: int) -> ClassSeries:
     table = ClassSeries(space_id, degree, q_basis_labels(space_id, degree),
                         tuple(s * factors[label] for label, s in solved.items()))
     closed = _closed_class_table(family, table.order).truncate(table.order)
-    return crosscheck_series(f"class[{family}]", solver=table, closed=closed)
+    crosscheck_series(f"class[{family}]", solver=table, closed=closed)
+    if family == "m21":  # forgetting the marked point must give the m2 classes
+        crosscheck_series("pushforward[m21]", pushforward=pushforward_m21_to_m2(table),
+                          unpointed=_class_table("m2", table.order).truncate(table.order))
+    return table
 
 
 def _table_class(family: str, d: int) -> ChowClass:
@@ -474,17 +479,9 @@ def boundary_profile_m21(d: int) -> Mapping[str, Fraction]:
 
 @lru_cache(maxsize=None)
 def delliptic_class_m21(d: int) -> ChowClass:
-    """The marked genus-2 d-elliptic class, solved through the middle pairing
-    and verified against the closed form (read off _class_table); forgetting
-    the marked point must recover the unpointed class, checked at each d."""
-    solved = _table_class("m21", d)
-    crosscheck(
-        "pushforward[m21]",
-        d,
-        pushforward=pushforward_m21_to_m2(solved),
-        unpointed=delliptic_class_m2(d),
-    )
-    return solved
+    """The marked genus-2 d-elliptic class, read off _class_table, whose build
+    checks it against the closed form and, pushed forward, the m2 classes."""
+    return _table_class("m21", d)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from delliptic import chow
 from delliptic.chow import (
     ChowClass,
+    ClassSeries,
     basis_labels,
     pairing,
     pairing_number,
@@ -415,6 +416,21 @@ class TestPushforward:
     def test_wrong_space_rejected(self):
         with pytest.raises(ValueError):
             pushforward_m21_to_m2(on_basis("M2", 1, {}))
+
+    def test_class_series_is_the_per_d_pushforward(self):
+        rng = random.Random(4242)
+        labels = q_basis_labels("M21", 2)
+        series = tuple(QSeries([F(rng.randint(-30, 30), rng.randint(1, 8)) for _ in range(13)])
+                       for _ in labels)
+        table = ClassSeries("M21", 2, labels, series)
+        pushed = pushforward_m21_to_m2(table)
+        assert (pushed.space_id, pushed.degree, pushed.labels, pushed.order) == (
+            "M2", 1, ("delta_0", "delta_1"), 12)
+        for d in range(13):
+            assert pushed.coefficient(d) == pushforward_m21_to_m2(table.coefficient(d)), d
+        upper = ClassSeries("M21", 2, basis_labels("M21", 2), series)
+        with pytest.raises(ValueError, match="substack basis"):
+            pushforward_m21_to_m2(upper)
 
 
 class TestChowClass:

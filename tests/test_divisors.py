@@ -9,9 +9,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from delliptic import report
+from delliptic import covers, loci, report
 from delliptic.divisors import (
-    conv2, conv2_weighted, conv3, divisors, growing_table, sigma, sigma_series,
+    TABLE_ORDER_CEILING, conv2, conv2_weighted, conv3, divisors, growing_table, sigma,
+    sigma_series,
 )
 from delliptic.errors import CrossCheckError
 from delliptic.series import QSeries
@@ -146,6 +147,73 @@ class TestConvolutions:
         for convolution in (conv2, conv2_weighted, conv3):
             with pytest.raises(ValueError):
                 convolution(0)
+
+
+class TestSigmaSieve:
+    def test_sieve_is_sigma_to_the_ceiling(self):
+        for k in (0, 1, 3, 5):
+            table = divisors_module._sigma_table(k, TABLE_ORDER_CEILING)
+            assert len(table) == TABLE_ORDER_CEILING + 1 and table[0] == 0
+            assert table[1:] == tuple(sigma(k, d) for d in range(1, TABLE_ORDER_CEILING + 1))
+
+    def test_small_and_held_orders(self, empty_caches):
+        row = {(0, 0): 1, (1, 1): F(-1, 2), (2, 3): F(5, 6), (0, 5): F(-7, 10)}
+        sieve = divisors_module._sigma_table
+        assert sigma_series(row, 0) == QSeries.zero(0)
+        assert sigma_series({}, 7) == QSeries.zero(7)
+        assert sieve.cache_info() == (0, 0, None, 0)  # neither reads a table
+        assert sigma_series(row, 1) == QSeries([0, 1 - F(1, 2) + F(5, 6) - F(7, 10)])
+        series = sigma_series(row, 100)  # read off the q^128 tables
+        assert series.order == 100 and len(sieve(3, 100)) == 129
+        assert series == QSeries([0, *(
+            sigma(0, d) - F(d, 2) * sigma(1, d) + F(5 * d * d, 6) * sigma(3, d)
+            - F(7, 10) * sigma(5, d) for d in range(1, 101))])
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "after-int-k"])
+    def test_float_k_refused_in_every_cache_state(self, empty_caches, warm):
+        if warm:
+            assert sigma_series({(0, 1): 1}, 5).coefficient(5) == 6
+        with pytest.raises(TypeError, match=r"^k must be an integer, got 1\.0$"):
+            sigma_series({(0, 1.0): 1}, 5)
+        with pytest.raises(ValueError, match=r"^k must be >= 0, got -1$"):
+            sigma_series({(0, -1): 1}, 5)
+
+    def test_float_coefficient_named(self):
+        with pytest.raises(TypeError, match=r"^coefficients must be int or Fraction, got 0\.5$"):
+            sigma_series({(0, 1): 1, (1, 1): 0.5}, 5)
+
+    def test_closed_rows_read_only_the_sieve(self, plant):
+        tables = [divisors_module.CLOSED_FORMS, covers.CLOSED_FORMS,
+                  *loci.CLOSED_FORMS.values(), *(family[4] for family in loci.FAMILIES.values())]
+        rows = [row for table in tables for row in table.values()]
+        expected = [sigma_series(row, 128) for row in rows]
+
+        def refused(original):
+            def read(k, d):
+                raise AssertionError(f"sigma({k}, {d}) read")
+            return read
+
+        plant(divisors_module.sigma, change=refused)
+        with pytest.raises(AssertionError):
+            divisors_module.sigma(1, 2)
+        assert [sigma_series(row, 128) for row in rows] == expected
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_wrong_sieve_entry_fails_conv2(self, plant, k):
+        d = 150
+
+        def bumped(original):
+            def table(key, n):
+                held = original(key, n)
+                if key != k or len(held) <= d:
+                    return held
+                return (*held[:d], held[d] + 1, *held[d + 1:])
+            return table
+
+        plant(divisors_module._sigma_table, change=bumped)
+        assert divisors_module.convolution_table("conv2", 128).coefficient(128) == conv2(128)
+        with pytest.raises(CrossCheckError, match=rf"^conv2\(d={d}\): direct, closed disagree"):
+            divisors_module.convolution_table("conv2", 200)
 
 
 CONVOLUTIONS = {"conv2": conv2, "conv2_weighted": conv2_weighted, "conv3": conv3}

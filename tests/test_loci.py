@@ -12,7 +12,7 @@ import pytest
 
 from delliptic import chow, covers, linalg, loci, report
 from delliptic.divisors import TABLE_ORDER_CEILING, conv2, conv3, divisors, sigma, sigma_series
-from delliptic.errors import CrossCheckError
+from delliptic.errors import CrossCheckError, crosscheck
 from delliptic.loci import (
     boundary_profile_m2,
     boundary_profile_m21,
@@ -222,6 +222,23 @@ class TestPointedGenus2:
     def test_pushforward_recovers_unpointed(self):
         for d in range(1, 11):
             assert pushforward_m21_to_m2(delliptic_class_m21(d)) == delliptic_class_m2(d)
+
+    def test_wrong_forget_map_fails_the_class_table(self, plant):
+        # the pushforward is compared once per m21 class table, whole, and
+        # raises at its smallest wrong d what the per-d comparison would
+        plant(FORGET_M21_TO_M2, "Xi_1", change=lambda _: "Delta_1")
+        assert not any(delliptic_class_m21(1).coefficients)  # the q^1 table: both 0
+        pairs = {d: (pushforward_m21_to_m2(closed_class("m21", d)), delliptic_class_m2(d))
+                 for d in range(1, 9)}
+        k = min(d for d, (pushed, unpointed) in pairs.items() if pushed != unpointed)
+        with pytest.raises(CrossCheckError) as per_d:
+            crosscheck("pushforward[m21]", k, pushforward=pairs[k][0], unpointed=pairs[k][1])
+        with pytest.raises(CrossCheckError) as caught:
+            delliptic_class_m21(5)  # the q^8 table
+        assert str(caught.value) == str(per_d.value)
+        assert str(caught.value) == (
+            f"pushforward[m21](d={k}): pushforward, unpointed disagree "
+            f"(pushforward {pairs[k][0]}, unpointed {pairs[k][1]})")
 
 
 class TestSplittingWeights:
