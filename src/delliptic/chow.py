@@ -380,17 +380,14 @@ def solve_class(
 ) -> ChowClass:
     """The unique degree-`degree` class with the prescribed dual pairings.
 
-    `profile` is any mapping from dual-basis label to an int or Fraction
-    intersection number (the loci build read-only ones); other numbers raise
-    TypeError. Every label must lie in the complementary-degree basis, and
-    the induced exact linear system must be uniquely solvable; a singular or
-    inconsistent system raises the corresponding linalg error.
+    `profile` maps dual-basis labels to int or Fraction intersection numbers
+    (the loci build read-only mappings); `solve_unique` refuses any other
+    number with TypeError. Every label must lie in the complementary-degree
+    basis, and the induced exact linear system must be uniquely solvable; a
+    singular or inconsistent system raises the corresponding linalg error.
     """
     system = _class_system(space_id, degree, tuple(profile))
-    values = list(profile.values())
-    if not all(isinstance(v, (int, Fraction)) for v in values):
-        raise TypeError(f"profile numbers must be int or Fraction, got {values!r}")
-    solution = solve_unique(system, values)
+    solution = solve_unique(system, list(profile.values()))
     return ChowClass(space_id, degree, space(space_id).bases[degree], tuple(solution))
 
 

@@ -41,8 +41,8 @@ SERIES_ORDER_CEILING = 200
 #: largest --weight `series` and `qmod-fit` accept: it bounds the fit's
 #: System, which no table budget covers, and whose monomial basis grows as
 #: weight^3: at order 200, on a 2-vCPU Xeon VM, weight 20 builds its
-#: basis and System in about 0.9 s (the whole `series` process at both fit
-#: ceilings in about 1.1 s) and weight 24 in about 10 s
+#: basis and System in about 0.3 s (the whole `series` process at both fit
+#: ceilings in about 0.4 s) and weight 24 in about 2.5 s
 FIT_WEIGHT_CEILING = 20
 
 _COUNTS = {

@@ -38,12 +38,17 @@ def crosscheck_series(name: str, /, **routes):
     """The series every route built for `name` (the first route's), the q^d
     coefficient of each being its value at d: a QSeries, or a chow.ClassSeries
     whose coefficient is a whole class. Unless all are equal, crosscheck runs
-    at the first d where they differ, raising what a sweep over d would.
+    at the first d where they differ, raising what a sweep over d would;
+    routes that agree up to the shortest order but end at different orders
+    raise CrossCheckError naming each route's order.
     """
     series = list(routes.values())
     if len(series) > 1 and series.count(series[0]) == len(series):
         return series[0]
-    # series of two orders that agree on the shorter one raise at its end
-    d = next((d for d in range(max((s.order for s in series), default=0) + 1)
-              if len({s.coefficient(d) for s in series}) > 1), 0)
+    shortest = min((s.order for s in series), default=0)
+    d = next((d for d in range(shortest + 1) if len({s.coefficient(d) for s in series}) > 1), 0)
+    if len(series) > 1 and len({s.coefficient(d) for s in series}) == 1:
+        orders = ", ".join(f"{route} order {s.order}" for route, s in routes.items())
+        raise CrossCheckError(f"{name}: routes agree to q^{shortest} but end at "
+                              f"different orders ({orders})")
     return crosscheck(name, d, **{route: s.coefficient(d) for route, s in routes.items()})

@@ -4,23 +4,22 @@ A `System` is a matrix made ready for exact solves against it: its rational
 rows, each row's lcm scale to integers, and the factorisation of the scaled
 rows. `_factorise` picks the pivot columns of an integer matrix (those not in
 the span of earlier ones) and as many independent rows by one fraction-free
-(Bareiss) elimination, and keeps what it leaves as the factor F B = U of
-that pivot block B: U upper-triangular with the pivots on its diagonal,
-the last one delta, and F the integer lower-triangular rows its steps apply
-to B's rows. It eliminates leading blocks of rows that double from the
-column count until one has full column rank, which every fit basis has in
-its first few rows: the plan is the one elimination over all rows gives,
-and the residual still reads every row.
+(Bareiss) elimination, and keeps the pivot block B as it leaves it: U on and
+above the diagonal, the last pivot delta, and each step's multiplier below.
+It eliminates leading blocks of rows that double from the column count until
+one has full column rank, which every fit basis has in its first few rows:
+the plan is the one elimination over all rows gives, and the residual still
+reads every row.
 `System.solve(numerators, scale)` takes the right-hand side as integers over
 one positive scale, as a `QSeries` holds it, multiplies each by its row's
-scale, computes X = delta x by back-substitution through U of delta F t
-(every division exact, by Cramer), divides X and delta by their gcd, and
-accepts X only if the integer residual holds on every row.
+scale, applies the kept steps to it and back-substitutes X = delta x through
+U (every division exact), divides X and delta by their gcd, and accepts X
+only if the integer residual holds on every row.
 `System.solve_series` runs the same integer algebra on whole columns of
 coefficients, every q^d of right-hand side series at once: the series over
-one lcm of their denominators, X back-substituted column by column, the
-residual on every row and coefficient, and each unknown's series put in
-lowest terms once at the end. It does no series arithmetic per step.
+one lcm of their denominators, the steps and X back-substituted column by
+column, the residual on every row and coefficient, and each unknown's series
+put in lowest terms once at the end. It does no series arithmetic per step.
 
 A System is built once by the code that owns its matrix and kept there:
 `chow` keeps one per class system (space, degree, profile labels), and
@@ -62,26 +61,24 @@ class InconsistentSystemError(ValueError):
 @dataclass(frozen=True)
 class _Factorisation:
     """An integer matrix A with its pivot columns, as many independent rows,
-    and the fraction-free LU factor of the pivot block B = A[pivot_rows][pivots]
-    that Bareiss elimination leaves: integer lower-triangular `forward` rows
-    F and upper-triangular `upper` rows U with F B = U. Row j of `forward`
-    holds F[j][:j + 1], row j of `upper` holds U[j][j:], so U[j][j] is the
-    j-th pivot and `delta`, the last one, is +-det B. Of A itself it keeps
-    every row restricted to the pivot columns, all the residual reads, and
-    the column count."""
+    and in `block` the pivot block B = A[pivot_rows][pivots] as one Bareiss
+    elimination leaves it: row j holds the multipliers m_jk of its steps
+    k < j left of the diagonal and U[j][j:] from it on, so block[j][j] is the
+    j-th pivot p_j and `delta`, the last one, is +-det B. Of A itself it
+    keeps every row on the pivot columns, all the residual reads, and the
+    column count."""
 
     on_pivots: tuple[tuple[int, ...], ...]
     columns: int
     pivots: tuple[int, ...]
     pivot_rows: tuple[int, ...]
-    forward: tuple[tuple[int, ...], ...]
-    upper: tuple[tuple[int, ...], ...]
+    block: tuple[tuple[int, ...], ...]
     delta: int
 
 
 def _factorise(rows: Sequence[Sequence[int]]) -> _Factorisation:
     """Bareiss elimination on a copy of the leading rows, columns left to
-    right, kept as the factor F B = U.
+    right, its pivot block kept as the elimination leaves it.
 
     A column with no nonzero entry below the current rank is in the span of
     the earlier ones and is skipped, so the pivots are the columns
@@ -95,10 +92,9 @@ def _factorise(rows: Sequence[Sequence[int]]) -> _Factorisation:
     one all rows give, and its residual still reads every row.
 
     Each step leaves its multiplier in the pivot column of the rows it
-    changes (where elimination would write 0), so pivot row j ends holding
-    its multipliers left of the diagonal and U[j] from it on. Replaying the
-    steps on the unit vectors then gives F, whose row j has p_{j-1} (the
-    previous pivot, 1 for j = 0) on the diagonal.
+    changes (where elimination would write 0), and later steps only change
+    columns right of their own pivot, so pivot row j ends holding its
+    multipliers left of the diagonal and U[j] from it on: the kept block.
     """
     columns = len(rows[0])
     block = max(columns, 1)
@@ -125,33 +121,28 @@ def _factorise(rows: Sequence[Sequence[int]]) -> _Factorisation:
         if len(pivots) == columns or block >= len(rows):
             break
         block *= 2
-    eliminated = [[work[j][c] for c in pivots] for j in range(len(pivots))]
-    forward: list[tuple[int, ...]] = []
-    for j, row in enumerate(eliminated):
-        below, previous = [], 1
-        for k in range(j):
-            p, a = eliminated[k][k], row[k]
-            below = [(p * x - a * y) // previous for x, y in zip(below + [0], forward[k])]
-            previous = p
-        forward.append((*below, previous))
-    upper = tuple(tuple(row[j:]) for j, row in enumerate(eliminated))
-    on_pivots = tuple(tuple(row[c] for c in pivots) for row in rows)
-    return _Factorisation(
-        on_pivots, columns, tuple(pivots), tuple(origin[: len(pivots)]),
-        tuple(forward), upper, upper[-1][0] if upper else 1,
-    )
+    # `previous` is now the last pivot, delta (1 with no pivot)
+    kept = tuple(tuple(work[j][c] for c in pivots) for j in range(len(pivots)))
+    return _Factorisation(tuple(tuple(row[c] for c in pivots) for row in rows), columns,
+                          tuple(pivots), tuple(origin[: len(pivots)]), kept, previous)
 
 
 def _back_substitute(plan: _Factorisation, picked: Sequence[int]) -> list[int]:
-    """X = delta x for the solution x of B x = picked on the pivot block:
-    U X = delta F picked, solved from the last row up. X is integral
-    (Cramer), so every division by a pivot is exact. Each new unknown
-    enters X as 0, so U[j][j:] reads all of X and its diagonal adds 0."""
-    delta = plan.delta
-    X: list[int] = []
-    for forward, upper in zip(reversed(plan.forward), reversed(plan.upper)):
-        X.insert(0, 0)
-        X[0] = (delta * sum(map(mul, forward, picked)) - sum(map(mul, upper, X))) // upper[0]
+    """X = delta x for the solution x of B x = picked on the pivot block.
+    The kept steps turn picked into t, t_j <- (p_k t_j - m_jk t_k) / p_{k-1}
+    for k < j, as they turned B into U; U X = delta t is then solved from
+    the last row up, every division exact (Sylvester's identity, Cramer).
+    X fills from the end, so row j of the block meets 0 up to its diagonal."""
+    block, delta = plan.block, plan.delta
+    t, previous = list(picked), 1
+    for k, top in enumerate(block):
+        p, tk = top[k], t[k]
+        for j in range(k + 1, len(t)):
+            t[j] = (p * t[j] - block[j][k] * tk) // previous
+        previous = p
+    X = [0] * len(t)
+    for j in reversed(range(len(t))):
+        X[j] = (delta * t[j] - sum(map(mul, block[j], X))) // block[j][j]
     return X
 
 
@@ -244,23 +235,28 @@ class System:
         is row r's right-hand side): one series per column, truncated to the
         smallest order, or None. The same integer algebra, on columns of
         coefficients: every series over one lcm L of their denominators and
-        times its row's scale, X = delta x back-substituted through U column
-        by column, the residual checked on every row, and X_j / (delta L)
-        put in lowest terms with a positive denominator."""
-        plan, delta = self.plan, self.plan.delta
+        times its row's scale, the kept steps applied and X = delta x
+        back-substituted through U column by column, the residual checked on
+        every row, and X_j / (delta L) put in lowest terms with a positive
+        denominator."""
+        plan, block, delta = self.plan, self.plan.block, self.plan.delta
         order = min(s.order for s in series)
         common = lcm(*(s.denominator for s in series))
         scales = self.scales or (1,) * len(series)
         scaled = [[v * (scale * common // s.denominator) for v in s.numerators[: order + 1]]
                   for s, scale in zip(series, scales)]
-        picked = [scaled[r] for r in plan.pivot_rows]
+        t, previous = [scaled[r] for r in plan.pivot_rows], 1
+        for k, top in enumerate(block):
+            p, tk = top[k], t[k]
+            t[k + 1:] = [[(p * a - row[k] * b) // previous for a, b in zip(tj, tk)]
+                         for tj, row in zip(t[k + 1:], block[k + 1:])]
+            previous = p
         X: list[list[int]] = []
-        for forward, upper in zip(reversed(plan.forward), reversed(plan.upper)):
-            total = _column_sum([delta * c for c in forward], picked, order)
-            below = _column_sum(upper[1:], X, order)
-            X.insert(0, [(t - b) // upper[0] for t, b in zip(total, below)])
-        if any(_column_sum(row, X, order) != [delta * v for v in t]
-               for row, t in zip(plan.on_pivots, scaled)):
+        for j in reversed(range(len(block))):
+            below = _column_sum(block[j][j + 1:], X, order)
+            X.insert(0, [(delta * a - b) // block[j][j] for a, b in zip(t[j], below)])
+        if any(_column_sum(row, X, order) != [delta * v for v in target]
+               for row, target in zip(plan.on_pivots, scaled)):
             return None
         sign, zero = (-1 if delta < 0 else 1), QSeries.zero(order)
         solution = {col: QSeries._reduced([sign * v for v in column], sign * delta * common)

@@ -184,17 +184,18 @@ def _check_cancellation(order: int) -> str:
 
 
 def _check_certification(report: dict, order: int) -> str:
-    failures = [
-        f"{family}/{label}"
-        for family, fits in report.items()
-        for label, fit in fits.items()
-        if not isinstance(fit, QuasimodularFit)
-    ]
+    fits = {f"{family}/{label}": fit for family, by_label in report.items()
+            for label, fit in by_label.items()}
+    failures = [name for name, fit in fits.items() if not isinstance(fit, QuasimodularFit)]
     if failures:
         raise CrossCheckError(f"series not quasimodular: {', '.join(failures)}")
-    total = sum(len(fits) for fits in report.values())
+    # every monomial starts at 1, so a fit's coefficient sum is its series'
+    # q^0, which a class series (d >= 1) must leave 0
+    constant = [name for name, fit in fits.items() if sum(c for _, c in fit.coefficients)]
+    if constant:
+        raise CrossCheckError(f"series with a nonzero q^0: {', '.join(constant)}")
     weight = loci.CERTIFICATION_WEIGHT
-    return f"all {total} coefficient series fit at weight {weight}, order {order}"
+    return f"all {len(fits)} coefficient series fit at weight {weight}, order {order}"
 
 
 def class_report(family: str, d: int) -> dict:

@@ -572,6 +572,23 @@ class TestMutationProbes:
         with pytest.raises(CrossCheckError, match=r"^sublattice-count\(d=6\): "):
             report._check_sublattices()
 
+    def test_constant_term_fails_certification(self, plant):
+        # every series still fits, its constant monomial taking the planted 1
+        def with_constant(original):
+            def class_series(family, order):
+                one = QSeries.from_function(order, lambda d: int(d == 0))
+                return {label: s + one for label, s in original(family, order).items()}
+            return class_series
+
+        plant(loci.class_series, change=with_constant)
+        result = report.run_verification(6, 12)
+        assert self.failed_checks(result) == {"quasimodularity-certification"}
+        names = [f"{family}/{label}" for family in loci.FAMILIES
+                 for label in loci.family_labels(family)]
+        by_name = {c["check"]: c for c in result["checks"]}
+        assert by_name["quasimodularity-certification"]["detail"] == (
+            f"CrossCheckError: series with a nonzero q^0: {', '.join(names)}")
+
     def test_wrong_class_coefficient_fails_named_check(self, plant):
         plant(loci.FAMILIES, "m3", 4, "kappa_2", (0, 3), change=lambda c: c + 1)
         result = report.run_verification(3, 10)
@@ -582,13 +599,15 @@ class TestMutationProbes:
             "CrossCheckError: class[m3](d=1): "
         )
 
-    def test_wrong_class_factorisation(self, plant):
+    def verify_with_class_factor_bumped(self, plant, j, k):
+        """`verify` with entry (j, k) of every class System's kept block one
+        too large: the failing genus-2 class check names the refused solve."""
         def bumped(original):
             def class_system(*key):
                 system = copy.copy(original(*key))
-                upper = [list(row) for row in system.plan.upper]
-                upper[0][0] += 1
-                system.plan = dataclasses.replace(system.plan, upper=tuple(map(tuple, upper)))
+                block = [list(row) for row in system.plan.block]
+                block[j][k] += 1
+                system.plan = dataclasses.replace(system.plan, block=tuple(map(tuple, block)))
                 return system
             return class_system
 
@@ -597,3 +616,9 @@ class TestMutationProbes:
         assert "genus2-classes" in self.failed_checks(result)
         by_name = {c["check"]: c for c in result["checks"]}
         assert by_name["genus2-classes"]["detail"].startswith("InconsistentSystemError")
+
+    def test_wrong_class_factorisation(self, plant):
+        self.verify_with_class_factor_bumped(plant, 0, 0)  # the first pivot
+
+    def test_wrong_class_multiplier(self, plant):
+        self.verify_with_class_factor_bumped(plant, 1, 0)  # below the diagonal

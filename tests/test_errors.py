@@ -74,5 +74,15 @@ def test_series_mismatch_raises_crosschecks_error_at_the_first_d(routes):
 def test_series_of_one_route_or_two_orders_are_refused():
     with pytest.raises(ValueError):
         crosscheck_series("x", only=series(1))
-    with pytest.raises(ValueError):
+    # routes that agree up to the shortest order name each route's order
+    with pytest.raises(CrossCheckError) as exc:
         crosscheck_series("x", a=series(1), b=series(1, 2))
+    assert str(exc.value) == (
+        "x: routes agree to q^1 but end at different orders (a order 1, b order 2)")
+    with pytest.raises(CrossCheckError) as exc:
+        crosscheck_series("x", a=series(1, 2, 3), b=series(1, 2), c=series(1, 2, 3))
+    assert str(exc.value) == ("x: routes agree to q^2 but end at different orders "
+                              "(a order 3, b order 2, c order 3)")
+    # and routes that differ below it raise at the first d where they differ
+    with pytest.raises(CrossCheckError, match=r"^x\(d=1\): "):
+        crosscheck_series("x", a=series(1, 2), b=series(5, 2, 3))

@@ -255,8 +255,9 @@ def test_float_refused_naming_it(solve):
 
 def _factorise_over_all_rows(rows):
     """The reference plan: Bareiss elimination over every row, as (pivots,
-    pivot rows, the eliminated pivot rows U[j][j:] on the pivot columns,
-    delta), which `_factorise` must find."""
+    pivot rows, the pivot block it leaves, delta), which `_factorise` must
+    find. Row j of the block holds the multipliers of the steps that changed
+    it left of the diagonal and the eliminated row U[j][j:] from it on."""
     work = [list(row) for row in rows]
     origin = list(range(len(work)))
     pivots = []
@@ -274,28 +275,26 @@ def _factorise_over_all_rows(rows):
             a = row[col]
             for c in range(col + 1, len(row)):
                 row[c] = (p * row[c] - a * top[c]) // previous
-            row[col] = 0
         previous = p
         pivots.append(col)
-    upper = tuple(tuple(work[j][c] for c in pivots[j:]) for j in range(len(pivots)))
-    return tuple(pivots), tuple(origin[: len(pivots)]), upper, previous
+    block = tuple(tuple(work[j][c] for c in pivots) for j in range(len(pivots)))
+    return tuple(pivots), tuple(origin[: len(pivots)]), block, previous
 
 
 def assert_factorises_as_over_all_rows(plan, rows):
-    """`plan` has the reference's pivots, pivot rows, U and delta, keeps
-    every row on the pivot columns, and its forward rows F satisfy F B = U
-    on the pivot block B (which, B being invertible, fixes F)."""
-    pivots, pivot_rows, upper, delta = _factorise_over_all_rows(rows)
-    assert (plan.pivots, plan.pivot_rows, plan.upper, plan.delta) == (
-        pivots, pivot_rows, upper, delta)
+    """`plan` has the reference's pivots, pivot rows, kept block and delta,
+    keeps every row on the pivot columns, and solving against each pivot
+    column k of the pivot block B returns delta times the k-th unit vector
+    (B being invertible, that is B x = B e_k read through the kept steps)."""
+    pivots, pivot_rows, block, delta = _factorise_over_all_rows(rows)
+    assert (plan.pivots, plan.pivot_rows, plan.block, plan.delta) == (
+        pivots, pivot_rows, block, delta)
     assert plan.columns == len(rows[0])
     assert plan.on_pivots == tuple(tuple(row[c] for c in pivots) for row in rows)
-    square = [[rows[r][c] for c in pivots] for r in pivot_rows]
-    assert len(plan.forward) == len(square)
-    for j, (f, u) in enumerate(zip(plan.forward, upper)):
-        assert len(f) == j + 1
-        product = [sum(x * square[i][c] for i, x in enumerate(f)) for c in range(len(square))]
-        assert product == [0] * j + list(u)
+    assert plan.delta == (plan.block[-1][-1] if plan.block else 1)
+    for k, col in enumerate(pivots):
+        unit = [delta * (j == k) for j in range(len(pivots))]
+        assert linalg._back_substitute(plan, [rows[r][col] for r in pivot_rows]) == unit
 
 
 def _basis_rows(max_weight, order):

@@ -326,12 +326,12 @@ class TestIntegerRoute:
             _, pivots, _ = linalg._eliminate(matrix, [F(0)] * 9)
             assert list(plan.pivots) == pivots
             square = [[rows[r][c] for c in plan.pivots] for r in plan.pivot_rows]
-            # F B = U on the pivot block, U upper-triangular ending in delta
-            for j, (f, u) in enumerate(zip(plan.forward, plan.upper)):
-                entries = [sum(b * square[k][c] for k, b in enumerate(f))
-                           for c in range(len(square))]
-                assert entries == [0] * j + list(u)
-            assert plan.upper[-1] == (plan.delta,)
+            # the kept block ends in delta, and solving against each pivot
+            # column returns delta times its unit vector
+            assert plan.block[-1][-1] == plan.delta
+            for k in range(len(square)):
+                assert linalg._back_substitute(plan, [row[k] for row in square]) == [
+                    plan.delta * (j == k) for j in range(len(square))]
             x = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)]
             consistent = [sum(a * v for a, v in zip(row, x)) for row in matrix]
             noise = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(9)]
@@ -356,9 +356,9 @@ class TestFitMutationProbes:
             def fit_plan(max_weight, order):
                 monomials, system = original(max_weight, order)
                 system = copy.copy(system)
-                upper = [list(row) for row in system.plan.upper]
-                upper[0][0] += 1
-                system.plan = dataclasses.replace(system.plan, upper=tuple(map(tuple, upper)))
+                block = [list(row) for row in system.plan.block]
+                block[0][0] += 1
+                system.plan = dataclasses.replace(system.plan, block=tuple(map(tuple, block)))
                 return monomials, system
             return fit_plan
 
