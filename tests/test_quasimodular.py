@@ -10,7 +10,6 @@ import pytest
 
 from delliptic import linalg, loci, quasimodular, report
 from delliptic.divisors import sigma
-from delliptic.errors import CrossCheckError
 from delliptic.quasimodular import (
     NotQuasimodular,
     QModMonomial,
@@ -203,14 +202,20 @@ class TestFit:
     def test_underdetermined_is_precondition_failure(self):
         with pytest.raises(ValueError):
             fit_quasimodular(QSeries.zero(30), 6, 7)
+        # the 67-monomial weight-20 basis at order 67: refused before its
+        # 68-row System is built, so nothing is cached for it
+        before = quasimodular._fit_plan.cache_info().currsize
+        with pytest.raises(ValueError, match="order 67 must strictly exceed the basis size 67"):
+            fit_quasimodular(QSeries.zero(68), 20, 67)
+        assert quasimodular._fit_plan.cache_info().currsize == before
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             fit_quasimodular(QSeries.zero(10), 6, 20)
 
     def test_short_series_refused_before_its_basis_is_built(self):
-        # the basis System of (24, 200) takes about a minute to build; a
-        # series too short to fit must be refused without it
+        # the basis System of (24, 200) takes about 2.5 s to build cold (2-vCPU
+        # Xeon VM); a series too short to fit must be refused without it
         before = quasimodular._fit_plan.cache_info()
         with pytest.raises(ValueError, match="series order 4 is below the fit order 200"):
             fit_quasimodular(QSeries.from_function(4, lambda d: d), 24, 200)
@@ -370,10 +375,3 @@ class TestFitMutationProbes:
         assert by_name["quasimodularity-certification"]["detail"].startswith(
             "CrossCheckError: series not quasimodular"
         )
-
-    def test_residual_accepting_everything_fails_reconstruction(self, plant):
-        plant(linalg._every_row_holds, change=lambda original: lambda *args: True)
-        base = QSeries.from_function(30, lambda d: 0 if d == 0 else sigma(3, d))
-        corrupted = QSeries([c + (d == 20) for d, c in enumerate(base.coefficients)])
-        with pytest.raises(CrossCheckError, match="fit reconstruction"):
-            fit_quasimodular(corrupted, 4, 30)
