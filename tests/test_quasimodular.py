@@ -375,3 +375,22 @@ class TestFitMutationProbes:
         assert by_name["quasimodularity-certification"]["detail"].startswith(
             "CrossCheckError: series not quasimodular"
         )
+
+    def test_residual_accepting_everything_fails_reconstruction(self, plant):
+        # the integer residual is the fit's one acceptance test; planted to
+        # accept everything, the fit of a series corrupted at d=20 is that of
+        # the clean series, and only its reconstruction (what criterion 5 and
+        # the certify gate compare) and the verification report expose it
+        plant(linalg._every_row_holds, change=lambda original: lambda *args: True)
+        base = QSeries.from_function(30, lambda d: 0 if d == 0 else sigma(3, d))
+        corrupted = QSeries([c + (d == 20) for d, c in enumerate(base.coefficients)])
+        fit = fit_quasimodular(corrupted, 4, 30)
+        assert isinstance(fit, QuasimodularFit)
+        assert fit.reconstruct() == base
+        assert fit.reconstruct() != corrupted
+        result = report.run_verification(10, 20)
+        assert result["passed"] is False
+        by_name = {c["check"]: c for c in result["checks"] if not c["passed"]}
+        assert by_name["triple-branch-cancellation"]["detail"].startswith(
+            "CrossCheckError: chain series unexpectedly fits"
+        )
