@@ -2,14 +2,16 @@
 
 Subcommands: class, series, qmod-fit, hurwitz, count, verify. Every number
 is printed exactly ("p/q" strings in JSON, never floats), output is
-deterministic, and exit codes are 0 (success), 1 (verification failure),
-2 (usage error). `class --d`, `count --d` and `verify --max-d` are bounded by
-the library's one table budget, divisors.TABLE_ORDER_CEILING, whose
-ValueError exits 2. Two ceilings bound the fit's System, which no table
-budget covers: `series --N`, `verify --N` and the order of `qmod-fit` (its
---N, else its array length less one) stop at SERIES_ORDER_CEILING, and the
-fit weight of `series` and `qmod-fit` at FIT_WEIGHT_CEILING. Above any of
-them the command exits 2 before computing anything.
+deterministic, and exit codes are 0 (success), 1 (verification failure), 2
+(usage error). `class --d`, `verify --max-d` and the --d of `count
+sublattices` and `count pointed-isogenies` are bounded by the library's one
+table budget, divisors.TABLE_ORDER_CEILING, whose ValueError exits 2; `count
+dd22` and `dd2222`, closed polynomials, read no table and have no bound. Two
+ceilings bound the fit's System, which no table budget covers: `series --N`,
+`verify --N` and the order of `qmod-fit` (its --N, else its array length
+less one) stop at SERIES_ORDER_CEILING, and the fit weight of `series` and
+`qmod-fit` at FIT_WEIGHT_CEILING. Above any of them the command exits 2
+before computing anything.
 """
 
 from __future__ import annotations

@@ -15,11 +15,11 @@ one positive scale, as a `QSeries` holds it, multiplies each by its row's
 scale, applies the kept steps to it and back-substitutes X = delta x through
 U (every division exact), divides X and delta by their gcd, and accepts X
 only if the integer residual holds on every row.
-`System.solve_series` runs the same integer algebra on whole columns of
-coefficients, every q^d of right-hand side series at once: the series over
-one lcm of their denominators, the steps and X back-substituted column by
-column, the residual on every row and coefficient, and each unknown's series
-put in lowest terms once at the end. It does no series arithmetic per step.
+`System.solve_series` runs the same two kernels, `_back_substitute` and
+`_every_row_holds`, on one int per right-hand side series: its value at X =
+2^(8w) (Kronecker substitution, as in `series`), a ring homomorphism that
+keeps every exact division exact. The width w bounds the unknowns and the
+residual, so a packed residual is 0 only where every coefficient is.
 
 A System is built once by the code that owns its matrix and kept there:
 `chow` keeps one per class system (space, degree, profile labels), and
@@ -35,10 +35,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
-from .series import QSeries, _over_common_denominator
+from .series import QSeries, _over_common_denominator, _pack, _unpack
 
 __all__ = [
     "SingularSystemError",
@@ -151,16 +151,6 @@ def _every_row_holds(plan: _Factorisation, x: Sequence[int], rhs: Sequence[int])
     return all(sum(map(mul, row, x)) == b for row, b in zip(plan.on_pivots, rhs))
 
 
-def _column_sum(coefficients: Sequence[int], columns: Sequence[Sequence[int]],
-                order: int) -> list[int]:
-    """sum_k coefficients[k] columns[k], entry by entry, over order + 1 entries."""
-    total = [0] * (order + 1)
-    for c, column in zip(coefficients, columns):
-        if c:
-            total = [t + c * v for t, v in zip(total, column)]
-    return total
-
-
 def _eliminate(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """Row-reduce the augmented system; returns (rows, pivot_cols, consistent)."""
     m = len(matrix)
@@ -233,34 +223,35 @@ class System:
     def solve_series(self, series: Sequence[QSeries]) -> list[QSeries] | None:
         """`solve` at every q^d of right-hand side series at once (series[r]
         is row r's right-hand side): one series per column, truncated to the
-        smallest order, or None. The same integer algebra, on columns of
-        coefficients: every series over one lcm L of their denominators and
-        times its row's scale, the kept steps applied and X = delta x
-        back-substituted through U column by column, the residual checked on
-        every row, and X_j / (delta L) put in lowest terms with a positive
-        denominator."""
-        plan, block, delta = self.plan, self.plan.block, self.plan.delta
+        smallest order, or None. `solve`'s algebra on one int per series:
+        its coefficients over one lcm L of the denominators, times its row's
+        scale, packed at X = 2^(8w) (series._pack); the X_j back-substituted
+        from them are unpacked and X_j / (delta L) put in lowest terms.
+
+        The width: X = +-adj(B) picked, so |X_j[d]| <= k H S, for k pivots,
+        H the Hadamard bound of the pivot block B (it bounds delta and every
+        minor), S the largest scaled coefficient. A residual coefficient
+        sum_k A[r][k] X_k[d] - delta rhs_r[d] is at most (k M + 1) H S, M the
+        largest row sum of |A|. With 2^(8w - 1) above that, each X_j unpacks
+        exactly, and a packed residual is 0 only if every coefficient is."""
+        plan = self.plan
         order = min(s.order for s in series)
         common = lcm(*(s.denominator for s in series))
         scales = self.scales or (1,) * len(series)
         scaled = [[v * (scale * common // s.denominator) for v in s.numerators[: order + 1]]
                   for s, scale in zip(series, scales)]
-        t, previous = [scaled[r] for r in plan.pivot_rows], 1
-        for k, top in enumerate(block):
-            p, tk = top[k], t[k]
-            t[k + 1:] = [[(p * a - row[k] * b) // previous for a, b in zip(tj, tk)]
-                         for tj, row in zip(t[k + 1:], block[k + 1:])]
-            previous = p
-        X: list[list[int]] = []
-        for j in reversed(range(len(block))):
-            below = _column_sum(block[j][j + 1:], X, order)
-            X.insert(0, [(delta * a - b) // block[j][j] for a, b in zip(t[j], below)])
-        if any(_column_sum(row, X, order) != [delta * v for v in target]
-               for row, target in zip(plan.on_pivots, scaled)):
+        hadamard = isqrt(prod(sum(v * v for v in plan.on_pivots[r]) for r in plan.pivot_rows)) + 1
+        row_sum = max(sum(map(abs, row)) for row in plan.on_pivots)
+        largest = max(abs(v) for column in scaled for v in column)
+        width = ((len(plan.pivots) * row_sum + 1) * hadamard * largest).bit_length() // 8 + 1
+        packed = [_pack(column, width) for column in scaled]
+        X = _back_substitute(plan, [packed[r] for r in plan.pivot_rows])
+        if not _every_row_holds(plan, X, [plan.delta * t for t in packed]):
             return None
-        sign, zero = (-1 if delta < 0 else 1), QSeries.zero(order)
-        solution = {col: QSeries._reduced([sign * v for v in column], sign * delta * common)
-                    for col, column in zip(plan.pivots, X)}
+        sign, zero = (-1 if plan.delta < 0 else 1), QSeries.zero(order)
+        solution = {col: QSeries._reduced([sign * v for v in _unpack(x, order + 1, width)],
+                                          sign * plan.delta * common)
+                    for col, x in zip(plan.pivots, X)}
         return [solution.get(col, zero) for col in range(plan.columns)]
 
 

@@ -116,8 +116,8 @@ def _sigma1_from_factorisation(d: int) -> int:
 
 def _check_sublattices() -> str:
     for d in range(1, 51):
-        closed = _sigma1_from_factorisation(d)
-        crosscheck("sublattice-count", d, enumerated=count_sublattices(d), closed=closed)
+        crosscheck("sublattice-count", d, divisor_sum=count_sublattices(d),
+                   factorisation=_sigma1_from_factorisation(d))
     return "count equals sigma_1(d) for d <= 50"
 
 

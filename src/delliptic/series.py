@@ -8,10 +8,11 @@ A QSeries is a formal power series truncated at a fixed order N. It holds the
 integer numerators of q^0 .. q^N over one common denominator, in normal form:
 the denominator is positive, shares no factor with every numerator at once,
 and is 1 for the zero series. Equal series therefore hold equal integers, and
-arithmetic runs on ints alone, reducing once per result. The product of
-two series is one big-int multiplication: each numerator tuple is packed
-into one int, a digit of fixed width per coefficient, and the product's
-digits are its numerators (Kronecker substitution, _product). `coefficients`
+arithmetic runs on ints alone, reducing once per result. The product of two
+series is one big-int multiplication: each numerator tuple is packed into
+one int, a signed digit of fixed width per coefficient, and the product's
+low digits are its numerators (Kronecker substitution: _product, on `_pack`
+and `_unpack`, which `linalg`'s series solve also runs on). `coefficients`
 reads the series out as a tuple of Fractions, built on each access.
 Arithmetic between two series truncates to the smaller of the two orders;
 this is deliberate, so routines that mix orders compare only the
@@ -69,34 +70,39 @@ def _over_common_denominator(values: Sequence[Scalar]) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
+def _pack(xs: Sequence[int], width: int) -> int:
+    """sum_i xs[i] X^i at X = 2^(8 width): the digits xs[i] + half, half =
+    2^(8 width - 1), read as one int less the bias of len(xs) digits half.
+    A digit outside -half <= xs[i] < half raises OverflowError."""
+    half = 1 << (8 * width - 1)
+    digits = b"".join([(x + half).to_bytes(width, "little") for x in xs])
+    return int.from_bytes(digits, "little") - int.from_bytes(
+        b"\x80".rjust(width, b"\0") * len(xs), "little")
+
+
+def _unpack(value: int, n: int, width: int) -> list[int]:
+    """The low n digits of value = sum_k c_k X^k, each -half <= c_k < half:
+    plus the bias, digit k is c_k + half, with no carry, and with its top
+    bit flipped it is c_k in two's complement. Higher digits are dropped."""
+    size = width * n
+    bias = int.from_bytes(b"\x80".rjust(width, b"\0") * n, "little")
+    digits = (((value + bias) & ((1 << (8 * size)) - 1)) ^ bias).to_bytes(size, "little")
+    read = int.from_bytes
+    return [read(digits[i : i + width], "little", signed=True) for i in range(0, size, width)]
+
+
 def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The first n coefficients of the product of the int polynomials a and
-    b (n = len(a) = len(b)), by Kronecker substitution.
-
-    Each coefficient c_k is at most bound = n * max|a| * max|b| in absolute
-    value, so with digits of w bytes, 2^(8w - 1) > bound, every c_k and every
-    input lies strictly inside +-half (half = 2^(8w - 1)). An input packs as
-    its digits x + half, less the constant bias of n digits half; the one
-    product a(X) b(X) at X = 2^(8w) then holds c_k X^k, and adding the bias
-    back makes the low n digits c_k + half, all in [0, X), read off without
-    a carry.
-    """
+    b (n = len(a) = len(b)): the low n digits of _pack(a) * _pack(b), by
+    Kronecker substitution. Each is at most n max|a| max|b| in absolute
+    value, so digits of w bytes, 2^(8w - 1) above that, hold every
+    coefficient and every input."""
     n = len(a)
     bound = n * max(map(abs, a)) * max(map(abs, b))
     if not bound:
         return [0] * n
     width = bound.bit_length() // 8 + 1
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * n, "little")
-
-    def pack(xs: Sequence[int]) -> int:
-        digits = b"".join([(x + half).to_bytes(width, "little") for x in xs])
-        return int.from_bytes(digits, "little") - bias
-
-    size = width * n
-    low = (pack(a) * pack(b) + bias) & ((1 << (8 * size)) - 1)
-    digits = low.to_bytes(size, "little")
-    return [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, size, width)]
+    return _unpack(_pack(a, width) * _pack(b, width), n, width)
 
 
 class QSeries:

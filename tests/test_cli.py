@@ -333,6 +333,13 @@ class TestCountCommand:
         assert out == ""
         assert str(TABLE_ORDER_CEILING) in err
 
+    def test_dd2222_above_ceiling(self, capsys):
+        # a closed polynomial reads no table, so the table budget does not bound it
+        d = TABLE_ORDER_CEILING + 1
+        code, out, _ = run(capsys, "count", "dd2222", "--d", str(d))
+        assert code == 0
+        assert out.strip() == str(covers.count_dd2222(d))
+
     def test_sublattices_above_ceiling(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("listed divisors above the ceiling")
@@ -569,8 +576,10 @@ class TestMutationProbes:
         # route factorises d by trial division, so a wrong list fails the check
         plant(divisors.divisors,
               change=lambda original: lambda d: original(d)[:-1] if d == 6 else original(d))
-        with pytest.raises(CrossCheckError, match=r"^sublattice-count\(d=6\): "):
+        with pytest.raises(CrossCheckError) as caught:
             report._check_sublattices()
+        assert str(caught.value) == ("sublattice-count(d=6): divisor_sum, factorisation "
+                                     "disagree (divisor_sum 6, factorisation 12)")
 
     def test_constant_term_fails_certification(self, plant):
         # every series still fits, its constant monomial taking the planted 1

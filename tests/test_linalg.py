@@ -22,7 +22,7 @@ from delliptic.quasimodular import (
     fit_quasimodular,
     quasimodular_basis,
 )
-from delliptic.series import QSeries, _over_common_denominator
+from delliptic.series import QSeries, _over_common_denominator, _pack
 
 
 def test_round_trip_random_systems():
@@ -241,6 +241,24 @@ def test_solve_series_over_unequal_orders_and_denominators():
     assert outcomes == {(name, False) for name in SERIES_SYSTEMS} | {
         ("fit-basis", True), ("overdetermined", True)}
     assert mixed >= 50
+
+
+def test_solve_series_width_covers_the_residual():
+    """The packing's edge case: x = y = 2^15 at q^0 and 0 at q^1 leave the
+    residual 256 x + 256 y - rhs = 2^24 - q on the last row, inconsistent,
+    but 0 at X = 2^24. Digits of 3 bytes hold every unknown (H S = 2^16 for
+    the Hadamard bound H = 2 the kernel uses), so the width must come from
+    the residual bound (k M + 1) H S as well, or the system is accepted."""
+    rows = [[1, 0], [0, 1], [256, 256]]
+    rhs = [QSeries([2**15, 0]), QSeries([2**15, 0]), QSeries([0, 1])]
+    matrix = [[F(v) for v in row] for row in rows]
+    assert solve_any(matrix, [s.coefficient(0) for s in rhs]) is None
+    system = System(rows)
+    plan = system.plan
+    assert plan.delta == 1 and system.scales is None
+    packed = [_pack(s.numerators, 3) for s in rhs]
+    assert linalg._every_row_holds(plan, packed[:2], packed)
+    assert system.solve_series(rhs) is None
 
 
 @pytest.mark.parametrize("solve", [

@@ -672,10 +672,11 @@ class TestCertificationPlumbing:
             f"class[{family}](d=2): solver, closed disagree (solver {true}, closed {wrong})")
 
     def test_class_tables_are_the_per_d_solve(self):
-        # the tables' series solve, read at d, against one solve of each profile
+        # the tables' series solve, read at d, against one solve of each
+        # profile; 513 and the ceiling read the widest packed columns
         for family in ("m2", "m21", "m3"):
             space_id, degree, class_fn, profile_fn, *_ = loci.FAMILIES[family]
-            for d in (1, 2, 7, 30, 64, 65, 100):
+            for d in (1, 2, 7, 30, 64, 65, 100, 513, TABLE_ORDER_CEILING):
                 solved = chow.to_q_class_basis(solve_class(space_id, degree, profile_fn(d)))
                 assert class_fn(d) == solved, (family, d)
 

@@ -1,5 +1,6 @@
 """Exact scalars and truncated series."""
 
+import itertools
 import random
 from decimal import Decimal
 from fractions import Fraction as F
@@ -7,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from delliptic.series import QSeries, format_rational, parse_rational
+from delliptic.series import QSeries, _pack, _unpack, format_rational, parse_rational
 
 
 class TestRationals:
@@ -328,3 +329,36 @@ class TestBigIntProduct:
                 assert (f * zero).denominator == 1
         assert QSeries([F(-3, 4)]) * QSeries([F(2, 9), 5]) == QSeries([F(-1, 6)])
         self.check(QSeries([-(2**64)]), QSeries([2**64]))
+
+
+class TestPacking:
+    """_pack and _unpack, the one Kronecker format: digits of w bytes, each
+    in -2^(8w - 1) <= x < 2^(8w - 1)."""
+
+    @staticmethod
+    def limits(width):
+        """Both ends of the digit range, and the digits beside 0."""
+        half = 1 << (8 * width - 1)
+        return (-half, -1, 0, 1, half - 1)
+
+    def test_round_trip_at_the_digit_limits(self):
+        # digits from the n-th up, as a product carries, are dropped
+        for width in (1, 2, 3):
+            for n in range(1, 6):
+                for xs in itertools.product(self.limits(width), repeat=n):
+                    xs = list(xs)
+                    packed = _pack(xs, width)
+                    assert packed == sum(x << (8 * width * i) for i, x in enumerate(xs))
+                    for high in (0, 1, -1, 2**70 + 3):
+                        assert _unpack(packed + (high << (8 * width * n)), n, width) == xs
+
+    def test_digit_outside_the_range_raises(self):
+        for width in (1, 2, 3):
+            half = 1 << (8 * width - 1)
+            for n in range(1, 6):
+                for outside in (half, -half - 1, 2**70):
+                    for at in (0, n - 1):
+                        xs = [0] * n
+                        xs[at] = outside
+                        with pytest.raises(OverflowError):
+                            _pack(xs, width)
