@@ -132,7 +132,7 @@ CLOSED_FORMS: Mapping[str, Mapping[tuple[int, int], Fraction]] = rows({
 
 
 #: the largest d a table is read at and the largest table order; with empty
-#: caches on a 2-vCPU Xeon VM, the genus-3 class there takes about 0.1 s
+#: caches on a 2-vCPU Xeon VM, the genus-3 class there takes 0.06-0.12 s
 TABLE_ORDER_CEILING = 1024
 
 

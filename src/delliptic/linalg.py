@@ -1,4 +1,4 @@
-"""Exact linear solves: one fraction-free engine and a Fraction reference.
+"""Exact linear solves: one fraction-free engine.
 
 A `System` is a matrix made ready for exact solves against it: its rational
 rows, each row's lcm scale to integers, and the factorisation of the scaled
@@ -25,9 +25,10 @@ A System is built once by the code that owns its matrix and kept there:
 `chow` keeps one per class system (space, degree, profile labels), and
 `quasimodular` one per fit basis (max_weight, order), each in an lru_cache
 keyed by those names, which the registry's read-only tables keep valid.
-`solve_unique` takes a System or plain rows, which it makes into a System
-for that one solve. `solve_any`, Fraction Gauss-Jordan with "first nonzero
-entry" pivots, is the tests' reference.
+`solve_unique` and `solve_any` take a System or plain rows, which they
+make into a System for that one solve, and return its `solve` of the
+right-hand side over that side's common denominator: `solve_unique`
+requires it to exist and be unique, `solve_any` returns it as it is.
 """
 
 from __future__ import annotations
@@ -81,9 +82,10 @@ def _factorise(rows: Sequence[Sequence[int]]) -> _Factorisation:
     right, its pivot block kept as the elimination leaves it.
 
     A column with no nonzero entry below the current rank is in the span of
-    the earlier ones and is skipped, so the pivots are the columns
-    `solve_any` picks; the rows that supplied them are independent on
-    those columns. Every division is exact (Sylvester's identity).
+    the earlier ones and is skipped, so the pivots are the columns outside
+    that span, as any exact elimination finds them; the rows that supplied
+    them are independent on those columns. Every division is exact
+    (Sylvester's identity).
 
     The leading block starts at the column count and doubles until every
     column gets a pivot in it, or it holds every row. A step changes a row
@@ -151,35 +153,12 @@ def _every_row_holds(plan: _Factorisation, x: Sequence[int], rhs: Sequence[int])
     return all(sum(map(mul, row, x)) == b for row, b in zip(plan.on_pivots, rhs))
 
 
-def _eliminate(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Row-reduce the augmented system; returns (rows, pivot_cols, consistent)."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    aug = [[Fraction(x) for x in matrix[r]] + [Fraction(rhs[r])] for r in range(m)]
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        p = aug[row][col]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col] / p
-                for c in range(col, n + 1):
-                    aug[r][c] -= factor * aug[row][c]
-        pivot_cols.append(col)
-        row += 1
-    consistent = all(aug[r][n] == 0 for r in range(row, m))
-    return aug, pivot_cols, consistent
-
-
 class System:
     """The matrix `rows` made ready for exact solves: its rows as tuples
     (`len` and indexing read them), each row's lcm scale to integers
     (`scales`, None when every entry is an int), and the factorisation of
-    the scaled rows (`plan`). No rows raise ValueError."""
+    the scaled rows (`plan`). No rows, or a row whose length is not row 0's,
+    raise ValueError."""
 
     __slots__ = ("rows", "scales", "plan")
 
@@ -187,6 +166,10 @@ class System:
         self.rows = tuple(map(tuple, rows))
         if not self.rows:
             raise ValueError("a System needs at least one row")
+        columns = len(self.rows[0])
+        for r, row in enumerate(self.rows):
+            if len(row) != columns:
+                raise ValueError(f"row {r} has {len(row)} entries but row 0 has {columns}")
         # integer rows (a fit basis) are their own scaled rows, and a
         # right-hand side then enters unscaled
         if all(type(v) is int for row in self.rows for v in row):
@@ -203,9 +186,9 @@ class System:
 
     def solve(self, numerators: Sequence[int], scale: int) -> list[Fraction] | None:
         """The solution of A x = target, target[d] = numerators[d] / scale,
-        with non-pivot unknowns 0, or None when there is none: the same
-        answer as `solve_any`, in integers. X = delta x comes from the
-        factor and is put in lowest terms with delta before the residual."""
+        with non-pivot unknowns 0, or None when there is none, in integers.
+        X = delta x comes from the factor and is put in lowest terms with
+        delta before the residual."""
         plan = self.plan
         scaled = numerators if self.scales is None else list(map(mul, self.scales, numerators))
         X = _back_substitute(plan, [scaled[r] for r in plan.pivot_rows])
@@ -266,6 +249,20 @@ def require_unique(system: System, solution: list | None) -> list:
     return solution
 
 
+def _solved(
+    matrix: Sequence[Sequence[Fraction]] | System, rhs: Sequence[Fraction]
+) -> tuple[System | None, list[Fraction] | None]:
+    """The System of `matrix` (rows are made into one) and its `solve` of
+    rhs over rhs's common denominator; (None, []) for no rows. A right-hand
+    side whose length is not the row count raises ValueError."""
+    if len(rhs) != len(matrix):
+        raise ValueError(f"{len(matrix)} equations but {len(rhs)} right-hand sides")
+    if not matrix:
+        return None, []
+    system = matrix if isinstance(matrix, System) else System(matrix)
+    return system, system.solve(*_over_common_denominator(rhs))
+
+
 def solve_unique(
     matrix: Sequence[Sequence[Fraction]] | System, rhs: Sequence[Fraction]
 ) -> list[Fraction]:
@@ -276,24 +273,14 @@ def solve_unique(
     SingularSystemError when the solution is not unique; a right-hand side
     whose length is not the row count raises ValueError.
     """
-    if len(rhs) != len(matrix):
-        raise ValueError(f"{len(matrix)} equations but {len(rhs)} right-hand sides")
-    if not matrix:
-        return []
-    system = matrix if isinstance(matrix, System) else System(matrix)
-    return require_unique(system, system.solve(*_over_common_denominator(rhs)))
+    system, solution = _solved(matrix, rhs)
+    return solution if system is None else require_unique(system, solution)
 
 
-def solve_any(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
-    """One exact solution with free variables set to 0, or None if inconsistent;
-    a right-hand side whose length is not the row count raises ValueError."""
-    if len(rhs) != len(matrix):
-        raise ValueError(f"{len(matrix)} equations but {len(rhs)} right-hand sides")
-    n = len(matrix[0]) if matrix else 0
-    aug, pivot_cols, consistent = _eliminate(matrix, rhs)
-    if not consistent:
-        return None
-    solution = [Fraction(0)] * n  # free variables (if any) are set to 0
-    for i, col in enumerate(pivot_cols):
-        solution[col] = aug[i][n] / aug[i][col]
-    return solution
+def solve_any(
+    matrix: Sequence[Sequence[Fraction]] | System, rhs: Sequence[Fraction]
+) -> list[Fraction] | None:
+    """One exact solution, `System.solve`'s, with free variables set to 0,
+    or None if inconsistent; a right-hand side whose length is not the row
+    count raises ValueError."""
+    return _solved(matrix, rhs)[1]

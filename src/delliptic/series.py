@@ -117,6 +117,8 @@ class QSeries:
         if inexact:
             raise TypeError(f"coefficients must be int or Fraction, got {inexact[0]!r}")
         if order is None:
+            if not values:
+                raise ValueError("a series needs at least its q^0 coefficient, got an empty list")
             order = len(values) - 1
         if order < 0:
             raise ValueError(f"truncation order must be >= 0, got {order}")

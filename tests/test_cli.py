@@ -164,6 +164,14 @@ class TestQmodFitCommand:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_empty_array_refused_naming_it(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        code, out, err = run(capsys, "qmod-fit", "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: a series needs at least its q^0 coefficient, got an empty list\n"
+
     def test_deep_nesting_refused(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000 + "]" * 100000)
@@ -597,6 +605,69 @@ class TestMutationProbes:
         by_name = {c["check"]: c for c in result["checks"]}
         assert by_name["quasimodularity-certification"]["detail"] == (
             f"CrossCheckError: series with a nonzero q^0: {', '.join(names)}")
+
+    @pytest.mark.parametrize("planted,weight", [
+        ("E2", 2),
+        # E6 is not in the weight-2 identity, so weight 4 is the first to fail
+        ("E6", 4),
+        # E2 + q, with E4 := E2^2 - 12 D E2 and E6 := E2 E4 - 3 D E4 built
+        # from it: weights 2 and 4 hold by construction, and only weight 6,
+        # Chazy's equation on E2, can fail
+        ("chazy", 6),
+    ])
+    def test_wrong_eisenstein_fails_its_identity(self, plant, planted, weight):
+        def perturbed(original):
+            def eisenstein(k, order):
+                q = QSeries.from_function(order, lambda d: int(d == 1))
+                if planted == "chazy":
+                    e2 = original(2, order) + q
+                    e4 = e2 * e2 - 12 * quasimodular.q_derivative(e2)
+                    return {2: e2, 4: e4, 6: e2 * e4 - 3 * quasimodular.q_derivative(e4)}[k]
+                series = original(k, order)
+                return series + q if f"E{k}" == planted else series
+            return eisenstein
+
+        plant(quasimodular.eisenstein, change=perturbed)
+        with pytest.raises(CrossCheckError) as caught:
+            report._check_ramanujan(30)
+        assert str(caught.value) == f"weight-{weight} derivative identity fails"
+
+    def test_pairing_block_missing_a_row_fails_its_shape(self, plant):
+        plant(chow.SPACES, "M21", "pairings", (2, 2), change=lambda table: table[:-1])
+        with pytest.raises(CrossCheckError) as caught:
+            report._check_pairing_tables()
+        assert str(caught.value) == "M21 pairing (2,2) has wrong shape"
+
+    def test_split_part_that_fits_fails_cancellation(self, plant):
+        # the split part replaced by the whole sum, which fits at weight 6
+        def split_fits(original):
+            def table(n):
+                parts = original(n)
+                return {"chain": parts["chain"], "split": parts["chain"] + parts["split"]}
+            return table
+
+        plant(loci._triple_branch_table, change=split_fits)
+        with pytest.raises(CrossCheckError) as caught:
+            report._check_cancellation(30)
+        assert str(caught.value) == "split series unexpectedly fits"
+
+    def test_raising_detailed_sections_fail_the_report(self, plant):
+        # every named check passes; the class reports after them raise
+        def refuse(original):
+            def class_report(family, d):
+                raise CrossCheckError("planted class report failure")
+            return class_report
+
+        plant(report.class_report, change=refuse)
+        result = report.run_verification(2, 10)
+        assert all(c["passed"] for c in result["checks"][:-1])
+        assert result["checks"][-1] == {
+            "check": "detailed-report", "passed": False,
+            "detail": "CrossCheckError: planted class report failure"}
+        assert len(result["checks"]) == len(VERIFY_CHECKS) + 1
+        assert result["passed"] is False
+        assert result["first_failure"] == "detailed-report"
+        assert result["classes"] == result["series"] == {}
 
     def test_wrong_class_coefficient_fails_named_check(self, plant):
         plant(loci.FAMILIES, "m3", 4, "kappa_2", (0, 3), change=lambda c: c + 1)

@@ -23,6 +23,7 @@ from delliptic.quasimodular import (
     quasimodular_basis,
 )
 from delliptic.series import QSeries, _over_common_denominator, _pack
+from reference import fraction_solve_any
 
 
 def test_round_trip_random_systems():
@@ -61,7 +62,7 @@ def test_rhs_with_mixed_denominators_matches_reference():
             rhs[-1] += F(1, rng.randint(2, 13))
         if len({v.denominator for v in rhs}) < 2:
             continue
-        expected = solve_any(matrix, rhs)
+        expected = fraction_solve_any(matrix, rhs)
         try:
             assert solve_unique(matrix, rhs) == expected
             outcomes.add("unique")
@@ -110,6 +111,45 @@ def test_solve_any_inconsistent_returns_none():
 
 def test_empty_system():
     assert solve_unique([], []) == []
+    assert solve_any([], []) == []
+
+
+def test_solve_any_is_the_fraction_reference():
+    """Seeded wide, square and tall systems, integer or rational rows, rank
+    deficient or not, consistent or not: `solve_any` returns exactly the
+    Fraction reference's solution, free variables 0, or None with it."""
+    rng = random.Random(3737)
+    outcomes = set()
+    for _ in range(200):
+        columns = rng.randint(1, 5)
+        height = rng.randint(1, columns + 3)
+        rows = [[rng.randint(-6, 6) * rng.choice((0, 1, 1, 2)) for _ in range(columns)]
+                for _ in range(height)]
+        if rng.random() < 0.5:
+            rows = [[F(v, rng.randint(1, 6)) for v in row] for row in rows]
+        x = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(columns)]
+        consistent = [sum(a * v for a, v in zip(row, x)) for row in rows]
+        noise = [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in rows]
+        for rhs in (consistent, noise):
+            want = fraction_solve_any(rows, rhs)
+            assert solve_any(rows, rhs) == want
+            outcomes.add((height < columns, want is None))
+    assert outcomes == {(True, False), (False, False), (True, True), (False, True)}
+
+
+@pytest.mark.parametrize("rows,r,length", [
+    ([[F(1)], [F(1), F(5)]], 1, 2),  # a longer row: its last entry would go unread
+    ([[F(1), F(5)], [F(1)]], 1, 1),  # a shorter row
+    ([[1, 2], [3, 4], [5, 6, 7]], 2, 3),  # integer rows, the last one long
+], ids=["longer", "shorter", "integer-rows"])
+def test_ragged_rows_refused_naming_the_row(rows, r, length):
+    message = f"^row {r} has {length} entries but row 0 has {len(rows[0])}$"
+    with pytest.raises(ValueError, match=message):
+        System(rows)
+    rhs = [F(1)] * len(rows)
+    for solve in (solve_unique, solve_any):
+        with pytest.raises(ValueError, match=message):
+            solve(rows, rhs)
 
 
 @pytest.mark.parametrize("solve", [solve_unique, solve_any])
@@ -213,7 +253,7 @@ def test_solve_series_refuses_one_inconsistent_coefficient(name):
 def test_solve_series_over_unequal_orders_and_denominators():
     # right-hand sides of orders 4..12 over different lcms: the solution is
     # cut to the smallest order, a change past it is ignored and one at it
-    # refused on a tall system, each coefficient as solve_any gives it
+    # refused on a tall system, each coefficient as the reference gives it
     rng = random.Random(3232)
     outcomes, mixed = set(), 0
     for name, rows in SERIES_SYSTEMS.items():
@@ -229,7 +269,7 @@ def test_solve_series_over_unequal_orders_and_denominators():
             if d <= series[r].order:
                 series[r] = series[r] + QSeries.from_function(
                     series[r].order, lambda k: F(1, 5) if k == d else 0)
-            want = [solve_any(matrix, [s.coefficient(k) for s in series])
+            want = [fraction_solve_any(matrix, [s.coefficient(k) for s in series])
                     for k in range(order + 1)]
             solution = system.solve_series(series)
             if None in want:
@@ -252,7 +292,7 @@ def test_solve_series_width_covers_the_residual():
     rows = [[1, 0], [0, 1], [256, 256]]
     rhs = [QSeries([2**15, 0]), QSeries([2**15, 0]), QSeries([0, 1])]
     matrix = [[F(v) for v in row] for row in rows]
-    assert solve_any(matrix, [s.coefficient(0) for s in rhs]) is None
+    assert fraction_solve_any(matrix, [s.coefficient(0) for s in rhs]) is None
     system = System(rows)
     plan = system.plan
     assert plan.delta == 1 and system.scales is None
@@ -264,8 +304,9 @@ def test_solve_series_width_covers_the_residual():
 @pytest.mark.parametrize("solve", [
     lambda: sigma_series({(0, 1): 0.5}, 3),
     lambda: solve_unique([[F(1)]], [0.5]),
+    lambda: solve_any([[F(1)]], [0.5]),
     lambda: System([[0.5, 1]]),
-], ids=["sigma_series", "solve_unique", "System"])
+], ids=["sigma_series", "solve_unique", "solve_any", "System"])
 def test_float_refused_naming_it(solve):
     with pytest.raises(TypeError, match=r"^coefficients must be int or Fraction, got 0\.5$"):
         solve()
@@ -404,7 +445,7 @@ def test_solves_in_lowest_terms_match_the_reference():
     """Seeded square and tall systems, many with a negative delta (the
     pivot block's determinant after its row swaps) or with X = delta x
     sharing a factor with delta: `solve` and `solve_series` return exactly
-    `solve_any`'s Fractions, consistent or not."""
+    the Fraction reference's Fractions, consistent or not."""
     rng = random.Random(3131)
     negative = swapped_negative = content = 0
     for _ in range(300):
@@ -419,7 +460,7 @@ def test_solves_in_lowest_terms_match_the_reference():
         noise = [F(rng.randint(-9, 9)) for _ in rows]
         for rhs in (consistent, noise):
             numerators, scale = _over_common_denominator(rhs)
-            assert system.solve(numerators, scale) == solve_any(matrix, rhs)
+            assert system.solve(numerators, scale) == fraction_solve_any(matrix, rhs)
         numerators, _ = _over_common_denominator(consistent)
         X = linalg._back_substitute(plan, [numerators[r] for r in plan.pivot_rows])
         negative += plan.delta < 0
@@ -427,6 +468,7 @@ def test_solves_in_lowest_terms_match_the_reference():
         content += gcd(plan.delta, *X) > 1
         unknowns = [_random_series(rng, 3) for _ in range(columns)]
         series = _right_hand_sides(system, unknowns)
-        want = [solve_any(matrix, [s.coefficient(d) for s in series]) for d in range(4)]
+        want = [fraction_solve_any(matrix, [s.coefficient(d) for s in series])
+                for d in range(4)]
         assert _coefficients(system.solve_series(series)) == [list(c) for c in zip(*want)]
     assert negative >= 100 and swapped_negative >= 20 and content >= 100

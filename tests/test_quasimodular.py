@@ -20,6 +20,7 @@ from delliptic.quasimodular import (
     quasimodular_basis,
 )
 from delliptic.series import QSeries, _over_common_denominator
+from reference import fraction_eliminate, fraction_solve_any
 
 
 class TestEisenstein:
@@ -172,7 +173,7 @@ class TestFit:
                 [expansion.coefficients[d] for _, expansion in shuffled]
                 for d in range(31)
             ]
-            solution = linalg.solve_any(matrix, f.coefficients)
+            solution = fraction_solve_any(matrix, f.coefficients)
             assert solution is not None
             rebuilt = QSeries.zero(30)
             for (_, expansion), x in zip(shuffled, solution):
@@ -258,22 +259,22 @@ class TestFit:
 
 
 def reference_fit(f: QSeries, max_weight: int, order: int):
-    """The fit by `linalg.solve_any`: Fraction elimination over every
+    """The fit by the Fraction reference: Gauss-Jordan over every
     coefficient, free monomials 0."""
     basis = quasimodular_basis(max_weight, order)
     matrix = [[s.coefficients[d] for _, s in basis] for d in range(order + 1)]
-    solution = linalg.solve_any(matrix, f.truncate(order).coefficients)
+    solution = fraction_solve_any(matrix, f.truncate(order).coefficients)
     if solution is None:
         return NotQuasimodular(max_weight, order)
     return {m: x for (m, _), x in zip(basis, solution) if x != 0}
 
 
 def matches_reference(matrix, rhs) -> str:
-    """Assert that `linalg.solve_unique` agrees with `linalg.solve_any`:
+    """Assert that `linalg.solve_unique` agrees with the Fraction reference:
     the same answer, InconsistentSystemError exactly where the reference
     returns None, SingularSystemError exactly where the rank is below n."""
-    want = linalg.solve_any(matrix, rhs)
-    _, pivots, _ = linalg._eliminate(matrix, rhs)
+    want = fraction_solve_any(matrix, rhs)
+    _, pivots, _ = fraction_eliminate(matrix, rhs)
     if want is None:
         with pytest.raises(linalg.InconsistentSystemError):
             linalg.solve_unique(matrix, rhs)
@@ -328,7 +329,7 @@ class TestIntegerRoute:
             system = linalg.System(rows)
             plan = system.plan
             matrix = [[F(x) for x in row] for row in rows]
-            _, pivots, _ = linalg._eliminate(matrix, [F(0)] * 9)
+            _, pivots, _ = fraction_eliminate(matrix, [F(0)] * 9)
             assert list(plan.pivots) == pivots
             square = [[rows[r][c] for c in plan.pivots] for r in plan.pivot_rows]
             # the kept block ends in delta, and solving against each pivot
@@ -342,7 +343,7 @@ class TestIntegerRoute:
             noise = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(9)]
             for rhs in (consistent, noise, [F(0)] * 9):
                 numerators, scale = _over_common_denominator(rhs)
-                assert system.solve(numerators, scale) == linalg.solve_any(matrix, rhs)
+                assert system.solve(numerators, scale) == fraction_solve_any(matrix, rhs)
             # rational rows: each scaled by its own rational, and the
             # independent columns alone, so that every outcome occurs
             scaled = [[F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7)) * v

@@ -153,6 +153,15 @@ class TestQSeries:
         with pytest.raises(ValueError):
             QSeries([1, 2]).truncate(9)
 
+    def test_empty_list_refused_naming_it(self):
+        # not as a truncation order -1 the caller never passed
+        for empty in ([], (), iter([])):
+            with pytest.raises(ValueError, match="^a series needs at least its q\\^0 "
+                                                 "coefficient, got an empty list$"):
+                QSeries(empty)
+        with pytest.raises(ValueError, match="empty list"):
+            QSeries.from_json([])
+
     @pytest.mark.parametrize("inexact", [0.1, "1/2", Decimal("0.5")])
     def test_inexact_coefficients_refused(self, inexact):
         with pytest.raises(TypeError, match="must be int or Fraction"):
