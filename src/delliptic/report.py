@@ -6,7 +6,9 @@ coherence, counting-oracle closed forms, the convolution and derivative
 identities, the triple-branch cancellation, and the quasimodularity
 certification. A check passes silently inside the operations it calls (those
 raise CrossCheckError on any disagreement), so a failure surfaces here with
-the offending check named.
+the offending check named. `run_verification` runs the checks in one pass; a
+check that owns a report section (a family's `classes`, the `series` fits)
+writes it as it passes, so a failing check omits only its own section.
 """
 
 from __future__ import annotations
@@ -65,9 +67,10 @@ def _check_pairing_tables() -> str:
 
 
 def _check_convolutions() -> str:
+    top = 200
     for convolution in (conv2, conv2_weighted, conv3):
-        convolution(200)  # reads its table, checked whole to q^256
-    return "direct sums equal closed forms for d <= 200"
+        convolution(top)  # reads its table, checked whole to q^256
+    return f"direct sums equal closed forms for d <= {top}"
 
 
 def _check_ramanujan(order: int) -> str:
@@ -115,10 +118,11 @@ def _sigma1_from_factorisation(d: int) -> int:
 
 
 def _check_sublattices() -> str:
-    for d in range(1, 51):
+    top = 50
+    for d in range(1, top + 1):
         crosscheck("sublattice-count", d, divisor_sum=count_sublattices(d),
                    factorisation=_sigma1_from_factorisation(d))
-    return "count equals sigma_1(d) for d <= 50"
+    return f"count equals sigma_1(d) for d <= {top}"
 
 
 def _check_pointed_isogenies() -> str:
@@ -138,15 +142,12 @@ def _check_degeneration_identity() -> str:
     # count_dd2222 through count_dd22: of the 20 ways to distribute six points
     # onto two elliptic bridge components, 12 split the total ramification
     # points and 8 keep them together
-    for d in range(1, 21):
+    top = 20
+    for d in range(1, top + 1):
         pair = count_dd22(d)
-        crosscheck(
-            "degeneration-identity",
-            d,
-            genus2=count_dd2222(d),
-            degenerated=12 * pair * pair + 8 * 6 * pair,
-        )
-    return "six-point degeneration identity holds for d <= 20"
+        crosscheck("degeneration-identity", d, genus2=count_dd2222(d),
+                   degenerated=12 * pair * pair + 8 * 6 * pair)
+    return f"six-point degeneration identity holds for d <= {top}"
 
 
 #: (check, family, what agrees): one class sweep per family, in report order
@@ -166,9 +167,10 @@ def _check_classes(family: str, agreed: str, max_d: int) -> str:
 
 
 def _check_triple_branch_sums() -> str:
-    loci.triple_branch_chain_sum(40)  # reads the triple table, checked whole to q^64
-    loci.triple_branch_split_sum(40)
-    return "direct sums equal closed forms for d <= 40"
+    top = 40
+    loci.triple_branch_chain_sum(top)  # reads the triple table, checked whole to q^64
+    loci.triple_branch_split_sum(top)
+    return f"direct sums equal closed forms for d <= {top}"
 
 
 def _check_cancellation(order: int) -> str:
@@ -213,30 +215,25 @@ def class_report(family: str, d: int) -> dict:
     }
 
 
-def _detailed_sections(max_d: int, certification: dict) -> tuple[dict, dict]:
-    classes = {
-        family: [class_report(family, d) for d in range(1, max_d + 1)]
-        for family in sorted(loci.FAMILIES)
-    }
-    series = {
-        family: {label: fit.to_json_dict() for label, fit in fits.items()}
-        for family, fits in certification.items()
-    }
-    return classes, series
-
-
 def run_verification(max_d: int = 30, order: int = 30) -> dict:
-    """Run every named check; returns the JSON-ready report."""
+    """Run every named check once; returns the JSON-ready report."""
     require_positive(max_d, "max_d")
     require_within_ceiling(max_d, "max_d")
     require_order(order, 8)  # the certification fits are overdetermined from order 8
-    # fitted once: the certification check and the series section share it;
-    # it stays empty when certification raises
-    certification: dict = {}
+    classes: dict = {}
+    series: dict = {}
+
+    def check_classes(family: str, agreed: str) -> str:
+        detail = _check_classes(family, agreed, max_d)
+        classes[family] = [class_report(family, d) for d in range(1, max_d + 1)]
+        return detail
 
     def certify() -> str:
-        certification.update(loci.certify_quasimodularity(order))
-        return _check_certification(certification, order)
+        fits = loci.certify_quasimodularity(order)
+        detail = _check_certification(fits, order)
+        for family, by_label in fits.items():
+            series[family] = {label: fit.to_json_dict() for label, fit in by_label.items()}
+        return detail
 
     checks: list[tuple[str, Callable[[], str]]] = [
         ("pairing-tables", _check_pairing_tables),
@@ -246,39 +243,20 @@ def run_verification(max_d: int = 30, order: int = 30) -> dict:
         ("sublattice-count", _check_sublattices),
         ("pointed-isogeny-count", _check_pointed_isogenies),
         ("degeneration-identity", _check_degeneration_identity),
-        *(
-            (name, partial(_check_classes, family, agreed, max_d))
-            for name, family, agreed in _CLASS_CHECKS
-        ),
+        *((name, partial(check_classes, family, agreed))
+          for name, family, agreed in _CLASS_CHECKS),
         ("triple-branch-sums", _check_triple_branch_sums),
         ("triple-branch-cancellation", lambda: _check_cancellation(order)),
         ("quasimodularity-certification", certify),
     ]
     results = []
-    first_failure = None
     for name, fn in checks:
         try:
-            detail = fn()
-            passed = True
+            detail, passed = fn(), True
         except Exception as exc:  # report and continue; never abort the sweep
-            detail = f"{type(exc).__name__}: {exc}"
-            passed = False
-            if first_failure is None:
-                first_failure = name
+            detail, passed = f"{type(exc).__name__}: {exc}", False
         results.append({"check": name, "passed": passed, "detail": detail})
-    try:
-        classes, series = _detailed_sections(max_d, certification)
-    except Exception as exc:
-        classes, series = {}, {}
-        if first_failure is None:
-            first_failure = "detailed-report"
-            results.append(
-                {
-                    "check": "detailed-report",
-                    "passed": False,
-                    "detail": f"{type(exc).__name__}: {exc}",
-                }
-            )
+    first_failure = next((r["check"] for r in results if not r["passed"]), None)
     return {
         "schema": SCHEMA,
         "max_d": max_d,
@@ -286,6 +264,6 @@ def run_verification(max_d: int = 30, order: int = 30) -> dict:
         "passed": first_failure is None,
         "first_failure": first_failure,
         "checks": results,
-        "classes": classes,
+        "classes": {family: classes[family] for family in sorted(classes)},
         "series": series,
     }

@@ -17,6 +17,7 @@ from delliptic.chow import (
     q_basis_labels,
     solve_class,
     solve_class_series,
+    space,
     to_q_class_basis,
 )
 from delliptic.linalg import InconsistentSystemError, SingularSystemError
@@ -441,3 +442,38 @@ class TestChowClass:
             "degree": 1,
             "coeffs": {"Delta_0": "-1/2", "Delta_1": "0"},
         }
+
+
+def lower_case(cls):
+    """The class with its labels lower-cased: off the registered basis."""
+    return ChowClass(cls.space_id, cls.degree, tuple(label.lower() for label in cls.labels),
+                     cls.coefficients)
+
+
+class TestRefusals:
+    """Each registry and class refusal, with the message that names it."""
+
+    @pytest.mark.parametrize("call,message", [
+        pytest.param(lambda: space("M4"), "unknown space 'M4'", id="space"),
+        pytest.param(lambda: basis_labels("M2", 3), "no degree-3 basis registered on M2",
+                     id="basis_labels"),
+        pytest.param(lambda: q_basis_labels("M12", 1),
+                     "no substack conversion registered for M12 degree 1", id="q_basis_labels"),
+        pytest.param(lambda: ChowClass("M2", 1, ("Delta_0", "Delta_1"), (F(1),)),
+                     "labels and coefficients must have equal length", id="ChowClass"),
+        pytest.param(lambda: on_basis("M2", 1, {}).coefficient("Delta_9"),
+                     "label 'Delta_9' not in this class's basis", id="coefficient"),
+        pytest.param(lambda: pairing(on_basis("M2", 1, {"Delta_0": 1}),
+                                     on_basis("M12", 1, {"Delta_1": 1})),
+                     "cannot pair classes on different spaces", id="pairing-spaces"),
+        pytest.param(lambda: pairing(lower_case(on_basis("M2", 1, {"Delta_0": 1})),
+                                     on_basis("M2", 2, {"Delta_00": 1})),
+                     "pairing requires classes on the registered bases", id="pairing-basis"),
+        pytest.param(lambda: to_q_class_basis(lower_case(on_basis("M2", 1, {"Delta_0": 1}))),
+                     "conversion requires a class on the registered basis",
+                     id="to_q_class_basis"),
+    ])
+    def test_refusal_named(self, call, message):
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == message

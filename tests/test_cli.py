@@ -3,7 +3,9 @@
 import copy
 import dataclasses
 import importlib
+import io
 import json
+import sys
 from math import gcd
 
 import pytest
@@ -134,6 +136,16 @@ class TestQmodFitCommand:
             {"a": 0, "b": 0, "c": 0, "coeff": "-1/240"},
             {"a": 0, "b": 1, "c": 0, "coeff": "1/240"},
         ]
+
+    def test_fit_from_stdin(self, capsys, tmp_path, monkeypatch):
+        # without --in the array is read from stdin, to the same payload
+        series = json.dumps(["0"] + [str(sigma(3, d)) for d in range(1, 31)])
+        path = tmp_path / "series.json"
+        path.write_text(series)
+        from_file = run(capsys, "qmod-fit", "--in", str(path), "--weight", "4")
+        assert from_file[0] == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(series))
+        assert run(capsys, "qmod-fit", "--weight", "4") == from_file
 
     def test_refusal_from_file(self, capsys, tmp_path):
         from delliptic.divisors import sigma
@@ -651,23 +663,42 @@ class TestMutationProbes:
             report._check_cancellation(30)
         assert str(caught.value) == "split series unexpectedly fits"
 
-    def test_raising_detailed_sections_fail_the_report(self, plant):
-        # every named check passes; the class reports after them raise
-        def refuse(original):
-            def class_report(family, d):
-                raise CrossCheckError("planted class report failure")
-            return class_report
+    CLASS_CHECKS = {"genus2-classes", "fixed-target-classes", "pointed-genus2-classes",
+                    "genus3-classes"}
 
-        plant(report.class_report, change=refuse)
+    @staticmethod
+    def raising_class_report(original):
+        def class_report(family, d):
+            raise CrossCheckError("planted class report failure")
+        return class_report
+
+    def test_raising_detailed_sections_fail_the_report(self, plant):
+        # each class check writes its family's class reports as it passes, so
+        # a raising report fails the four class checks by name; the series
+        # section is the certification check's own and is kept
+        plant(report.class_report, change=self.raising_class_report)
         result = report.run_verification(2, 10)
-        assert all(c["passed"] for c in result["checks"][:-1])
-        assert result["checks"][-1] == {
-            "check": "detailed-report", "passed": False,
-            "detail": "CrossCheckError: planted class report failure"}
-        assert len(result["checks"]) == len(VERIFY_CHECKS) + 1
-        assert result["passed"] is False
-        assert result["first_failure"] == "detailed-report"
-        assert result["classes"] == result["series"] == {}
+        assert tuple(c["check"] for c in result["checks"]) == VERIFY_CHECKS
+        assert self.failed_checks(result) == self.CLASS_CHECKS
+        assert {c["detail"] for c in result["checks"] if not c["passed"]} == {
+            "CrossCheckError: planted class report failure"}
+        assert result["first_failure"] == "genus2-classes"
+        assert result["classes"] == {}
+        assert sorted(result["series"]) == ["m2", "m21", "m2e", "m3"]
+
+    def test_raising_class_report_after_a_failed_check_is_listed(self, plant, monkeypatch):
+        # a section failure after an earlier failed check is still reported
+        # under its own check, not dropped for want of a first failure
+        original = report.count_pointed_isogenies_enumerated
+        monkeypatch.setattr(
+            report, "count_pointed_isogenies_enumerated", lambda d: original(d) + 1
+        )
+        plant(report.class_report, change=self.raising_class_report)
+        result = report.run_verification(2, 10)
+        assert tuple(c["check"] for c in result["checks"]) == VERIFY_CHECKS
+        assert self.failed_checks(result) == {"pointed-isogeny-count"} | self.CLASS_CHECKS
+        assert result["first_failure"] == "pointed-isogeny-count"
+        assert result["classes"] == {}
 
     def test_wrong_class_coefficient_fails_named_check(self, plant):
         plant(loci.FAMILIES, "m3", 4, "kappa_2", (0, 3), change=lambda c: c + 1)
@@ -678,6 +709,9 @@ class TestMutationProbes:
         assert by_name["genus3-classes"]["detail"].startswith(
             "CrossCheckError: class[m3](d=1): "
         )
+        # the failing family alone is left out of the classes section
+        assert list(result["classes"]) == ["m2", "m21", "m2e"]
+        assert all(e["agree"] for entries in result["classes"].values() for e in entries)
 
     def verify_with_class_factor_bumped(self, plant, j, k):
         """`verify` with entry (j, k) of every class System's kept block one

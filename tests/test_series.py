@@ -5,6 +5,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction as F
 from math import gcd
+from operator import add, mul, sub
 
 import pytest
 
@@ -152,6 +153,22 @@ class TestQSeries:
             QSeries([1, 2]).coefficient(7)
         with pytest.raises(ValueError):
             QSeries([1, 2]).truncate(9)
+
+    def test_negative_truncation_refused_naming_it(self):
+        with pytest.raises(ValueError, match="^truncation order must be >= 0, got -1$"):
+            QSeries([1, 2]).truncate(-1)
+
+    @pytest.mark.parametrize("other", [0.5, "1", [1, 2], None])
+    def test_non_series_operand(self, other):
+        # + and - take a series only, * a series or an exact scalar, on either side
+        f = QSeries([1, 2])
+        for op in (add, sub, mul):
+            with pytest.raises(TypeError):
+                op(f, other)
+            with pytest.raises(TypeError):
+                op(other, f)
+        assert (f == other) is False
+        assert (f != other) is True
 
     def test_empty_list_refused_naming_it(self):
         # not as a truncation order -1 the caller never passed
