@@ -3,15 +3,15 @@
 Subcommands: class, series, qmod-fit, hurwitz, count, verify. Every number
 is printed exactly ("p/q" strings in JSON, never floats), output is
 deterministic, and exit codes are 0 (success), 1 (verification failure), 2
-(usage error). `class --d`, `verify --max-d` and the --d of `count
-sublattices` and `count pointed-isogenies` are bounded by the library's one
-table budget, divisors.TABLE_ORDER_CEILING, whose ValueError exits 2; `count
-dd22` and `dd2222`, closed polynomials, read no table and have no bound. Two
-ceilings bound the fit's System, which no table budget covers: `series --N`,
-`verify --N` and the order of `qmod-fit` (its --N, else its array length
-less one) stop at SERIES_ORDER_CEILING, and the fit weight of `series` and
-`qmod-fit` at FIT_WEIGHT_CEILING. Above any of them the command exits 2
-before computing anything.
+(usage error). The command line defines no budget of its own: `class --d`,
+`verify --max-d`, the --d of `count sublattices` and `count
+pointed-isogenies`, and every fit order (`series --N`, `verify --N`, and the
+order of `qmod-fit`: its --N, else its array length less one) are bounded by
+the library's one order budget, divisors.TABLE_ORDER_CEILING, and the fit
+weight of `series` and `qmod-fit` by quasimodular.FIT_WEIGHT_CEILING. Above
+either the library's ValueError exits 2 before any table, class or basis is
+built; `series` checks its weight first. `count dd22` and `dd2222`, closed
+polynomials, read no table and have no bound.
 """
 
 from __future__ import annotations
@@ -30,22 +30,10 @@ from .covers import (
     count_sublattices,
     hurwitz_number,
 )
-from .quasimodular import fit_quasimodular
+from .quasimodular import fit_quasimodular, require_fit_weight
 from .series import QSeries, format_rational
 
 SCHEMA = report.SCHEMA
-
-#: largest fit order N `series`, `verify` and `qmod-fit` accept: it bounds
-#: the fit's (N + 1)-row System, which no table budget covers; `series` at
-#: the ceiling solves every class d <= N and fits, under a second
-SERIES_ORDER_CEILING = 200
-
-#: largest --weight `series` and `qmod-fit` accept: it bounds the fit's
-#: System, which no table budget covers, and whose monomial basis grows as
-#: weight^3: at order 200, on a 2-vCPU Xeon VM, weight 20 builds its
-#: basis and System in about 0.3 s (the whole `series` process at both fit
-#: ceilings in about 0.4 s) and weight 24 in about 2.5 s
-FIT_WEIGHT_CEILING = 20
 
 _COUNTS = {
     "sublattices": count_sublattices,
@@ -68,11 +56,6 @@ def _int_at_least(minimum: int):
         return value
 
     return parse
-
-
-def _check_ceiling(name: str, value: int, ceiling: int) -> None:
-    if value > ceiling:
-        raise ValueError(f"{name} = {value} exceeds the ceiling {ceiling}")
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -112,8 +95,7 @@ def _cmd_class(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    _check_ceiling("weight", args.weight, FIT_WEIGHT_CEILING)
-    _check_ceiling("N", args.N, SERIES_ORDER_CEILING)
+    require_fit_weight(args.weight)  # before the class series is built
     series = loci.coefficient_series(args.space, args.label, args.N)
     fit = fit_quasimodular(series, args.weight, args.N)
     payload = {
@@ -132,7 +114,6 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_qmod_fit(args) -> int:
-    _check_ceiling("weight", args.weight, FIT_WEIGHT_CEILING)
     if args.infile == "-":
         raw = sys.stdin.read()
     else:
@@ -146,7 +127,6 @@ def _cmd_qmod_fit(args) -> int:
         raise ValueError("input must be a JSON array of rational strings")
     series = QSeries.from_json(items)
     order = series.order if args.N is None else args.N
-    _check_ceiling("N", order, SERIES_ORDER_CEILING)
     fit = fit_quasimodular(series, args.weight, order)
     payload = {
         "schema": SCHEMA,
@@ -179,7 +159,6 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_ceiling("N", args.N, SERIES_ORDER_CEILING)
     result = report.run_verification(max_d=args.max_d, order=args.N)
     lines = [
         f"{'PASS' if c['passed'] else 'FAIL'} {c['check']}: {c['detail']}"

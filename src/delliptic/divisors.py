@@ -33,10 +33,10 @@ over d in the package. A wrong entry fails every read of its table. Each
 product is one big-int multiplication (Kronecker substitution in series). The
 per-d sigma and divisors are trial division up to sqrt(d), valid past the
 ceiling; A reads sigma, so each identity also compares it with the sieve.
-TABLE_ORDER_CEILING, a power of two, is the one budget of work that grows with
-d: table_order refuses a larger d before any table is built, and the isogeny
-counts, class_series, sigma_series and run_verification refuse a larger d,
-order or max_d up front (require_within_ceiling, require_order).
+TABLE_ORDER_CEILING, a power of two, is the one budget of every d and order:
+table_order refuses a larger d before any table is built, and the isogeny
+counts, class_series, sigma_series, run_verification and the quasimodular fits
+refuse a larger d, order or max_d up front (require_within_ceiling, require_order).
 """
 
 from __future__ import annotations
@@ -131,8 +131,9 @@ CLOSED_FORMS: Mapping[str, Mapping[tuple[int, int], Fraction]] = rows({
 })
 
 
-#: the largest d a table is read at and the largest table order; with empty
-#: caches on a 2-vCPU Xeon VM, the genus-3 class there takes 0.06-0.12 s
+#: the one budget of every order, the fit's included (the largest d, table and
+#: fit order); cold on a 2-vCPU Xeon VM, the genus-3 class there takes
+#: 0.06-0.12 s and a class series with its weight-20 fit there 0.65-0.75 s
 TABLE_ORDER_CEILING = 1024
 
 
@@ -142,18 +143,17 @@ def require_within_ceiling(value: int, name: str = "d") -> None:
         raise ValueError(f"{name} = {value} exceeds the table order ceiling {TABLE_ORDER_CEILING}")
 
 
-def require_order(order: int, least: int = 0) -> None:
+def require_order(order: int, least: int = 0, name: str = "order") -> None:
     """Raise TypeError unless the order is an integer, ValueError unless
-    least <= order <= TABLE_ORDER_CEILING, naming the order."""
-    _require_at_least(order, least, "order")
-    require_within_ceiling(order, "order")
+    least <= order <= TABLE_ORDER_CEILING, naming it."""
+    _require_at_least(order, least, name)
+    require_within_ceiling(order, name)
 
 
 def table_order(d: int) -> int:
     """The order of the table read at 1 <= d <= TABLE_ORDER_CEILING: the next
     power of two >= d, so a growing_table grows at most once per power of two."""
-    require_positive(d)
-    require_within_ceiling(d)
+    require_order(d, 1, "d")
     return 1 << (d - 1).bit_length()
 
 

@@ -102,8 +102,8 @@ from .chow import (FORGET_M21_TO_M2, ChowClass, ClassSeries, pairing_number,
                    pushforward_m21_to_m2, q_basis_labels, solve_class, solve_class_series,
                    space, to_q_class_basis)
 from .covers import count_dd3, count_dd22, count_dd2222, count_pointed_isogenies
-from .divisors import (conv2, convolution_table, growing_table, require_order,
-                       require_positive, rows, sigma, sigma_series)
+from .divisors import (conv2, convolution_table, growing_table, require_order, rows, sigma,
+                       sigma_series)
 from .errors import crosscheck, crosscheck_series
 from .quasimodular import FitResult, fit_quasimodular
 from .series import QSeries
@@ -195,12 +195,11 @@ def _read(table: Mapping[str, QSeries], d: int) -> Mapping[str, Fraction]:
     return MappingProxyType({label: s.coefficient(d) for label, s in table.items()})
 
 
-def _windings(n: int, count) -> QSeries:
-    """sum_{a | d} count(a) * (d/a) to q^n: one divisor sieve over the
-    counts' common denominator."""
-    counts = _series(n, count)
+def _windings(n: int, counts: QSeries) -> QSeries:
+    """sum_{a | d} counts_a * (d/a) to q^n, counts_a the q^a coefficient of
+    a series (q^0 = 0) read to q^n: one divisor sieve over its denominator."""
     sums = [0] * (n + 1)
-    for a, c in enumerate(counts.numerators):
+    for a, c in enumerate(counts.numerators[:n + 1]):
         for m, d in enumerate(range(a, n + 1, a) if c else (), 1):
             sums[d] += m * c
     return QSeries(sums) * F(1, counts.denominator)
@@ -288,7 +287,13 @@ def pointed_cover_class_m12(d: int) -> ChowClass:
     return ChowClass("M12", 1, tuple(table), tuple(s.coefficient(d) for s in table.values()))
 
 
-@lru_cache(maxsize=None)
+@growing_table
+def _profile_table_m13(n: int) -> Mapping[str, QSeries]:
+    """total_ramification_profile_m13 to q^n, by dual label."""
+    return MappingProxyType({label: _series(n, count_dd22) if label == "Delta_0"
+                             else QSeries.zero(n) for label in space("M13").bases[1]})
+
+
 def total_ramification_profile_m13(a: int) -> Mapping[str, Fraction]:
     """Intersection numbers on M13 of the locus of genus-1 covers of a line,
     totally ramified at two marked points and simply at a third.
@@ -296,11 +301,8 @@ def total_ramification_profile_m13(a: int) -> Mapping[str, Fraction]:
     Meets the irreducible-nodal divisor in the 2(a^2 - 1) doubly totally
     ramified pencils (count_dd22) and misses every reducible divisor.
     """
-    require_positive(a, "a")
-    values = {"Delta_0": F(count_dd22(a))}
-    for s in ("{1,2}", "{1,3}", "{2,3}", "{1,2,3}"):
-        values[f"Delta_1_{s}"] = F(0)
-    return MappingProxyType(values)
+    require_order(a, 1, "a")
+    return _read(_profile_table_m13(a), a)
 
 
 #: Intersection numbers on M13 of the glued genus-0 double-pair cover locus
@@ -334,7 +336,7 @@ def _m13_windings(n: int, label: str) -> QSeries:
     """Type (Delta_0, Delta_0) contributions to q^n at one M13 divisor:
     chains of rational curves wound a times around an irreducible nodal
     target, weighted by multiplicity m per divisor splitting d = a*m."""
-    return _windings(n, lambda a: total_ramification_profile_m13(a)[label])
+    return _windings(n, _profile_table_m13(n)[label])
 
 
 # The two M2 dual curves, both realized in the irreducible-nodal boundary
@@ -552,7 +554,7 @@ def _profile_table_m3(n: int) -> tuple[Mapping[str, QSeries], Mapping[str, QSeri
     check of the profile run on whole series."""
     closed = _closed("boundary_profile_m3", n)
     squared = closed.pop("windings")
-    windings = _windings(n, count_dd2222)
+    windings = _windings(n, _series(n, count_dd2222))
     crosscheck_series("boundary_profile_m3[windings]", windings=windings, closed=squared)
     surfaces = _surface_series(n)
     crosscheck_series("boundary_profile_m3[Delta_[7]]", topologies=surfaces["Delta_[7]"],
@@ -614,9 +616,9 @@ def delliptic_class_m3(d: int) -> ChowClass:
 def _triple_branch_table(n: int) -> Mapping[str, QSeries]:
     """The two triple-branch sums to q^n, by label, each checked whole."""
     closed = _closed("triple_branch", n)
-    crosscheck_series("triple_branch_chain_sum", direct=_windings(n, count_dd3),
+    crosscheck_series("triple_branch_chain_sum", direct=_windings(n, _series(n, count_dd3)),
                       closed=closed["chain"])
-    equal = _windings(n, lambda m: m * (m - 1) // 2)
+    equal = _windings(n, _series(n, lambda m: m * (m - 1) // 2))
     crosscheck_series("triple_branch_split_sum", closed=closed["split"],
                       direct=convolution_table("conv2", n) - equal)
     return MappingProxyType(closed)

@@ -29,8 +29,7 @@ from .covers import (
     count_sublattices,
     hurwitz_number,
 )
-from .divisors import (conv2, conv2_weighted, conv3, require_order, require_positive,
-                       require_within_ceiling, sigma_series)
+from .divisors import conv2, conv2_weighted, conv3, require_order, sigma_series, table_order
 from .errors import CrossCheckError, crosscheck
 from .linalg import solve_unique
 from .quasimodular import NotQuasimodular, QuasimodularFit, eisenstein, q_derivative
@@ -67,10 +66,10 @@ def _check_pairing_tables() -> str:
 
 
 def _check_convolutions() -> str:
-    top = 200
+    top = 256
     for convolution in (conv2, conv2_weighted, conv3):
-        convolution(top)  # reads its table, checked whole to q^256
-    return f"direct sums equal closed forms for d <= {top}"
+        convolution(top)  # reads its table, checked whole to q^table_order(top)
+    return f"direct sums equal closed forms for d <= {table_order(top)}"
 
 
 def _check_ramanujan(order: int) -> str:
@@ -85,13 +84,14 @@ def _check_ramanujan(order: int) -> str:
 
 
 def _check_hurwitz() -> str:
-    for d in range(3, 8):
+    top = 7
+    for d in range(3, top + 1):
         profile = Partition([d])
         third = Partition([3] + [1] * (d - 3))
         got = hurwitz_number(d, [profile, profile, third])
         crosscheck("one-part profile count", d, brute_force=got, closed=count_dd3(d))
-    for a in range(1, 7):
-        for b in range(a, 8 - a):
+    for a in range(1, top):
+        for b in range(a, top + 1 - a):
             d = a + b
             if d < 3:
                 continue
@@ -100,7 +100,7 @@ def _check_hurwitz() -> str:
             got = hurwitz_number(d, [pair, pair, third])
             name = f"two-part profile count at (a,b)=({a},{b})"
             crosscheck(name, d, brute_force=got, closed=F(0) if a == b else F(1))
-    return "one-part and two-part triple-branch counts match closed forms"
+    return f"one-part and two-part triple-branch counts match closed forms for d <= {top}"
 
 
 def _sigma1_from_factorisation(d: int) -> int:
@@ -167,10 +167,10 @@ def _check_classes(family: str, agreed: str, max_d: int) -> str:
 
 
 def _check_triple_branch_sums() -> str:
-    top = 40
-    loci.triple_branch_chain_sum(top)  # reads the triple table, checked whole to q^64
+    top = 64
+    loci.triple_branch_chain_sum(top)  # the triple table, checked whole to q^table_order(top)
     loci.triple_branch_split_sum(top)
-    return f"direct sums equal closed forms for d <= {top}"
+    return f"direct sums equal closed forms for d <= {table_order(top)}"
 
 
 def _check_cancellation(order: int) -> str:
@@ -217,8 +217,7 @@ def class_report(family: str, d: int) -> dict:
 
 def run_verification(max_d: int = 30, order: int = 30) -> dict:
     """Run every named check once; returns the JSON-ready report."""
-    require_positive(max_d, "max_d")
-    require_within_ceiling(max_d, "max_d")
+    require_order(max_d, 1, "max_d")
     require_order(order, 8)  # the certification fits are overdetermined from order 8
     classes: dict = {}
     series: dict = {}

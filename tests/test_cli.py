@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from delliptic import chow, cli, covers, loci, quasimodular, report
+from delliptic import chow, covers, loci, quasimodular, report
 from delliptic.cli import main
 from delliptic.divisors import TABLE_ORDER_CEILING, sigma
 from delliptic.errors import CrossCheckError
@@ -103,23 +103,21 @@ class TestSeriesCommand:
         assert "delta_9" in err
 
     def test_at_ceiling(self, capsys):
-        n = cli.SERIES_ORDER_CEILING
+        n = TABLE_ORDER_CEILING
         code, out, _ = run(capsys, "series", "m2", "delta_0", "--N", str(n), "--json")
         assert code == 0
         payload = json.loads(out)
         assert payload["coefficients"][n] == str(2 * sigma(3, n) - 2 * n * sigma(1, n))
         assert "monomials" in payload["fit"]
 
-    def test_above_ceiling(self, capsys, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("summed above the ceiling")
-
-        monkeypatch.setattr(loci, "coefficient_series", refuse)
-        n = cli.SERIES_ORDER_CEILING + 1
+    def test_above_ceiling(self, capsys, empty_caches):
+        # the library refuses the order before it builds a table or a basis
+        n = TABLE_ORDER_CEILING + 1
         code, out, err = run(capsys, "series", "m3", "kappa_2", "--N", str(n))
         assert code == 2
         assert out == ""
-        assert str(cli.SERIES_ORDER_CEILING) in err
+        assert f"order = {n} exceeds the table order ceiling {TABLE_ORDER_CEILING}" in err
+        assert [cache for cache in empty_caches if cache.cache_info().currsize] == []
 
 
 class TestQmodFitCommand:
@@ -224,7 +222,7 @@ class TestQmodFitCommand:
             raise BasisBuilt
 
         plant(quasimodular.quasimodular_basis, change=lambda original: refuse)
-        n = cli.SERIES_ORDER_CEILING
+        n = TABLE_ORDER_CEILING
         for order in (n, n + 1):
             path = tmp_path / "series.json"
             path.write_text(json.dumps(["0"] * (order + 1 if by_length else n + 2)))
@@ -238,7 +236,20 @@ class TestQmodFitCommand:
             code, out, err = run(capsys, *argv)
             assert code == 2
             assert out == ""
-            assert str(n) in err
+            assert f"order = {order} exceeds the table order ceiling {n}" in err
+
+    def test_fit_at_the_ceiling(self, capsys, tmp_path):
+        n = TABLE_ORDER_CEILING
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(["0"] + [str(sigma(3, d)) for d in range(1, n + 1)]))
+        code, out, _ = run(capsys, "qmod-fit", "--in", str(path), "--weight", "4", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["order"] == n
+        assert payload["fit"]["monomials"] == [
+            {"a": 0, "b": 0, "c": 0, "coeff": "-1/240"},
+            {"a": 0, "b": 1, "c": 0, "coeff": "1/240"},
+        ]
 
     @pytest.mark.parametrize("command", ["series", "qmod-fit"])
     def test_weight_ceiling(self, capsys, tmp_path, plant, command):
@@ -255,14 +266,14 @@ class TestQmodFitCommand:
         path.write_text(json.dumps(["0"] * 201))
         argv = {"series": ["series", "m2", "delta_0", "--N", "30"],
                 "qmod-fit": ["qmod-fit", "--in", str(path)]}[command]
-        w = cli.FIT_WEIGHT_CEILING
+        w = quasimodular.FIT_WEIGHT_CEILING
         with pytest.raises(Worked):
             main([*argv, "--weight", str(w)])
         plant(loci.coefficient_series, change=lambda original: refuse)
         code, out, err = run(capsys, *argv, "--weight", str(w + 2))
         assert code == 2
         assert out == ""
-        assert f"exceeds the ceiling {w}" in err
+        assert f"max_weight = {w + 2} exceeds the fit weight ceiling {w}" in err
 
 
 class TestHurwitzCommand:
@@ -408,25 +419,27 @@ class TestVerifyCommand:
             capsys,
             "verify",
             "--max-d", str(TABLE_ORDER_CEILING),
-            "--N", str(cli.SERIES_ORDER_CEILING),
+            "--N", str(TABLE_ORDER_CEILING),
         )
         assert code == 0
-        assert calls == [(TABLE_ORDER_CEILING, cli.SERIES_ORDER_CEILING)]
+        assert calls == [(TABLE_ORDER_CEILING, TABLE_ORDER_CEILING)]
 
-    @pytest.mark.parametrize(
-        "max_d,n,ceiling",
-        [
-            (TABLE_ORDER_CEILING + 1, 30, TABLE_ORDER_CEILING),
-            (30, cli.SERIES_ORDER_CEILING + 1, cli.SERIES_ORDER_CEILING),
-        ],
-    )
-    def test_above_ceiling(self, capsys, empty_caches, max_d, n, ceiling):
-        # max_d is refused by the library, N by the command, both before any
-        # check runs
+    def test_runs_at_the_order_ceiling(self, capsys):
+        code, out, _ = run(capsys, "verify", "--max-d", "2", "--N", str(TABLE_ORDER_CEILING))
+        assert code == 0
+        assert out.count("PASS ") == len(VERIFY_CHECKS)
+
+    @pytest.mark.parametrize("max_d,n,name", [
+        (TABLE_ORDER_CEILING + 1, 30, "max_d"),
+        (30, TABLE_ORDER_CEILING + 1, "order"),
+    ])
+    def test_above_ceiling(self, capsys, empty_caches, max_d, n, name):
+        # max_d and N are both refused by the library before any check runs
         code, out, err = run(capsys, "verify", "--max-d", str(max_d), "--N", str(n))
         assert code == 2
         assert out == ""
-        assert str(ceiling) in err
+        assert f"{name} = {TABLE_ORDER_CEILING + 1} exceeds the table order ceiling " \
+            f"{TABLE_ORDER_CEILING}" in err
         assert [cache for cache in empty_caches if cache.cache_info().currsize] == []
 
     def test_small_sweep_passes(self, capsys):

@@ -14,7 +14,7 @@ from delliptic.cli import main
 
 GOLDEN = {
     "verify --max-d 30 --N 30 --json":
-        "6f27c74f1d14df73393b2b4c193dd65eafc78cd8177f0a721431be19cc72f146",
+        "2bfaf315699502c86e36e0dee0458c1b2839fc633ba561e3717d500518637135",
     "class m3 --d 200 --json":
         "fc62ca77fd94df9acd6894b7e41a5621f30bbc0baf6a222c1f58f952f33ee0cb",
     "series m3 lambda^2 --N 200 --json":

@@ -525,8 +525,9 @@ class TestIntegerRoutes:
             assert all(windings[label].coefficient(d) == self.fraction_windings(d, label)
                        for label in labels)
         # rational entries with a different denominator per winding
-        plant(loci.total_ramification_profile_m13, change=lambda original: lambda a: {
-            label: F(a * i - 3, a + i) for i, label in enumerate(labels)
+        plant(loci._profile_table_m13, change=lambda original: lambda n: {
+            label: QSeries.from_function(n, lambda a: F(a * i - 3, a + i) if a else 0)
+            for i, label in enumerate(labels)
         })
         windings = {label: loci._m13_windings(60, label) for label in labels}
         for d in (1, 12, 30, 60):
@@ -744,6 +745,7 @@ TABLE_READERS = {
     "boundary_profile_m21": ("d", boundary_profile_m21),
     "boundary_profile_m3": ("d", boundary_profile_m3),
     "product_surfaces_m3": ("d", product_surfaces_m3),
+    "total_ramification_profile_m13": ("a", total_ramification_profile_m13),
     "delliptic_class_m2": ("d", delliptic_class_m2),
     "fixed_target_class_m2": ("d", fixed_target_class_m2),
     "delliptic_class_m21": ("d", delliptic_class_m21),
@@ -768,7 +770,6 @@ INTEGER_READERS = {
     "count_dd3": ("d", covers.count_dd3),
     "count_dd22": ("d", covers.count_dd22),
     "count_dd2222": ("d", covers.count_dd2222),
-    "total_ramification_profile_m13": ("a", total_ramification_profile_m13),
 }
 
 

@@ -9,8 +9,9 @@ from fractions import Fraction as F
 import pytest
 
 from delliptic import linalg, loci, quasimodular, report
-from delliptic.divisors import sigma
+from delliptic.divisors import TABLE_ORDER_CEILING, sigma
 from delliptic.quasimodular import (
+    FIT_WEIGHT_CEILING,
     NotQuasimodular,
     QModMonomial,
     QuasimodularFit,
@@ -105,6 +106,45 @@ class TestBasis:
     def test_rejects_odd_weight(self):
         with pytest.raises(ValueError):
             quasimodular_basis(3, 30)
+
+
+ABOVE = TABLE_ORDER_CEILING + 1
+HEAVY = FIT_WEIGHT_CEILING + 2
+ORDER_REFUSAL = rf"^order = {ABOVE} exceeds the table order ceiling {TABLE_ORDER_CEILING}$"
+WEIGHT_REFUSAL = rf"^max_weight = {HEAVY} exceeds the fit weight ceiling {FIT_WEIGHT_CEILING}$"
+
+
+class TestBudgets:
+    """The fit entries, the basis and eisenstein share the package's one order
+    budget, and the fit entries the fit weight ceiling."""
+
+    CACHES = (quasimodular._fit_plan, quasimodular._monomial_series, eisenstein)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: fit_quasimodular(QSeries.zero(ABOVE), 6, ABOVE), ORDER_REFUSAL),
+        (lambda: quasimodular_basis(6, ABOVE), ORDER_REFUSAL),
+        (lambda: fit_quasimodular(QSeries.zero(200), HEAVY, 200), WEIGHT_REFUSAL),
+        (lambda: quasimodular_basis(HEAVY, 200), WEIGHT_REFUSAL),
+    ], ids=["fit-order", "basis-order", "fit-weight", "basis-weight"])
+    def test_fit_entry_refuses_before_any_cache_is_read(self, call, message):
+        before = [cache.cache_info() for cache in self.CACHES]
+        with pytest.raises(ValueError, match=message):
+            call()
+        assert [cache.cache_info() for cache in self.CACHES] == before
+
+    def test_eisenstein_refuses_above_the_ceiling(self):
+        # an lru_cache counts the refused call as its one miss, and holds nothing
+        before = [cache.cache_info() for cache in self.CACHES]
+        with pytest.raises(ValueError, match=ORDER_REFUSAL):
+            eisenstein(2, ABOVE)
+        after = [cache.cache_info() for cache in self.CACHES]
+        assert after[:2] == before[:2]
+        assert after[2] == before[2]._replace(misses=before[2].misses + 1)
+
+    def test_accepted_at_both_ceilings(self):
+        assert len(quasimodular_basis(FIT_WEIGHT_CEILING, 67)) == 67
+        fit = fit_quasimodular(eisenstein(4, TABLE_ORDER_CEILING), 4, TABLE_ORDER_CEILING)
+        assert fit.as_dict() == {QModMonomial(0, 1, 0): F(1)}
 
 
 class TestFit:
@@ -215,11 +255,11 @@ class TestFit:
             fit_quasimodular(QSeries.zero(10), 6, 20)
 
     def test_short_series_refused_before_its_basis_is_built(self):
-        # the basis System of (24, 200) takes about 2.5 s to build cold (2-vCPU
+        # the basis System of (20, 200) takes about 0.3 s to build cold (2-vCPU
         # Xeon VM); a series too short to fit must be refused without it
         before = quasimodular._fit_plan.cache_info()
         with pytest.raises(ValueError, match="series order 4 is below the fit order 200"):
-            fit_quasimodular(QSeries.from_function(4, lambda d: d), 24, 200)
+            fit_quasimodular(QSeries.from_function(4, lambda d: d), 20, 200)
         assert quasimodular._fit_plan.cache_info() == before
 
     @pytest.mark.parametrize("call,integer_call,message", [
