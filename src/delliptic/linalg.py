@@ -14,12 +14,12 @@ reads every row.
 one positive scale, as a `QSeries` holds it, multiplies each by its row's
 scale, applies the kept steps to it and back-substitutes X = delta x through
 U (every division exact), divides X and delta by their gcd, and accepts X
-only if the integer residual holds on every row.
-`System.solve_series` runs the same two kernels, `_back_substitute` and
-`_every_row_holds`, on one int per right-hand side series: its value at X =
-2^(8w) (Kronecker substitution, as in `series`), a ring homomorphism that
-keeps every exact division exact. The width w bounds the unknowns and the
-residual, so a packed residual is 0 only where every coefficient is.
+only if the integer residual holds on every row: one big-int product per
+pivot column of A, packed over the rows at 2^(8w) (`series._pack`), 2^(8w-1)
+above M and M max|X| + |delta| max|b| (M the largest row sum of |A|).
+`System.solve_series` runs `_back_substitute` and `_every_row_holds` on one
+int per right-hand side series, its value at X = 2^(8w) (Kronecker, as in
+`series`), a ring homomorphism: divisions stay exact; w bounds X and residual.
 
 A System is built once by the code that owns its matrix and kept there:
 `chow` keeps one per class system (space, degree, profile labels), and
@@ -66,8 +66,8 @@ class _Factorisation:
     elimination leaves it: row j holds the multipliers m_jk of its steps
     k < j left of the diagonal and U[j][j:] from it on, so block[j][j] is the
     j-th pivot p_j and `delta`, the last one, is +-det B. Of A itself it
-    keeps every row on the pivot columns, all the residual reads, and the
-    column count."""
+    keeps every row on the pivot columns, all the residual reads, their
+    largest row sum of |A| (`row_sum`), and the column count."""
 
     on_pivots: tuple[tuple[int, ...], ...]
     columns: int
@@ -75,6 +75,7 @@ class _Factorisation:
     pivot_rows: tuple[int, ...]
     block: tuple[tuple[int, ...], ...]
     delta: int
+    row_sum: int
 
 
 def _factorise(rows: Sequence[Sequence[int]]) -> _Factorisation:
@@ -125,8 +126,9 @@ def _factorise(rows: Sequence[Sequence[int]]) -> _Factorisation:
         block *= 2
     # `previous` is now the last pivot, delta (1 with no pivot)
     kept = tuple(tuple(work[j][c] for c in pivots) for j in range(len(pivots)))
-    return _Factorisation(tuple(tuple(row[c] for c in pivots) for row in rows), columns,
-                          tuple(pivots), tuple(origin[: len(pivots)]), kept, previous)
+    on_pivots = tuple(tuple(row[c] for c in pivots) for row in rows)
+    return _Factorisation(on_pivots, columns, tuple(pivots), tuple(origin[: len(pivots)]), kept,
+                          previous, max(sum(map(abs, row)) for row in on_pivots))
 
 
 def _back_substitute(plan: _Factorisation, picked: Sequence[int]) -> list[int]:
@@ -153,14 +155,30 @@ def _every_row_holds(plan: _Factorisation, x: Sequence[int], rhs: Sequence[int])
     return all(sum(map(mul, row, x)) == b for row, b in zip(plan.on_pivots, rhs))
 
 
+def _packed_rows_hold(system: System, X: Sequence[int], delta: int, rhs: Sequence[int]) -> bool:
+    """`System.solve`'s residual, its columns kept packed at the widest w so far."""
+    plan = system.plan
+    bound = plan.row_sum * max(map(abs, X), default=0) + abs(delta) * max(map(abs, rhs))
+    least = max(plan.row_sum, bound).bit_length() // 8 + 1
+    width, columns = system.packed  # one read: the pair stays consistent
+    if width < least:
+        width, columns = system.packed = least, tuple(_pack(c, least) for c in zip(*plan.on_pivots))
+    return sum(map(mul, columns, X)) == delta * _pack(rhs, width)
+
+
+def _require_rows(rows: int, rhs: Sequence) -> None:
+    if len(rhs) != rows:
+        raise ValueError(f"{rows} equations but {len(rhs)} right-hand sides")
+
+
 class System:
     """The matrix `rows` made ready for exact solves: its rows as tuples
     (`len` and indexing read them), each row's lcm scale to integers
-    (`scales`, None when every entry is an int), and the factorisation of
-    the scaled rows (`plan`). No rows, or a row whose length is not row 0's,
-    raise ValueError."""
+    (`scales`, None when every entry is an int), the factorisation of the
+    scaled rows (`plan`) and `solve`'s packed columns (`packed`). No rows,
+    or a row whose length is not row 0's, raise ValueError."""
 
-    __slots__ = ("rows", "scales", "plan")
+    __slots__ = ("rows", "scales", "plan", "packed", "__weakref__")
 
     def __init__(self, rows: Sequence[Sequence[Fraction]]):
         self.rows = tuple(map(tuple, rows))
@@ -177,6 +195,7 @@ class System:
         else:
             integer_rows, self.scales = zip(*map(_over_common_denominator, self.rows))
         self.plan = _factorise(integer_rows)
+        self.packed: tuple[int, tuple[int, ...]] = (0, ())
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -186,16 +205,19 @@ class System:
 
     def solve(self, numerators: Sequence[int], scale: int) -> list[Fraction] | None:
         """The solution of A x = target, target[d] = numerators[d] / scale,
-        with non-pivot unknowns 0, or None when there is none, in integers.
-        X = delta x comes from the factor and is put in lowest terms with
-        delta before the residual."""
+        with non-pivot unknowns 0, or None when there is none, in integers;
+        one numerator per row, or ValueError. X = delta x from the factor, in
+        lowest terms with delta, holds if sum_k P_k X_k == delta pack(b), P_k
+        pivot column k of A and b the scaled numerators packed over the rows
+        at 2^(8w): 2^(8w - 1) is above M, the largest row sum of |A|, and each
+        row's residual bound M max|X| + |delta| max|b|, so every digit packs."""
         plan = self.plan
+        _require_rows(len(self), numerators)
         scaled = numerators if self.scales is None else list(map(mul, self.scales, numerators))
         X = _back_substitute(plan, [scaled[r] for r in plan.pivot_rows])
         content = gcd(plan.delta, *X)
-        delta = plan.delta // content
-        X = [v // content for v in X]
-        if not _every_row_holds(plan, X, [delta * t for t in scaled]):
+        delta, X = plan.delta // content, [v // content for v in X]
+        if not _packed_rows_hold(self, X, delta, scaled):
             return None
         solution = [Fraction(0)] * plan.columns
         denominator = delta * scale
@@ -218,15 +240,15 @@ class System:
         largest row sum of |A|. With 2^(8w - 1) above that, each X_j unpacks
         exactly, and a packed residual is 0 only if every coefficient is."""
         plan = self.plan
+        _require_rows(len(self), series)
         order = min(s.order for s in series)
         common = lcm(*(s.denominator for s in series))
         scales = self.scales or (1,) * len(series)
         scaled = [[v * (scale * common // s.denominator) for v in s.numerators[: order + 1]]
                   for s, scale in zip(series, scales)]
         hadamard = isqrt(prod(sum(v * v for v in plan.on_pivots[r]) for r in plan.pivot_rows)) + 1
-        row_sum = max(sum(map(abs, row)) for row in plan.on_pivots)
         largest = max(abs(v) for column in scaled for v in column)
-        width = ((len(plan.pivots) * row_sum + 1) * hadamard * largest).bit_length() // 8 + 1
+        width = ((len(plan.pivots) * plan.row_sum + 1) * hadamard * largest).bit_length() // 8 + 1
         packed = [_pack(column, width) for column in scaled]
         X = _back_substitute(plan, [packed[r] for r in plan.pivot_rows])
         if not _every_row_holds(plan, X, [plan.delta * t for t in packed]):
@@ -253,11 +275,9 @@ def _solved(
     matrix: Sequence[Sequence[Fraction]] | System, rhs: Sequence[Fraction]
 ) -> tuple[System | None, list[Fraction] | None]:
     """The System of `matrix` (rows are made into one) and its `solve` of
-    rhs over rhs's common denominator; (None, []) for no rows. A right-hand
-    side whose length is not the row count raises ValueError."""
-    if len(rhs) != len(matrix):
-        raise ValueError(f"{len(matrix)} equations but {len(rhs)} right-hand sides")
+    rhs over rhs's common denominator; (None, []) for no rows and no rhs."""
     if not matrix:
+        _require_rows(0, rhs)
         return None, []
     system = matrix if isinstance(matrix, System) else System(matrix)
     return system, system.solve(*_over_common_denominator(rhs))

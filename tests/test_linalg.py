@@ -1,6 +1,8 @@
 """Exact elimination: unique solves, rank deficiency, inconsistency."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 from math import gcd
 
@@ -299,6 +301,108 @@ def test_solve_series_width_covers_the_residual():
     packed = [_pack(s.numerators, 3) for s in rhs]
     assert linalg._every_row_holds(plan, packed[:2], packed)
     assert system.solve_series(rhs) is None
+
+
+SHAPES = {  # right-hand sides of System([[1, 0], [0, 1], [1, 1]]), 3 rows
+    "short": [1, 2],  # row 2 would go unread
+    "short-of-a-pivot-row": [1],  # pivot row 1 would raise IndexError
+    "long": [1, 2, 3, 4],  # the last entry would be ignored
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("method", ["solve", "solve_series"])
+def test_rhs_length_checked_by_both_methods(method, shape):
+    system = System([[1, 0], [0, 1], [1, 1]])
+    rhs = SHAPES[shape]
+    with pytest.raises(ValueError, match=f"^3 equations but {len(rhs)} right-hand sides$"):
+        if method == "solve":
+            system.solve(rhs, 1)
+        else:
+            system.solve_series([QSeries([v]) for v in rhs])
+    assert system.solve([1, 2, 3], 1) == [1, 2]
+    assert system.solve_series([QSeries([v]) for v in (1, 2, 3)]) == [QSeries([1]), QSeries([2])]
+
+
+@pytest.mark.parametrize("rows,numerators,width", [
+    # |A| bounds X's share: the bound |X| + |delta| |b| = 32 gives w = 1;
+    # 16 |X| + |b| = 272 needs w = 2, and so does one byte less than that
+    ([[1], [16], [0]], [16, 0, 1], 1),
+    # delta = 3 bounds b's share: M |X| + |b| = 104 gives w = 1, while
+    # M |X| + 3 |b| = 264 needs w = 2
+    ([[3], [2], [1]], [8, -80, 3], 1),
+], ids=["row-sum-factor", "delta-factor"])
+def test_solve_width_covers_the_residual(rows, numerators, width):
+    """Residuals +2^(8w) on one row and -1 on the next pack to 0 at width w:
+    a width from the bound less the term under test accepts an
+    inconsistent system, the one from M max|X| + |delta| max|b| refuses it."""
+    assert fraction_solve_any([[F(v) for v in row] for row in rows], numerators) is None
+    system = System(rows)
+    plan = system.plan
+    X = linalg._back_substitute(plan, [numerators[r] for r in plan.pivot_rows])
+    residual = [sum(a * v for a, v in zip(row, X)) - plan.delta * b
+                for row, b in zip(plan.on_pivots, numerators)]
+    assert residual == [0, 2 ** (8 * width), -1]
+    assert sum(r << (8 * width * d) for d, r in enumerate(residual)) == 0
+    assert not linalg._every_row_holds(plan, X, [plan.delta * b for b in numerators])
+    assert system.solve(numerators, 1) is None
+
+
+def test_zero_rhs_against_entries_above_a_byte():
+    # a pairing-tables check: X = 0 and b = 0 bound no residual, but the
+    # packed columns must still hold every entry of A: M = 255 < 2^8 takes
+    # digits of 2 bytes, as 200 is no signed byte
+    rows = [[200, 55], [1, 127], [100, -100]]
+    assert System(rows).plan.row_sum == 255
+    assert System(rows).solve([0, 0, 0], 1) == [0, 0]
+    assert solve_unique(rows, [0, 0, 0]) == [0, 0]
+
+
+def test_packed_residual_is_every_row():
+    """Seeded tall systems, int or rational rows, a right-hand side
+    consistent or bumped at one row, the last one included: the packed
+    residual `solve` reads agrees with the residual read row by row."""
+    rng = random.Random(4040)
+    seen = set()
+    for case in range(300):
+        columns = rng.randint(1, 5)
+        height = columns + rng.randint(1, 6)
+        rows = [[rng.randint(-300, 300) * rng.choice((0, 1, 1)) for _ in range(columns)]
+                for _ in range(height)]
+        if case % 2:
+            rows = [[F(v, rng.randint(1, 9)) for v in row] for row in rows]
+        system = System(rows)
+        x = [F(rng.randint(-999, 999), rng.randint(1, 9)) for _ in range(columns)]
+        rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+        bumped = rng.choice((None, height - 1, rng.randrange(height)))
+        if bumped is not None:
+            rhs[bumped] += rng.choice((1, -1)) * F(rng.choice((1, 2 ** (8 * rng.randint(1, 4)))),
+                                                   rng.randint(1, 9))
+        numerators, scale = _over_common_denominator(rhs)
+        scaled = numerators if system.scales is None else [
+            s * v for s, v in zip(system.scales, numerators)]
+        plan = system.plan
+        X = linalg._back_substitute(plan, [scaled[r] for r in plan.pivot_rows])
+        content = gcd(plan.delta, *X)
+        delta, X = plan.delta // content, [v // content for v in X]
+        holds = linalg._packed_rows_hold(system, X, delta, scaled)
+        assert holds == linalg._every_row_holds(plan, X, [delta * b for b in scaled])
+        assert holds == (system.solve(numerators, scale) is not None)
+        seen.add((holds, bumped == height - 1, case % 2))
+    assert {(False, True, 0), (False, True, 1), (True, False, 0), (True, False, 1)} <= seen
+    assert {(False, False, 0), (False, False, 1)} <= seen
+
+
+def test_system_is_freed_with_its_packed_columns():
+    # the packed columns live on the System: nothing else keeps it alive
+    system = System([[1, 0], [0, 1], [1, 1]])
+    assert system.solve([1, 2, 3], 1) == [1, 2]
+    assert system.packed[1]
+    freed = weakref.ref(system)
+    del system
+    gc.collect()
+    assert freed() is None
 
 
 @pytest.mark.parametrize("solve", [

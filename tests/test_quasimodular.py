@@ -418,11 +418,12 @@ class TestFitMutationProbes:
         )
 
     def test_residual_accepting_everything_fails_reconstruction(self, plant):
-        # the integer residual is the fit's one acceptance test; planted to
-        # accept everything, the fit of a series corrupted at d=20 is that of
-        # the clean series, and only its reconstruction (what criterion 5 and
-        # the certify gate compare) and the verification report expose it
-        plant(linalg._every_row_holds, change=lambda original: lambda *args: True)
+        # the packed integer residual `System.solve` reads is the fit's one
+        # acceptance test; planted to accept everything, the fit of a series
+        # corrupted at d=20 is that of the clean series, and only its
+        # reconstruction (what criterion 5 and the certify gate compare) and
+        # the verification report expose it
+        plant(linalg._packed_rows_hold, change=lambda original: lambda *args: True)
         base = QSeries.from_function(30, lambda d: 0 if d == 0 else sigma(3, d))
         corrupted = QSeries([c + (d == 20) for d, c in enumerate(base.coefficients)])
         fit = fit_quasimodular(corrupted, 4, 30)
