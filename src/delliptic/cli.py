@@ -10,8 +10,8 @@ order of `qmod-fit`: its --N, else its array length less one) are bounded by
 the library's one order budget, divisors.TABLE_ORDER_CEILING, and the fit
 weight of `series` and `qmod-fit` by quasimodular.FIT_WEIGHT_CEILING. Above
 either the library's ValueError exits 2 before any table, class or basis is
-built; `series` checks its weight first. `count dd22` and `dd2222`, closed
-polynomials, read no table and have no bound.
+built; `series` checks its weight first, an odd one included. `count dd22`
+and `dd2222`, closed polynomials, read no table and have no bound.
 """
 
 from __future__ import annotations

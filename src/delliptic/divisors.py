@@ -216,8 +216,7 @@ def _products(name: str, n: int) -> QSeries:
 def convolution_table(name: str, n: int) -> QSeries:
     """The checked product ``name`` to exactly q^n, read off its held table."""
     require_order(n, 1)
-    table = _products(name, n)
-    return table.truncate(n) if table.order > n else table
+    return _products(name, n).truncate(n)
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,8 @@ above the diagonal, the last pivot delta, and each step's multiplier below.
 It eliminates leading blocks of rows that double from the column count until
 one has full column rank, which every fit basis has in its first few rows:
 the plan is the one elimination over all rows gives, and the residual still
-reads every row.
+reads every row. At full column rank (every fit basis and class System) its
+pivot view `on_pivots` is the scaled rows whole, an int System's own tuples.
 `System.solve(numerators, scale)` takes the right-hand side as integers over
 one positive scale, as a `QSeries` holds it, multiplies each by its row's
 scale, applies the kept steps to it and back-substitutes X = delta x through
@@ -36,6 +37,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
@@ -126,7 +128,8 @@ def _factorise(rows: Sequence[Sequence[int]]) -> _Factorisation:
         block *= 2
     # `previous` is now the last pivot, delta (1 with no pivot)
     kept = tuple(tuple(work[j][c] for c in pivots) for j in range(len(pivots)))
-    on_pivots = tuple(tuple(row[c] for c in pivots) for row in rows)
+    on_pivots = (tuple(map(tuple, rows)) if len(pivots) == columns  # the rows themselves
+                 else tuple(tuple(row[c] for c in pivots) for row in rows))
     return _Factorisation(on_pivots, columns, tuple(pivots), tuple(origin[: len(pivots)]), kept,
                           previous, max(sum(map(abs, row)) for row in on_pivots))
 
@@ -174,9 +177,10 @@ def _require_rows(rows: int, rhs: Sequence) -> None:
 class System:
     """The matrix `rows` made ready for exact solves: its rows as tuples
     (`len` and indexing read them), each row's lcm scale to integers
-    (`scales`, None when every entry is an int), the factorisation of the
-    scaled rows (`plan`) and `solve`'s packed columns (`packed`). No rows,
-    or a row whose length is not row 0's, raise ValueError."""
+    (`scales`, None when every entry is an int, not a bool), the factorisation
+    of the scaled rows (`plan`, whose `on_pivots` is those row tuples at full
+    column rank) and `solve`'s packed columns (`packed`). No rows, or a row
+    whose length is not row 0's, raise ValueError naming the first."""
 
     __slots__ = ("rows", "scales", "plan", "packed", "__weakref__")
 
@@ -185,12 +189,12 @@ class System:
         if not self.rows:
             raise ValueError("a System needs at least one row")
         columns = len(self.rows[0])
-        for r, row in enumerate(self.rows):
-            if len(row) != columns:
-                raise ValueError(f"row {r} has {len(row)} entries but row 0 has {columns}")
+        if set(map(len, self.rows)) != {columns}:  # ragged: name the first such row
+            r = next(r for r, row in enumerate(self.rows) if len(row) != columns)
+            raise ValueError(f"row {r} has {len(self.rows[r])} entries but row 0 has {columns}")
         # integer rows (a fit basis) are their own scaled rows, and a
-        # right-hand side then enters unscaled
-        if all(type(v) is int for row in self.rows for v in row):
+        # right-hand side then enters unscaled; a bool entry is not an int
+        if set(map(type, chain.from_iterable(self.rows))) <= {int}:
             integer_rows, self.scales = self.rows, None
         else:
             integer_rows, self.scales = zip(*map(_over_common_denominator, self.rows))

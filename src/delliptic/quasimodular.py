@@ -23,8 +23,8 @@ fraction-free engine: this module keeps one `linalg.System` of the basis
 rows per (max_weight, N), the target enters as its integer numerators over
 its one denominator, and the integer residual on every coefficient d = 0..N
 is a fit's one acceptance test. Monomials in the span of earlier ones get 0.
-Before listing a monomial, both fit entries refuse a max_weight above
-FIT_WEIGHT_CEILING and an order above divisors.TABLE_ORDER_CEILING.
+Before listing a monomial, both fit entries refuse an odd max_weight, one
+above FIT_WEIGHT_CEILING, and an order above divisors.TABLE_ORDER_CEILING.
 """
 
 from __future__ import annotations
@@ -60,12 +60,14 @@ FIT_WEIGHT_CEILING = 20
 
 
 def require_fit_weight(max_weight: int) -> None:
-    """Raise TypeError unless max_weight is an integer, ValueError unless
-    0 <= max_weight <= FIT_WEIGHT_CEILING, naming both."""
+    """Raise TypeError unless max_weight is an integer, ValueError unless it
+    is even and 0 <= max_weight <= FIT_WEIGHT_CEILING, naming the rule."""
     _require_at_least(max_weight, 0, "max_weight")
     if max_weight > FIT_WEIGHT_CEILING:
         raise ValueError(f"max_weight = {max_weight} exceeds the fit weight ceiling "
                          f"{FIT_WEIGHT_CEILING}")
+    if max_weight % 2:
+        raise ValueError(f"max_weight must be even, got {max_weight}")
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -125,8 +127,6 @@ def _monomial_series(a: int, b: int, c: int, order: int) -> QSeries:
 
 
 def _monomials_up_to(max_weight: int) -> list[QModMonomial]:
-    if max_weight % 2 != 0:
-        raise ValueError(f"max_weight must be even, got {max_weight}")
     candidates = (
         QModMonomial(a, b, c)
         for a in range(max_weight // 2 + 1)

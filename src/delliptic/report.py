@@ -206,12 +206,14 @@ def class_report(family: str, d: int) -> dict:
     numbers = {label: format_rational(v) for label, v in profile_fn(d).items()}
     solved = loci.class_in_family(family, d)  # cached, solved once by the checks
     closed = loci.closed_class(family, d)
+    agree, shown = solved == closed, solved.to_json_dict()
     return {
         "d": d,
         "profile": {"space": space_id, "numbers": numbers},
-        "solved": solved.to_json_dict(),
-        "closed": closed.to_json_dict(),
-        "agree": solved == closed,
+        "solved": shown,
+        # an equal class formats alike; a copy, so the report shares no dict
+        "closed": {**shown, "coeffs": {**shown["coeffs"]}} if agree else closed.to_json_dict(),
+        "agree": agree,
     }
 
 

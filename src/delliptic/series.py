@@ -55,7 +55,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Scalar) -> str:
     """Serialize an exact scalar as "p/q" (or "p" when integral)."""
-    return str(Fraction(value))
+    return str(value) if type(value) in (int, Fraction) else str(Fraction(value))
 
 
 def _over_common_denominator(values: Sequence[Scalar]) -> tuple[list[int], int]:
@@ -178,11 +178,15 @@ class QSeries:
         return Fraction(self.numerators[d], self.denominator)
 
     def truncate(self, order: int) -> QSeries:
-        """Drop coefficients above `order` (which must not exceed self.order)."""
+        """Drop coefficients above `order` (which must not exceed self.order);
+        at the series' own order that is the series itself, immutable and
+        already in normal form."""
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         if order < 0:
             raise ValueError(f"truncation order must be >= 0, got {order}")
+        if order == self.order:
+            return self
         return QSeries._reduced(self.numerators[: order + 1], self.denominator)
 
     def is_zero(self) -> bool:

@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import sys
+from fractions import Fraction as F
 from math import gcd
 
 import pytest
@@ -276,6 +277,22 @@ class TestQmodFitCommand:
         assert f"max_weight = {w + 2} exceeds the fit weight ceiling {w}" in err
 
 
+    @pytest.mark.parametrize("command", ["series", "qmod-fit"])
+    def test_odd_weight_refused_before_any_work(self, capsys, tmp_path, empty_caches, command):
+        # the evenness rule lives with the weight ceiling in
+        # quasimodular.require_fit_weight: no class table, monomial or
+        # basis is built for an odd weight
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(["0"] * 31))
+        argv = {"series": ["series", "m3", "lambda^2", "--N", "1024"],
+                "qmod-fit": ["qmod-fit", "--in", str(path)]}[command]
+        code, out, err = run(capsys, *argv, "--weight", "3")
+        assert (code, out, err) == (2, "", "error: max_weight must be even, got 3\n")
+        assert loci._class_table.cache_info().currsize == 0
+        assert quasimodular._monomial_series.cache_info().currsize == 0
+        assert [cache for cache in empty_caches if cache.cache_info().currsize] == []
+
+
 class TestHurwitzCommand:
     def test_count(self, capsys):
         code, out, _ = run(
@@ -464,6 +481,27 @@ class TestVerifyCommand:
             assert all(e["agree"] for e in entries)
             assert all(e["solved"] == e["closed"] for e in entries)
         assert sorted(payload["series"]["m2"]) == ["delta_0", "delta_1"]
+
+    def test_class_report_formats_closed_as_its_own_copy(self, monkeypatch):
+        # an agreeing closed class is the solved one's format, copied: the
+        # report shares no mutable dict between its two entries
+        for family in loci.FAMILIES:
+            for d in (1, 2, 5):
+                entry = report.class_report(family, d)
+                assert entry["agree"] is True
+                assert entry["closed"] == loci.closed_class(family, d).to_json_dict()
+                assert entry["closed"] == entry["solved"]
+                assert entry["closed"] is not entry["solved"]
+                assert entry["closed"]["coeffs"] is not entry["solved"]["coeffs"]
+        # a disagreeing closed class is formatted on its own
+        original = loci.closed_class
+        wrong = lambda family, d: dataclasses.replace(
+            original(family, d), coefficients=(F(1, 7),) + original(family, d).coefficients[1:])
+        monkeypatch.setattr(loci, "closed_class", wrong)
+        entry = report.class_report("m2", 2)
+        assert entry["agree"] is False
+        assert entry["closed"] == wrong("m2", 2).to_json_dict() != entry["solved"]
+        assert entry["closed"]["coeffs"]["delta_0"] == "1/7"
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

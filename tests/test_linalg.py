@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from delliptic import linalg, loci
+from delliptic import linalg, loci, quasimodular
 from delliptic.divisors import sigma_series
 from delliptic.linalg import (
     InconsistentSystemError,
@@ -143,7 +143,8 @@ def test_solve_any_is_the_fraction_reference():
     ([[F(1)], [F(1), F(5)]], 1, 2),  # a longer row: its last entry would go unread
     ([[F(1), F(5)], [F(1)]], 1, 1),  # a shorter row
     ([[1, 2], [3, 4], [5, 6, 7]], 2, 3),  # integer rows, the last one long
-], ids=["longer", "shorter", "integer-rows"])
+    ([[1, 2], [3], [4, 5, 6]], 1, 1),  # two ragged rows: the first is named
+], ids=["longer", "shorter", "integer-rows", "two-ragged"])
 def test_ragged_rows_refused_naming_the_row(rows, r, length):
     message = f"^row {r} has {length} entries but row 0 has {len(rows[0])}$"
     with pytest.raises(ValueError, match=message):
@@ -192,6 +193,37 @@ def test_system_solves_as_its_rows(matrix, rhs, outcome):
     for solved in (System(matrix), matrix):
         with pytest.raises(outcome):
             solve_unique(solved, rhs)
+
+
+def test_bool_entry_makes_a_row_rational():
+    # a bool is no int to the integer-row test: the rows get scales, and
+    # solve as the int matrix does
+    system = System([[True, 2], [3, 4], [False, 1]])
+    assert system.scales == (1, 1, 1)
+    integer = System([[1, 2], [3, 4], [0, 1]])
+    assert integer.scales is None
+    for rhs in ([F(5), F(11), F(2)], [F(5, 2), F(11, 2), F(1)], [F(5), F(11), F(3)]):
+        assert solve_any(system, rhs) == solve_any(integer, rhs) == fraction_solve_any(
+            [[1, 2], [3, 4], [0, 1]], rhs)
+
+
+def test_pivot_view_is_the_held_rows_at_full_column_rank():
+    """An integer System of full column rank keeps its own row tuples as the
+    pivot view (`is`); a rank-deficient one the per-row pick of its pivot
+    columns, as elimination over all rows gives it."""
+    systems = [quasimodular._fit_plan(8, 150)[1]]
+    systems += [System(rows) for rows in _matrices_whose_block_grows(200, 4141)]
+    full = deficient = 0
+    for system in systems:
+        plan = system.plan
+        assert system.scales is None and len(plan.on_pivots) == len(system)
+        if len(plan.pivots) == plan.columns:
+            full += 1
+            assert all(view is row for view, row in zip(plan.on_pivots, system.rows))
+        else:
+            deficient += 1
+            assert_factorises_as_over_all_rows(plan, system.rows)
+    assert full >= 50 and deficient >= 50
 
 
 def _random_series(rng, order):

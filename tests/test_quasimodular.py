@@ -104,8 +104,10 @@ class TestBasis:
             quasimodular_basis(6, 5)
 
     def test_rejects_odd_weight(self):
-        with pytest.raises(ValueError):
-            quasimodular_basis(3, 30)
+        # named as odd, also at an order short of the E2 powers
+        for order in (30, 1):
+            with pytest.raises(ValueError, match=r"^max_weight must be even, got 3$"):
+                quasimodular_basis(3, order)
 
 
 ABOVE = TABLE_ORDER_CEILING + 1
@@ -131,6 +133,15 @@ class TestBudgets:
         with pytest.raises(ValueError, match=message):
             call()
         assert [cache.cache_info() for cache in self.CACHES] == before
+
+    @pytest.mark.parametrize("call", [
+        lambda: fit_quasimodular(QSeries.zero(30), 3, 30),
+        lambda: quasimodular_basis(3, 30),
+    ], ids=["fit", "basis"])
+    def test_odd_weight_refused_before_any_work(self, empty_caches, call):
+        with pytest.raises(ValueError, match=r"^max_weight must be even, got 3$"):
+            call()
+        assert [cache for cache in empty_caches if cache.cache_info().currsize] == []
 
     def test_eisenstein_refuses_above_the_ceiling(self):
         # an lru_cache counts the refused call as its one miss, and holds nothing

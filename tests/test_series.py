@@ -37,6 +37,15 @@ class TestRationals:
         assert format_rational(F(-1, 24)) == "-1/24"
         assert format_rational(F(7)) == "7"
 
+    @pytest.mark.parametrize("value,text", [
+        (7, "7"), (-3, "-3"), (F(-1, 24), "-1/24"), (F(6, 3), "2"),
+        (True, "1"), (False, "0"), (0.5, "1/2"), (-2.0, "-2"),
+    ])
+    def test_format_rational_of_each_scalar_type(self, value, text):
+        # an int or a Fraction is its own string; a bool or a float goes
+        # through Fraction, so it never prints as "True" or "0.5"
+        assert format_rational(value) == text
+
     @pytest.mark.parametrize(
         "item", [1, ["2"], None, "1/0", "x", "0.5", "1e3", "1_000", "\u0663"]
     )
@@ -254,6 +263,17 @@ class TestIntegerRepresentation:
         assert QSeries([F(2, 4), F(1, 3)]).numerators == (3, 2)
         assert QSeries([F(2, 4), F(1, 3)]).denominator == 6
         assert QSeries.from_json(["0", "0/5", "-0"]).denominator == 1
+
+    def test_truncate_to_its_own_order_is_the_series(self):
+        rng = random.Random(808)
+        for _ in range(100):
+            f = self.sample(rng, rng.randint(0, 12))
+            assert f.truncate(f.order) == f
+            assert f.truncate(f.order) is f  # immutable and already in normal form
+            for n in range(f.order):
+                lower = f.truncate(n)
+                assert_normal(lower)
+                assert lower == QSeries(list(f.coefficients[: n + 1]))
 
     def test_every_operation_reduces(self):
         half = QSeries([1, F(1, 2)])
