@@ -16,7 +16,9 @@ those for the order with the two profiles swapped; adjacent swaps reach
 every order. So hurwitz_number sorts its profiles by class size: the
 largest class is pinned to one representative, the second largest is
 forced by the product condition, and only the others are enumerated. The
-pinned and the forced classes are never listed.
+pinned and the forced classes are never listed, nor is the forced factor
+built: it is the inverse of the others' product, so it has that product's
+cycle type and lies in the group the others generate.
 
 Conventions fixed here (validated against the closed forms in the tests
 before freezing):
@@ -39,7 +41,8 @@ reads no divisor sum and no Hermite normal form: it codes each element
 skipping the generators already met with a bytearray of marks, and by the
 invariant-factor theorem each non-cyclic order-d subgroup is Z/m + Z/n with
 n | m, n > 1 and mn = d, the direct sum of a cyclic subgroup of order m and
-one of order n that meet only in 0.
+one of order n that meet only in 0; only the cyclic subgroups whose order
+a needed order (d, m or n) divides are walked.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, gcd, isqrt, prod
-from operator import add, index
+from operator import add, index, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .divisors import divisors, require_positive, require_within_ceiling, rows
@@ -263,9 +266,12 @@ def hurwitz_number(d: int, profiles: Sequence[Partition]) -> Fraction:
     the largest class first, pinned to one representative of its conjugacy
     class with the total scaled by the class size; the second largest last,
     forced by the product condition; the others between, enumerated
-    exhaustively. Neither the pinned class nor the forced one is listed.
-    More than ENUMERATION_BUDGET! enumerated tuples in that order is refused
-    before any class is listed.
+    exhaustively. Neither the pinned class nor the forced one is listed, nor
+    is the forced factor built: it is the inverse of the others' product P,
+    so the class test reads P's cycle type, and it lies in the group the
+    others generate, so transitivity is tested on them alone. More than
+    ENUMERATION_BUDGET! enumerated tuples in that order is refused before
+    any class is listed.
     """
     require_positive(d)
     if d > ENUMERATION_BUDGET:
@@ -287,6 +293,9 @@ def hurwitz_number(d: int, profiles: Sequence[Partition]) -> Fraction:
             f"and forced, exceed the enumeration budget "
             f"{ENUMERATION_BUDGET}! = {factorial(ENUMERATION_BUDGET)}"
         )
+    if d == 1:
+        # one tuple of identities; itemgetter(0) would return an entry
+        return Fraction(1)
     first = _class_representative(order[0])
     last_type = order[-1].parts
     count = 0
@@ -294,11 +303,10 @@ def hurwitz_number(d: int, profiles: Sequence[Partition]) -> Fraction:
     for middle in product(*middle_classes):
         running = first
         for p in middle:
-            running = compose(running, p)
-        closer = inverse(running)
-        if _cycle_lengths(closer) != last_type:
+            running = itemgetter(*p)(running)  # compose(running, p)
+        if _cycle_lengths(running) != last_type:
             continue
-        if is_transitive((first, *middle, closer), d):
+        if is_transitive((first, *middle), d):
             count += 1
     total = conjugacy_class_size(order[0]) * count
     return Fraction(total, factorial(d))
@@ -330,13 +338,26 @@ def _order_d_subgroups(d: int) -> list[frozenset[int]]:
     non-cyclic order-d subgroups are the sums of such pairs with mn = d,
     that is with n^2 | d. A B inside a sum already built with the same A
     gives that sum again (A + B lies in it, as large), so it is skipped.
+
+    Only the cyclic subgroups of the needed orders d, m and n are used: for
+    each e | d that no needed order divides, the grid of step d/e (the
+    elements of order dividing e) is marked before the walk. An element of
+    an unneeded order that a needed order divides is still walked (order 4
+    at d = 24, whose needed orders are 24, 12 and 2).
     """
     residues = list(range(d)) * d  # residues[i] = i mod d for i < d^2
-    x_codes = [x * d for x in residues]
+    x_codes = list(range(0, d * d, d)) * d  # x_codes[i] = (i mod d) * d
     marks = bytearray(d * d)
+    pairs = [(n, d // n) for n in range(2, isqrt(d) + 1) if d % (n * n) == 0]
+    needed = {d, *(order for pair in pairs for order in pair)}
+    for e in divisors(d):
+        if all(e % f for f in needed):
+            step = d // e  # the elements of order dividing e: x, y in step * Z
+            for row in range(0, d * d, step * d):
+                marks[row : row + d : step] = b"\x01" * e
     units: dict[int, list[int]] = {}
     cyclic: dict[int, list[tuple[frozenset[int], int, int]]] = {}
-    g = 0
+    g = marks.find(0)
     while g >= 0:
         gx, gy = divmod(g, d)
         m = d // gcd(gx, gy, d)
@@ -349,10 +370,7 @@ def _order_d_subgroups(d: int) -> list[frozenset[int]]:
         cyclic.setdefault(m, []).append((frozenset(multiples), gx, gy))
         g = marks.find(0, g + 1)
     found = {h for h, _, _ in cyclic[d]}
-    for n in range(2, isqrt(d) + 1):
-        if d % (n * n):
-            continue
-        m = d // n
+    for n, m in pairs:
         for a, ax, ay in cyclic[m]:
             sums: list[frozenset[int]] = []
             for b, bx, by in cyclic[n]:

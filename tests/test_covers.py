@@ -239,6 +239,22 @@ class TestHurwitzNumber:
         # middle; sorted by class size, both are pinned and forced
         assert hurwitz_number(8, [cycle, transposition, cycle, transposition]) == 42
 
+    def test_no_closer_is_built(self, monkeypatch):
+        # the product's cycle type is the closer's, and the closer lies in
+        # the group the other factors generate, so it is never composed
+        def refuse(*args):
+            raise AssertionError("built a closing permutation")
+
+        monkeypatch.setattr(covers, "inverse", refuse)
+        monkeypatch.setattr(covers, "compose", refuse)
+        cycle = Partition([8])
+        transposition = Partition([2, 1, 1, 1, 1, 1, 1])
+        assert hurwitz_number(8, [cycle, cycle, Partition([3, 1, 1, 1, 1, 1])]) == 7
+        assert hurwitz_number(8, [cycle, cycle, transposition, transposition]) == 42
+        assert hurwitz_number(8, [cycle, cycle, Partition([3, 3, 2]), transposition]) == 888
+        # itemgetter with one index returns the entry, not a 1-tuple
+        assert hurwitz_number(1, [Partition([1])] * 3) == 1
+
     def test_three_profiles_at_the_degree_budget(self):
         d = covers.ENUMERATION_BUDGET
         profiles = [Partition([d]), Partition([d]), Partition([3] + [1] * (d - 3))]
